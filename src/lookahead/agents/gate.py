@@ -8,10 +8,12 @@ behind a lock.  Already-safe agents are returned unchanged.
 from __future__ import annotations
 
 import threading
+from typing import Sequence
 
 from ..core import Aggregation, Task, Trajectory, ValueEstimate
 from .policies import Policy
-from .values import ValueModel
+from .scales import MalformedRationale
+from .values import EvalRequest, ValueModel
 
 
 class SerializedPolicy(Policy):
@@ -51,6 +53,16 @@ class SerializedValueModel(ValueModel):
                 prior_value=prior_value,
                 candidate_actions=candidate_actions,
             )
+
+    def evaluate_many(
+        self,
+        task: Task,
+        requests: Sequence[EvalRequest],
+        n_samples: int = 1,
+        aggregation: Aggregation = Aggregation.MEDIAN,
+    ) -> list[ValueEstimate | MalformedRationale]:
+        with self._lock:
+            return self.inner.evaluate_many(task, requests, n_samples, aggregation)
 
 
 def ensure_concurrent_policy(policy: Policy) -> Policy:

@@ -8,9 +8,11 @@ actions (``candidate_actions``); models that do not need them ignore both.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core import Aggregation, Task, Trajectory, ValueEstimate, render_context
 from ..envs.base import Environment
@@ -32,6 +34,15 @@ if TYPE_CHECKING:
     from ..evaluation import Ledger
 
 
+@dataclass(frozen=True)
+class EvalRequest:
+    """One state to judge: its trajectory plus the engine's optional context."""
+
+    trajectory: Trajectory
+    prior_value: float | None = None
+    candidate_actions: list[str] | None = None
+
+
 class ValueModel(ABC):
     scale: ValueScale = NUMERIC10
     concurrent_safe: bool = True
@@ -47,6 +58,42 @@ class ValueModel(ABC):
         prior_value: float | None = None,
         candidate_actions: list[str] | None = None,
     ) -> ValueEstimate: ...
+
+    def evaluate_many(
+        self,
+        task: Task,
+        requests: Sequence[EvalRequest],
+        n_samples: int = 1,
+        aggregation: Aggregation = Aggregation.MEDIAN,
+    ) -> list[ValueEstimate | MalformedRationale]:
+        """Evaluate ``requests`` in order, one result per request.
+
+        A parse failure is returned in its request's slot rather than raised;
+        any other exception propagates.
+        """
+        return [
+            self._evaluate_request(task, request, n_samples, aggregation)
+            for request in requests
+        ]
+
+    def _evaluate_request(
+        self,
+        task: Task,
+        request: EvalRequest,
+        n_samples: int,
+        aggregation: Aggregation,
+    ) -> ValueEstimate | MalformedRationale:
+        try:
+            return self.evaluate(
+                task,
+                request.trajectory,
+                n_samples,
+                aggregation,
+                prior_value=request.prior_value,
+                candidate_actions=request.candidate_actions,
+            )
+        except MalformedRationale as exc:
+            return exc
 
 
 class OracleValueModel(ValueModel):
@@ -160,6 +207,12 @@ class RemoteValueModel(ValueModel):
     draws when the reply fails to parse; redraws never count toward the
     aggregate.  If every draw stays malformed the evaluation raises
     :class:`MalformedRationale`.
+
+    :meth:`evaluate_many` runs each request's :meth:`evaluate` on its own
+    thread when the transport is safe for concurrent use.  Every request's
+    draws still run in order on one thread, so a transport whose replies
+    depend only on the prompt and its draw count answers exactly as it does
+    serially.
     """
 
     def __init__(
@@ -188,6 +241,7 @@ class RemoteValueModel(ValueModel):
         self.max_tokens = max_tokens
         self.ledger = ledger
         self.malformed_count = 0
+        self._malformed_lock = threading.Lock()
         self.concurrent_safe = transport.concurrent_safe
 
     def _prompt(self, trajectory: Trajectory, candidate_actions: list[str] | None) -> str:
@@ -236,7 +290,8 @@ class RemoteValueModel(ValueModel):
                 try:
                     value = parse_value(response.text, self.scale)
                 except MalformedRationale:
-                    self.malformed_count += 1
+                    with self._malformed_lock:
+                        self.malformed_count += 1
                     continue
                 samples.append((response.text, value))
                 break
@@ -246,6 +301,28 @@ class RemoteValueModel(ValueModel):
                 f"all {n_samples} draws (with redraws) were malformed",
             )
         return aggregate_estimate(samples, aggregation)
+
+    def evaluate_many(
+        self,
+        task: Task,
+        requests: Sequence[EvalRequest],
+        n_samples: int = 1,
+        aggregation: Aggregation = Aggregation.MEDIAN,
+    ) -> list[ValueEstimate | MalformedRationale]:
+        """Overlap the requests' evaluations, one thread per request.
+
+        The pool drains before any result is read, so the earliest failure
+        in request order (for example a :class:`TransportError`) is the one
+        raised.
+        """
+        if not self.concurrent_safe or len(requests) < 2:
+            return super().evaluate_many(task, requests, n_samples, aggregation)
+        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+            futures = [
+                pool.submit(self._evaluate_request, task, request, n_samples, aggregation)
+                for request in requests
+            ]
+        return [future.result() for future in futures]
 
 
 class AttributeAdjustedValueModel(ValueModel):
@@ -332,3 +409,17 @@ class RoutedValueModel(ValueModel):
             prior_value=prior_value,
             candidate_actions=candidate_actions,
         )
+
+    def evaluate_many(
+        self,
+        task: Task,
+        requests: Sequence[EvalRequest],
+        n_samples: int = 1,
+        aggregation: Aggregation = Aggregation.MEDIAN,
+    ) -> list[ValueEstimate | MalformedRationale]:
+        """Route once when every request shares a depth, as siblings do."""
+        depths = {request.trajectory.depth for request in requests}
+        if len(depths) != 1:
+            return super().evaluate_many(task, requests, n_samples, aggregation)
+        model = self.router.route(depths.pop())
+        return model.evaluate_many(task, requests, n_samples, aggregation)

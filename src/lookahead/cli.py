@@ -230,6 +230,12 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"value_scale must be one of {sorted(SCALES)}, got {config.value_scale!r}"
         )
+    label_scale = value == "oracle" or _value_scale(config).labels is not None
+    if config.stl.gamma < 1.0 and label_scale:
+        raise ConfigError(
+            f"gamma {config.stl.gamma} discounts lookahead targets, which a "
+            "label-scale value model cannot express; use gamma 1 or a numeric value_scale"
+        )
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -315,11 +321,11 @@ def build_policy(
         raise ConfigError(f"policy {config.policy!r}: {exc}") from None
 
 
-def _value_scale(config: ExperimentConfig, env: Environment) -> ValueScale:
+def _value_scale(config: ExperimentConfig) -> ValueScale:
     if config.value_scale is not None:
         return get_scale(config.value_scale)
     if config.value.startswith("remote:"):
-        return GAME24 if env.name == "game24" else LIKERT10
+        return GAME24 if config.environment == "game24" else LIKERT10
     return NUMERIC10
 
 
@@ -331,7 +337,7 @@ def build_value_model(
         return OracleValueModel()
     if value.startswith("constant:"):
         return ConstantValueModel(
-            float(value[len("constant:") :]), scale=_value_scale(config, env)
+            float(value[len("constant:") :]), scale=_value_scale(config)
         )
     if value.startswith("scripted:"):
         path = _spec_path(value, "scripted:", "value fixture")
@@ -345,7 +351,7 @@ def build_value_model(
     if value.startswith("stl-dataset:"):
         path = _spec_path(value, "stl-dataset:", "value dataset")
         dataset = import_jsonl(path)
-        scale = _value_scale(config, env)
+        scale = _value_scale(config)
         meta_path = Path(str(path) + ".meta.json")
         if config.value_scale is None and meta_path.exists():
             meta = _read_json(meta_path, "dataset metadata")
@@ -359,7 +365,7 @@ def build_value_model(
             _transport(config),
             model,
             env,
-            scale=_value_scale(config, env),
+            scale=_value_scale(config),
             ledger=ledger,
         )
     except PromptError as exc:

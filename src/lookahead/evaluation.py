@@ -221,7 +221,7 @@ def paired_bootstrap(
         raise ValueError(
             f"paired scores differ in length: {len(scores_a)} vs {len(scores_b)}"
         )
-    if not scores_a:
+    if len(scores_a) == 0:
         raise ValueError("paired bootstrap requires at least one task")
     if b_samples < 1:
         raise ValueError("b_samples must be positive")

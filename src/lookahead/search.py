@@ -27,7 +27,7 @@ from .core import Action, Aggregation, State, Task, Trajectory, ValueEstimate
 from .envs.base import ActionRejected, Environment
 from .agents.policies import Policy
 from .agents.scales import MalformedRationale
-from .agents.values import ValueModel
+from .agents.values import EvalRequest, ValueModel
 
 if TYPE_CHECKING:
     from .evaluation import Ledger
@@ -184,7 +184,11 @@ def dump_tree(tree: SearchTree, path: str | Path) -> None:
 
 
 class _Expander:
-    """Shared expansion step: propose, materialize, evaluate, count."""
+    """Shared expansion step: propose, materialize, evaluate, count.
+
+    All children of one expansion are judged by a single
+    :meth:`ValueModel.evaluate_many` call, so a model may overlap them.
+    """
 
     def __init__(
         self,
@@ -224,42 +228,55 @@ class _Expander:
         if not proposals:
             self.tree.stats.failures.append(f"empty-proposal@{node.depth}")
             return []
-        evaluated: list[TreeNode] = []
+        # Pass 1: transition every proposal.  A slot holds the child awaiting
+        # its estimate, or the failure line of a rejected action.
+        prior = node.estimate.value if node.estimate is not None else None
+        slots: list[TreeNode | str] = []
+        requests: list[EvalRequest] = []
         for action in proposals:
             try:
                 successor = self.env.transition(node.state, action)
             except ActionRejected as exc:
-                self.tree.stats.failures.append(
-                    f"rejected-action@{node.depth}: {action.text} ({exc})"
-                )
+                slots.append(f"rejected-action@{node.depth}: {action.text} ({exc})")
                 continue
             self.tree.stats.states_expanded += 1
             if self.ledger is not None:
                 self.ledger.add_states(1, task_id=self.task.id)
             child = self.tree._add(successor, node.uid, action)
             child.terminal = self.env.is_terminal(successor)
-            child_trajectory = self.tree.trajectory_to(child.uid)
             candidates = None
             if self.config.feed_candidate_actions and not child.terminal:
                 listed = self.env.enumerable_actions(successor)
                 if listed is not None:
                     candidates = [a.text for a in listed]
-            prior = node.estimate.value if node.estimate is not None else None
-            try:
-                child.estimate = self.value_model.evaluate(
-                    self.task,
-                    child_trajectory,
-                    self.config.value_samples,
-                    self.config.value_aggregation,
-                    prior_value=prior,
-                    candidate_actions=candidates,
-                )
-                self.tree.stats.evaluations += 1
-                evaluated.append(child)
-            except MalformedRationale as exc:
+            requests.append(
+                EvalRequest(self.tree.trajectory_to(child.uid), prior, candidates)
+            )
+            slots.append(child)
+        # Pass 2: judge every child in one call.
+        estimates = iter(
+            self.value_model.evaluate_many(
+                self.task,
+                requests,
+                self.config.value_samples,
+                self.config.value_aggregation,
+            )
+        )
+        # Pass 3: record estimates and failures in proposal order.
+        evaluated: list[TreeNode] = []
+        for slot in slots:
+            if isinstance(slot, str):
+                self.tree.stats.failures.append(slot)
+                continue
+            estimate = next(estimates)
+            if isinstance(estimate, MalformedRationale):
                 self.tree.stats.failures.append(
-                    f"unparseable-value@{child.depth}: {exc.reason}"
+                    f"unparseable-value@{slot.depth}: {estimate.reason}"
                 )
+                continue
+            slot.estimate = estimate
+            self.tree.stats.evaluations += 1
+            evaluated.append(slot)
         return evaluated
 
 
@@ -395,25 +412,11 @@ def mcts_search(
                 break
             node = _select_child(tree, node, config.exploration)
             path.append(node.uid)
-        if node.terminal:
-            tree.stats.terminal_reached = True
-            value = (
-                _normalized(node.estimate, value_model, config)
-                if node.estimate is not None
-                else 0.0
-            )
-            backup(path, value)
-            continue
-        if node.expanded and node.depth < config.max_depth:
-            # Dead end revisited by selection: nothing below it to try.
-            value = (
-                _normalized(node.estimate, value_model, config)
-                if node.estimate is not None
-                else 0.0
-            )
-            backup(path, value)
-            continue
-        if node.depth >= config.max_depth:
+        if node.terminal or node.expanded or node.depth >= config.max_depth:
+            # Terminal, dead end revisited by selection, or depth limit:
+            # nothing below to try, so back up the node's own value.
+            if node.terminal:
+                tree.stats.terminal_reached = True
             value = (
                 _normalized(node.estimate, value_model, config)
                 if node.estimate is not None

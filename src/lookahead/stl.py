@@ -30,7 +30,7 @@ from .core import (
 )
 from .agents.rationales import format_lookahead_block, parse_simulated_lookahead
 from .agents.scales import MalformedRationale, ValueScale, parse_value, strip_score_sentence
-from .agents.values import DepthRouter, RoutedValueModel, ValueModel
+from .agents.values import DepthRouter, EvalRequest, RoutedValueModel, ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
 from .search import SearchConfig, SearchTree, beam_search, dump_tree, greedy_search, mcts_search
@@ -375,13 +375,33 @@ class TabularValueModel(ValueModel):
                 prior_value=prior_value,
                 candidate_actions=candidate_actions,
             )
-        completion, value = stored
-        return ValueEstimate(
-            rationale=completion,
-            value=value,
-            samples=(value,),
-            aggregation=aggregation,
-        )
+        return _stored_estimate(stored, aggregation)
+
+    def evaluate_many(
+        self,
+        task: Task,
+        requests: Sequence[EvalRequest],
+        n_samples: int = 1,
+        aggregation: Aggregation = Aggregation.MEDIAN,
+    ) -> list[ValueEstimate | MalformedRationale]:
+        """Answer hits from the table; send all misses to the base model at once."""
+        stored = [self.table.get(state_key(task, r.trajectory)) for r in requests]
+        misses = [r for r, hit in zip(requests, stored) if hit is None]
+        answers = iter(self.base_model.evaluate_many(task, misses, n_samples, aggregation))
+        return [
+            next(answers) if hit is None else _stored_estimate(hit, aggregation)
+            for hit in stored
+        ]
+
+
+def _stored_estimate(stored: tuple[str, float], aggregation: Aggregation) -> ValueEstimate:
+    completion, value = stored
+    return ValueEstimate(
+        rationale=completion,
+        value=value,
+        samples=(value,),
+        aggregation=aggregation,
+    )
 
 
 class TabularTrainer(Trainer):

@@ -95,6 +95,63 @@ class TestConfigHandling:
         assert code == 2
         assert "oracle" in err
 
+    @pytest.mark.parametrize(
+        "value_flags",
+        [
+            ["--value", "oracle"],
+            ["--value", "remote:m"],
+            ["--value", "constant:1", "--value-scale", "game24"],
+        ],
+        ids=["oracle", "remote-default-scale", "named-label-scale"],
+    )
+    def test_discounted_targets_on_label_scale_exit_2(self, tmp_path, capsys, value_flags):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        code, out, err = run_cli(
+            [
+                "stl",
+                "--environment",
+                "game24",
+                *value_flags,
+                "--gamma",
+                "0.9",
+                "--base-url",
+                "http://127.0.0.1:9",
+                "--tasks",
+                tasks,
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("config error:") and "gamma" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_discount_allowed_on_numeric_scale(self, tmp_path, capsys):
+        tasks = webshop_tasks(tmp_path / "tasks.json")
+        code, _, err = run_cli(
+            [
+                "stl",
+                "--environment",
+                WEBSHOP_ENV,
+                "--value",
+                WEBSHOP_VALUES,
+                "--stl-engine",
+                "greedy",
+                "--gamma",
+                "0.9",
+                "--tasks-per-iteration",
+                "2",
+                "--tasks",
+                tasks,
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+
     def test_bad_value_spec_exits_2(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
         code, _, err = run_cli(
@@ -459,6 +516,32 @@ class TestExitCodes:
         )
         assert code == 3
         assert "transport error" in err
+
+    def test_remote_value_transport_failure_exits_3(self, tmp_path, capsys):
+        # Every child of the root expansion fails at once on its own thread;
+        # the run still ends with exit 3 and a single message line.
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        code, _, err = run_cli(
+            [
+                "search",
+                "--environment",
+                "game24",
+                "--engine",
+                "beam",
+                "--value",
+                "remote:m",
+                "--base-url",
+                "http://127.0.0.1:9",
+                "--tasks",
+                tasks,
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("transport error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_unwritable_out_path_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -3,6 +3,7 @@
 import threading
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -216,6 +217,19 @@ class TestPairedBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one task"):
             paired_bootstrap([], [])
+
+    def test_numpy_arrays_match_lists(self):
+        scores_a = [0.9, 0.4, 0.7, 0.2, 0.8]
+        scores_b = [0.5, 0.5, 0.6, 0.3, 0.4]
+        from_lists = paired_bootstrap(scores_a, scores_b, b_samples=10_000, seed=5)
+        from_arrays = paired_bootstrap(
+            np.array(scores_a), np.array(scores_b), b_samples=10_000, seed=5
+        )
+        assert from_arrays == from_lists
+
+    def test_empty_numpy_arrays_rejected(self):
+        with pytest.raises(ValueError, match="at least one task"):
+            paired_bootstrap(np.array([]), np.array([]))
 
     def test_chunking_invariant(self):
         # Crossing the chunk boundary must not change earlier resamples:

@@ -1,13 +1,15 @@
 """Search engines: greedy descent, level-synchronous beam, UCT with backup."""
 
+import json
 import math
 
 import pytest
+from transport_doubles import PromptKeyedTransport, digest
 
-from lookahead.agents.policies import ExhaustivePolicy
-from lookahead.agents.scales import MalformedRationale
-from lookahead.agents.values import OracleValueModel, ScriptedValueModel
-from lookahead.core import Split, Task
+from lookahead.agents.policies import ExhaustivePolicy, Policy
+from lookahead.agents.scales import GAME24, MalformedRationale
+from lookahead.agents.values import OracleValueModel, RemoteValueModel, ScriptedValueModel
+from lookahead.core import Action, Split, Task
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger
@@ -348,3 +350,66 @@ class TestDumpTree:
         by_id = {n["observation"]: n for n in data["nodes"]}
         assert by_id["room a"]["value"] == 6.0
         assert by_id["a win"]["terminal"] is True
+
+
+class FixedPolicy(Policy):
+    """Proposes the same action texts at every state."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def propose(self, task, trajectory, branching, disallowed=frozenset()):
+        return [Action.make(t) for t in self.texts if t not in disallowed][:branching]
+
+
+def keyed_reply(prompt: str, draw: int) -> str:
+    """Deterministic per (prompt, draw): some prompts never parse, some
+    first draws are malformed, the rest name a verdict."""
+    key = digest(prompt)
+    if key % 13 == 0 or (draw == 0 and key % 3 == 0):
+        return "The numbers need a closer look."
+    verdict = ("sure", "likely", "impossible")[digest(f"{draw}:{prompt}") % 3]
+    return f"Tried the promising pairs.\n{verdict}"
+
+
+class TestBatchedEvaluation:
+    def run_beam(self, transport, tmp_path, name):
+        env = Game24Env()
+        task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
+        ledger = Ledger()
+        model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
+        config = SearchConfig(branching=5, beam_width=3, max_depth=3, value_samples=2)
+        _, tree = beam_search(task, env, ExhaustivePolicy(env), model, config, ledger)
+        path = tmp_path / name
+        dump_tree(tree, path)
+        return path.read_bytes(), ledger.to_dict(), model.malformed_count
+
+    def test_concurrent_and_serial_beam_dump_identical_bytes(self, tmp_path):
+        serial_transport = PromptKeyedTransport(keyed_reply, concurrent_safe=False)
+        concurrent_transport = PromptKeyedTransport(keyed_reply, gate=2)
+        serial = self.run_beam(serial_transport, tmp_path, "serial.json")
+        concurrent = self.run_beam(concurrent_transport, tmp_path, "concurrent.json")
+        assert serial_transport.max_in_flight == 1
+        assert concurrent_transport.max_in_flight >= 2
+        assert concurrent == serial
+        assert concurrent_transport.sends == serial_transport.sends
+        # The run exercised redraws and a child whose every draw failed.
+        failures = json.loads(serial[0])["stats"]["failures"]
+        assert any(f.startswith("unparseable-value@") for f in failures)
+        assert serial[2] > 0
+
+    def test_failures_keep_proposal_order(self):
+        env, _, _ = two_branch_setup()
+        policy = FixedPolicy(["go b", "bogus", "go a", "go c", "also bogus"])
+        model = FlakyValueModel(TWO_BRANCH_VALUES, bad_ids={"b", "c"})
+        _, tree = greedy_search(TASK, env, policy, model, SearchConfig(branching=5, max_depth=1))
+        assert [f.split(":")[0] for f in tree.stats.failures] == [
+            "unparseable-value@1",
+            "rejected-action@0",
+            "unparseable-value@1",
+            "rejected-action@0",
+        ]
+        assert "bogus" in tree.stats.failures[1]
+        assert "also bogus" in tree.stats.failures[3]
+        assert [tree.node(uid).state.id for uid in tree.root.children] == ["b", "a", "c"]
+        assert tree.stats.evaluations == 1

@@ -1,6 +1,10 @@
 """Value models: oracle, scripted doubles, remote sampling, adjustment, routing."""
 
+import sys
+import threading
+
 import pytest
+from transport_doubles import PromptKeyedTransport
 
 from lookahead.agents.gate import (
     SerializedPolicy,
@@ -16,19 +20,21 @@ from lookahead.agents.scales import (
     MalformedRationale,
     parse_value,
 )
-from lookahead.agents.transport import ScriptedTransport
+from lookahead.agents.transport import ScriptedTransport, TransportError
 from lookahead.agents.values import (
     AttributeAdjustedValueModel,
     ConstantValueModel,
     DepthRouter,
+    EvalRequest,
     OracleValueModel,
     RemoteValueModel,
     RoutedValueModel,
     ScriptedValueModel,
 )
-from lookahead.core import Action, Aggregation, Split, State, Task, Trajectory
+from lookahead.core import Action, Aggregation, Split, State, Task, Trajectory, state_key
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
+from lookahead.stl import Dataset, TabularValueModel
 
 TASK = Task(id="t1", instruction="4 6 6 8", split=Split.ROLLOUT)
 
@@ -261,3 +267,172 @@ class TestConcurrencyGates:
         assert wrapped.concurrent_safe is True
         actions = wrapped.propose(task, trajectory, branching=1)
         assert [a.text for a in actions] == ["1 + 2"]
+
+
+def game24_requests(*instructions: str) -> list[EvalRequest]:
+    return [EvalRequest(game24_trajectory(text)[2]) for text in instructions]
+
+
+def verdict_reply(prompt: str, draw: int) -> str:
+    """Malformed on even draws, a verdict keyed on the numbers otherwise."""
+    if draw % 2 == 0:
+        return "Still thinking about it."
+    return "Checked every pair.\nimpossible" if "1 1 1" in prompt else "Checked every pair.\nsure"
+
+
+class RecordingModel(ConstantValueModel):
+    """Constant model that records each evaluate_many batch it receives."""
+
+    def __init__(self, value: float) -> None:
+        super().__init__(value)
+        self.batches: list[list[EvalRequest]] = []
+
+    def evaluate_many(self, task, requests, n_samples=1, aggregation=Aggregation.MEDIAN):
+        self.batches.append(list(requests))
+        return super().evaluate_many(task, requests, n_samples, aggregation)
+
+
+class TestEvaluateMany:
+    def test_default_loops_in_order_and_returns_parse_failures(self):
+        class Flaky(ScriptedValueModel):
+            def evaluate(self, task, trajectory, *args, **kwargs):
+                if trajectory.final_state.id == "bad":
+                    raise MalformedRationale("scaffolding-missing", "synthetic")
+                return super().evaluate(task, trajectory, *args, **kwargs)
+
+        model = Flaky({"a": 1.0, "c": 3.0})
+        requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in ("a", "bad", "c")]
+        results = model.evaluate_many(TASK, requests)
+        assert results[0].value == 1.0
+        assert isinstance(results[1], MalformedRationale)
+        assert results[1].reason == "scaffolding-missing"
+        assert results[2].value == 3.0
+
+    def test_remote_requests_overlap_and_match_serial_answers(self):
+        env = Game24Env()
+        requests = game24_requests("1 1 1", "2 3 4", "4 6", "1 1 1 2")
+        gated = PromptKeyedTransport(verdict_reply, gate=2)
+        model = RemoteValueModel(gated, "m", env, GAME24)
+        concurrent = model.evaluate_many(TASK, requests, n_samples=2)
+        assert gated.max_in_flight >= 2
+        serial_transport = PromptKeyedTransport(verdict_reply, concurrent_safe=False)
+        serial_model = RemoteValueModel(serial_transport, "m", env, GAME24)
+        serial = serial_model.evaluate_many(TASK, requests, n_samples=2)
+        assert serial_transport.max_in_flight == 1
+        assert concurrent == serial
+        assert [r.value for r in concurrent] == [0.001, 20.0, 20.0, 0.001]
+        assert model.malformed_count == serial_model.malformed_count == 8
+
+    def test_scripted_transport_stays_serial_and_in_order(self):
+        env = Game24Env()
+        requests = game24_requests("1 2 3", "4 5 6", "7 8 9")
+        transport = ScriptedTransport([sample(1.0), "junk", sample(2.0), sample(4.0)])
+        model = RemoteValueModel(transport, "m", env, LIKERT10)
+        assert model.concurrent_safe is False
+        results = model.evaluate_many(TASK, requests)
+        assert [r.value for r in results] == [1.0, 2.0, 4.0]
+        seen = [r.messages[0].content for r in transport.requests_seen]
+        for prompt, numbers in zip(seen, ["1 2 3", "4 5 6", "4 5 6", "7 8 9"]):
+            assert numbers in prompt
+
+    def test_all_malformed_request_keeps_its_slot(self):
+        env = Game24Env()
+        requests = game24_requests("2 3 4", "1 1 1", "4 6")
+
+        def reply(prompt, draw):
+            return "no verdict at all" if "1 1 1" in prompt else "fine\nsure"
+
+        transport = PromptKeyedTransport(reply)
+        model = RemoteValueModel(transport, "m", env, GAME24, redraw_limit=2)
+        results = model.evaluate_many(TASK, requests, n_samples=2)
+        assert isinstance(results[1], MalformedRationale)
+        assert results[1].reason == "no-parsed-samples"
+        assert results[0].value == results[2].value == 20.0
+        assert model.malformed_count == 6
+
+    def test_malformed_count_and_ledger_exact_under_contention(self):
+        # More threads than cores and a tiny switch interval: a lost update
+        # to the counter or the ledger would show as a short total.
+        env = Game24Env()
+        requests = game24_requests(*(f"{i} {i + 1} 13" for i in range(1, 17)))
+        transport = PromptKeyedTransport(verdict_reply)
+        ledger = Ledger()
+        model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = model.evaluate_many(TASK, requests, n_samples=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 16
+        assert model.malformed_count == 16 * 3
+        assert transport.sends == 16 * 3 * 2
+        completion = ledger.tokens[("value", "m")].completion
+        expected = sum(
+            len(verdict_reply(prompt, draw).split())
+            for prompt in set(transport.prompts)
+            for draw in range(6)
+        )
+        assert completion == expected
+
+    def test_earliest_failure_in_request_order_raised_after_drain(self):
+        env = Game24Env()
+        requests = game24_requests("2 3 4", "1 1 1", "4 6", "5 5 5")
+        release = threading.Event()
+
+        def reply(prompt, draw):
+            if "5 5 5" in prompt:
+                # The later failure happens first in time.
+                release.set()
+                raise TransportError("late request failed")
+            if "1 1 1" in prompt:
+                release.wait(2.0)
+                raise TransportError("early request failed")
+            return "fine\nsure"
+
+        transport = PromptKeyedTransport(reply)
+        model = RemoteValueModel(transport, "m", env, GAME24)
+        with pytest.raises(TransportError, match="early request failed"):
+            model.evaluate_many(TASK, requests)
+        assert transport.sends == 4
+        assert transport.in_flight == 0
+
+    def test_routed_model_routes_once_per_batch(self):
+        at_depth_one = RecordingModel(1.0)
+        fallback = RecordingModel(9.0)
+        model = RoutedValueModel(DepthRouter(models={1: at_depth_one}, fallback=fallback))
+        requests = [EvalRequest(synthetic_trajectory(i, depth=1)[1]) for i in "abc"]
+        results = model.evaluate_many(TASK, requests)
+        assert [r.value for r in results] == [1.0, 1.0, 1.0]
+        assert at_depth_one.batches == [requests]
+        assert fallback.batches == []
+
+    def test_routed_model_mixed_depths_route_each_request(self):
+        router = DepthRouter(models={1: ConstantValueModel(1.0)}, fallback=ConstantValueModel(9.0))
+        model = RoutedValueModel(router)
+        requests = [EvalRequest(synthetic_trajectory("a", depth=d)[1]) for d in (1, 2, 1)]
+        assert [r.value for r in model.evaluate_many(TASK, requests)] == [1.0, 9.0, 1.0]
+
+    def test_tabular_model_sends_misses_in_one_batch(self):
+        requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in "abc"]
+        base = RecordingModel(2.0)
+        model = TabularValueModel(base, Dataset())
+        model.table[state_key(TASK, requests[1].trajectory)] = ("stored rationale", 7.0)
+        results = model.evaluate_many(TASK, requests)
+        assert [r.value for r in results] == [2.0, 7.0, 2.0]
+        assert base.batches == [[requests[0], requests[2]]]
+
+    def test_serialized_model_holds_its_lock_around_the_batch(self):
+        held = []
+
+        class Probe(RecordingModel):
+            def evaluate_many(self, task, requests, n_samples=1, aggregation=Aggregation.MEDIAN):
+                held.append(wrapped._lock.locked())
+                return super().evaluate_many(task, requests, n_samples, aggregation)
+
+        inner = Probe(4.0)
+        inner.concurrent_safe = False
+        wrapped = ensure_concurrent_value_model(inner)
+        requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in "ab"]
+        assert [r.value for r in wrapped.evaluate_many(TASK, requests)] == [4.0, 4.0]
+        assert held == [True]

@@ -1,0 +1,67 @@
+"""Thread-safe chat transport doubles for the concurrent value-call tests."""
+
+from __future__ import annotations
+
+import hashlib
+import threading
+from typing import Callable
+
+from lookahead.agents.transport import ChatRequest, ChatResponse, Transport, approx_tokens
+
+
+def digest(text: str) -> int:
+    """A stable (process-independent) integer hash of ``text``."""
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+
+
+class PromptKeyedTransport(Transport):
+    """Answers ``reply(prompt, draw)``, where ``draw`` counts earlier sends of
+    the same prompt, so reordering or overlapping calls never changes a reply.
+
+    With ``gate=k`` every send waits (up to ``timeout`` seconds) until ``k``
+    sends have been in flight at once; after that the gate stays open.  A
+    caller that never overlaps its sends therefore leaves ``max_in_flight``
+    below ``k``.
+    """
+
+    def __init__(
+        self,
+        reply: Callable[[str, int], str],
+        gate: int = 0,
+        timeout: float = 2.0,
+        concurrent_safe: bool = True,
+    ) -> None:
+        self.reply = reply
+        self.gate = gate
+        self.timeout = timeout
+        self.concurrent_safe = concurrent_safe
+        self.sends = 0
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.prompts: list[str] = []
+        self._draws: dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._open = threading.Event()
+
+    def send(self, request: ChatRequest) -> ChatResponse:
+        prompt = "\n".join(m.content for m in request.messages)
+        with self._lock:
+            draw = self._draws.get(prompt, 0)
+            self._draws[prompt] = draw + 1
+            self.sends += 1
+            self.prompts.append(prompt)
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            if self.in_flight >= self.gate:
+                self._open.set()
+        try:
+            self._open.wait(self.timeout)
+            text = self.reply(prompt, draw)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        return ChatResponse(
+            text=text,
+            prompt_tokens=approx_tokens(prompt),
+            completion_tokens=approx_tokens(text),
+        )
