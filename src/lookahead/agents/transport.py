@@ -38,13 +38,21 @@ class ChatRequest:
     messages: tuple[ChatMessage, ...]
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
+    n: int = 1
 
 
 @dataclass(frozen=True)
 class ChatResponse:
-    text: str
+    """The ``n`` completion texts of one request, in choice order, and the
+    request's usage (the prompt is billed once per request)."""
+
+    texts: tuple[str, ...]
     prompt_tokens: int
     completion_tokens: int
+
+    @property
+    def text(self) -> str:
+        return self.texts[0]
 
 
 def approx_tokens(text: str) -> int:
@@ -53,7 +61,7 @@ def approx_tokens(text: str) -> int:
 
 
 class Transport(ABC):
-    """Sends one chat request and returns the completion text plus usage."""
+    """Sends one chat request and returns its ``n`` completion texts plus usage."""
 
     concurrent_safe: bool = True
 
@@ -64,7 +72,10 @@ class Transport(ABC):
 class HttpTransport(Transport):
     """OpenAI-compatible HTTP client with exponential-backoff retries.
 
-    The bearer token is read from the environment variable named by
+    Rate limiting (429), server errors (5xx), timeouts, connection errors and
+    malformed bodies, including a body whose choice count is not the
+    request's ``n``, are retried; any other 4xx status fails at once.  The
+    bearer token is read from the environment variable named by
     ``api_key_env`` at call time; a missing key sends no Authorization header.
     """
 
@@ -98,6 +109,7 @@ class HttpTransport(Transport):
             ],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
+            "n": request.n,
         }
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
@@ -110,12 +122,19 @@ class HttpTransport(Transport):
                     headers=headers,
                     timeout=self.timeout_seconds,
                 )
+                status = response.status_code
+                if 400 <= status < 500 and status != 429:
+                    raise TransportError(
+                        f"chat completion rejected with HTTP status {status}"
+                    )
                 response.raise_for_status()
                 body = response.json()
-                choice = body["choices"][0]["message"]["content"]
+                texts = tuple(choice["message"]["content"] for choice in body["choices"])
+                if len(texts) != request.n:
+                    raise ValueError(f"expected {request.n} choices, got {len(texts)}")
                 usage = body.get("usage", {})
                 return ChatResponse(
-                    text=choice,
+                    texts=texts,
                     prompt_tokens=int(usage.get("prompt_tokens", 0)),
                     completion_tokens=int(usage.get("completion_tokens", 0)),
                 )
@@ -129,8 +148,9 @@ class HttpTransport(Transport):
 class ScriptedTransport(Transport):
     """Replays canned completion texts in order; raises when exhausted.
 
-    ``responses`` may be longer than needed; each ``send`` consumes one entry.
-    Usage is the whitespace-token approximation of the prompt and completion.
+    ``responses`` may be longer than needed; each ``send`` consumes ``n``
+    entries.  Usage is the whitespace-token approximation of the prompt (once
+    per send) and of every completion.
     The double is stateful and therefore not safe for unserialized concurrent
     use.
     """
@@ -143,15 +163,15 @@ class ScriptedTransport(Transport):
 
     def send(self, request: ChatRequest) -> ChatResponse:
         self.requests_seen.append(request)
-        if self._cursor >= len(self.responses):
+        if self._cursor + request.n > len(self.responses):
             raise TransportError(
                 f"scripted transport exhausted after {len(self.responses)} responses"
             )
-        text = self.responses[self._cursor]
-        self._cursor += 1
+        texts = tuple(self.responses[self._cursor : self._cursor + request.n])
+        self._cursor += request.n
         prompt_tokens = sum(approx_tokens(m.content) for m in request.messages)
         return ChatResponse(
-            text=text,
+            texts=texts,
             prompt_tokens=prompt_tokens,
-            completion_tokens=approx_tokens(text),
+            completion_tokens=sum(approx_tokens(text) for text in texts),
         )

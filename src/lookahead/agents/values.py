@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core import Aggregation, Task, Trajectory, ValueEstimate, render_context
@@ -203,14 +203,16 @@ class ConstantValueModel(ValueModel):
 class RemoteValueModel(ValueModel):
     """Samples rationales from a chat model and aggregates parsed values.
 
-    Each of the ``n_samples`` draws allows up to ``redraw_limit`` replacement
-    draws when the reply fails to parse; redraws never count toward the
-    aggregate.  If every draw stays malformed the evaluation raises
-    :class:`MalformedRationale`.
+    Draws come in rounds: one chat request with ``n = n_samples``, then up to
+    ``redraw_limit`` more, each asking only for the samples still missing
+    because a reply failed to parse.  So each sample slot gets at most
+    ``1 + redraw_limit`` draws, and malformed replies never count toward the
+    aggregate.  Parsed replies keep their round and choice order.  If no
+    reply parses the evaluation raises :class:`MalformedRationale`.
 
     :meth:`evaluate_many` runs each request's :meth:`evaluate` on its own
     thread when the transport is safe for concurrent use.  Every request's
-    draws still run in order on one thread, so a transport whose replies
+    rounds still run in order on one thread, so a transport whose replies
     depend only on the prompt and its draw count answers exactly as it does
     serially.
     """
@@ -276,25 +278,28 @@ class RemoteValueModel(ValueModel):
             max_tokens=self.max_tokens,
         )
         samples: list[tuple[str, float]] = []
-        for _ in range(n_samples):
-            for _attempt in range(1 + self.redraw_limit):
-                response = self.transport.send(request)
-                if self.ledger is not None:
-                    self.ledger.add_tokens(
-                        self.role,
-                        self.model,
-                        response.prompt_tokens,
-                        response.completion_tokens,
-                        task_id=task.id,
-                    )
-                try:
-                    value = parse_value(response.text, self.scale)
-                except MalformedRationale:
-                    with self._malformed_lock:
-                        self.malformed_count += 1
-                    continue
-                samples.append((response.text, value))
+        for _round in range(1 + self.redraw_limit):
+            missing = n_samples - len(samples)
+            if missing <= 0:
                 break
+            response = self.transport.send(replace(request, n=missing))
+            if self.ledger is not None:
+                self.ledger.add_tokens(
+                    self.role,
+                    self.model,
+                    response.prompt_tokens,
+                    response.completion_tokens,
+                    task_id=task.id,
+                )
+            malformed = 0
+            for text in response.texts:
+                try:
+                    samples.append((text, parse_value(text, self.scale)))
+                except MalformedRationale:
+                    malformed += 1
+            if malformed:
+                with self._malformed_lock:
+                    self.malformed_count += malformed
         if not samples:
             raise MalformedRationale(
                 "no-parsed-samples",

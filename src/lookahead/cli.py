@@ -273,8 +273,11 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
     return config_from_dict(data)
 
 
-def load_tasks(path: str | Path) -> list[Task]:
-    """Read a ``{"tasks": [{id, instruction, split?}]}`` JSON file."""
+def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
+    """Read a ``{"tasks": [{id, instruction, split?}]}`` JSON file.
+
+    With ``env``, every task must also yield an initial state there.
+    """
     data = _read_json(path, "tasks")
     if not isinstance(data, dict) or "tasks" not in data:
         raise ConfigError(f"tasks file {path} must contain a 'tasks' array")
@@ -288,6 +291,11 @@ def load_tasks(path: str | Path) -> list[Task]:
             raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
         if task.id in seen:
             raise ConfigError(f"tasks file {path}: duplicate task id {task.id!r}")
+        if env is not None:
+            try:
+                env.initial_state(task)
+            except ValueError as exc:
+                raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
         seen.add(task.id)
         tasks.append(task)
     if not tasks:
@@ -443,7 +451,7 @@ def cmd_search(config: ExperimentConfig) -> int:
     if config.tasks is None:
         raise ConfigError("search requires a tasks file (--tasks)")
     env = build_environment(config)
-    tasks = load_tasks(config.tasks)
+    tasks = load_tasks(config.tasks, env)
     pricing = build_pricing(config)
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
@@ -521,7 +529,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
     if config.tasks is None:
         raise ConfigError("stl requires a tasks file (--tasks)")
     env = build_environment(config)
-    tasks = load_tasks(config.tasks)
+    tasks = load_tasks(config.tasks, env)
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
     base_model = build_value_model(config, env, ledger)

@@ -175,6 +175,25 @@ class TestConfigHandling:
         assert code == 2
         assert "dup" in err
 
+    @pytest.mark.parametrize("command", ["search", "stl"])
+    @pytest.mark.parametrize("instruction", ["1 2 3 4 5", "one two"])
+    def test_task_invalid_for_environment_exits_2_before_manifest(
+        self, tmp_path, capsys, command, instruction
+    ):
+        tasks = write_tasks(
+            tmp_path / "tasks.json",
+            [
+                {"id": "ok", "instruction": "4 6 6 8"},
+                {"id": "bad", "instruction": instruction},
+            ],
+        )
+        out = tmp_path / "out"
+        code, _, err = run_cli([command, "--tasks", tasks, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "error:" in err
+        assert "entry 1" in err
+        assert not (out / "manifest.json").exists()
+
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
         config = tmp_path / "config.json"

@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from transport_doubles import PromptKeyedTransport, digest
 
 from lookahead.agents.policies import ExhaustivePolicy, Policy
 from lookahead.agents.scales import GAME24, MalformedRationale
+from lookahead.agents.transport import ChatRequest, ChatResponse, Transport
 from lookahead.agents.values import OracleValueModel, RemoteValueModel, ScriptedValueModel
 from lookahead.core import Action, Split, Task
 from lookahead.envs.game24 import Game24Env
@@ -372,6 +374,22 @@ def keyed_reply(prompt: str, draw: int) -> str:
     return f"Tried the promising pairs.\n{verdict}"
 
 
+class SingleDrawTransport(Transport):
+    """Splits every ``n``-choice request into ``n`` single-choice sends."""
+
+    def __init__(self, inner: Transport) -> None:
+        self.inner = inner
+        self.concurrent_safe = inner.concurrent_safe
+
+    def send(self, request: ChatRequest) -> ChatResponse:
+        responses = [self.inner.send(replace(request, n=1)) for _ in range(request.n)]
+        return ChatResponse(
+            texts=tuple(r.text for r in responses),
+            prompt_tokens=sum(r.prompt_tokens for r in responses),
+            completion_tokens=sum(r.completion_tokens for r in responses),
+        )
+
+
 class TestBatchedEvaluation:
     def run_beam(self, transport, tmp_path, name):
         env = Game24Env()
@@ -397,6 +415,23 @@ class TestBatchedEvaluation:
         failures = json.loads(serial[0])["stats"]["failures"]
         assert any(f.startswith("unparseable-value@") for f in failures)
         assert serial[2] > 0
+
+    def test_batched_draws_match_single_draw_sends(self, tmp_path):
+        batched_transport = PromptKeyedTransport(keyed_reply)
+        single_transport = PromptKeyedTransport(keyed_reply)
+        batched = self.run_beam(batched_transport, tmp_path, "batched.json")
+        single = self.run_beam(SingleDrawTransport(single_transport), tmp_path, "single.json")
+        assert batched[0] == single[0]
+        assert batched[2] == single[2]
+        batched_tokens = batched[1]["tokens"]["value|m"]
+        single_tokens = single[1]["tokens"]["value|m"]
+        assert batched_tokens["completion"] == single_tokens["completion"]
+        # The prompt is billed once per request, not once per draw.
+        assert batched_tokens["prompt"] < single_tokens["prompt"]
+        assert batched[1]["states_expanded"] == single[1]["states_expanded"]
+        assert batched_transport.draws == single_transport.draws
+        assert single_transport.sends == single_transport.draws
+        assert batched_transport.sends < single_transport.sends
 
     def test_failures_keep_proposal_order(self):
         env, _, _ = two_branch_setup()

@@ -1,5 +1,7 @@
 """Chat transports: scripted replay semantics and HTTP retry behaviour."""
 
+from dataclasses import replace
+
 import pytest
 import requests
 
@@ -52,6 +54,19 @@ class TestScriptedTransport:
             "second prompt",
         ]
 
+    def test_send_consumes_n_entries(self):
+        transport = ScriptedTransport(["a b", "c", "d e f", "g"])
+        response = transport.send(replace(make_request("two words"), n=3))
+        assert response.texts == ("a b", "c", "d e f")
+        assert response.text == "a b"
+        assert response.completion_tokens == 6
+        assert response.prompt_tokens == approx_tokens(
+            "you are a careful evaluator"
+        ) + approx_tokens("two words")
+        assert transport.send(make_request()).texts == ("g",)
+        with pytest.raises(TransportError, match="exhausted after 4"):
+            transport.send(make_request())
+
     def test_not_concurrent_safe(self):
         assert ScriptedTransport([]).concurrent_safe is False
 
@@ -72,9 +87,12 @@ class FakeResponse:
         return self._payload
 
 
-def ok_payload(text: str = "fine", prompt: int = 11, completion: int = 7) -> dict:
+def ok_payload(*texts: str, prompt: int = 11, completion: int = 7) -> dict:
     return {
-        "choices": [{"message": {"content": text}}],
+        "choices": [
+            {"index": i, "message": {"content": text}}
+            for i, text in enumerate(texts or ("fine",))
+        ],
         "usage": {"prompt_tokens": prompt, "completion_tokens": completion},
     }
 
@@ -99,6 +117,66 @@ class TestHttpTransport:
         assert payload["model"] == "test-model"
         assert payload["messages"][0]["role"] == "system"
         assert timeout == 120.0
+
+    def test_sends_n_and_returns_every_choice_in_order(self):
+        payloads = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            payloads.append(json)
+            return FakeResponse(ok_payload("first", "second", "third"))
+
+        transport = HttpTransport(
+            "http://example.test", post=fake_post, sleep=lambda s: None
+        )
+        response = transport.send(replace(make_request(), n=3))
+        assert payloads[0]["n"] == 3
+        assert response.texts == ("first", "second", "third")
+        assert response.text == "first"
+        assert (response.prompt_tokens, response.completion_tokens) == (11, 7)
+
+    def test_wrong_choice_count_is_retried_then_raises(self):
+        attempts = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            attempts.append(json["n"])
+            return FakeResponse(ok_payload("only", "two"))
+
+        transport = HttpTransport(
+            "http://example.test", post=fake_post, sleep=lambda s: None
+        )
+        with pytest.raises(TransportError, match="expected 3 choices, got 2"):
+            transport.send(replace(make_request(), n=3))
+        assert attempts == [3, 3, 3]
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_client_error_status_fails_fast(self, status):
+        attempts = []
+        sleeps = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            attempts.append(url)
+            return FakeResponse(None, status=status)
+
+        transport = HttpTransport(
+            "http://example.test", post=fake_post, sleep=sleeps.append
+        )
+        with pytest.raises(TransportError, match=f"HTTP status {status}"):
+            transport.send(make_request())
+        assert len(attempts) == 1
+        assert sleeps == []
+
+    def test_rate_limit_status_is_retried(self):
+        responses = [FakeResponse(None, status=429), FakeResponse(ok_payload("later"))]
+        sleeps = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            return responses.pop(0)
+
+        transport = HttpTransport(
+            "http://example.test", post=fake_post, sleep=sleeps.append
+        )
+        assert transport.send(make_request()).text == "later"
+        assert sleeps == [0.5]
 
     def test_authorization_header_from_env(self, monkeypatch):
         seen = {}

@@ -155,7 +155,36 @@ class TestRemoteValueModel:
         with pytest.raises(MalformedRationale) as err:
             model.evaluate(task, trajectory, n_samples=2)
         assert err.value.reason == "no-parsed-samples"
-        assert len(transport.requests_seen) == 6
+        # 1 + redraw_limit requests, each asking for both slots again:
+        # n_samples * (1 + redraw_limit) draws.
+        assert [r.n for r in transport.requests_seen] == [2, 2, 2]
+        assert sum(r.n for r in transport.requests_seen) == 6
+        assert model.malformed_count == 6
+
+    def test_all_draws_parse_in_one_request(self):
+        env, task, trajectory = game24_trajectory("1 2 3")
+        transport = ScriptedTransport([sample(2.0), sample(8.0), sample(6.0)])
+        ledger = Ledger()
+        model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
+        estimate = model.evaluate(task, trajectory, n_samples=3)
+        assert [r.n for r in transport.requests_seen] == [3]
+        assert estimate.samples == (2.0, 8.0, 6.0)
+        # The prompt is billed once for the three choices.
+        prompt = transport.requests_seen[0].messages[0].content
+        counts = ledger.tokens[("value", "m")]
+        assert counts.prompt == len(prompt.split())
+        assert counts.completion == 3 * len(sample(2.0).split())
+
+    def test_redraw_round_asks_only_for_missing_samples(self):
+        env, task, trajectory = game24_trajectory("1 2 3")
+        transport = ScriptedTransport(
+            [sample(1.0), "junk", sample(2.0), "junk", "junk", sample(4.0), sample(8.0)]
+        )
+        model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
+        estimate = model.evaluate(task, trajectory, n_samples=4)
+        assert [r.n for r in transport.requests_seen] == [4, 2, 1]
+        assert estimate.samples == (1.0, 2.0, 4.0, 8.0)
+        assert model.malformed_count == 3
 
     def test_ledger_counts_redrawn_calls(self):
         env, task, trajectory = game24_trajectory("1 2 3")
@@ -366,7 +395,9 @@ class TestEvaluateMany:
             sys.setswitchinterval(interval)
         assert len(results) == 16
         assert model.malformed_count == 16 * 3
-        assert transport.sends == 16 * 3 * 2
+        assert transport.draws == 16 * 3 * 2
+        # Rounds of n = 3, 2 and 1: the odd draws parse.
+        assert transport.sends == 16 * 3
         completion = ledger.tokens[("value", "m")].completion
         expected = sum(
             len(verdict_reply(prompt, draw).split())

@@ -15,8 +15,10 @@ def digest(text: str) -> int:
 
 
 class PromptKeyedTransport(Transport):
-    """Answers ``reply(prompt, draw)``, where ``draw`` counts earlier sends of
-    the same prompt, so reordering or overlapping calls never changes a reply.
+    """Answers ``reply(prompt, draw)`` for each of a request's ``n`` choices,
+    where ``draw`` counts earlier draws of the same prompt, so reordering or
+    overlapping calls never changes a reply.  ``sends`` counts requests and
+    ``draws`` counts choices.
 
     With ``gate=k`` every send waits (up to ``timeout`` seconds) until ``k``
     sends have been in flight at once; after that the gate stays open.  A
@@ -36,6 +38,7 @@ class PromptKeyedTransport(Transport):
         self.timeout = timeout
         self.concurrent_safe = concurrent_safe
         self.sends = 0
+        self.draws = 0
         self.in_flight = 0
         self.max_in_flight = 0
         self.prompts: list[str] = []
@@ -46,9 +49,10 @@ class PromptKeyedTransport(Transport):
     def send(self, request: ChatRequest) -> ChatResponse:
         prompt = "\n".join(m.content for m in request.messages)
         with self._lock:
-            draw = self._draws.get(prompt, 0)
-            self._draws[prompt] = draw + 1
+            first = self._draws.get(prompt, 0)
+            self._draws[prompt] = first + request.n
             self.sends += 1
+            self.draws += request.n
             self.prompts.append(prompt)
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
@@ -56,12 +60,12 @@ class PromptKeyedTransport(Transport):
                 self._open.set()
         try:
             self._open.wait(self.timeout)
-            text = self.reply(prompt, draw)
+            texts = tuple(self.reply(prompt, first + i) for i in range(request.n))
         finally:
             with self._lock:
                 self.in_flight -= 1
         return ChatResponse(
-            text=text,
+            texts=texts,
             prompt_tokens=approx_tokens(prompt),
-            completion_tokens=approx_tokens(text),
+            completion_tokens=sum(approx_tokens(text) for text in texts),
         )
