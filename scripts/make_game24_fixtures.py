@@ -31,10 +31,8 @@ from lookahead.search import SearchConfig, beam_search
 def beam_solves(instruction: str, config: SearchConfig) -> bool:
     env = Game24Env()
     task = Task(id="probe", instruction=instruction, split=Split.TEST)
-    trajectories, _ = beam_search(
-        task, env, ExhaustivePolicy(env), OracleValueModel(), config
-    )
-    return any(env.ground_truth_score(t) == 1.0 for t in trajectories)
+    tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
+    return env.ground_truth_score(tree.final_trajectory()) == 1.0
 
 
 def draw_instruction(rng: random.Random) -> str:

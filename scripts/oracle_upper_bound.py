@@ -10,11 +10,12 @@ aggregate solve rate plus states expanded.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.values import OracleValueModel
-from lookahead.cli import load_tasks
+from lookahead.cli import ConfigError, load_tasks
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
 from lookahead.search import SearchConfig, beam_search
@@ -38,11 +39,15 @@ def main() -> int:
     )
     ledger = Ledger()
 
+    try:
+        tasks = load_tasks(args.tasks, env)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     solved = 0
-    tasks = load_tasks(args.tasks)
     for task in tasks:
-        trajectories, tree = beam_search(task, env, policy, oracle, config, ledger)
-        hit = any(env.ground_truth_score(t) == 1.0 for t in trajectories)
+        tree = beam_search(task, env, policy, oracle, config, ledger)
+        hit = env.ground_truth_score(tree.final_trajectory()) == 1.0
         solved += hit
         if not args.quiet:
             flag = "solved" if hit else "MISSED"

@@ -10,11 +10,12 @@ both searches side by side.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.values import ScriptedValueModel
-from lookahead.cli import load_tasks
+from lookahead.cli import ConfigError, load_tasks
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger, MethodResult, TaskOutcome, emit_report
 from lookahead.search import SearchConfig, greedy_search
@@ -32,8 +33,8 @@ def run_greedy(tasks, env, policy, model, config, method: str) -> MethodResult:
     ledger = Ledger()
     outcomes = []
     for task in tasks:
-        trajectory, _tree = greedy_search(task, env, policy, model, config, ledger)
-        score = env.ground_truth_score(trajectory)
+        tree = greedy_search(task, env, policy, model, config, ledger)
+        score = env.ground_truth_score(tree.final_trajectory())
         success = score is not None and score >= 1.0
         outcomes.append(
             TaskOutcome(
@@ -58,7 +59,11 @@ def main() -> int:
     args = parser.parse_args()
 
     env = ScriptedEnvironment.load(args.env_fixture)
-    tasks = load_tasks(args.tasks)
+    try:
+        tasks = load_tasks(args.tasks, env)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     policy = ExhaustivePolicy(env)
     base_model = load_values(args.values_fixture)
     search_config = SearchConfig(branching=3, max_depth=5)

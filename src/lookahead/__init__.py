@@ -23,7 +23,6 @@ from .core import (
 from .search import SearchConfig, SearchTree, beam_search, greedy_search, mcts_search
 from .stl import Dataset, StlConfig, stl_run, tabular_fine_tune
 from .evaluation import Ledger, PricingTable, cost, paired_bootstrap, pass_at_k
-from .seeds import derive_seed
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "beam_search",
     "canonicalize",
     "cost",
-    "derive_seed",
     "greedy_search",
     "mcts_search",
     "paired_bootstrap",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from ..core import Aggregation, Task, Trajectory, ValueEstimate
+from ..core import Aggregation, Task, ValueEstimate
 from .policies import Policy
 from .scales import MalformedRationale
 from .values import EvalRequest, ValueModel
@@ -37,22 +37,12 @@ class SerializedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
         with self._lock:
-            return self.inner.evaluate(
-                task,
-                trajectory,
-                n_samples,
-                aggregation,
-                prior_value=prior_value,
-                candidate_actions=candidate_actions,
-            )
+            return self.inner.evaluate(task, request, n_samples, aggregation)
 
     def evaluate_many(
         self,

@@ -1,9 +1,13 @@
 """Value models: oracle, scripted doubles, remote, adjusted and depth-routed.
 
-A value model maps a trajectory (ending at the state under judgment) to a
-:class:`~lookahead.core.ValueEstimate` under a declared scale.  Engines may
-pass the parent state's value (``prior_value``) and the successor's candidate
+A value model maps an :class:`EvalRequest` to a
+:class:`~lookahead.core.ValueEstimate` under a declared scale.  The request
+holds the trajectory ending at the state under judgment, and the engine may
+add the parent state's value (``prior_value``) and the successor's candidate
 actions (``candidate_actions``); models that do not need them ignore both.
+Every model's primitive is ``evaluate(task, request, n_samples,
+aggregation)``; wrappers hand the caller's request to their inner model
+unchanged.
 """
 
 from __future__ import annotations
@@ -51,12 +55,9 @@ class ValueModel(ABC):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate: ...
 
     def evaluate_many(
@@ -84,14 +85,7 @@ class ValueModel(ABC):
         aggregation: Aggregation,
     ) -> ValueEstimate | MalformedRationale:
         try:
-            return self.evaluate(
-                task,
-                request.trajectory,
-                n_samples,
-                aggregation,
-                prior_value=request.prior_value,
-                candidate_actions=request.candidate_actions,
-            )
+            return self.evaluate(task, request, n_samples, aggregation)
         except MalformedRationale as exc:
             return exc
 
@@ -108,14 +102,11 @@ class OracleValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
-        numbers = state_numbers(trajectory.final_state)
+        numbers = state_numbers(request.trajectory.final_state)
         verdict = solve_verdict(numbers)
         value = self.scale.labels[verdict.value]  # type: ignore[index]
         reach = "can" if verdict is Verdict.SURE else "cannot"
@@ -150,14 +141,11 @@ class ScriptedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
-        state = trajectory.final_state
+        state = request.trajectory.final_state
         value = self.values.get(state.id, self.default)
         rationale = (
             f"Scripted evaluation of state {state.id}. "
@@ -181,12 +169,9 @@ class ConstantValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
         rationale = (
             f"Constant evaluation. "
@@ -246,7 +231,8 @@ class RemoteValueModel(ValueModel):
         self._malformed_lock = threading.Lock()
         self.concurrent_safe = transport.concurrent_safe
 
-    def _prompt(self, trajectory: Trajectory, candidate_actions: list[str] | None) -> str:
+    def _prompt(self, request: EvalRequest) -> str:
+        trajectory = request.trajectory
         if trajectory.steps:
             action, state = trajectory.steps[-1]
             last = f"Action: {action.text}\nObservation: {state.observation}"
@@ -257,21 +243,18 @@ class RemoteValueModel(ValueModel):
             few_shot_examples=self.few_shot_examples,
             input=render_context(trajectory),
             last_action=last,
-            possible_actions="\n".join(candidate_actions or []) or "(none listed)",
+            possible_actions="\n".join(request.candidate_actions or []) or "(none listed)",
         )
 
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
-        prompt = self._prompt(trajectory, candidate_actions)
-        request = ChatRequest(
+        prompt = self._prompt(request)
+        chat = ChatRequest(
             model=self.model,
             messages=(ChatMessage(role="user", content=prompt),),
             temperature=self.temperature,
@@ -282,7 +265,7 @@ class RemoteValueModel(ValueModel):
             missing = n_samples - len(samples)
             if missing <= 0:
                 break
-            response = self.transport.send(replace(request, n=missing))
+            response = self.transport.send(replace(chat, n=missing))
             if self.ledger is not None:
                 self.ledger.add_tokens(
                     self.role,
@@ -348,26 +331,17 @@ class AttributeAdjustedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
+        prior_value = request.prior_value
         if prior_value is None:
             raise ValueError(
                 "attribute adjustment requires the prior state's value; "
                 "none was supplied"
             )
-        raw = self.inner.evaluate(
-            task,
-            trajectory,
-            n_samples,
-            aggregation,
-            prior_value=prior_value,
-            candidate_actions=candidate_actions,
-        )
+        raw = self.inner.evaluate(task, request, n_samples, aggregation)
         adjusted = [attribute_adjust(prior_value, sample) for sample in raw.samples]
         pairs = [(raw.rationale, value) for value in adjusted]
         estimate = aggregate_estimate(pairs, aggregation)
@@ -398,22 +372,12 @@ class RoutedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
-        model = self.router.route(trajectory.depth)
-        return model.evaluate(
-            task,
-            trajectory,
-            n_samples,
-            aggregation,
-            prior_value=prior_value,
-            candidate_actions=candidate_actions,
-        )
+        model = self.router.route(request.trajectory.depth)
+        return model.evaluate(task, request, n_samples, aggregation)
 
     def evaluate_many(
         self,

@@ -17,12 +17,12 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import __version__
-from .core import Aggregation, Split, Task, Trajectory
+from .core import Aggregation, Split, Task
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import FixtureError, ScriptedEnvironment
@@ -47,7 +47,7 @@ from .evaluation import (
     emit_report,
     paired_bootstrap,
 )
-from .search import SearchConfig, beam_search, dump_tree, greedy_search, mcts_search
+from .search import ENGINES, SearchConfig, dump_tree
 from .stl import (
     StlConfig,
     StlError,
@@ -63,7 +63,6 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
 
-_ENGINES = ("greedy", "beam", "mcts")
 _AGGREGATIONS = ("mean", "median")
 
 
@@ -100,35 +99,7 @@ class ExperimentConfig:
         return self.method or f"{self.engine}+{self.value}"
 
     def to_dict(self) -> dict:
-        d: dict[str, Any] = {}
-        for f in fields(self):
-            if f.name in ("search", "stl"):
-                continue
-            d[f.name] = getattr(self, f.name)
-        d["search"] = {
-            "branching": self.search.branching,
-            "max_depth": self.search.max_depth,
-            "beam_width": self.search.beam_width,
-            "mcts_iterations": self.search.mcts_iterations,
-            "exploration": self.search.exploration,
-            "seed": self.search.seed,
-            "value_samples": self.search.value_samples,
-            "value_aggregation": self.search.value_aggregation.value,
-            "excluded_actions": list(self.search.excluded_actions),
-            "normalize_backup": self.search.normalize_backup,
-            "feed_candidate_actions": self.search.feed_candidate_actions,
-        }
-        d["stl"] = {
-            "iterations": self.stl.iterations,
-            "tasks_per_iteration": self.stl.tasks_per_iteration,
-            "gamma": self.stl.gamma,
-            "engine": self.stl.engine,
-            "accumulate": self.stl.accumulate,
-            "per_depth": self.stl.per_depth,
-            "min_example_depth": self.stl.min_example_depth,
-            "mask": self.stl.mask,
-        }
-        return d
+        return asdict(self)
 
 
 def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
@@ -182,8 +153,8 @@ def _spec_path(spec: str, prefix: str, what: str) -> Path:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    if config.engine not in _ENGINES:
-        raise ConfigError(f"engine must be one of {_ENGINES}, got {config.engine!r}")
+    if config.engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {config.engine!r}")
     if config.environment != "game24":
         if not config.environment.startswith("scripted:"):
             raise ConfigError(
@@ -418,33 +389,6 @@ def _safe_name(task_id: str) -> str:
     return _FILENAME_SAFE_RE.sub("-", task_id)
 
 
-def _final_trajectory(tree) -> Trajectory:
-    uid = tree.stats.best_path[-1] if tree.stats.best_path else tree.root_uid
-    return tree.trajectory_to(uid)
-
-
-_ENGINE_FNS: dict[str, Callable] = {
-    "greedy": greedy_search,
-    "beam": beam_search,
-    "mcts": mcts_search,
-}
-
-
-def _run_one(
-    engine: str,
-    task: Task,
-    env: Environment,
-    policy: Policy,
-    value_model: ValueModel,
-    search_config: SearchConfig,
-    ledger: Ledger,
-):
-    result = _ENGINE_FNS[engine](task, env, policy, value_model, search_config, ledger)
-    if engine in ("greedy", "beam"):
-        return result[1]
-    return result
-
-
 def cmd_search(config: ExperimentConfig) -> int:
     """Run the configured engine over every task; always exits 0 once the
     run completes, with per-task failures tallied in the artifacts."""
@@ -466,11 +410,11 @@ def cmd_search(config: ExperimentConfig) -> int:
 
     jobs = [(task, attempt) for task in tasks for attempt in range(1, config.attempts + 1)]
 
+    engine = ENGINES[config.engine]
+
     def rollout(job: tuple[Task, int]):
         task, _attempt = job
-        return _run_one(
-            config.engine, task, env, policy, value_model, config.search, ledger
-        )
+        return engine(task, env, policy, value_model, config.search, ledger)
 
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
@@ -488,8 +432,7 @@ def cmd_search(config: ExperimentConfig) -> int:
                 tree, out_dir / "trees" / f"{_safe_name(task.id)}__a{attempt}.json"
             )
             failures += len(tree.stats.failures)
-            trajectory = _final_trajectory(tree)
-            attempt_scores.append(env.ground_truth_score(trajectory))
+            attempt_scores.append(env.ground_truth_score(tree.final_trajectory()))
         successes = tuple(
             s is not None and s >= config.success_threshold for s in attempt_scores
         )
@@ -675,7 +618,7 @@ def cmd_report(
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file or a previous manifest.json")
     parser.add_argument("--environment", help="game24 | scripted:<fixture>")
-    parser.add_argument("--engine", choices=_ENGINES)
+    parser.add_argument("--engine", choices=tuple(ENGINES))
     parser.add_argument("--policy", help="exhaustive | remote:<model>")
     parser.add_argument(
         "--value",
@@ -721,7 +664,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--tasks-per-iteration", type=int, dest="stl.tasks_per_iteration"
     )
     parser.add_argument("--gamma", type=float, dest="stl.gamma")
-    parser.add_argument("--stl-engine", choices=_ENGINES, dest="stl.engine")
+    parser.add_argument("--stl-engine", choices=tuple(ENGINES), dest="stl.engine")
     parser.add_argument(
         "--accumulate",
         action=argparse.BooleanOptionalAction,

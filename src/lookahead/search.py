@@ -1,6 +1,10 @@
 """Tree-search engines guided by a value model.
 
-Three engines share one tree representation:
+Three engines share one contract: each takes ``(task, env, policy,
+value_model, config, ledger=None)`` and returns the :class:`SearchTree` it
+built, whose ``stats.best_path`` ends at the state the engine settled on
+(:meth:`SearchTree.final_trajectory`).  :data:`ENGINES` maps each engine's
+name to its function.
 
 * ``greedy_search`` — evaluate every proposed successor, descend into the
   argmax, repeat until a terminal state or the depth limit.
@@ -21,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .core import Action, Aggregation, State, Task, Trajectory, ValueEstimate
 from .envs.base import ActionRejected, Environment
@@ -116,6 +120,11 @@ class SearchTree:
 
     def trajectory_to(self, uid: int) -> Trajectory:
         return Trajectory.from_state(self.task, self.nodes[uid].state)
+
+    def final_trajectory(self) -> Trajectory:
+        """The trajectory ending at ``stats.best_path[-1]``, else at the root."""
+        uid = self.stats.best_path[-1] if self.stats.best_path else self.root_uid
+        return self.trajectory_to(uid)
 
     def path_to(self, uid: int) -> list[int]:
         path = []
@@ -292,7 +301,7 @@ def greedy_search(
     value_model: ValueModel,
     config: SearchConfig,
     ledger: "Ledger | None" = None,
-) -> tuple[Trajectory, SearchTree]:
+) -> SearchTree:
     """Descend into the best-valued successor until terminal or depth limit."""
     root = env.initial_state(task)
     tree = SearchTree(task, "greedy", root)
@@ -306,7 +315,7 @@ def greedy_search(
     if node.terminal:
         tree.stats.terminal_reached = True
     tree.stats.best_path = tree.path_to(node.uid)
-    return tree.trajectory_to(node.uid), tree
+    return tree
 
 
 def beam_search(
@@ -316,13 +325,14 @@ def beam_search(
     value_model: ValueModel,
     config: SearchConfig,
     ledger: "Ledger | None" = None,
-) -> tuple[list[Trajectory], SearchTree]:
-    """Level-synchronous beam; returns every terminal trajectory found.
+) -> SearchTree:
+    """Level-synchronous beam.
 
     At each level all frontier states are expanded; the next frontier is the
     global top ``beam_width`` non-terminal successors by value (ties to the
     earlier-generated node).  Terminal successors are collected and never
-    re-expanded.
+    re-expanded; every one found is an evaluated terminal node of the tree,
+    and ``best_path`` ends at the best-valued of them.
     """
     root = env.initial_state(task)
     tree = SearchTree(task, "beam", root)
@@ -352,7 +362,7 @@ def beam_search(
         with_estimates = [n for n in frontier if n.estimate is not None]
         best = _best_by_value(with_estimates) if with_estimates else frontier[0]
         tree.stats.best_path = tree.path_to(best.uid)
-    return [tree.trajectory_to(n.uid) for n in terminals], tree
+    return tree
 
 
 def _normalized(estimate: ValueEstimate, value_model: ValueModel, config: SearchConfig) -> float:
@@ -447,3 +457,10 @@ def mcts_search(
             break
     tree.stats.best_path = tree.path_to(node.uid)
     return tree
+
+
+ENGINES: dict[str, Callable[..., SearchTree]] = {
+    "greedy": greedy_search,
+    "beam": beam_search,
+    "mcts": mcts_search,
+}

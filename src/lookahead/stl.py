@@ -14,7 +14,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import (
     Action,
@@ -33,7 +33,7 @@ from .agents.scales import MalformedRationale, ValueScale, parse_value, strip_sc
 from .agents.values import DepthRouter, EvalRequest, RoutedValueModel, ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
-from .search import SearchConfig, SearchTree, beam_search, dump_tree, greedy_search, mcts_search
+from .search import ENGINES, SearchConfig, SearchTree, dump_tree
 
 if TYPE_CHECKING:
     from .evaluation import Ledger
@@ -75,7 +75,7 @@ class StlConfig:
             raise ValueError("tasks_per_iteration must be at least 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.engine not in ("greedy", "beam", "mcts"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown rollout engine {self.engine!r}")
         if self.mask not in ("none", "completion-only"):
             raise ValueError(f"unknown mask mode {self.mask!r}")
@@ -209,11 +209,6 @@ class Dataset:
         for key, example in self.examples.items():
             partitions.setdefault(example.depth, Dataset()).examples[key] = example
         return dict(sorted(partitions.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.examples == other.examples
 
 
 def dedup_latest(
@@ -357,24 +352,13 @@ class TabularValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        trajectory: Trajectory,
+        request: EvalRequest,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        *,
-        prior_value: float | None = None,
-        candidate_actions: list[str] | None = None,
     ) -> ValueEstimate:
-        key = state_key(task, trajectory)
-        stored = self.table.get(key)
+        stored = self.table.get(state_key(task, request.trajectory))
         if stored is None:
-            return self.base_model.evaluate(
-                task,
-                trajectory,
-                n_samples,
-                aggregation,
-                prior_value=prior_value,
-                candidate_actions=candidate_actions,
-            )
+            return self.base_model.evaluate(task, request, n_samples, aggregation)
         return _stored_estimate(stored, aggregation)
 
     def evaluate_many(
@@ -412,30 +396,6 @@ class TabularTrainer(Trainer):
 def tabular_fine_tune(base_model: ValueModel, dataset: Dataset) -> TabularValueModel:
     """The gradient-free stand-in for LLM fine-tuning used throughout the tests."""
     return TabularValueModel(base_model, dataset)
-
-
-_ENGINES: dict[str, Callable] = {
-    "greedy": greedy_search,
-    "beam": beam_search,
-    "mcts": mcts_search,
-}
-
-
-def run_engine(
-    engine: str,
-    task: Task,
-    env: Environment,
-    policy: Policy,
-    value_model: ValueModel,
-    config: SearchConfig,
-    ledger: "Ledger | None" = None,
-) -> SearchTree:
-    result = _ENGINES[engine](task, env, policy, value_model, config, ledger)
-    if engine == "greedy":
-        return result[1]
-    if engine == "beam":
-        return result[1]
-    return result
 
 
 def collect_candidates(
@@ -553,14 +513,8 @@ def stl_run(
         candidates: list[ExampleCandidate] = []
         intra_tree_duplicates = 0
         for task in task_slice:
-            tree = run_engine(
-                stl_config.engine,
-                task,
-                env,
-                policy,
-                current_model,
-                search_config,
-                ledger,
+            tree = ENGINES[stl_config.engine](
+                task, env, policy, current_model, search_config, ledger
             )
             if keep_trees:
                 trees.append(tree)

@@ -17,7 +17,7 @@ from pathlib import Path
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.rationales import parse_simulated_lookahead
 from lookahead.agents.scales import GAME24, LIKERT10, NUMERIC10, format_score_sentence, get_scale
-from lookahead.agents.values import OracleValueModel, ScriptedValueModel
+from lookahead.agents.values import EvalRequest, OracleValueModel, ScriptedValueModel
 from lookahead.cli import main
 from lookahead.core import (
     Action,
@@ -34,7 +34,7 @@ from lookahead.core import (
 from lookahead.envs.game24 import Game24Env, Verdict, solve_verdict
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger, cost, paired_bootstrap
-from lookahead.search import SearchConfig
+from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import (
     Dataset,
     ExampleCandidate,
@@ -44,7 +44,6 @@ from lookahead.stl import (
     dedup_latest,
     filter_examples,
     lookahead_target,
-    run_engine,
     stl_run,
 )
 
@@ -161,7 +160,7 @@ def test_criterion_02_oracle_guided_beam_solves_all_solvable_puzzles():
     for task in tasks:
         numbers = tuple(int(piece) for piece in task.instruction.split())
         assert brute_force_solvable(numbers), f"{task.id} is not solvable"
-        tree = run_engine("beam", task, env, policy, oracle, config)
+        tree = ENGINES["beam"](task, env, policy, oracle, config)
         solved += _solved_terminal(env, tree)
     elapsed = time.monotonic() - start
     assert solved == 50
@@ -386,7 +385,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
     # Every interior state (1 + 3 + 9 + 27) ends up in the dataset.
     assert len(result.datasets[-1]) == 40
     trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
-    root_value = result.final_model.evaluate(tasks[0], trajectory).value
+    root_value = result.final_model.evaluate(tasks[0], EvalRequest(trajectory)).value
     optimal = _optimal_backup("n", 0, leaf_values)
     assert root_value == optimal
     verdict_line(
@@ -564,8 +563,7 @@ def test_criterion_09_states_expanded_equals_transition_calls():
     task = Task(id="w1", instruction="buy the gray sofa", split=Split.ROLLOUT)
     for engine in ("greedy", "beam", "mcts"):
         counting = CountingEnv(ScriptedEnvironment.load("fixtures/webshop_demo_env.json"))
-        tree = run_engine(
-            engine,
+        tree = ENGINES[engine](
             task,
             counting,
             ExhaustivePolicy(counting),
@@ -577,8 +575,7 @@ def test_criterion_09_states_expanded_equals_transition_calls():
 
     counting = CountingEnv(ScriptedEnvironment.from_dict(_chain_fixture()))
     values = {f"c{i}": 9.0 for i in range(1, 6)}
-    tree = run_engine(
-        "greedy",
+    tree = ENGINES["greedy"](
         Task(id="ladder", instruction="climb", split=Split.ROLLOUT),
         counting,
         ExhaustivePolicy(counting),

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from lookahead.cli import main
+from lookahead.cli import ConfigError, build_parser, config_from_dict, main, write_manifest
+from lookahead.search import ENGINES
+from lookahead.stl import StlConfig
 
 WEBSHOP_ENV = "scripted:fixtures/webshop_demo_env.json"
 WEBSHOP_VALUES = "scripted:fixtures/webshop_demo_values.json"
@@ -237,6 +239,106 @@ class TestConfigHandling:
         assert (first_out / "results.json").read_bytes() == (
             second_out / "results.json"
         ).read_bytes()
+
+
+GOLDEN_MANIFEST = """\
+{
+  "config": {
+    "api_key_env": "LOOKAHEAD_API_KEY",
+    "attempts": 2,
+    "base_url": "https://api.openai.com/v1",
+    "engine": "beam",
+    "environment": "game24",
+    "k": 3,
+    "method": "golden",
+    "out": null,
+    "parallel": 1,
+    "policy": "exhaustive",
+    "pricing": null,
+    "search": {
+      "beam_width": 3,
+      "branching": 5,
+      "excluded_actions": [
+        "Click[Back]",
+        "Search[sofa]"
+      ],
+      "exploration": 0.5,
+      "feed_candidate_actions": false,
+      "max_depth": 5,
+      "mcts_iterations": 5,
+      "normalize_backup": true,
+      "seed": 0,
+      "value_aggregation": "mean",
+      "value_samples": 1
+    },
+    "seed": 3,
+    "stl": {
+      "accumulate": false,
+      "engine": "greedy",
+      "gamma": 0.5,
+      "iterations": 1,
+      "mask": "completion-only",
+      "min_example_depth": 1,
+      "per_depth": true,
+      "tasks_per_iteration": 1
+    },
+    "success_threshold": 1.0,
+    "tasks": null,
+    "value": "constant:5",
+    "value_scale": null
+  },
+  "seed": 3,
+  "version": "0.1.0"
+}
+"""
+
+
+class TestManifest:
+    def test_manifest_bytes_are_pinned_for_a_non_default_config(self, tmp_path):
+        config = config_from_dict(
+            {
+                "engine": "beam",
+                "value": "constant:5",
+                "seed": 3,
+                "method": "golden",
+                "attempts": 2,
+                "search": {
+                    "beam_width": 3,
+                    "value_aggregation": "mean",
+                    "excluded_actions": ["Click[Back]", "Search[sofa]"],
+                    "exploration": 0.5,
+                },
+                "stl": {
+                    "per_depth": True,
+                    "engine": "greedy",
+                    "gamma": 0.5,
+                    "mask": "completion-only",
+                    "min_example_depth": 1,
+                },
+            }
+        )
+        path = write_manifest(config, tmp_path)
+        assert path.read_text(encoding="utf-8") == GOLDEN_MANIFEST
+        assert config_from_dict(json.loads(GOLDEN_MANIFEST)) == config
+
+
+class TestEngineChoices:
+    def choices(self, dest):
+        search = build_parser()._subparsers._group_actions[0].choices["search"]
+        return next(a.choices for a in search._actions if a.dest == dest)
+
+    def test_flags_offer_exactly_the_engine_registry(self):
+        assert tuple(self.choices("engine")) == tuple(ENGINES)
+        assert tuple(self.choices("stl.engine")) == tuple(ENGINES)
+
+    def test_configs_accept_exactly_the_engine_registry(self):
+        for name in ENGINES:
+            assert config_from_dict({"engine": name, "stl": {"engine": name}}).engine == name
+            assert StlConfig(engine=name).engine == name
+        with pytest.raises(ConfigError, match="engine must be one of"):
+            config_from_dict({"engine": "dfs"})
+        with pytest.raises(ValueError, match="unknown rollout engine"):
+            StlConfig(engine="dfs")
 
 
 class TestSearchCommand:

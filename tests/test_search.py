@@ -16,7 +16,9 @@ from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger
 from lookahead.search import (
+    ENGINES,
     SearchConfig,
+    SearchTree,
     beam_search,
     dump_tree,
     greedy_search,
@@ -76,10 +78,15 @@ class FlakyValueModel(ScriptedValueModel):
         super().__init__(values)
         self.bad_ids = set(bad_ids)
 
-    def evaluate(self, task, trajectory, n_samples=1, aggregation=None, **kwargs):
-        if trajectory.final_state.id in self.bad_ids:
+    def evaluate(self, task, request, n_samples=1, aggregation=None):
+        if request.trajectory.final_state.id in self.bad_ids:
             raise MalformedRationale("scaffolding-missing", "synthetic failure")
-        return super().evaluate(task, trajectory, n_samples, **kwargs)
+        return super().evaluate(task, request, n_samples)
+
+
+def terminal_ids(tree):
+    """State ids of the tree's evaluated terminal nodes, in creation order."""
+    return [n.state.id for n in tree.nodes if n.terminal and n.estimate is not None]
 
 
 class CountingEnv:
@@ -116,7 +123,8 @@ class TestSearchConfig:
 class TestGreedySearch:
     def test_descends_into_argmax(self):
         env, policy, model = two_branch_setup()
-        trajectory, tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        trajectory = tree.final_trajectory()
         assert trajectory.final_state.id == "aw"
         assert tree.stats.terminal_reached is True
         assert tree.stats.best_path == [0, 1, 4]
@@ -126,12 +134,14 @@ class TestGreedySearch:
     def test_tie_goes_to_earlier_proposal(self):
         values = dict(TWO_BRANCH_VALUES, b=6.0)  # a and b now tie at 6.0
         env, policy, model = two_branch_setup(values)
-        trajectory, _ = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        trajectory = tree.final_trajectory()
         assert trajectory.final_state.lineage()[1].id == "a"
 
     def test_depth_limit_stops_descent(self):
         env, policy, model = two_branch_setup()
-        trajectory, tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=1))
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=1))
+        trajectory = tree.final_trajectory()
         assert trajectory.final_state.id == "a"
         assert tree.stats.terminal_reached is False
         assert tree.stats.states_expanded == 3
@@ -139,7 +149,8 @@ class TestGreedySearch:
     def test_unparseable_child_excluded_from_argmax(self):
         env, policy, _ = two_branch_setup()
         model = FlakyValueModel(TWO_BRANCH_VALUES, bad_ids={"a"})
-        trajectory, tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        trajectory = tree.final_trajectory()
         # The best-valued child failed to parse, so search takes "b" instead.
         assert trajectory.final_state.id == "bw"
         assert "unparseable-value@1: scaffolding-missing" in tree.stats.failures
@@ -151,7 +162,8 @@ class TestGreedySearch:
     def test_excluded_actions_never_expanded(self):
         env, policy, model = two_branch_setup()
         config = SearchConfig(max_depth=3, excluded_actions=("go a",))
-        trajectory, tree = greedy_search(TASK, env, policy, model, config)
+        tree = greedy_search(TASK, env, policy, model, config)
+        trajectory = tree.final_trajectory()
         assert trajectory.final_state.id == "bw"
         assert all(
             n.action is None or n.action.text != "go a" for n in tree.nodes
@@ -160,7 +172,7 @@ class TestGreedySearch:
     def test_ledger_mirrors_states_expanded(self):
         env, policy, model = two_branch_setup()
         ledger = Ledger()
-        _, tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3), ledger)
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3), ledger)
         assert ledger.states_expanded == tree.stats.states_expanded
         assert ledger.per_task_states["t1"] == tree.stats.states_expanded
 
@@ -216,19 +228,19 @@ class TestBeamSearch:
     def test_global_top_width_survivors(self):
         env, policy, model = beam_setup()
         config = SearchConfig(branching=5, beam_width=2, max_depth=2)
-        trajectories, tree = beam_search(TASK, env, policy, model, config)
+        tree = beam_search(TASK, env, policy, model, config)
         # Level 1 expands the root; s3/s4 fall outside the beam.
         for node in tree.nodes:
             if node.state.id in {"s3", "s4"}:
                 assert node.expanded is False
                 assert node.children == []
         assert tree.stats.states_expanded == 9
-        assert [t.final_state.id for t in trajectories] == ["t0", "s2a"]
+        assert terminal_ids(tree) == ["t0", "s2a"]
 
     def test_terminals_collected_and_never_reexpanded(self):
         env, policy, model = beam_setup()
         config = SearchConfig(branching=5, beam_width=2, max_depth=2)
-        trajectories, tree = beam_search(TASK, env, policy, model, config)
+        tree = beam_search(TASK, env, policy, model, config)
         assert tree.stats.terminal_reached is True
         terminal_nodes = [n for n in tree.nodes if n.terminal]
         assert all(n.children == [] for n in terminal_nodes)
@@ -239,7 +251,7 @@ class TestBeamSearch:
         values = dict(BEAM_VALUES, s2=9.0)  # s1 and s2 tie at 9.0
         env, policy, model = beam_setup(values)
         config = SearchConfig(branching=5, beam_width=1, max_depth=2)
-        _, tree = beam_search(TASK, env, policy, model, config)
+        tree = beam_search(TASK, env, policy, model, config)
         s1 = next(n for n in tree.nodes if n.state.id == "s1")
         s2 = next(n for n in tree.nodes if n.state.id == "s2")
         assert s1.expanded is True
@@ -248,14 +260,14 @@ class TestBeamSearch:
     def test_level_one_terminal_collected_even_at_depth_one(self):
         env, policy, model = beam_setup()
         config = SearchConfig(branching=5, beam_width=2, max_depth=1)
-        trajectories, tree = beam_search(TASK, env, policy, model, config)
+        tree = beam_search(TASK, env, policy, model, config)
         # t0 is terminal at level 1, so it is still collected.
-        assert [t.final_state.id for t in trajectories] == ["t0"]
+        assert terminal_ids(tree) == ["t0"]
 
     def test_all_successors_kept_when_beam_is_wide(self):
         env, policy, model = beam_setup()
         config = SearchConfig(branching=5, beam_width=50, max_depth=2)
-        _, tree = beam_search(TASK, env, policy, model, config)
+        tree = beam_search(TASK, env, policy, model, config)
         # Every non-terminal level-1 node is expanded under a wide beam.
         for state_id in ("s1", "s2", "s3", "s4"):
             node = next(n for n in tree.nodes if n.state.id == state_id)
@@ -310,6 +322,25 @@ class TestMctsSearch:
         assert total == backups
 
 
+class TestEngineContract:
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_engine_returns_its_tree(self, engine):
+        env, policy, model = two_branch_setup()
+        config = SearchConfig(max_depth=3, mcts_iterations=4)
+        tree = ENGINES[engine](TASK, env, policy, model, config)
+        assert isinstance(tree, SearchTree)
+        assert tree.engine == engine
+        assert tree.stats.best_path
+        final = tree.final_trajectory()
+        assert final.final_state is tree.node(tree.stats.best_path[-1]).state
+        assert final.depth == len(tree.stats.best_path) - 1
+
+    def test_final_trajectory_without_best_path_is_the_root(self):
+        env, _, _ = two_branch_setup()
+        tree = SearchTree(TASK, "greedy", env.initial_state(TASK))
+        assert tree.final_trajectory().final_state is tree.root.state
+
+
 class TestStateExpansionAccounting:
     @pytest.mark.parametrize("engine", ["greedy", "beam", "mcts"])
     def test_states_expanded_counts_transition_calls(self, engine):
@@ -319,9 +350,9 @@ class TestStateExpansionAccounting:
         task = Task(id="g", instruction="1 2 3", split=Split.ROLLOUT)
         config = SearchConfig(branching=4, max_depth=2, beam_width=2, mcts_iterations=3)
         if engine == "greedy":
-            _, tree = greedy_search(task, counting, policy, model, config)
+            tree = greedy_search(task, counting, policy, model, config)
         elif engine == "beam":
-            _, tree = beam_search(task, counting, policy, model, config)
+            tree = beam_search(task, counting, policy, model, config)
         else:
             tree = mcts_search(task, counting, policy, model, config)
         assert tree.stats.states_expanded == counting.calls
@@ -333,7 +364,7 @@ class TestDumpTree:
         paths = []
         for name in ("one.json", "two.json"):
             env, policy, model = two_branch_setup()
-            _, tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+            tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
             path = tmp_path / name
             dump_tree(tree, path)
             paths.append(path)
@@ -343,7 +374,7 @@ class TestDumpTree:
         import json
 
         env, policy, model = two_branch_setup()
-        _, tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(max_depth=3))
         path = tmp_path / "tree.json"
         dump_tree(tree, path)
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -397,7 +428,7 @@ class TestBatchedEvaluation:
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
         config = SearchConfig(branching=5, beam_width=3, max_depth=3, value_samples=2)
-        _, tree = beam_search(task, env, ExhaustivePolicy(env), model, config, ledger)
+        tree = beam_search(task, env, ExhaustivePolicy(env), model, config, ledger)
         path = tmp_path / name
         dump_tree(tree, path)
         return path.read_bytes(), ledger.to_dict(), model.malformed_count
@@ -437,7 +468,7 @@ class TestBatchedEvaluation:
         env, _, _ = two_branch_setup()
         policy = FixedPolicy(["go b", "bogus", "go a", "go c", "also bogus"])
         model = FlakyValueModel(TWO_BRANCH_VALUES, bad_ids={"b", "c"})
-        _, tree = greedy_search(TASK, env, policy, model, SearchConfig(branching=5, max_depth=1))
+        tree = greedy_search(TASK, env, policy, model, SearchConfig(branching=5, max_depth=1))
         assert [f.split(":")[0] for f in tree.stats.failures] == [
             "unparseable-value@1",
             "rejected-action@0",

@@ -11,6 +11,7 @@ from lookahead.agents.rationales import format_lookahead_block, parse_simulated_
 from lookahead.agents.scales import LIKERT10, NUMERIC10
 from lookahead.agents.values import (
     ConstantValueModel,
+    EvalRequest,
     OracleValueModel,
     RoutedValueModel,
     ScriptedValueModel,
@@ -28,7 +29,7 @@ from lookahead.core import (
 )
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
-from lookahead.search import SearchConfig, beam_search
+from lookahead.search import SearchConfig, beam_search, greedy_search
 from lookahead.stl import (
     Dataset,
     ExampleCandidate,
@@ -358,7 +359,7 @@ class TestTabularValueModel:
         dataset, _ = dedup_latest(Dataset(), [ex], 1)
         base = ConstantValueModel(2.0)
         model = tabular_fine_tune(base, dataset)
-        result = model.evaluate(candidate.task, candidate.trajectory)
+        result = model.evaluate(candidate.task, EvalRequest(candidate.trajectory))
         assert result.value == 4.0
         assert result.rationale == ex.completion
 
@@ -367,7 +368,7 @@ class TestTabularValueModel:
         model = TabularValueModel(base, Dataset())
         task = Task(id="tx", instruction="other", split=Split.ROLLOUT)
         trajectory = Trajectory.from_state(task, root_state("other"))
-        assert model.evaluate(task, trajectory).value == 2.0
+        assert model.evaluate(task, EvalRequest(trajectory)).value == 2.0
 
     def test_scale_follows_base(self):
         base = ConstantValueModel(2.0, scale=LIKERT10)
@@ -475,7 +476,7 @@ class TestStlRun:
         task = stl_tasks(1)[0]
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Best root successor is "a" at 6.0; discounted target is 3.0.
-        assert result.final_model.evaluate(task, trajectory).value == 3.0
+        assert result.final_model.evaluate(task, EvalRequest(trajectory)).value == 3.0
 
     def test_revisited_states_across_iterations_stay_parseable(self):
         # Same instruction every iteration: the trained model answers for
@@ -499,7 +500,7 @@ class TestStlRun:
             assert example.completion.count("Best Next Action:") == 1
         trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
         # Two iterations back the aw leaf (9.0) up to the root.
-        assert result.final_model.evaluate(tasks[0], trajectory).value == 9.0
+        assert result.final_model.evaluate(tasks[0], EvalRequest(trajectory)).value == 9.0
 
     def test_every_iteration_trains_from_base(self):
         env, policy, base = stl_setup()
@@ -607,7 +608,7 @@ class TestStlRun:
         root_trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Depth 0 has no trained model, so the base model answers with its
         # default for the root id.
-        assert model.evaluate(task, root_trajectory).value == 5.0
+        assert model.evaluate(task, EvalRequest(root_trajectory)).value == 5.0
 
     def test_empty_dataset_returns_base_model(self):
         env, policy, base = stl_setup()
@@ -696,7 +697,7 @@ class TestCollectCandidates:
         env = Game24Env()
         task = Task(id="g", instruction="2 2 4 8", split=Split.ROLLOUT)
         config = SearchConfig(branching=30, max_depth=2, beam_width=30)
-        _, tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
+        tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
         candidates, duplicates = collect_candidates(task, tree, gamma=1.0)
         assert duplicates >= 1
         keys = [c.key for c in candidates]
@@ -705,8 +706,6 @@ class TestCollectCandidates:
     def test_min_depth_excludes_root(self):
         env, policy, base = stl_setup()
         task = stl_tasks(1)[0]
-        from lookahead.stl import run_engine
-
-        tree = run_engine("greedy", task, env, policy, base, SearchConfig(branching=4, max_depth=2))
+        tree = greedy_search(task, env, policy, base, SearchConfig(branching=4, max_depth=2))
         candidates, _ = collect_candidates(task, tree, gamma=1.0, min_depth=1)
         assert all(c.trajectory.depth >= 1 for c in candidates)

@@ -63,14 +63,14 @@ def synthetic_trajectory(state_id: str = "s1", depth: int = 0) -> tuple[Task, Tr
 class TestOracleValueModel:
     def test_sure_state(self):
         env, task, trajectory = game24_trajectory("4 6 6 8")
-        estimate = OracleValueModel().evaluate(task, trajectory)
+        estimate = OracleValueModel().evaluate(task, EvalRequest(trajectory))
         assert estimate.value == 20.0
         assert parse_value(estimate.rationale, GAME24) == 20.0
         assert estimate.samples == (20.0,)
 
     def test_impossible_state(self):
         env, task, trajectory = game24_trajectory("1 1 1 1")
-        estimate = OracleValueModel().evaluate(task, trajectory)
+        estimate = OracleValueModel().evaluate(task, EvalRequest(trajectory))
         assert estimate.value == 0.001
         assert parse_value(estimate.rationale, GAME24) == 0.001
 
@@ -82,14 +82,14 @@ class TestScriptedValueModel:
     def test_known_state_and_default(self):
         task, trajectory = synthetic_trajectory("s1")
         model = ScriptedValueModel({"s1": 7.25}, default=1.0)
-        assert model.evaluate(task, trajectory).value == 7.25
+        assert model.evaluate(task, EvalRequest(trajectory)).value == 7.25
         task2, trajectory2 = synthetic_trajectory("unknown")
-        assert model.evaluate(task2, trajectory2).value == 1.0
+        assert model.evaluate(task2, EvalRequest(trajectory2)).value == 1.0
 
     def test_rationale_parses_on_declared_scale(self):
         task, trajectory = synthetic_trajectory("s1")
         model = ScriptedValueModel({"s1": 7.25})
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(task, EvalRequest(trajectory))
         assert parse_value(estimate.rationale, model.scale) == 7.25
         assert "s1" in estimate.rationale
 
@@ -98,9 +98,9 @@ class TestConstantValueModel:
     def test_same_value_everywhere(self):
         task, trajectory = synthetic_trajectory("a")
         model = ConstantValueModel(1.0)
-        first = model.evaluate(task, trajectory)
+        first = model.evaluate(task, EvalRequest(trajectory))
         task2, trajectory2 = synthetic_trajectory("b", depth=2)
-        second = model.evaluate(task2, trajectory2)
+        second = model.evaluate(task2, EvalRequest(trajectory2))
         assert first.value == second.value == 1.0
         assert parse_value(first.rationale, model.scale) == 1.0
 
@@ -114,7 +114,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["All on track.\nsure"])
         model = RemoteValueModel(transport, "m", env, GAME24)
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(task, EvalRequest(trajectory))
         assert estimate.value == 20.0
         assert estimate.samples == (20.0,)
 
@@ -122,7 +122,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(2.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
-        estimate = model.evaluate(task, trajectory, n_samples=3, aggregation=Aggregation.MEAN)
+        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=3, aggregation=Aggregation.MEAN)
         assert estimate.value == 4.0
         assert estimate.samples == (2.0, 8.0, 2.0)
         # Representative rationale is the sample nearest the median (2.0 here).
@@ -132,7 +132,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["garbled", sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
-        estimate = model.evaluate(task, trajectory, n_samples=1)
+        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=1)
         assert estimate.value == 6.0
         assert estimate.samples == (6.0,)
         assert model.malformed_count == 1
@@ -144,7 +144,7 @@ class TestRemoteValueModel:
             ["junk", sample(8.0), sample(2.0)]
         )
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=1)
-        estimate = model.evaluate(task, trajectory, n_samples=2, aggregation=Aggregation.MEAN)
+        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=2, aggregation=Aggregation.MEAN)
         assert estimate.samples == (8.0, 2.0)
         assert estimate.value == 5.0
 
@@ -153,7 +153,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(["junk"] * 6)
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
         with pytest.raises(MalformedRationale) as err:
-            model.evaluate(task, trajectory, n_samples=2)
+            model.evaluate(task, EvalRequest(trajectory), n_samples=2)
         assert err.value.reason == "no-parsed-samples"
         # 1 + redraw_limit requests, each asking for both slots again:
         # n_samples * (1 + redraw_limit) draws.
@@ -166,7 +166,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(6.0)])
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
-        estimate = model.evaluate(task, trajectory, n_samples=3)
+        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=3)
         assert [r.n for r in transport.requests_seen] == [3]
         assert estimate.samples == (2.0, 8.0, 6.0)
         # The prompt is billed once for the three choices.
@@ -181,7 +181,7 @@ class TestRemoteValueModel:
             [sample(1.0), "junk", sample(2.0), "junk", "junk", sample(4.0), sample(8.0)]
         )
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
-        estimate = model.evaluate(task, trajectory, n_samples=4)
+        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=4)
         assert [r.n for r in transport.requests_seen] == [4, 2, 1]
         assert estimate.samples == (1.0, 2.0, 4.0, 8.0)
         assert model.malformed_count == 3
@@ -191,7 +191,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(["junk", sample(6.0)])
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
-        model.evaluate(task, trajectory, n_samples=1)
+        model.evaluate(task, EvalRequest(trajectory), n_samples=1)
         counts = ledger.tokens[("value", "m")]
         assert counts.completion == len("junk".split()) + len(sample(6.0).split())
 
@@ -199,7 +199,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
-        model.evaluate(task, trajectory)
+        model.evaluate(task, EvalRequest(trajectory))
         prompt = transport.requests_seen[0].messages[0].content
         assert "1 2 3" in prompt
 
@@ -211,7 +211,7 @@ class TestAttributeAdjustedValueModel:
             def __init__(self):
                 super().__init__({}, scale=ATTRIBUTE4)
 
-            def evaluate(self, task, trajectory, n_samples=1, aggregation=Aggregation.MEDIAN, *, prior_value=None, candidate_actions=None):
+            def evaluate(self, task, request, n_samples=1, aggregation=Aggregation.MEDIAN):
                 from lookahead.core import ValueEstimate, aggregate
 
                 return ValueEstimate(
@@ -231,19 +231,19 @@ class TestAttributeAdjustedValueModel:
         task, trajectory = synthetic_trajectory()
         model = AttributeAdjustedValueModel(self.attribute_inner([3.0]))
         with pytest.raises(ValueError, match="prior"):
-            model.evaluate(task, trajectory)
+            model.evaluate(task, EvalRequest(trajectory))
 
     def test_offsets_applied_to_prior(self):
         task, trajectory = synthetic_trajectory()
         model = AttributeAdjustedValueModel(self.attribute_inner([3.0]))
-        estimate = model.evaluate(task, trajectory, prior_value=6.0)
+        estimate = model.evaluate(task, EvalRequest(trajectory, prior_value=6.0))
         assert estimate.value == 7.0
 
     def test_adjusted_samples_aggregate_with_clamp(self):
         task, trajectory = synthetic_trajectory()
         model = AttributeAdjustedValueModel(self.attribute_inner([1.0, 4.0]))
         estimate = model.evaluate(
-            task, trajectory, n_samples=2, aggregation=Aggregation.MEAN, prior_value=9.5
+            task, EvalRequest(trajectory, prior_value=9.5), n_samples=2, aggregation=Aggregation.MEAN
         )
         # Offsets -2 and +2 give 7.5 and 11.5 -> clamped to 10.0; mean 8.75.
         assert estimate.samples == (7.5, 10.0)
@@ -259,7 +259,7 @@ class TestDepthRouting:
         model = RoutedValueModel(router)
         for depth, expected in [(0, 9.0), (1, 1.0), (2, 2.0), (3, 9.0)]:
             task, trajectory = synthetic_trajectory(depth=depth)
-            assert model.evaluate(task, trajectory).value == expected
+            assert model.evaluate(task, EvalRequest(trajectory)).value == expected
 
     def test_scale_follows_fallback(self):
         router = DepthRouter(models={}, fallback=ConstantValueModel(1.0, scale=LIKERT10))
@@ -280,7 +280,7 @@ class TestConcurrencyGates:
         assert isinstance(wrapped, SerializedValueModel)
         assert wrapped.concurrent_safe is True
         assert wrapped.scale is inner.scale
-        assert wrapped.evaluate(task, trajectory).value == 6.0
+        assert wrapped.evaluate(task, EvalRequest(trajectory)).value == 6.0
 
     def test_unsafe_policy_is_wrapped(self):
         env = Game24Env()
@@ -324,10 +324,10 @@ class RecordingModel(ConstantValueModel):
 class TestEvaluateMany:
     def test_default_loops_in_order_and_returns_parse_failures(self):
         class Flaky(ScriptedValueModel):
-            def evaluate(self, task, trajectory, *args, **kwargs):
-                if trajectory.final_state.id == "bad":
+            def evaluate(self, task, request, *args, **kwargs):
+                if request.trajectory.final_state.id == "bad":
                     raise MalformedRationale("scaffolding-missing", "synthetic")
-                return super().evaluate(task, trajectory, *args, **kwargs)
+                return super().evaluate(task, request, *args, **kwargs)
 
         model = Flaky({"a": 1.0, "c": 3.0})
         requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in ("a", "bad", "c")]
@@ -467,3 +467,41 @@ class TestEvaluateMany:
         requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in "ab"]
         assert [r.value for r in wrapped.evaluate_many(TASK, requests)] == [4.0, 4.0]
         assert held == [True]
+
+
+class RequestSpy(ConstantValueModel):
+    """Constant model that records every request object reaching ``evaluate``."""
+
+    def __init__(self, scale=LIKERT10) -> None:
+        super().__init__(3.0, scale=scale)
+        self.seen: list[EvalRequest] = []
+
+    def evaluate(self, task, request, n_samples=1, aggregation=Aggregation.MEDIAN):
+        self.seen.append(request)
+        return super().evaluate(task, request, n_samples, aggregation)
+
+
+WRAPPERS = {
+    "routed": lambda spy: RoutedValueModel(
+        DepthRouter(models={0: spy}, fallback=ConstantValueModel(9.0))
+    ),
+    "serialized": SerializedValueModel,
+    "tabular-miss": lambda spy: TabularValueModel(spy, Dataset()),
+    "attribute-adjusted": AttributeAdjustedValueModel,
+}
+
+
+class TestWrappersForwardTheRequest:
+    @pytest.mark.parametrize("kind", list(WRAPPERS))
+    @pytest.mark.parametrize("entry", ["evaluate", "evaluate_many"])
+    def test_inner_model_receives_the_callers_request(self, kind, entry):
+        spy = RequestSpy(scale=ATTRIBUTE4 if kind == "attribute-adjusted" else LIKERT10)
+        wrapper = WRAPPERS[kind](spy)
+        task, trajectory = synthetic_trajectory("s1")
+        request = EvalRequest(trajectory, prior_value=5.0, candidate_actions=["step a"])
+        if entry == "evaluate":
+            wrapper.evaluate(task, request, n_samples=2, aggregation=Aggregation.MEAN)
+        else:
+            wrapper.evaluate_many(task, [request], n_samples=2, aggregation=Aggregation.MEAN)
+        assert len(spy.seen) == 1
+        assert spy.seen[0] is request
