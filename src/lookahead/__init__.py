@@ -7,7 +7,6 @@ back into search, with token/state/cost accounting throughout.
 
 from .core import (
     Action,
-    ActionKind,
     Aggregation,
     LookaheadRecord,
     Split,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "ActionKind",
     "Aggregation",
     "Dataset",
     "Ledger",

@@ -129,7 +129,6 @@ class RemotePolicy(Policy):
             prompt = render_template(
                 self.template,
                 not_allowed_actions="\n".join(sorted(blocked)) or "(none)",
-                possible_actions="\n".join(a.text for a in allowed or []) or "(free-form)",
                 few_shot_examples=self.few_shot_examples,
                 input=render_context(trajectory),
             )

@@ -1,4 +1,4 @@
-"""Value scales, rationale score parsing, aggregation and attribute adjustment.
+"""Value scales, rationale score parsing and aggregation.
 
 Every value model declares a :class:`ValueScale`.  Numeric ten-point scales
 carry a discrete admissible set for raw samples plus continuous bounds for
@@ -30,15 +30,13 @@ class MalformedRationale(Exception):
 class ValueScale:
     """A value vocabulary: bounds, optionally a discrete admissible sample set.
 
-    ``labels`` maps verdict words to values for label-based scales;
-    ``offsets`` maps raw scores to additive adjustments for the attribute scale.
+    ``labels`` maps verdict words to values for label-based scales.
     """
 
     name: str
     bounds: tuple[float, float]
     admissible: frozenset[float] | None = None
     labels: Mapping[str, float] | None = None
-    offsets: Mapping[float, float] | None = None
 
     @property
     def upper(self) -> float:
@@ -65,7 +63,6 @@ ATTRIBUTE4 = ValueScale(
     name="attribute4",
     bounds=(1.0, 4.0),
     admissible=frozenset({1.0, 2.0, 3.0, 4.0}),
-    offsets=MappingProxyType({1.0: -2.0, 2.0: -1.0, 3.0: 1.0, 4.0: 2.0}),
 )
 
 GAME24 = ValueScale(
@@ -76,8 +73,8 @@ GAME24 = ValueScale(
 )
 
 # Continuous ten-point scale for scripted test doubles, whose fixture values
-# (and the aggregated or adjusted values they mimic) need not sit on the
-# discrete sample grid.
+# (and the aggregated values they mimic) need not sit on the discrete sample
+# grid.
 NUMERIC10 = ValueScale(name="numeric10", bounds=(0.0, 10.0))
 
 SCALES: dict[str, ValueScale] = {
@@ -213,13 +210,3 @@ def aggregate_estimate(
         aggregation=aggregation,
     )
 
-
-def attribute_adjust(prior_value: float, attribute_score: float) -> float:
-    """Shift a prior ten-point value by the attribute-scale offset, clamped to [1, 10]."""
-    offsets = ATTRIBUTE4.offsets
-    assert offsets is not None
-    if attribute_score not in offsets:
-        raise ValueError(
-            f"attribute score {attribute_score} not in {sorted(offsets)}"
-        )
-    return min(10.0, max(1.0, prior_value + offsets[attribute_score]))

@@ -1,10 +1,10 @@
-"""Value models: oracle, scripted doubles, remote, adjusted and depth-routed.
+"""Value models: oracle, scripted doubles, remote and depth-routed.
 
 A value model maps an :class:`EvalRequest` to a
 :class:`~lookahead.core.ValueEstimate` under a declared scale.  The request
 holds the trajectory ending at the state under judgment, and the engine may
-add the parent state's value (``prior_value``) and the successor's candidate
-actions (``candidate_actions``); models that do not need them ignore both.
+add the successor's candidate actions (``candidate_actions``); models that
+do not need them ignore them.
 Every model's primitive is ``evaluate(task, request, n_samples,
 aggregation)``; wrappers hand the caller's request to their inner model
 unchanged.
@@ -23,13 +23,11 @@ from ..envs.base import Environment
 from ..envs.game24 import Verdict, solve_verdict, state_numbers
 from .prompts import load_template, render_template
 from .scales import (
-    ATTRIBUTE4,
     GAME24,
     NUMERIC10,
     MalformedRationale,
     ValueScale,
     aggregate_estimate,
-    attribute_adjust,
     parse_value,
 )
 from .transport import ChatMessage, ChatRequest, Transport
@@ -43,7 +41,6 @@ class EvalRequest:
     """One state to judge: its trajectory plus the engine's optional context."""
 
     trajectory: Trajectory
-    prior_value: float | None = None
     candidate_actions: list[str] | None = None
 
 
@@ -209,7 +206,6 @@ class RemoteValueModel(ValueModel):
         environment: Environment,
         scale: ValueScale,
         role: str = "value",
-        template_role: str = "value",
         few_shot_examples: str = "",
         redraw_limit: int = 2,
         temperature: float = 1.0,
@@ -221,7 +217,7 @@ class RemoteValueModel(ValueModel):
         self.env = environment
         self.scale = scale
         self.role = role
-        self.template = load_template(environment.name, template_role)
+        self.template = load_template(environment.name, "value")
         self.few_shot_examples = few_shot_examples
         self.redraw_limit = redraw_limit
         self.temperature = temperature
@@ -232,17 +228,10 @@ class RemoteValueModel(ValueModel):
         self.concurrent_safe = transport.concurrent_safe
 
     def _prompt(self, request: EvalRequest) -> str:
-        trajectory = request.trajectory
-        if trajectory.steps:
-            action, state = trajectory.steps[-1]
-            last = f"Action: {action.text}\nObservation: {state.observation}"
-        else:
-            last = "(initial state)"
         return render_template(
             self.template,
             few_shot_examples=self.few_shot_examples,
-            input=render_context(trajectory),
-            last_action=last,
+            input=render_context(request.trajectory),
             possible_actions="\n".join(request.candidate_actions or []) or "(none listed)",
         )
 
@@ -311,41 +300,6 @@ class RemoteValueModel(ValueModel):
                 for request in requests
             ]
         return [future.result() for future in futures]
-
-
-class AttributeAdjustedValueModel(ValueModel):
-    """Wraps an attribute-scale model and shifts the prior state's value.
-
-    Each raw 4-point sample is converted to an offset and added to
-    ``prior_value`` (clamped to [1, 10]); the adjusted samples are aggregated
-    on the ten-point scale.  Evaluating without a prior value is an error.
-    """
-
-    def __init__(self, inner: ValueModel, scale: ValueScale = NUMERIC10) -> None:
-        if inner.scale is not ATTRIBUTE4:
-            raise ValueError("inner model must use the attribute4 scale")
-        self.inner = inner
-        self.scale = scale
-        self.concurrent_safe = inner.concurrent_safe
-
-    def evaluate(
-        self,
-        task: Task,
-        request: EvalRequest,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
-        prior_value = request.prior_value
-        if prior_value is None:
-            raise ValueError(
-                "attribute adjustment requires the prior state's value; "
-                "none was supplied"
-            )
-        raw = self.inner.evaluate(task, request, n_samples, aggregation)
-        adjusted = [attribute_adjust(prior_value, sample) for sample in raw.samples]
-        pairs = [(raw.rationale, value) for value in adjusted]
-        estimate = aggregate_estimate(pairs, aggregation)
-        return estimate
 
 
 @dataclass(frozen=True)

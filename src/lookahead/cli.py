@@ -223,11 +223,16 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
     data: dict[str, Any] = {}
     if path is not None:
         raw = _read_json(path, "config")
+        if isinstance(raw, dict) and "config" in raw and "version" in raw:
+            raw = raw["config"]
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
+        for key in ("search", "stl"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"config file {path}: {key!r} must be a JSON object")
+        if not isinstance(raw.get("search", {}).get("excluded_actions", []), list):
+            raise ConfigError(f"config file {path}: 'excluded_actions' must be a list")
         data = dict(raw)
-    if "config" in data and "version" in data:
-        data = dict(data["config"])
     for key, value in overrides.items():
         if value is None:
             continue
@@ -250,7 +255,7 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     With ``env``, every task must also yield an initial state there.
     """
     data = _read_json(path, "tasks")
-    if not isinstance(data, dict) or "tasks" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
         raise ConfigError(f"tasks file {path} must contain a 'tasks' array")
     tasks: list[Task] = []
     seen: set[str] = set()
@@ -321,12 +326,16 @@ def build_value_model(
     if value.startswith("scripted:"):
         path = _spec_path(value, "scripted:", "value fixture")
         data = _read_json(path, "value fixture")
-        if not isinstance(data, dict) or "values" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
             raise ConfigError(f"value fixture {path} must contain a 'values' object")
-        scale = get_scale(data.get("scale", "numeric10"))
-        return ScriptedValueModel(
-            values=data["values"], default=float(data.get("default", 0.0)), scale=scale
-        )
+        try:
+            scale = get_scale(data.get("scale", "numeric10"))
+            default = float(data.get("default", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"value fixture {path}: {exc}") from None
+        if not all(isinstance(v, (int, float)) for v in data["values"].values()):
+            raise ConfigError(f"value fixture {path}: every value must be a number")
+        return ScriptedValueModel(values=data["values"], default=default, scale=scale)
     if value.startswith("stl-dataset:"):
         path = _spec_path(value, "stl-dataset:", "value dataset")
         dataset = import_jsonl(path)
@@ -335,7 +344,10 @@ def build_value_model(
         if config.value_scale is None and meta_path.exists():
             meta = _read_json(meta_path, "dataset metadata")
             if isinstance(meta, dict) and "scale" in meta:
-                scale = get_scale(meta["scale"])
+                try:
+                    scale = get_scale(meta["scale"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"dataset metadata {meta_path}: {exc}") from None
         base = ConstantValueModel(scale.bounds[0], scale=scale)
         return TabularValueModel(base, dataset)
     model = value[len("remote:") :]
@@ -351,14 +363,21 @@ def build_value_model(
         raise ConfigError(f"value {value!r}: {exc}") from None
 
 
-def build_pricing(config: ExperimentConfig) -> PricingTable:
-    if config.pricing is None:
+def load_pricing(path: str | Path | None) -> PricingTable:
+    """The rates in the pricing file at ``path``; the default rates without one."""
+    if path is None:
         return PricingTable()
-    data = _read_json(config.pricing, "pricing")
+    data = _read_json(path, "pricing")
+    if not isinstance(data, dict):
+        raise ConfigError(f"pricing file {path} must contain a JSON object")
     try:
         return PricingTable.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"pricing file {config.pricing}: {exc}") from None
+        raise ConfigError(f"pricing file {path}: {exc}") from None
+
+
+def build_pricing(config: ExperimentConfig) -> PricingTable:
+    return load_pricing(config.pricing)
 
 
 def resolve_out_dir(config: ExperimentConfig) -> Path:
@@ -473,6 +492,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
         raise ConfigError("stl requires a tasks file (--tasks)")
     env = build_environment(config)
     tasks = load_tasks(config.tasks, env)
+    build_pricing(config)  # stl prices nothing, but a bad pricing file still exits 2
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
     base_model = build_value_model(config, env, ledger)
@@ -550,6 +570,9 @@ def cmd_eval(
     """Paired bootstrap comparison of two results files, both directions."""
     result_a = _load_result(path_a)
     result_b = _load_result(path_b)
+    for path, result in ((path_a, result_a), (path_b, result_b)):
+        if not result.outcomes:
+            raise ConfigError(f"results file {path} has no outcomes to compare")
     values_a = _metric_values(result_a, metric)
     values_b = _metric_values(result_b, metric)
     if set(values_a) != set(values_b):
@@ -601,13 +624,7 @@ def cmd_report(
     if k < 1:
         raise ConfigError("k must be at least 1")
     results = [_load_result(p) for p in result_paths]
-    pricing = PricingTable()
-    if pricing_path is not None:
-        data = _read_json(pricing_path, "pricing")
-        try:
-            pricing = PricingTable.from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"pricing file {pricing_path}: {exc}") from None
+    pricing = load_pricing(pricing_path)
     usable_k = min([k] + [len(o.attempts) for r in results for o in r.outcomes])
     paths = emit_report(results, out, pricing, k=usable_k)
     print(f"wrote {paths['summary']}")

@@ -28,33 +28,6 @@ def canonicalize(text: str) -> str:
     return _WS_RUN.sub(" ", text.strip())
 
 
-class ActionKind(str, Enum):
-    SEARCH = "search-like"
-    CLICK = "click-like"
-    COMBINE = "combine"
-    FINISH = "finish"
-    OTHER = "other"
-
-
-_KIND_PREFIXES = (
-    ("search[", ActionKind.SEARCH),
-    ("click[", ActionKind.CLICK),
-    ("finish[", ActionKind.FINISH),
-)
-
-_COMBINE_RE = re.compile(r"^-?\d+(?:/\d+)? [+\-*/] -?\d+(?:/\d+)?$")
-
-
-def classify_action(text: str) -> ActionKind:
-    """Infer the kind of a canonical action string from its surface form."""
-    for prefix, kind in _KIND_PREFIXES:
-        if text.startswith(prefix):
-            return kind
-    if _COMBINE_RE.match(text):
-        return ActionKind.COMBINE
-    return ActionKind.OTHER
-
-
 @dataclass(frozen=True)
 class Action:
     """A canonical environment action.
@@ -64,7 +37,6 @@ class Action:
     """
 
     text: str
-    kind: ActionKind = ActionKind.OTHER
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -74,8 +46,7 @@ class Action:
 
     @classmethod
     def make(cls, text: str) -> "Action":
-        canonical = canonicalize(text)
-        return cls(text=canonical, kind=classify_action(canonical))
+        return cls(text=canonicalize(text))
 
 
 class Split(str, Enum):

@@ -18,12 +18,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..core import Action, ActionKind, State, Task, Trajectory
+from ..core import Action, State, Task, Trajectory
 from .base import ActionRejected, Environment
 
 TARGET = Fraction(24)
-
-OPS = ("+", "-", "*", "/")
 
 _ACTION_RE = re.compile(r"^(-?\d+(?:/\d+)?) ([+\-*/]) (-?\d+(?:/\d+)?)$")
 
@@ -67,21 +65,6 @@ def apply_op(a: Fraction, op: str, b: Fraction) -> Fraction:
     raise ActionRejected(f"unknown operation {op!r}")
 
 
-def combine_action(numbers: Sequence[Fraction], i: int, j: int, op: str) -> Action:
-    """Build the canonical combine action for operand indices ``i`` and ``j``.
-
-    Indices refer to the state's sorted number tuple; the rendered text uses
-    operand values, so permuted states produce identical action strings.
-    """
-    size = len(numbers)
-    if i == j or not (0 <= i < size and 0 <= j < size):
-        raise ActionRejected(f"operand indices ({i}, {j}) invalid for {size} numbers")
-    if op not in OPS:
-        raise ActionRejected(f"unknown operation {op!r}")
-    text = f"{render_number(numbers[i])} {op} {render_number(numbers[j])}"
-    return Action(text=text, kind=ActionKind.COMBINE)
-
-
 def enumerate_actions(numbers: Sequence[Fraction]) -> list[Action]:
     """All distinct combine actions in the documented order.
 
@@ -104,7 +87,7 @@ def enumerate_actions(numbers: Sequence[Fraction]) -> list[Action]:
                 text = f"{render_number(left)} {op} {render_number(right)}"
                 if text not in seen:
                     seen.add(text)
-                    actions.append(Action(text=text, kind=ActionKind.COMBINE))
+                    actions.append(Action(text))
     return actions
 
 

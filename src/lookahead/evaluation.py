@@ -13,7 +13,7 @@ import csv
 import io
 import threading
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -72,9 +72,6 @@ class Ledger:
         completion = sum(c.completion for c in self.tokens.values())
         return prompt, completion
 
-    def models(self) -> list[str]:
-        return sorted({model for _, model in self.tokens})
-
     def tokens_by_model(self) -> dict[str, TokenCount]:
         out: dict[str, TokenCount] = {}
         for (_, model), count in self.tokens.items():
@@ -127,7 +124,10 @@ class Pricing:
 
 
 def _decimal(value: float | str | Decimal) -> Decimal:
-    return value if isinstance(value, Decimal) else Decimal(str(value))
+    try:
+        return value if isinstance(value, Decimal) else Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"rate {value!r} is not a number") from None
 
 
 DEFAULT_PRICING: dict[str, Pricing] = {

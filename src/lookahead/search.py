@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -239,7 +239,6 @@ class _Expander:
             return []
         # Pass 1: transition every proposal.  A slot holds the child awaiting
         # its estimate, or the failure line of a rejected action.
-        prior = node.estimate.value if node.estimate is not None else None
         slots: list[TreeNode | str] = []
         requests: list[EvalRequest] = []
         for action in proposals:
@@ -258,9 +257,7 @@ class _Expander:
                 listed = self.env.enumerable_actions(successor)
                 if listed is not None:
                     candidates = [a.text for a in listed]
-            requests.append(
-                EvalRequest(self.tree.trajectory_to(child.uid), prior, candidates)
-            )
+            requests.append(EvalRequest(self.tree.trajectory_to(child.uid), candidates))
             slots.append(child)
         # Pass 2: judge every child in one call.
         estimates = iter(

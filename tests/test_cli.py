@@ -1,11 +1,13 @@
 """End-to-end command-line behaviour: configs, artifacts, exit codes."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from lookahead.cli import ConfigError, build_parser, config_from_dict, main, write_manifest
+from lookahead.envs import Game24Env, ScriptedEnvironment
 from lookahead.search import ENGINES
 from lookahead.stl import StlConfig
 
@@ -195,6 +197,44 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and "error:" in err
         assert "entry 1" in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,filename,content,flag",
+        [
+            ("search", "tasks.json", {"tasks": 5}, "--tasks={path}"),
+            ("search", "config.json", {"search": 5}, "--config={path}"),
+            ("stl", "config.json", {"stl": 5}, "--config={path}"),
+            ("search", "config.json", {"search": {"excluded_actions": 5}}, "--config={path}"),
+            ("search", "values.json", {"values": 5}, "--value=scripted:{path}"),
+            ("search", "values.json", {"values": {"s": "high"}}, "--value=scripted:{path}"),
+            ("search", "values.json", {"values": {}, "scale": "bogus"}, "--value=scripted:{path}"),
+            ("search", "values.json", {"values": {}, "default": "high"}, "--value=scripted:{path}"),
+            ("stl", "m.jsonl.meta.json", {"scale": "bogus"}, "--value=stl-dataset:{dir}/m.jsonl"),
+        ],
+        ids=[
+            "tasks-not-a-list",
+            "search-not-an-object",
+            "stl-not-an-object",
+            "excluded-actions-not-a-list",
+            "value-fixture-values-not-an-object",
+            "value-fixture-non-numeric-value",
+            "value-fixture-unknown-scale",
+            "value-fixture-non-numeric-default",
+            "dataset-meta-unknown-scale",
+        ],
+    )
+    def test_malformed_input_file_exits_2_naming_it(
+        self, tmp_path, capsys, command, filename, content, flag
+    ):
+        bad = tmp_path / filename
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        (tmp_path / "m.jsonl").write_text("", encoding="utf-8")
+        tasks = game24_tasks(tmp_path / "good_tasks.json", n=1)
+        argv = [command, "--tasks", tasks, "--out", str(tmp_path / "out")]
+        code, _, err = run_cli([*argv, flag.format(path=bad, dir=tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(bad) in err
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -579,6 +619,14 @@ class TestEvalCommand:
         assert "misaligned" in err
         assert "t2" in err and "t9" in err
 
+    def test_results_without_outcomes_exit_2(self, tmp_path, capsys):
+        a = fake_results(tmp_path / "a.json", "m-a", {})
+        b = fake_results(tmp_path / "b.json", "m-b", {})
+        code, _, err = run_cli(["eval", a, b, "--b-samples", "100"], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert a in err
+
     def test_success_metric(self, tmp_path, capsys):
         a = fake_results(tmp_path / "a.json", "m-a", {"t1": 1.0, "t2": 1.0})
         b = fake_results(tmp_path / "b.json", "m-b", {"t1": 0.0, "t2": 0.0})
@@ -612,6 +660,44 @@ class TestReportCommand:
         header = lines[0].split(",")
         row = lines[1].split(",")
         assert row[header.index("k")] == "1"
+
+
+class TestPricingFile:
+    @pytest.mark.parametrize("command", ["report", "search", "stl"])
+    @pytest.mark.parametrize(
+        "content",
+        [[], {"gpt-4o": {"prompt_per_1k": "abc", "completion_per_1k": 0.01}}],
+        ids=["not-an-object", "non-numeric-rate"],
+    )
+    def test_bad_pricing_file_exits_2(self, tmp_path, capsys, command, content):
+        pricing = tmp_path / "pricing.json"
+        pricing.write_text(json.dumps(content), encoding="utf-8")
+        out = str(tmp_path / "out")
+        if command == "report":
+            argv = ["report", fake_results(tmp_path / "a.json", "m", {"t1": 1.0}), "--out", out]
+        else:
+            argv = [command, "--tasks", game24_tasks(tmp_path / "tasks.json", n=1), "--out", out]
+        code, _, err = run_cli([*argv, "--pricing", str(pricing)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(pricing) in err
+
+
+class TestPromptTemplates:
+    def test_every_template_belongs_to_a_shipped_environment_and_role(self):
+        environments = {Game24Env.name, ScriptedEnvironment.name}
+        for template in resources.files("lookahead").joinpath("prompts").iterdir():
+            env, _, role = template.name.removesuffix(".txt").partition("__")
+            assert template.name.endswith(".txt"), template.name
+            assert env in environments and role in ("policy", "value"), template.name
+
+    def test_remote_value_on_scripted_environment_exits_2(self, tmp_path, capsys):
+        tasks = webshop_tasks(tmp_path / "tasks.json")
+        argv = ["search", "--environment", WEBSHOP_ENV, "--value", "remote:m"]
+        code, _, err = run_cli([*argv, "--tasks", tasks, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "scripted__value.txt" in err
 
 
 class TestExitCodes:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from lookahead.core import (
     Action,
-    ActionKind,
     Aggregation,
     LookaheadRecord,
     Split,
@@ -17,7 +16,6 @@ from lookahead.core import (
     ValueEstimate,
     aggregate,
     canonicalize,
-    classify_action,
     render_context,
     state_key,
 )
@@ -59,26 +57,25 @@ class TestCanonicalize:
 
 
 class TestClassifyAction:
-    @pytest.mark.parametrize(
-        "text,kind",
-        [
-            ("search[gray sofa]", ActionKind.SEARCH),
-            ("click[buy now]", ActionKind.CLICK),
-            ("finish[42]", ActionKind.FINISH),
-            ("3 + 5", ActionKind.COMBINE),
-            ("1/2 * 8", ActionKind.COMBINE),
-            ("-3 - -5", ActionKind.COMBINE),
-            ("think about it", ActionKind.OTHER),
-            ("searching", ActionKind.OTHER),
-        ],
-    )
-    def test_kinds(self, text, kind):
-        assert classify_action(text) == kind
-
     def test_make_canonicalizes_and_classifies(self):
         action = Action.make("  click[  b1 ]  ")
         assert action.text == "click[ b1 ]"
-        assert action.kind is ActionKind.CLICK
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "search[gray sofa]",
+            "click[buy now]",
+            "finish[42]",
+            "3 + 5",
+            "1/2 * 8",
+            "-3 - -5",
+            "think about it",
+            "searching",
+        ],
+    )
+    def test_make_and_direct_construction_agree_on_canonical_text(self, text):
+        assert Action.make(f"  {text}\t") == Action(text)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -86,7 +83,7 @@ class TestClassifyAction:
 
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(ValueError, match="not canonical"):
-            Action(text=" padded ", kind=ActionKind.OTHER)
+            Action(text=" padded ")
 
 
 class TestState:

@@ -1,4 +1,4 @@
-"""Value scales: score-sentence parsing, formatting, aggregation, adjustment."""
+"""Value scales: score-sentence parsing, formatting, aggregation."""
 
 import pytest
 from hypothesis import given
@@ -12,7 +12,6 @@ from lookahead.agents.scales import (
     NUMERIC10,
     MalformedRationale,
     aggregate_estimate,
-    attribute_adjust,
     format_score_sentence,
     get_scale,
     parse_bounded_value,
@@ -55,6 +54,16 @@ class TestParseValue:
 
     def test_odd_grid_accepts_seven(self):
         assert parse_value("Thus, the correctness score is 7.00 / 10.00.", LIKERT10_ODD) == 7.0
+
+    @pytest.mark.parametrize("score", [1.0, 2.0, 3.0, 4.0])
+    def test_attribute_scale_accepts_its_four_points(self, score):
+        assert parse_value(f"Thus, the correctness score is {score:.2f} / 4.00.", ATTRIBUTE4) == score
+
+    @pytest.mark.parametrize("score", ["0.00", "2.50", "5.00"])
+    def test_attribute_scale_rejects_other_scores(self, score):
+        with pytest.raises(MalformedRationale) as err:
+            parse_value(f"Thus, the correctness score is {score} / 4.00.", ATTRIBUTE4)
+        assert err.value.reason == "value-not-admissible"
 
     def test_continuous_scale_enforces_bounds_only(self):
         assert parse_value("Thus, the correctness score is 6.35 / 10.00.", NUMERIC10) == 6.35
@@ -165,36 +174,6 @@ class TestAggregateEstimate:
         estimate = aggregate_estimate(samples, Aggregation.MEAN)
         assert estimate.rationale in {r for r, _ in samples}
         assert min(values) <= estimate.value <= max(values)
-
-
-class TestAttributeAdjust:
-    @pytest.mark.parametrize(
-        "prior,attribute,expected",
-        [
-            (6.0, 1.0, 4.0),
-            (6.0, 2.0, 5.0),
-            (6.0, 3.0, 7.0),
-            (6.0, 4.0, 8.0),
-            (1.0, 1.0, 1.0),  # clamped at the floor
-            (10.0, 4.0, 10.0),  # clamped at the ceiling
-        ],
-    )
-    def test_offsets_and_clamp(self, prior, attribute, expected):
-        assert attribute_adjust(prior, attribute) == expected
-
-    def test_unknown_attribute_score(self):
-        with pytest.raises(ValueError, match="attribute score"):
-            attribute_adjust(6.0, 5.0)
-
-    @given(
-        st.floats(min_value=1.0, max_value=10.0, allow_nan=False),
-        st.sampled_from([1.0, 2.0, 3.0, 4.0]),
-    )
-    def test_result_always_in_ten_point_bounds(self, prior, attribute):
-        assert 1.0 <= attribute_adjust(prior, attribute) <= 10.0
-
-    def test_offsets_match_declared_map(self):
-        assert dict(ATTRIBUTE4.offsets) == {1.0: -2.0, 2.0: -1.0, 3.0: 1.0, 4.0: 2.0}
 
 
 class TestGetScale:

@@ -1,4 +1,4 @@
-"""Value models: oracle, scripted doubles, remote sampling, adjustment, routing."""
+"""Value models: oracle, scripted doubles, remote sampling, routing."""
 
 import sys
 import threading
@@ -14,7 +14,6 @@ from lookahead.agents.gate import (
 )
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.scales import (
-    ATTRIBUTE4,
     GAME24,
     LIKERT10,
     MalformedRationale,
@@ -22,7 +21,6 @@ from lookahead.agents.scales import (
 )
 from lookahead.agents.transport import ScriptedTransport, TransportError
 from lookahead.agents.values import (
-    AttributeAdjustedValueModel,
     ConstantValueModel,
     DepthRouter,
     EvalRequest,
@@ -202,52 +200,6 @@ class TestRemoteValueModel:
         model.evaluate(task, EvalRequest(trajectory))
         prompt = transport.requests_seen[0].messages[0].content
         assert "1 2 3" in prompt
-
-
-class TestAttributeAdjustedValueModel:
-    def attribute_inner(self, values: list[float]) -> ScriptedValueModel:
-        # ScriptedValueModel emits one sample; build a stub emitting the list.
-        class Stub(ScriptedValueModel):
-            def __init__(self):
-                super().__init__({}, scale=ATTRIBUTE4)
-
-            def evaluate(self, task, request, n_samples=1, aggregation=Aggregation.MEDIAN):
-                from lookahead.core import ValueEstimate, aggregate
-
-                return ValueEstimate(
-                    rationale="attribute check",
-                    value=aggregate(values, aggregation),
-                    samples=tuple(values),
-                    aggregation=aggregation,
-                )
-
-        return Stub()
-
-    def test_rejects_non_attribute_inner(self):
-        with pytest.raises(ValueError, match="attribute4"):
-            AttributeAdjustedValueModel(ConstantValueModel(1.0))
-
-    def test_requires_prior_value(self):
-        task, trajectory = synthetic_trajectory()
-        model = AttributeAdjustedValueModel(self.attribute_inner([3.0]))
-        with pytest.raises(ValueError, match="prior"):
-            model.evaluate(task, EvalRequest(trajectory))
-
-    def test_offsets_applied_to_prior(self):
-        task, trajectory = synthetic_trajectory()
-        model = AttributeAdjustedValueModel(self.attribute_inner([3.0]))
-        estimate = model.evaluate(task, EvalRequest(trajectory, prior_value=6.0))
-        assert estimate.value == 7.0
-
-    def test_adjusted_samples_aggregate_with_clamp(self):
-        task, trajectory = synthetic_trajectory()
-        model = AttributeAdjustedValueModel(self.attribute_inner([1.0, 4.0]))
-        estimate = model.evaluate(
-            task, EvalRequest(trajectory, prior_value=9.5), n_samples=2, aggregation=Aggregation.MEAN
-        )
-        # Offsets -2 and +2 give 7.5 and 11.5 -> clamped to 10.0; mean 8.75.
-        assert estimate.samples == (7.5, 10.0)
-        assert estimate.value == 8.75
 
 
 class TestDepthRouting:
@@ -472,8 +424,8 @@ class TestEvaluateMany:
 class RequestSpy(ConstantValueModel):
     """Constant model that records every request object reaching ``evaluate``."""
 
-    def __init__(self, scale=LIKERT10) -> None:
-        super().__init__(3.0, scale=scale)
+    def __init__(self) -> None:
+        super().__init__(3.0, scale=LIKERT10)
         self.seen: list[EvalRequest] = []
 
     def evaluate(self, task, request, n_samples=1, aggregation=Aggregation.MEDIAN):
@@ -487,7 +439,6 @@ WRAPPERS = {
     ),
     "serialized": SerializedValueModel,
     "tabular-miss": lambda spy: TabularValueModel(spy, Dataset()),
-    "attribute-adjusted": AttributeAdjustedValueModel,
 }
 
 
@@ -495,10 +446,10 @@ class TestWrappersForwardTheRequest:
     @pytest.mark.parametrize("kind", list(WRAPPERS))
     @pytest.mark.parametrize("entry", ["evaluate", "evaluate_many"])
     def test_inner_model_receives_the_callers_request(self, kind, entry):
-        spy = RequestSpy(scale=ATTRIBUTE4 if kind == "attribute-adjusted" else LIKERT10)
+        spy = RequestSpy()
         wrapper = WRAPPERS[kind](spy)
         task, trajectory = synthetic_trajectory("s1")
-        request = EvalRequest(trajectory, prior_value=5.0, candidate_actions=["step a"])
+        request = EvalRequest(trajectory, candidate_actions=["step a"])
         if entry == "evaluate":
             wrapper.evaluate(task, request, n_samples=2, aggregation=Aggregation.MEAN)
         else:
