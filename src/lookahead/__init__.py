@@ -20,7 +20,7 @@ from .core import (
     state_key,
 )
 from .search import SearchConfig, SearchTree, beam_search, greedy_search, mcts_search
-from .stl import Dataset, StlConfig, stl_run, tabular_fine_tune
+from .stl import Dataset, StlConfig, stl_run
 from .evaluation import Ledger, PricingTable, cost, paired_bootstrap, pass_at_k
 
 __version__ = "0.1.0"
@@ -52,5 +52,4 @@ __all__ = [
     "render_context",
     "state_key",
     "stl_run",
-    "tabular_fine_tune",
 ]

@@ -10,10 +10,10 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from ..core import Aggregation, Task, ValueEstimate
+from ..core import Aggregation, Task, Trajectory, ValueEstimate
 from .policies import Policy
 from .scales import MalformedRationale
-from .values import EvalRequest, ValueModel
+from .values import ValueModel
 
 
 class SerializedPolicy(Policy):
@@ -37,22 +37,22 @@ class SerializedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
         with self._lock:
-            return self.inner.evaluate(task, request, n_samples, aggregation)
+            return self.inner.evaluate(task, trajectory, n_samples, aggregation)
 
     def evaluate_many(
         self,
         task: Task,
-        requests: Sequence[EvalRequest],
+        trajectories: Sequence[Trajectory],
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> list[ValueEstimate | MalformedRationale]:
         with self._lock:
-            return self.inner.evaluate_many(task, requests, n_samples, aggregation)
+            return self.inner.evaluate_many(task, trajectories, n_samples, aggregation)
 
 
 def ensure_concurrent_policy(policy: Policy) -> Policy:

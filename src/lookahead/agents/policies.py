@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from ..evaluation import Ledger
 
 _ACTION_LINE_RE = re.compile(r"^Action:\s*(.+)$", re.MULTILINE)
+_MAX_CALLS_PER_ACTION = 2
 
 
 class Policy(ABC):
@@ -73,8 +74,7 @@ class RemotePolicy(Policy):
     the prompt's not-allowed list for subsequent calls.  Actions outside the
     environment's enumerable set (when one exists) are rejected, malformed
     replies are counted in ``malformed_count``, and harvesting stops after
-    ``branching`` distinct actions or ``max_calls_per_action * branching``
-    transport calls.
+    ``branching`` distinct actions or ``2 * branching`` transport calls.
     """
 
     def __init__(
@@ -82,23 +82,13 @@ class RemotePolicy(Policy):
         transport: Transport,
         model: str,
         environment: Environment,
-        few_shot_examples: str = "",
-        max_calls_per_action: int = 2,
-        temperature: float = 1.0,
-        max_tokens: int = 3192,
         ledger: "Ledger | None" = None,
-        role: str = "policy",
     ) -> None:
         self.transport = transport
         self.model = model
         self.env = environment
         self.template = load_template(environment.name, "policy")
-        self.few_shot_examples = few_shot_examples
-        self.max_calls_per_action = max_calls_per_action
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.ledger = ledger
-        self.role = role
         self.malformed_count = 0
         self.concurrent_safe = transport.concurrent_safe
 
@@ -122,27 +112,22 @@ class RemotePolicy(Policy):
         allowed_texts = None if allowed is None else {a.text for a in allowed}
         harvested: list[Action] = []
         blocked = set(disallowed)
-        max_calls = self.max_calls_per_action * branching
-        for _ in range(max_calls):
+        for _ in range(_MAX_CALLS_PER_ACTION * branching):
             if len(harvested) >= branching:
                 break
             prompt = render_template(
                 self.template,
                 not_allowed_actions="\n".join(sorted(blocked)) or "(none)",
-                few_shot_examples=self.few_shot_examples,
                 input=render_context(trajectory),
             )
             response = self.transport.send(
                 ChatRequest(
-                    model=self.model,
-                    messages=(ChatMessage(role="user", content=prompt),),
-                    temperature=self.temperature,
-                    max_tokens=self.max_tokens,
+                    model=self.model, messages=(ChatMessage(role="user", content=prompt),)
                 )
             )
             if self.ledger is not None:
                 self.ledger.add_tokens(
-                    self.role,
+                    "policy",
                     self.model,
                     response.prompt_tokens,
                     response.completion_tokens,

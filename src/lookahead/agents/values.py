@@ -1,12 +1,9 @@
 """Value models: oracle, scripted doubles, remote and depth-routed.
 
-A value model maps an :class:`EvalRequest` to a
-:class:`~lookahead.core.ValueEstimate` under a declared scale.  The request
-holds the trajectory ending at the state under judgment, and the engine may
-add the successor's candidate actions (``candidate_actions``); models that
-do not need them ignore them.
-Every model's primitive is ``evaluate(task, request, n_samples,
-aggregation)``; wrappers hand the caller's request to their inner model
+A value model maps the trajectory ending at the state under judgment to a
+:class:`~lookahead.core.ValueEstimate` under a declared scale.
+Every model's primitive is ``evaluate(task, trajectory, n_samples,
+aggregation)``; wrappers hand the caller's trajectory to their inner model
 unchanged.
 """
 
@@ -36,14 +33,6 @@ if TYPE_CHECKING:
     from ..evaluation import Ledger
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    """One state to judge: its trajectory plus the engine's optional context."""
-
-    trajectory: Trajectory
-    candidate_actions: list[str] | None = None
-
-
 class ValueModel(ABC):
     scale: ValueScale = NUMERIC10
     concurrent_safe: bool = True
@@ -52,7 +41,7 @@ class ValueModel(ABC):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate: ...
@@ -60,29 +49,29 @@ class ValueModel(ABC):
     def evaluate_many(
         self,
         task: Task,
-        requests: Sequence[EvalRequest],
+        trajectories: Sequence[Trajectory],
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> list[ValueEstimate | MalformedRationale]:
-        """Evaluate ``requests`` in order, one result per request.
+        """Evaluate ``trajectories`` in order, one result per trajectory.
 
-        A parse failure is returned in its request's slot rather than raised;
-        any other exception propagates.
+        A parse failure is returned in its trajectory's slot rather than
+        raised; any other exception propagates.
         """
         return [
-            self._evaluate_request(task, request, n_samples, aggregation)
-            for request in requests
+            self._evaluate_one(task, trajectory, n_samples, aggregation)
+            for trajectory in trajectories
         ]
 
-    def _evaluate_request(
+    def _evaluate_one(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int,
         aggregation: Aggregation,
     ) -> ValueEstimate | MalformedRationale:
         try:
-            return self.evaluate(task, request, n_samples, aggregation)
+            return self.evaluate(task, trajectory, n_samples, aggregation)
         except MalformedRationale as exc:
             return exc
 
@@ -99,11 +88,11 @@ class OracleValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
-        numbers = state_numbers(request.trajectory.final_state)
+        numbers = state_numbers(trajectory.final_state)
         verdict = solve_verdict(numbers)
         value = self.scale.labels[verdict.value]  # type: ignore[index]
         reach = "can" if verdict is Verdict.SURE else "cannot"
@@ -138,11 +127,11 @@ class ScriptedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
-        state = request.trajectory.final_state
+        state = trajectory.final_state
         value = self.values.get(state.id, self.default)
         rationale = (
             f"Scripted evaluation of state {state.id}. "
@@ -166,7 +155,7 @@ class ConstantValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
@@ -192,8 +181,8 @@ class RemoteValueModel(ValueModel):
     aggregate.  Parsed replies keep their round and choice order.  If no
     reply parses the evaluation raises :class:`MalformedRationale`.
 
-    :meth:`evaluate_many` runs each request's :meth:`evaluate` on its own
-    thread when the transport is safe for concurrent use.  Every request's
+    :meth:`evaluate_many` runs each trajectory's :meth:`evaluate` on its own
+    thread when the transport is safe for concurrent use.  Every evaluation's
     rounds still run in order on one thread, so a transport whose replies
     depend only on the prompt and its draw count answers exactly as it does
     serially.
@@ -205,49 +194,29 @@ class RemoteValueModel(ValueModel):
         model: str,
         environment: Environment,
         scale: ValueScale,
-        role: str = "value",
-        few_shot_examples: str = "",
         redraw_limit: int = 2,
-        temperature: float = 1.0,
-        max_tokens: int = 3192,
         ledger: "Ledger | None" = None,
     ) -> None:
         self.transport = transport
         self.model = model
-        self.env = environment
         self.scale = scale
-        self.role = role
         self.template = load_template(environment.name, "value")
-        self.few_shot_examples = few_shot_examples
         self.redraw_limit = redraw_limit
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.ledger = ledger
         self.malformed_count = 0
         self._malformed_lock = threading.Lock()
         self.concurrent_safe = transport.concurrent_safe
 
-    def _prompt(self, request: EvalRequest) -> str:
-        return render_template(
-            self.template,
-            few_shot_examples=self.few_shot_examples,
-            input=render_context(request.trajectory),
-            possible_actions="\n".join(request.candidate_actions or []) or "(none listed)",
-        )
-
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
-        prompt = self._prompt(request)
+        prompt = render_template(self.template, input=render_context(trajectory))
         chat = ChatRequest(
-            model=self.model,
-            messages=(ChatMessage(role="user", content=prompt),),
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
+            model=self.model, messages=(ChatMessage(role="user", content=prompt),)
         )
         samples: list[tuple[str, float]] = []
         for _round in range(1 + self.redraw_limit):
@@ -257,7 +226,7 @@ class RemoteValueModel(ValueModel):
             response = self.transport.send(replace(chat, n=missing))
             if self.ledger is not None:
                 self.ledger.add_tokens(
-                    self.role,
+                    "value",
                     self.model,
                     response.prompt_tokens,
                     response.completion_tokens,
@@ -282,22 +251,22 @@ class RemoteValueModel(ValueModel):
     def evaluate_many(
         self,
         task: Task,
-        requests: Sequence[EvalRequest],
+        trajectories: Sequence[Trajectory],
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> list[ValueEstimate | MalformedRationale]:
-        """Overlap the requests' evaluations, one thread per request.
+        """Overlap the evaluations, one thread per trajectory.
 
         The pool drains before any result is read, so the earliest failure
-        in request order (for example a :class:`TransportError`) is the one
-        raised.
+        in trajectory order (for example a :class:`TransportError`) is the
+        one raised.
         """
-        if not self.concurrent_safe or len(requests) < 2:
-            return super().evaluate_many(task, requests, n_samples, aggregation)
-        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+        if not self.concurrent_safe or len(trajectories) < 2:
+            return super().evaluate_many(task, trajectories, n_samples, aggregation)
+        with ThreadPoolExecutor(max_workers=len(trajectories)) as pool:
             futures = [
-                pool.submit(self._evaluate_request, task, request, n_samples, aggregation)
-                for request in requests
+                pool.submit(self._evaluate_one, task, trajectory, n_samples, aggregation)
+                for trajectory in trajectories
             ]
         return [future.result() for future in futures]
 
@@ -326,23 +295,23 @@ class RoutedValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
-        model = self.router.route(request.trajectory.depth)
-        return model.evaluate(task, request, n_samples, aggregation)
+        model = self.router.route(trajectory.depth)
+        return model.evaluate(task, trajectory, n_samples, aggregation)
 
     def evaluate_many(
         self,
         task: Task,
-        requests: Sequence[EvalRequest],
+        trajectories: Sequence[Trajectory],
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> list[ValueEstimate | MalformedRationale]:
-        """Route once when every request shares a depth, as siblings do."""
-        depths = {request.trajectory.depth for request in requests}
+        """Route once when every trajectory shares a depth, as siblings do."""
+        depths = {trajectory.depth for trajectory in trajectories}
         if len(depths) != 1:
-            return super().evaluate_many(task, requests, n_samples, aggregation)
+            return super().evaluate_many(task, trajectories, n_samples, aggregation)
         model = self.router.route(depths.pop())
-        return model.evaluate_many(task, requests, n_samples, aggregation)
+        return model.evaluate_many(task, trajectories, n_samples, aggregation)

@@ -1,9 +1,9 @@
 """Command-line entry point: run searches, self-training, evals, reports.
 
 One structured JSON config file drives everything; every flag overrides its
-config field (flags win).  Each run writes ``manifest.json`` — version, seed,
-and the fully-resolved config — and re-running from a manifest with scripted
-agents reproduces every artifact byte-for-byte.
+config field (flags win).  Each run writes ``manifest.json`` — the package
+version and the fully-resolved config — and re-running from a manifest with
+scripted agents reproduces every artifact byte-for-byte.
 
 Exit codes: 0 success, 2 configuration error, 3 transport-fatal error,
 4 I/O error.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +46,7 @@ from .evaluation import (
     emit_report,
     paired_bootstrap,
 )
-from .search import ENGINES, SearchConfig, dump_tree
+from .search import ENGINES, SearchConfig, dump_tree, safe_name
 from .stl import (
     StlConfig,
     StlError,
@@ -81,7 +80,6 @@ class ExperimentConfig:
     policy: str = "exhaustive"
     value: str = "oracle"
     tasks: str | None = None
-    seed: int = 0
     out: str | None = None
     method: str | None = None
     attempts: int = 1
@@ -129,9 +127,6 @@ def _sub_config(data: Mapping, cls: type, where: str) -> Any:
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Build and validate a config; raises :class:`ConfigError` on any problem."""
-    # A manifest is a valid config source: unwrap its config snapshot.
-    if "config" in data and "version" in data:
-        data = data["config"]
     allowed = {f.name for f in fields(ExperimentConfig)}
     _check_keys(data, allowed, "config")
     kwargs: dict[str, Any] = dict(data)
@@ -195,8 +190,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("parallel must be at least 1")
     if config.k < 1:
         raise ConfigError("k must be at least 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative")
     if config.value_scale is not None and config.value_scale not in SCALES:
         raise ConfigError(
             f"value_scale must be one of {sorted(SCALES)}, got {config.value_scale!r}"
@@ -223,6 +216,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
     data: dict[str, Any] = {}
     if path is not None:
         raw = _read_json(path, "config")
+        # A manifest is a valid config source: unwrap its config snapshot.
         if isinstance(raw, dict) and "config" in raw and "version" in raw:
             raw = raw["config"]
         if not isinstance(raw, dict):
@@ -230,8 +224,11 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
         for key in ("search", "stl"):
             if not isinstance(raw.get(key, {}), dict):
                 raise ConfigError(f"config file {path}: {key!r} must be a JSON object")
-        if not isinstance(raw.get("search", {}).get("excluded_actions", []), list):
-            raise ConfigError(f"config file {path}: 'excluded_actions' must be a list")
+        excluded = raw.get("search", {}).get("excluded_actions", [])
+        if not isinstance(excluded, list) or not all(isinstance(a, str) for a in excluded):
+            raise ConfigError(
+                f"config file {path}: 'excluded_actions' must be a list of action strings"
+            )
         data = dict(raw)
     for key, value in overrides.items():
         if value is None:
@@ -252,27 +249,34 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
 def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     """Read a ``{"tasks": [{id, instruction, split?}]}`` JSON file.
 
-    With ``env``, every task must also yield an initial state there.
+    With ``env``, every task must also yield an initial state there.  Ids
+    must stay distinct as tree file names (:func:`~lookahead.search.safe_name`).
     """
     data = _read_json(path, "tasks")
     if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
         raise ConfigError(f"tasks file {path} must contain a 'tasks' array")
     tasks: list[Task] = []
-    seen: set[str] = set()
+    seen: dict[str, str] = {}
     for index, entry in enumerate(data["tasks"]):
         try:
             split = Split(entry.get("split", "rollout"))
             task = Task(id=entry["id"], instruction=entry["instruction"], split=split)
+            name = safe_name(task.id)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
-        if task.id in seen:
-            raise ConfigError(f"tasks file {path}: duplicate task id {task.id!r}")
+        if name in seen:
+            if seen[name] == task.id:
+                raise ConfigError(f"tasks file {path}: duplicate task id {task.id!r}")
+            raise ConfigError(
+                f"tasks file {path}: task ids {seen[name]!r} and {task.id!r} "
+                f"share the file name {name!r}"
+            )
         if env is not None:
             try:
                 env.initial_state(task)
             except ValueError as exc:
                 raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
-        seen.add(task.id)
+        seen[name] = task.id
         tasks.append(task)
     if not tasks:
         raise ConfigError(f"tasks file {path} contains no tasks")
@@ -384,28 +388,17 @@ def resolve_out_dir(config: ExperimentConfig) -> Path:
     if config.out is not None:
         return Path(config.out)
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path("runs") / f"{stamp}-seed{config.seed}"
+    return Path("runs") / stamp
 
 
 def write_manifest(config: ExperimentConfig, out_dir: Path) -> Path:
-    manifest = {
-        "version": __version__,
-        "seed": config.seed,
-        "config": config.to_dict(),
-    }
+    manifest = {"version": __version__, "config": config.to_dict()}
     path = out_dir / "manifest.json"
     path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
     return path
-
-
-_FILENAME_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _safe_name(task_id: str) -> str:
-    return _FILENAME_SAFE_RE.sub("-", task_id)
 
 
 def cmd_search(config: ExperimentConfig) -> int:
@@ -448,7 +441,7 @@ def cmd_search(config: ExperimentConfig) -> int:
         for attempt in range(1, config.attempts + 1):
             tree = trees[task_index * config.attempts + (attempt - 1)]
             dump_tree(
-                tree, out_dir / "trees" / f"{_safe_name(task.id)}__a{attempt}.json"
+                tree, out_dir / "trees" / f"{safe_name(task.id)}__a{attempt}.json"
             )
             failures += len(tree.stats.failures)
             attempt_scores.append(env.ground_truth_score(tree.final_trajectory()))
@@ -642,8 +635,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="oracle | constant:<v> | scripted:<fixture> | remote:<model> | stl-dataset:<path>",
     )
     parser.add_argument("--tasks", help="tasks JSON file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory (default: runs/<stamp>-seed<seed>)")
+    parser.add_argument("--out", help="output directory (default: runs/<stamp>)")
     parser.add_argument("--method", help="label used in results and reports")
     parser.add_argument("--attempts", type=int)
     parser.add_argument("--parallel", type=int, help="concurrent task rollouts")
@@ -668,12 +660,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=None,
         dest="search.normalize_backup",
-    )
-    parser.add_argument(
-        "--feed-candidate-actions",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="search.feed_candidate_actions",
     )
     # stl sub-config
     parser.add_argument("--iterations", type=int, dest="stl.iterations")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -31,7 +32,7 @@ from .core import Action, Aggregation, State, Task, Trajectory, ValueEstimate
 from .envs.base import ActionRejected, Environment
 from .agents.policies import Policy
 from .agents.scales import MalformedRationale
-from .agents.values import EvalRequest, ValueModel
+from .agents.values import ValueModel
 
 if TYPE_CHECKING:
     from .evaluation import Ledger
@@ -46,12 +47,10 @@ class SearchConfig:
     beam_width: int = 5
     mcts_iterations: int = 5
     exploration: float = math.sqrt(2.0)
-    seed: int = 0
     value_samples: int = 1
     value_aggregation: Aggregation = Aggregation.MEDIAN
     excluded_actions: tuple[str, ...] = ()
     normalize_backup: bool = True
-    feed_candidate_actions: bool = False
 
     def __post_init__(self) -> None:
         if self.branching < 1:
@@ -182,6 +181,15 @@ class SearchTree:
         }
 
 
+_FILENAME_UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def safe_name(task_id: str) -> str:
+    """``task_id`` as one file-name component: each run of other characters
+    becomes ``-``, so no id can name a directory or leave the trees folder."""
+    return _FILENAME_UNSAFE_RE.sub("-", task_id)
+
+
 def dump_tree(tree: SearchTree, path: str | Path) -> None:
     """Write the documented tree-dump JSON (deterministic byte layout)."""
     path = Path(path)
@@ -240,7 +248,7 @@ class _Expander:
         # Pass 1: transition every proposal.  A slot holds the child awaiting
         # its estimate, or the failure line of a rejected action.
         slots: list[TreeNode | str] = []
-        requests: list[EvalRequest] = []
+        trajectories: list[Trajectory] = []
         for action in proposals:
             try:
                 successor = self.env.transition(node.state, action)
@@ -252,18 +260,13 @@ class _Expander:
                 self.ledger.add_states(1, task_id=self.task.id)
             child = self.tree._add(successor, node.uid, action)
             child.terminal = self.env.is_terminal(successor)
-            candidates = None
-            if self.config.feed_candidate_actions and not child.terminal:
-                listed = self.env.enumerable_actions(successor)
-                if listed is not None:
-                    candidates = [a.text for a in listed]
-            requests.append(EvalRequest(self.tree.trajectory_to(child.uid), candidates))
+            trajectories.append(self.tree.trajectory_to(child.uid))
             slots.append(child)
         # Pass 2: judge every child in one call.
         estimates = iter(
             self.value_model.evaluate_many(
                 self.task,
-                requests,
+                trajectories,
                 self.config.value_samples,
                 self.config.value_aggregation,
             )

@@ -30,10 +30,10 @@ from .core import (
 )
 from .agents.rationales import format_lookahead_block, parse_simulated_lookahead
 from .agents.scales import MalformedRationale, ValueScale, parse_value, strip_score_sentence
-from .agents.values import DepthRouter, EvalRequest, RoutedValueModel, ValueModel
+from .agents.values import DepthRouter, RoutedValueModel, ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
-from .search import ENGINES, SearchConfig, SearchTree, dump_tree
+from .search import ENGINES, SearchConfig, SearchTree, dump_tree, safe_name
 
 if TYPE_CHECKING:
     from .evaluation import Ledger
@@ -352,25 +352,25 @@ class TabularValueModel(ValueModel):
     def evaluate(
         self,
         task: Task,
-        request: EvalRequest,
+        trajectory: Trajectory,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> ValueEstimate:
-        stored = self.table.get(state_key(task, request.trajectory))
+        stored = self.table.get(state_key(task, trajectory))
         if stored is None:
-            return self.base_model.evaluate(task, request, n_samples, aggregation)
+            return self.base_model.evaluate(task, trajectory, n_samples, aggregation)
         return _stored_estimate(stored, aggregation)
 
     def evaluate_many(
         self,
         task: Task,
-        requests: Sequence[EvalRequest],
+        trajectories: Sequence[Trajectory],
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
     ) -> list[ValueEstimate | MalformedRationale]:
         """Answer hits from the table; send all misses to the base model at once."""
-        stored = [self.table.get(state_key(task, r.trajectory)) for r in requests]
-        misses = [r for r, hit in zip(requests, stored) if hit is None]
+        stored = [self.table.get(state_key(task, t)) for t in trajectories]
+        misses = [t for t, hit in zip(trajectories, stored) if hit is None]
         answers = iter(self.base_model.evaluate_many(task, misses, n_samples, aggregation))
         return [
             next(answers) if hit is None else _stored_estimate(hit, aggregation)
@@ -389,13 +389,9 @@ def _stored_estimate(stored: tuple[str, float], aggregation: Aggregation) -> Val
 
 
 class TabularTrainer(Trainer):
-    def fine_tune(self, base_model: ValueModel, dataset: Dataset) -> ValueModel:
-        return tabular_fine_tune(base_model, dataset)
-
-
-def tabular_fine_tune(base_model: ValueModel, dataset: Dataset) -> TabularValueModel:
-    """The gradient-free stand-in for LLM fine-tuning used throughout the tests."""
-    return TabularValueModel(base_model, dataset)
+    def fine_tune(self, base_model: ValueModel, dataset: Dataset) -> TabularValueModel:
+        """The gradient-free stand-in for LLM fine-tuning used throughout the tests."""
+        return TabularValueModel(base_model, dataset)
 
 
 def collect_candidates(
@@ -520,7 +516,7 @@ def stl_run(
                 trees.append(tree)
             if out_path is not None:
                 dump_tree(
-                    tree, out_path / "trees" / f"iter{iteration:02d}__{task.id}.json"
+                    tree, out_path / "trees" / f"iter{iteration:02d}__{safe_name(task.id)}.json"
                 )
             found, duplicates = collect_candidates(
                 task, tree, stl_config.gamma, stl_config.min_example_depth

@@ -1,14 +1,25 @@
 """End-to-end command-line behaviour: configs, artifacts, exit codes."""
 
 import json
+import re
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from lookahead.cli import ConfigError, build_parser, config_from_dict, main, write_manifest
+from lookahead.cli import (
+    ConfigError,
+    ExperimentConfig,
+    build_parser,
+    config_from_dict,
+    load_config,
+    main,
+    resolve_out_dir,
+    write_manifest,
+)
 from lookahead.envs import Game24Env, ScriptedEnvironment
-from lookahead.search import ENGINES
+from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import StlConfig
 
 WEBSHOP_ENV = "scripted:fixtures/webshop_demo_env.json"
@@ -205,6 +216,8 @@ class TestConfigHandling:
             ("search", "config.json", {"search": 5}, "--config={path}"),
             ("stl", "config.json", {"stl": 5}, "--config={path}"),
             ("search", "config.json", {"search": {"excluded_actions": 5}}, "--config={path}"),
+            ("search", "config.json", {"search": {"excluded_actions": [1]}}, "--config={path}"),
+            ("search", "tasks.json", {"tasks": [{"id": 5, "instruction": "4 6 6 8"}]}, "--tasks={path}"),
             ("search", "values.json", {"values": 5}, "--value=scripted:{path}"),
             ("search", "values.json", {"values": {"s": "high"}}, "--value=scripted:{path}"),
             ("search", "values.json", {"values": {}, "scale": "bogus"}, "--value=scripted:{path}"),
@@ -216,6 +229,8 @@ class TestConfigHandling:
             "search-not-an-object",
             "stl-not-an-object",
             "excluded-actions-not-a-list",
+            "excluded-action-not-a-string",
+            "task-id-not-a-string",
             "value-fixture-values-not-an-object",
             "value-fixture-non-numeric-value",
             "value-fixture-unknown-scale",
@@ -245,19 +260,52 @@ class TestConfigHandling:
                     "environment": WEBSHOP_ENV,
                     "value": WEBSHOP_VALUES,
                     "tasks": tasks,
-                    "seed": 1,
+                    "attempts": 1,
                     "out": str(tmp_path / "out"),
                 }
             ),
             encoding="utf-8",
         )
         code, _, _ = run_cli(
-            ["search", "--config", str(config), "--seed", "7"], capsys
+            ["search", "--config", str(config), "--attempts", "2"], capsys
         )
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["seed"] == 7
-        assert manifest["config"]["seed"] == 7
+        assert manifest["config"]["attempts"] == 2
+        assert (tmp_path / "out" / "trees" / "w1__a2.json").exists()
+
+    def test_task_ids_sharing_a_tree_file_name_exit_2(self, tmp_path, capsys):
+        tasks = write_tasks(
+            tmp_path / "tasks.json",
+            [
+                {"id": "a/b", "instruction": "1 2 3 4"},
+                {"id": "a-b", "instruction": "4 6 6 8"},
+            ],
+        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(["search", "--tasks", tasks, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "'a/b'" in err and "'a-b'" in err
+        assert not out.exists()
+
+    def test_default_out_dir_is_the_time_stamp(self):
+        assert re.fullmatch(r"runs/\d{8}-\d{6}", resolve_out_dir(ExperimentConfig()).as_posix())
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        listing = readme.split("Top-level keys:", 1)[1].split("Unknown keys are rejected.", 1)[0]
+        nested = dict(re.findall(r"`(search|stl)` \(([^)]*)\)", listing))
+        top_level = re.sub(r"`(search|stl)` \([^)]*\)", "", listing)
+
+        def keys(text):
+            return re.findall(r"`(\w+)`", text)
+
+        assert keys(top_level) == [
+            f.name for f in fields(ExperimentConfig) if f.name not in ("search", "stl")
+        ]
+        assert keys(nested["search"]) == [f.name for f in fields(SearchConfig)]
+        assert keys(nested["stl"]) == [f.name for f in fields(StlConfig)]
 
     def test_rerun_from_manifest_reproduces_results(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -281,7 +329,9 @@ class TestConfigHandling:
         ).read_bytes()
 
 
-GOLDEN_MANIFEST = """\
+# The manifest an earlier release wrote for the same config: its dropped keys
+# (`seed`, `search.seed`, `search.feed_candidate_actions`) no longer load.
+V1_MANIFEST = """\
 {
   "config": {
     "api_key_env": "LOOKAHEAD_API_KEY",
@@ -333,13 +383,60 @@ GOLDEN_MANIFEST = """\
 """
 
 
+GOLDEN_MANIFEST = """\
+{
+  "config": {
+    "api_key_env": "LOOKAHEAD_API_KEY",
+    "attempts": 2,
+    "base_url": "https://api.openai.com/v1",
+    "engine": "beam",
+    "environment": "game24",
+    "k": 3,
+    "method": "golden",
+    "out": null,
+    "parallel": 1,
+    "policy": "exhaustive",
+    "pricing": null,
+    "search": {
+      "beam_width": 3,
+      "branching": 5,
+      "excluded_actions": [
+        "Click[Back]",
+        "Search[sofa]"
+      ],
+      "exploration": 0.5,
+      "max_depth": 5,
+      "mcts_iterations": 5,
+      "normalize_backup": true,
+      "value_aggregation": "mean",
+      "value_samples": 1
+    },
+    "stl": {
+      "accumulate": false,
+      "engine": "greedy",
+      "gamma": 0.5,
+      "iterations": 1,
+      "mask": "completion-only",
+      "min_example_depth": 1,
+      "per_depth": true,
+      "tasks_per_iteration": 1
+    },
+    "success_threshold": 1.0,
+    "tasks": null,
+    "value": "constant:5",
+    "value_scale": null
+  },
+  "version": "0.1.0"
+}
+"""
+
+
 class TestManifest:
     def test_manifest_bytes_are_pinned_for_a_non_default_config(self, tmp_path):
         config = config_from_dict(
             {
                 "engine": "beam",
                 "value": "constant:5",
-                "seed": 3,
                 "method": "golden",
                 "attempts": 2,
                 "search": {
@@ -359,7 +456,15 @@ class TestManifest:
         )
         path = write_manifest(config, tmp_path)
         assert path.read_text(encoding="utf-8") == GOLDEN_MANIFEST
-        assert config_from_dict(json.loads(GOLDEN_MANIFEST)) == config
+        assert load_config(path, {}) == config
+
+    def test_replaying_a_v1_manifest_exits_2_naming_seed(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(V1_MANIFEST, encoding="utf-8")
+        code, _, err = run_cli(["search", "--config", str(manifest)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "seed" in err
 
 
 class TestEngineChoices:
@@ -507,6 +612,22 @@ class TestStlCommand:
         assert (out / "stl" / "final_model.jsonl").exists()
         assert (out / "stl" / "stl_report.json").exists()
         assert "per-depth sizes" in stdout
+
+    def test_tree_files_use_safe_task_names(self, tmp_path, capsys):
+        tasks = write_tasks(
+            tmp_path / "tasks.json",
+            [
+                {"id": "a/b", "instruction": "buy the gray sofa"},
+                {"id": "../../escape/x", "instruction": "buy the gray sofa again"},
+            ],
+        )
+        out = tmp_path / "out"
+        argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
+        argv += ["--stl-engine", "greedy", "--tasks-per-iteration", "2"]
+        code, _, err = run_cli([*argv, "--tasks", tasks, "--out", str(out)], capsys)
+        assert code == 0, err
+        trees = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.json") if "trees" in p.parts)
+        assert trees == ["stl/trees/iter01__..-..-escape-x.json", "stl/trees/iter01__a-b.json"]
 
     def test_game24_stl_artifact_reloads_for_search(self, tmp_path, capsys):
         tasks = game24_tasks(tmp_path / "tasks.json")

@@ -102,7 +102,7 @@ class TestRemotePolicy:
         env = Game24Env()
         trajectory = root_trajectory(env)
         transport = ScriptedTransport(["junk"] * 50)
-        policy = RemotePolicy(transport, "test-model", env, max_calls_per_action=2)
+        policy = RemotePolicy(transport, "test-model", env)
         actions = policy.propose(TASK, trajectory, branching=3)
         assert actions == []
         assert len(transport.requests_seen) == 6

@@ -78,10 +78,10 @@ class FlakyValueModel(ScriptedValueModel):
         super().__init__(values)
         self.bad_ids = set(bad_ids)
 
-    def evaluate(self, task, request, n_samples=1, aggregation=None):
-        if request.trajectory.final_state.id in self.bad_ids:
+    def evaluate(self, task, trajectory, n_samples=1, aggregation=None):
+        if trajectory.final_state.id in self.bad_ids:
             raise MalformedRationale("scaffolding-missing", "synthetic failure")
-        return super().evaluate(task, request, n_samples)
+        return super().evaluate(task, trajectory, n_samples)
 
 
 def terminal_ids(tree):

@@ -11,7 +11,6 @@ from lookahead.agents.rationales import format_lookahead_block, parse_simulated_
 from lookahead.agents.scales import LIKERT10, NUMERIC10
 from lookahead.agents.values import (
     ConstantValueModel,
-    EvalRequest,
     OracleValueModel,
     RoutedValueModel,
     ScriptedValueModel,
@@ -35,6 +34,7 @@ from lookahead.stl import (
     ExampleCandidate,
     StlConfig,
     StlError,
+    TabularTrainer,
     TabularValueModel,
     Trainer,
     TrainerError,
@@ -47,7 +47,6 @@ from lookahead.stl import (
     lookahead_target,
     make_training_example,
     stl_run,
-    tabular_fine_tune,
 )
 
 TASK = Task(id="t1", instruction="walk one", split=Split.ROLLOUT)
@@ -358,8 +357,8 @@ class TestTabularValueModel:
         ex = make_training_example(candidate, 1, NUMERIC10)
         dataset, _ = dedup_latest(Dataset(), [ex], 1)
         base = ConstantValueModel(2.0)
-        model = tabular_fine_tune(base, dataset)
-        result = model.evaluate(candidate.task, EvalRequest(candidate.trajectory))
+        model = TabularTrainer().fine_tune(base, dataset)
+        result = model.evaluate(candidate.task, candidate.trajectory)
         assert result.value == 4.0
         assert result.rationale == ex.completion
 
@@ -368,7 +367,7 @@ class TestTabularValueModel:
         model = TabularValueModel(base, Dataset())
         task = Task(id="tx", instruction="other", split=Split.ROLLOUT)
         trajectory = Trajectory.from_state(task, root_state("other"))
-        assert model.evaluate(task, EvalRequest(trajectory)).value == 2.0
+        assert model.evaluate(task, trajectory).value == 2.0
 
     def test_scale_follows_base(self):
         base = ConstantValueModel(2.0, scale=LIKERT10)
@@ -430,7 +429,7 @@ class SpyTrainer(Trainer):
     def fine_tune(self, base_model, dataset):
         self.base_models.append(base_model)
         self.dataset_sizes.append(len(dataset))
-        return tabular_fine_tune(base_model, dataset)
+        return TabularTrainer().fine_tune(base_model, dataset)
 
 
 class FailingTrainer(Trainer):
@@ -476,7 +475,7 @@ class TestStlRun:
         task = stl_tasks(1)[0]
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Best root successor is "a" at 6.0; discounted target is 3.0.
-        assert result.final_model.evaluate(task, EvalRequest(trajectory)).value == 3.0
+        assert result.final_model.evaluate(task, trajectory).value == 3.0
 
     def test_revisited_states_across_iterations_stay_parseable(self):
         # Same instruction every iteration: the trained model answers for
@@ -500,7 +499,7 @@ class TestStlRun:
             assert example.completion.count("Best Next Action:") == 1
         trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
         # Two iterations back the aw leaf (9.0) up to the root.
-        assert result.final_model.evaluate(tasks[0], EvalRequest(trajectory)).value == 9.0
+        assert result.final_model.evaluate(tasks[0], trajectory).value == 9.0
 
     def test_every_iteration_trains_from_base(self):
         env, policy, base = stl_setup()
@@ -608,7 +607,7 @@ class TestStlRun:
         root_trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Depth 0 has no trained model, so the base model answers with its
         # default for the root id.
-        assert model.evaluate(task, EvalRequest(root_trajectory)).value == 5.0
+        assert model.evaluate(task, root_trajectory).value == 5.0
 
     def test_empty_dataset_returns_base_model(self):
         env, policy, base = stl_setup()

@@ -23,7 +23,6 @@ from lookahead.agents.transport import ScriptedTransport, TransportError
 from lookahead.agents.values import (
     ConstantValueModel,
     DepthRouter,
-    EvalRequest,
     OracleValueModel,
     RemoteValueModel,
     RoutedValueModel,
@@ -61,14 +60,14 @@ def synthetic_trajectory(state_id: str = "s1", depth: int = 0) -> tuple[Task, Tr
 class TestOracleValueModel:
     def test_sure_state(self):
         env, task, trajectory = game24_trajectory("4 6 6 8")
-        estimate = OracleValueModel().evaluate(task, EvalRequest(trajectory))
+        estimate = OracleValueModel().evaluate(task, trajectory)
         assert estimate.value == 20.0
         assert parse_value(estimate.rationale, GAME24) == 20.0
         assert estimate.samples == (20.0,)
 
     def test_impossible_state(self):
         env, task, trajectory = game24_trajectory("1 1 1 1")
-        estimate = OracleValueModel().evaluate(task, EvalRequest(trajectory))
+        estimate = OracleValueModel().evaluate(task, trajectory)
         assert estimate.value == 0.001
         assert parse_value(estimate.rationale, GAME24) == 0.001
 
@@ -80,14 +79,14 @@ class TestScriptedValueModel:
     def test_known_state_and_default(self):
         task, trajectory = synthetic_trajectory("s1")
         model = ScriptedValueModel({"s1": 7.25}, default=1.0)
-        assert model.evaluate(task, EvalRequest(trajectory)).value == 7.25
+        assert model.evaluate(task, trajectory).value == 7.25
         task2, trajectory2 = synthetic_trajectory("unknown")
-        assert model.evaluate(task2, EvalRequest(trajectory2)).value == 1.0
+        assert model.evaluate(task2, trajectory2).value == 1.0
 
     def test_rationale_parses_on_declared_scale(self):
         task, trajectory = synthetic_trajectory("s1")
         model = ScriptedValueModel({"s1": 7.25})
-        estimate = model.evaluate(task, EvalRequest(trajectory))
+        estimate = model.evaluate(task, trajectory)
         assert parse_value(estimate.rationale, model.scale) == 7.25
         assert "s1" in estimate.rationale
 
@@ -96,9 +95,9 @@ class TestConstantValueModel:
     def test_same_value_everywhere(self):
         task, trajectory = synthetic_trajectory("a")
         model = ConstantValueModel(1.0)
-        first = model.evaluate(task, EvalRequest(trajectory))
+        first = model.evaluate(task, trajectory)
         task2, trajectory2 = synthetic_trajectory("b", depth=2)
-        second = model.evaluate(task2, EvalRequest(trajectory2))
+        second = model.evaluate(task2, trajectory2)
         assert first.value == second.value == 1.0
         assert parse_value(first.rationale, model.scale) == 1.0
 
@@ -112,7 +111,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["All on track.\nsure"])
         model = RemoteValueModel(transport, "m", env, GAME24)
-        estimate = model.evaluate(task, EvalRequest(trajectory))
+        estimate = model.evaluate(task, trajectory)
         assert estimate.value == 20.0
         assert estimate.samples == (20.0,)
 
@@ -120,7 +119,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(2.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
-        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=3, aggregation=Aggregation.MEAN)
+        estimate = model.evaluate(task, trajectory, n_samples=3, aggregation=Aggregation.MEAN)
         assert estimate.value == 4.0
         assert estimate.samples == (2.0, 8.0, 2.0)
         # Representative rationale is the sample nearest the median (2.0 here).
@@ -130,7 +129,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["garbled", sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
-        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=1)
+        estimate = model.evaluate(task, trajectory, n_samples=1)
         assert estimate.value == 6.0
         assert estimate.samples == (6.0,)
         assert model.malformed_count == 1
@@ -142,7 +141,7 @@ class TestRemoteValueModel:
             ["junk", sample(8.0), sample(2.0)]
         )
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=1)
-        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=2, aggregation=Aggregation.MEAN)
+        estimate = model.evaluate(task, trajectory, n_samples=2, aggregation=Aggregation.MEAN)
         assert estimate.samples == (8.0, 2.0)
         assert estimate.value == 5.0
 
@@ -151,7 +150,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(["junk"] * 6)
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
         with pytest.raises(MalformedRationale) as err:
-            model.evaluate(task, EvalRequest(trajectory), n_samples=2)
+            model.evaluate(task, trajectory, n_samples=2)
         assert err.value.reason == "no-parsed-samples"
         # 1 + redraw_limit requests, each asking for both slots again:
         # n_samples * (1 + redraw_limit) draws.
@@ -164,7 +163,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(6.0)])
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
-        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=3)
+        estimate = model.evaluate(task, trajectory, n_samples=3)
         assert [r.n for r in transport.requests_seen] == [3]
         assert estimate.samples == (2.0, 8.0, 6.0)
         # The prompt is billed once for the three choices.
@@ -179,7 +178,7 @@ class TestRemoteValueModel:
             [sample(1.0), "junk", sample(2.0), "junk", "junk", sample(4.0), sample(8.0)]
         )
         model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
-        estimate = model.evaluate(task, EvalRequest(trajectory), n_samples=4)
+        estimate = model.evaluate(task, trajectory, n_samples=4)
         assert [r.n for r in transport.requests_seen] == [4, 2, 1]
         assert estimate.samples == (1.0, 2.0, 4.0, 8.0)
         assert model.malformed_count == 3
@@ -189,7 +188,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(["junk", sample(6.0)])
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
-        model.evaluate(task, EvalRequest(trajectory), n_samples=1)
+        model.evaluate(task, trajectory, n_samples=1)
         counts = ledger.tokens[("value", "m")]
         assert counts.completion == len("junk".split()) + len(sample(6.0).split())
 
@@ -197,7 +196,7 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
-        model.evaluate(task, EvalRequest(trajectory))
+        model.evaluate(task, trajectory)
         prompt = transport.requests_seen[0].messages[0].content
         assert "1 2 3" in prompt
 
@@ -211,7 +210,7 @@ class TestDepthRouting:
         model = RoutedValueModel(router)
         for depth, expected in [(0, 9.0), (1, 1.0), (2, 2.0), (3, 9.0)]:
             task, trajectory = synthetic_trajectory(depth=depth)
-            assert model.evaluate(task, EvalRequest(trajectory)).value == expected
+            assert model.evaluate(task, trajectory).value == expected
 
     def test_scale_follows_fallback(self):
         router = DepthRouter(models={}, fallback=ConstantValueModel(1.0, scale=LIKERT10))
@@ -232,7 +231,7 @@ class TestConcurrencyGates:
         assert isinstance(wrapped, SerializedValueModel)
         assert wrapped.concurrent_safe is True
         assert wrapped.scale is inner.scale
-        assert wrapped.evaluate(task, EvalRequest(trajectory)).value == 6.0
+        assert wrapped.evaluate(task, trajectory).value == 6.0
 
     def test_unsafe_policy_is_wrapped(self):
         env = Game24Env()
@@ -250,8 +249,8 @@ class TestConcurrencyGates:
         assert [a.text for a in actions] == ["1 + 2"]
 
 
-def game24_requests(*instructions: str) -> list[EvalRequest]:
-    return [EvalRequest(game24_trajectory(text)[2]) for text in instructions]
+def game24_trajectories(*instructions: str) -> list[Trajectory]:
+    return [game24_trajectory(text)[2] for text in instructions]
 
 
 def verdict_reply(prompt: str, draw: int) -> str:
@@ -266,24 +265,24 @@ class RecordingModel(ConstantValueModel):
 
     def __init__(self, value: float) -> None:
         super().__init__(value)
-        self.batches: list[list[EvalRequest]] = []
+        self.batches: list[list[Trajectory]] = []
 
-    def evaluate_many(self, task, requests, n_samples=1, aggregation=Aggregation.MEDIAN):
-        self.batches.append(list(requests))
-        return super().evaluate_many(task, requests, n_samples, aggregation)
+    def evaluate_many(self, task, trajectories, n_samples=1, aggregation=Aggregation.MEDIAN):
+        self.batches.append(list(trajectories))
+        return super().evaluate_many(task, trajectories, n_samples, aggregation)
 
 
 class TestEvaluateMany:
     def test_default_loops_in_order_and_returns_parse_failures(self):
         class Flaky(ScriptedValueModel):
-            def evaluate(self, task, request, *args, **kwargs):
-                if request.trajectory.final_state.id == "bad":
+            def evaluate(self, task, trajectory, *args, **kwargs):
+                if trajectory.final_state.id == "bad":
                     raise MalformedRationale("scaffolding-missing", "synthetic")
-                return super().evaluate(task, request, *args, **kwargs)
+                return super().evaluate(task, trajectory, *args, **kwargs)
 
         model = Flaky({"a": 1.0, "c": 3.0})
-        requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in ("a", "bad", "c")]
-        results = model.evaluate_many(TASK, requests)
+        trajectories = [synthetic_trajectory(i)[1] for i in ("a", "bad", "c")]
+        results = model.evaluate_many(TASK, trajectories)
         assert results[0].value == 1.0
         assert isinstance(results[1], MalformedRationale)
         assert results[1].reason == "scaffolding-missing"
@@ -291,14 +290,14 @@ class TestEvaluateMany:
 
     def test_remote_requests_overlap_and_match_serial_answers(self):
         env = Game24Env()
-        requests = game24_requests("1 1 1", "2 3 4", "4 6", "1 1 1 2")
+        trajectories = game24_trajectories("1 1 1", "2 3 4", "4 6", "1 1 1 2")
         gated = PromptKeyedTransport(verdict_reply, gate=2)
         model = RemoteValueModel(gated, "m", env, GAME24)
-        concurrent = model.evaluate_many(TASK, requests, n_samples=2)
+        concurrent = model.evaluate_many(TASK, trajectories, n_samples=2)
         assert gated.max_in_flight >= 2
         serial_transport = PromptKeyedTransport(verdict_reply, concurrent_safe=False)
         serial_model = RemoteValueModel(serial_transport, "m", env, GAME24)
-        serial = serial_model.evaluate_many(TASK, requests, n_samples=2)
+        serial = serial_model.evaluate_many(TASK, trajectories, n_samples=2)
         assert serial_transport.max_in_flight == 1
         assert concurrent == serial
         assert [r.value for r in concurrent] == [0.001, 20.0, 20.0, 0.001]
@@ -306,11 +305,11 @@ class TestEvaluateMany:
 
     def test_scripted_transport_stays_serial_and_in_order(self):
         env = Game24Env()
-        requests = game24_requests("1 2 3", "4 5 6", "7 8 9")
+        trajectories = game24_trajectories("1 2 3", "4 5 6", "7 8 9")
         transport = ScriptedTransport([sample(1.0), "junk", sample(2.0), sample(4.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
         assert model.concurrent_safe is False
-        results = model.evaluate_many(TASK, requests)
+        results = model.evaluate_many(TASK, trajectories)
         assert [r.value for r in results] == [1.0, 2.0, 4.0]
         seen = [r.messages[0].content for r in transport.requests_seen]
         for prompt, numbers in zip(seen, ["1 2 3", "4 5 6", "4 5 6", "7 8 9"]):
@@ -318,14 +317,14 @@ class TestEvaluateMany:
 
     def test_all_malformed_request_keeps_its_slot(self):
         env = Game24Env()
-        requests = game24_requests("2 3 4", "1 1 1", "4 6")
+        trajectories = game24_trajectories("2 3 4", "1 1 1", "4 6")
 
         def reply(prompt, draw):
             return "no verdict at all" if "1 1 1" in prompt else "fine\nsure"
 
         transport = PromptKeyedTransport(reply)
         model = RemoteValueModel(transport, "m", env, GAME24, redraw_limit=2)
-        results = model.evaluate_many(TASK, requests, n_samples=2)
+        results = model.evaluate_many(TASK, trajectories, n_samples=2)
         assert isinstance(results[1], MalformedRationale)
         assert results[1].reason == "no-parsed-samples"
         assert results[0].value == results[2].value == 20.0
@@ -335,14 +334,14 @@ class TestEvaluateMany:
         # More threads than cores and a tiny switch interval: a lost update
         # to the counter or the ledger would show as a short total.
         env = Game24Env()
-        requests = game24_requests(*(f"{i} {i + 1} 13" for i in range(1, 17)))
+        trajectories = game24_trajectories(*(f"{i} {i + 1} 13" for i in range(1, 17)))
         transport = PromptKeyedTransport(verdict_reply)
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = model.evaluate_many(TASK, requests, n_samples=3)
+            results = model.evaluate_many(TASK, trajectories, n_samples=3)
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 16
@@ -360,7 +359,7 @@ class TestEvaluateMany:
 
     def test_earliest_failure_in_request_order_raised_after_drain(self):
         env = Game24Env()
-        requests = game24_requests("2 3 4", "1 1 1", "4 6", "5 5 5")
+        trajectories = game24_trajectories("2 3 4", "1 1 1", "4 6", "5 5 5")
         release = threading.Event()
 
         def reply(prompt, draw):
@@ -376,7 +375,7 @@ class TestEvaluateMany:
         transport = PromptKeyedTransport(reply)
         model = RemoteValueModel(transport, "m", env, GAME24)
         with pytest.raises(TransportError, match="early request failed"):
-            model.evaluate_many(TASK, requests)
+            model.evaluate_many(TASK, trajectories)
         assert transport.sends == 4
         assert transport.in_flight == 0
 
@@ -384,53 +383,53 @@ class TestEvaluateMany:
         at_depth_one = RecordingModel(1.0)
         fallback = RecordingModel(9.0)
         model = RoutedValueModel(DepthRouter(models={1: at_depth_one}, fallback=fallback))
-        requests = [EvalRequest(synthetic_trajectory(i, depth=1)[1]) for i in "abc"]
-        results = model.evaluate_many(TASK, requests)
+        trajectories = [synthetic_trajectory(i, depth=1)[1] for i in "abc"]
+        results = model.evaluate_many(TASK, trajectories)
         assert [r.value for r in results] == [1.0, 1.0, 1.0]
-        assert at_depth_one.batches == [requests]
+        assert at_depth_one.batches == [trajectories]
         assert fallback.batches == []
 
     def test_routed_model_mixed_depths_route_each_request(self):
         router = DepthRouter(models={1: ConstantValueModel(1.0)}, fallback=ConstantValueModel(9.0))
         model = RoutedValueModel(router)
-        requests = [EvalRequest(synthetic_trajectory("a", depth=d)[1]) for d in (1, 2, 1)]
-        assert [r.value for r in model.evaluate_many(TASK, requests)] == [1.0, 9.0, 1.0]
+        trajectories = [synthetic_trajectory("a", depth=d)[1] for d in (1, 2, 1)]
+        assert [r.value for r in model.evaluate_many(TASK, trajectories)] == [1.0, 9.0, 1.0]
 
     def test_tabular_model_sends_misses_in_one_batch(self):
-        requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in "abc"]
+        trajectories = [synthetic_trajectory(i)[1] for i in "abc"]
         base = RecordingModel(2.0)
         model = TabularValueModel(base, Dataset())
-        model.table[state_key(TASK, requests[1].trajectory)] = ("stored rationale", 7.0)
-        results = model.evaluate_many(TASK, requests)
+        model.table[state_key(TASK, trajectories[1])] = ("stored rationale", 7.0)
+        results = model.evaluate_many(TASK, trajectories)
         assert [r.value for r in results] == [2.0, 7.0, 2.0]
-        assert base.batches == [[requests[0], requests[2]]]
+        assert base.batches == [[trajectories[0], trajectories[2]]]
 
     def test_serialized_model_holds_its_lock_around_the_batch(self):
         held = []
 
         class Probe(RecordingModel):
-            def evaluate_many(self, task, requests, n_samples=1, aggregation=Aggregation.MEDIAN):
+            def evaluate_many(self, task, trajectories, n_samples=1, aggregation=Aggregation.MEDIAN):
                 held.append(wrapped._lock.locked())
-                return super().evaluate_many(task, requests, n_samples, aggregation)
+                return super().evaluate_many(task, trajectories, n_samples, aggregation)
 
         inner = Probe(4.0)
         inner.concurrent_safe = False
         wrapped = ensure_concurrent_value_model(inner)
-        requests = [EvalRequest(synthetic_trajectory(i)[1]) for i in "ab"]
-        assert [r.value for r in wrapped.evaluate_many(TASK, requests)] == [4.0, 4.0]
+        trajectories = [synthetic_trajectory(i)[1] for i in "ab"]
+        assert [r.value for r in wrapped.evaluate_many(TASK, trajectories)] == [4.0, 4.0]
         assert held == [True]
 
 
-class RequestSpy(ConstantValueModel):
-    """Constant model that records every request object reaching ``evaluate``."""
+class TrajectorySpy(ConstantValueModel):
+    """Constant model that records every trajectory reaching ``evaluate``."""
 
     def __init__(self) -> None:
         super().__init__(3.0, scale=LIKERT10)
-        self.seen: list[EvalRequest] = []
+        self.seen: list[Trajectory] = []
 
-    def evaluate(self, task, request, n_samples=1, aggregation=Aggregation.MEDIAN):
-        self.seen.append(request)
-        return super().evaluate(task, request, n_samples, aggregation)
+    def evaluate(self, task, trajectory, n_samples=1, aggregation=Aggregation.MEDIAN):
+        self.seen.append(trajectory)
+        return super().evaluate(task, trajectory, n_samples, aggregation)
 
 
 WRAPPERS = {
@@ -442,17 +441,16 @@ WRAPPERS = {
 }
 
 
-class TestWrappersForwardTheRequest:
+class TestWrappersForwardTheTrajectory:
     @pytest.mark.parametrize("kind", list(WRAPPERS))
     @pytest.mark.parametrize("entry", ["evaluate", "evaluate_many"])
-    def test_inner_model_receives_the_callers_request(self, kind, entry):
-        spy = RequestSpy()
+    def test_inner_model_receives_the_callers_trajectory(self, kind, entry):
+        spy = TrajectorySpy()
         wrapper = WRAPPERS[kind](spy)
         task, trajectory = synthetic_trajectory("s1")
-        request = EvalRequest(trajectory, candidate_actions=["step a"])
         if entry == "evaluate":
-            wrapper.evaluate(task, request, n_samples=2, aggregation=Aggregation.MEAN)
+            wrapper.evaluate(task, trajectory, n_samples=2, aggregation=Aggregation.MEAN)
         else:
-            wrapper.evaluate_many(task, [request], n_samples=2, aggregation=Aggregation.MEAN)
+            wrapper.evaluate_many(task, [trajectory], n_samples=2, aggregation=Aggregation.MEAN)
         assert len(spy.seen) == 1
-        assert spy.seen[0] is request
+        assert spy.seen[0] is trajectory
