@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from ..core import Aggregation, Task, Trajectory, ValueEstimate
+from ..core import Task, Trajectory, ValueEstimate
 from .policies import Policy
 from .scales import MalformedRationale
 from .values import ValueModel
@@ -34,25 +34,15 @@ class SerializedValueModel(ValueModel):
         self._lock = threading.Lock()
         self.concurrent_safe = True
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         with self._lock:
-            return self.inner.evaluate(task, trajectory, n_samples, aggregation)
+            return self.inner.evaluate(task, trajectory)
 
     def evaluate_many(
-        self,
-        task: Task,
-        trajectories: Sequence[Trajectory],
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
+        self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         with self._lock:
-            return self.inner.evaluate_many(task, trajectories, n_samples, aggregation)
+            return self.inner.evaluate_many(task, trajectories)
 
 
 def ensure_concurrent_policy(policy: Policy) -> Policy:

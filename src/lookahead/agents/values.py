@@ -2,9 +2,9 @@
 
 A value model maps the trajectory ending at the state under judgment to a
 :class:`~lookahead.core.ValueEstimate` under a declared scale.
-Every model's primitive is ``evaluate(task, trajectory, n_samples,
-aggregation)``; wrappers hand the caller's trajectory to their inner model
-unchanged.
+Every model's primitive is ``evaluate(task, trajectory)``; wrappers hand the
+caller's trajectory to their inner model unchanged.  Only the remote model
+samples, so its sample count and aggregation are constructor arguments.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core import Aggregation, Task, Trajectory, ValueEstimate, render_context
@@ -38,40 +38,23 @@ class ValueModel(ABC):
     concurrent_safe: bool = True
 
     @abstractmethod
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate: ...
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate: ...
 
     def evaluate_many(
-        self,
-        task: Task,
-        trajectories: Sequence[Trajectory],
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
+        self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Evaluate ``trajectories`` in order, one result per trajectory.
 
         A parse failure is returned in its trajectory's slot rather than
         raised; any other exception propagates.
         """
-        return [
-            self._evaluate_one(task, trajectory, n_samples, aggregation)
-            for trajectory in trajectories
-        ]
+        return [self._evaluate_one(task, trajectory) for trajectory in trajectories]
 
     def _evaluate_one(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int,
-        aggregation: Aggregation,
+        self, task: Task, trajectory: Trajectory
     ) -> ValueEstimate | MalformedRationale:
         try:
-            return self.evaluate(task, trajectory, n_samples, aggregation)
+            return self.evaluate(task, trajectory)
         except MalformedRationale as exc:
             return exc
 
@@ -85,13 +68,7 @@ class OracleValueModel(ValueModel):
 
     scale = GAME24
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         numbers = state_numbers(trajectory.final_state)
         verdict = solve_verdict(numbers)
         value = self.scale.labels[verdict.value]  # type: ignore[index]
@@ -99,12 +76,7 @@ class OracleValueModel(ValueModel):
         rationale = (
             f"Exhaustive check: the remaining numbers {reach} reach 24.\n{verdict.value}"
         )
-        return ValueEstimate(
-            rationale=rationale,
-            value=value,
-            samples=(value,),
-            aggregation=aggregation,
-        )
+        return ValueEstimate(rationale=rationale, value=value, samples=(value,))
 
 
 class ScriptedValueModel(ValueModel):
@@ -124,25 +96,14 @@ class ScriptedValueModel(ValueModel):
         self.default = default
         self.scale = scale
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         state = trajectory.final_state
         value = self.values.get(state.id, self.default)
         rationale = (
             f"Scripted evaluation of state {state.id}. "
             f"Thus, the correctness score is {value:.2f} / 10.00."
         )
-        return ValueEstimate(
-            rationale=rationale,
-            value=value,
-            samples=(value,),
-            aggregation=aggregation,
-        )
+        return ValueEstimate(rationale=rationale, value=value, samples=(value,))
 
 
 class ConstantValueModel(ValueModel):
@@ -152,23 +113,12 @@ class ConstantValueModel(ValueModel):
         self.value = value
         self.scale = scale
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         rationale = (
             f"Constant evaluation. "
             f"Thus, the correctness score is {self.value:.2f} / 10.00."
         )
-        return ValueEstimate(
-            rationale=rationale,
-            value=self.value,
-            samples=(self.value,),
-            aggregation=aggregation,
-        )
+        return ValueEstimate(rationale=rationale, value=self.value, samples=(self.value,))
 
 
 class RemoteValueModel(ValueModel):
@@ -194,12 +144,18 @@ class RemoteValueModel(ValueModel):
         model: str,
         environment: Environment,
         scale: ValueScale,
+        n_samples: int = 1,
+        aggregation: Aggregation = Aggregation.MEDIAN,
         redraw_limit: int = 2,
         ledger: "Ledger | None" = None,
     ) -> None:
+        if n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
         self.transport = transport
         self.model = model
         self.scale = scale
+        self.n_samples = n_samples
+        self.aggregation = aggregation
         self.template = load_template(environment.name, "value")
         self.redraw_limit = redraw_limit
         self.ledger = ledger
@@ -207,20 +163,14 @@ class RemoteValueModel(ValueModel):
         self._malformed_lock = threading.Lock()
         self.concurrent_safe = transport.concurrent_safe
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         prompt = render_template(self.template, input=render_context(trajectory))
         chat = ChatRequest(
             model=self.model, messages=(ChatMessage(role="user", content=prompt),)
         )
         samples: list[tuple[str, float]] = []
         for _round in range(1 + self.redraw_limit):
-            missing = n_samples - len(samples)
+            missing = self.n_samples - len(samples)
             if missing <= 0:
                 break
             response = self.transport.send(replace(chat, n=missing))
@@ -244,16 +194,12 @@ class RemoteValueModel(ValueModel):
         if not samples:
             raise MalformedRationale(
                 "no-parsed-samples",
-                f"all {n_samples} draws (with redraws) were malformed",
+                f"all {self.n_samples} draws (with redraws) were malformed",
             )
-        return aggregate_estimate(samples, aggregation)
+        return aggregate_estimate(samples, self.aggregation)
 
     def evaluate_many(
-        self,
-        task: Task,
-        trajectories: Sequence[Trajectory],
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
+        self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Overlap the evaluations, one thread per trajectory.
 
@@ -262,56 +208,39 @@ class RemoteValueModel(ValueModel):
         one raised.
         """
         if not self.concurrent_safe or len(trajectories) < 2:
-            return super().evaluate_many(task, trajectories, n_samples, aggregation)
+            return super().evaluate_many(task, trajectories)
         with ThreadPoolExecutor(max_workers=len(trajectories)) as pool:
             futures = [
-                pool.submit(self._evaluate_one, task, trajectory, n_samples, aggregation)
-                for trajectory in trajectories
+                pool.submit(self._evaluate_one, task, trajectory) for trajectory in trajectories
             ]
         return [future.result() for future in futures]
 
 
-@dataclass(frozen=True)
-class DepthRouter:
-    """Maps a state depth to the value model trained for that depth."""
-
-    models: Mapping[int, ValueModel]
-    fallback: ValueModel
-
-    def route(self, depth: int) -> ValueModel:
-        return self.models.get(depth, self.fallback)
-
-
 class RoutedValueModel(ValueModel):
-    """Delegates each evaluation to the router's model for the state's depth."""
+    """Delegates each evaluation to the model trained for the state's depth.
 
-    def __init__(self, router: DepthRouter) -> None:
-        self.router = router
-        self.scale = router.fallback.scale
+    Depths without a model of their own go to ``fallback``.
+    """
+
+    def __init__(self, models: Mapping[int, ValueModel], fallback: ValueModel) -> None:
+        self.models = dict(models)
+        self.fallback = fallback
+        self.scale = fallback.scale
         self.concurrent_safe = all(
-            m.concurrent_safe for m in (*router.models.values(), router.fallback)
+            m.concurrent_safe for m in (*self.models.values(), fallback)
         )
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
-        model = self.router.route(trajectory.depth)
-        return model.evaluate(task, trajectory, n_samples, aggregation)
+    def _route(self, depth: int) -> ValueModel:
+        return self.models.get(depth, self.fallback)
+
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
+        return self._route(trajectory.depth).evaluate(task, trajectory)
 
     def evaluate_many(
-        self,
-        task: Task,
-        trajectories: Sequence[Trajectory],
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
+        self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Route once when every trajectory shares a depth, as siblings do."""
         depths = {trajectory.depth for trajectory in trajectories}
         if len(depths) != 1:
-            return super().evaluate_many(task, trajectories, n_samples, aggregation)
-        model = self.router.route(depths.pop())
-        return model.evaluate_many(task, trajectories, n_samples, aggregation)
+            return super().evaluate_many(task, trajectories)
+        return self._route(depths.pop()).evaluate_many(task, trajectories)

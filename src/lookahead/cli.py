@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import __version__
-from .core import Aggregation, Split, Task
+from .core import Aggregation, Split, Task, write_json
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import FixtureError, ScriptedEnvironment
@@ -88,6 +88,8 @@ class ExperimentConfig:
     k: int = 3
     pricing: str | None = None
     value_scale: str | None = None
+    value_samples: int = 1
+    value_aggregation: Aggregation = Aggregation.MEDIAN
     base_url: str = "https://api.openai.com/v1"
     api_key_env: str = DEFAULT_API_KEY_ENV
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -106,17 +108,31 @@ def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-def _sub_config(data: Mapping, cls: type, where: str) -> Any:
+# Declared field type -> the JSON values it accepts (bools are not numbers).
+_SCALAR_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
+
+def _check_types(data: Mapping, cls: type, source: str, prefix: str = "") -> None:
+    for f in fields(cls):
+        allowed = _SCALAR_TYPES.get(f.type)
+        if allowed is None or f.name not in data:
+            continue
+        value = data[f.name]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise ConfigError(f"{source}: '{prefix}{f.name}' must be {f.type}, got {value!r}")
+
+
+def _sub_config(data: Mapping, cls: type, where: str, source: str) -> Any:
     kwargs = dict(data)
     allowed = {f.name for f in fields(cls)}
     _check_keys(kwargs, allowed, where)
-    if "value_aggregation" in kwargs:
-        raw = kwargs["value_aggregation"]
-        if raw not in _AGGREGATIONS:
-            raise ConfigError(
-                f"search.value_aggregation must be one of {_AGGREGATIONS}, got {raw!r}"
-            )
-        kwargs["value_aggregation"] = Aggregation(raw)
+    _check_types(kwargs, cls, source, f"{where}.")
     if "excluded_actions" in kwargs:
         kwargs["excluded_actions"] = tuple(kwargs["excluded_actions"])
     try:
@@ -125,13 +141,22 @@ def _sub_config(data: Mapping, cls: type, where: str) -> Any:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def config_from_dict(data: Mapping) -> ExperimentConfig:
-    """Build and validate a config; raises :class:`ConfigError` on any problem."""
+def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
+    """Build and validate a config; raises :class:`ConfigError` on any problem.
+
+    ``source`` names where ``data`` came from in messages about a value's type.
+    """
     allowed = {f.name for f in fields(ExperimentConfig)}
     _check_keys(data, allowed, "config")
+    _check_types(data, ExperimentConfig, source)
     kwargs: dict[str, Any] = dict(data)
-    search = _sub_config(kwargs.pop("search", {}), SearchConfig, "search")
-    stl = _sub_config(kwargs.pop("stl", {}), StlConfig, "stl")
+    if "value_aggregation" in kwargs:
+        raw = kwargs["value_aggregation"]
+        if raw not in _AGGREGATIONS:
+            raise ConfigError(f"value_aggregation must be one of {_AGGREGATIONS}, got {raw!r}")
+        kwargs["value_aggregation"] = Aggregation(raw)
+    search = _sub_config(kwargs.pop("search", {}), SearchConfig, "search", source)
+    stl = _sub_config(kwargs.pop("stl", {}), StlConfig, "stl", source)
     try:
         config = ExperimentConfig(search=search, stl=stl, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -190,6 +215,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("parallel must be at least 1")
     if config.k < 1:
         raise ConfigError("k must be at least 1")
+    if config.value_samples < 1:
+        raise ConfigError("value_samples must be at least 1")
     if config.value_scale is not None and config.value_scale not in SCALES:
         raise ConfigError(
             f"value_scale must be one of {sorted(SCALES)}, got {config.value_scale!r}"
@@ -243,7 +270,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
             data["stl"][key.split(".", 1)[1]] = value
         else:
             data[key] = value
-    return config_from_dict(data)
+    return config_from_dict(data, f"config file {path}" if path is not None else "config")
 
 
 def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
@@ -260,6 +287,9 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     for index, entry in enumerate(data["tasks"]):
         try:
             split = Split(entry.get("split", "rollout"))
+            for key in ("id", "instruction"):
+                if not isinstance(entry[key], str):
+                    raise TypeError(f"{key!r} must be a string, got {entry[key]!r}")
             task = Task(id=entry["id"], instruction=entry["instruction"], split=split)
             name = safe_name(task.id)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -361,6 +391,8 @@ def build_value_model(
             model,
             env,
             scale=_value_scale(config),
+            n_samples=config.value_samples,
+            aggregation=config.value_aggregation,
             ledger=ledger,
         )
     except PromptError as exc:
@@ -394,10 +426,7 @@ def resolve_out_dir(config: ExperimentConfig) -> Path:
 def write_manifest(config: ExperimentConfig, out_dir: Path) -> Path:
     manifest = {"version": __version__, "config": config.to_dict()}
     path = out_dir / "manifest.json"
-    path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, manifest)
     return path
 
 
@@ -459,14 +488,8 @@ def cmd_search(config: ExperimentConfig) -> int:
         )
 
     result = MethodResult(method=config.method_name(), outcomes=outcomes, ledger=ledger)
-    (out_dir / "results.json").write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    (out_dir / "ledger.json").write_text(
-        json.dumps(ledger.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / "results.json", result.to_dict())
+    write_json(out_dir / "ledger.json", ledger.to_dict())
     k = min(config.k, config.attempts)
     emit_report([result], out_dir / "report", pricing, k=k)
 
@@ -489,9 +512,6 @@ def cmd_stl(config: ExperimentConfig) -> int:
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
     base_model = build_value_model(config, env, ledger)
-    if config.parallel > 1:
-        policy = ensure_concurrent_policy(policy)
-        base_model = ensure_concurrent_value_model(base_model)
 
     out_dir = resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -518,10 +538,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
             mask=config.stl.mask,
             scale_name=base_model.scale.name,
         )
-    (out_dir / "ledger.json").write_text(
-        json.dumps(ledger.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / "ledger.json", ledger.to_dict())
 
     last = result.reports[-1]
     print(f"iterations: {len(result.reports)}")
@@ -643,6 +660,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="k for pass@k in reports")
     parser.add_argument("--pricing", help="pricing JSON file")
     parser.add_argument("--value-scale", dest="value_scale", choices=sorted(SCALES))
+    parser.add_argument("--value-samples", type=int, dest="value_samples")
+    parser.add_argument(
+        "--value-aggregation", choices=_AGGREGATIONS, dest="value_aggregation"
+    )
     parser.add_argument("--base-url", dest="base_url")
     parser.add_argument("--api-key-env", dest="api_key_env")
     # search sub-config
@@ -651,10 +672,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beam-width", type=int, dest="search.beam_width")
     parser.add_argument("--mcts-iterations", type=int, dest="search.mcts_iterations")
     parser.add_argument("--exploration", type=float, dest="search.exploration")
-    parser.add_argument("--value-samples", type=int, dest="search.value_samples")
-    parser.add_argument(
-        "--value-aggregation", choices=_AGGREGATIONS, dest="search.value_aggregation"
-    )
     parser.add_argument(
         "--normalize-backup",
         action=argparse.BooleanOptionalAction,

@@ -4,16 +4,18 @@ Defines the vocabulary used across environments, agents, search engines and
 the training-data pipeline: tasks, actions, states, trajectories, value
 estimates, lookahead records and training examples, plus the two canonical
 derived forms (rendered trajectory context and the state key used for
-deduplication).
+deduplication), and the one JSON layout every artifact file is written in.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -259,3 +261,15 @@ def state_key(task: Task, trajectory: Trajectory) -> str:
     else:
         payload = "context:" + render_context(trajectory)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def write_json(path: str | Path, data: object) -> None:
+    """Write ``data`` in the artifact layout: sorted keys, two-space indent,
+    non-ASCII text kept as UTF-8, one trailing newline.  Creates the parent
+    directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )

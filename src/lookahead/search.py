@@ -21,14 +21,13 @@ environment transition calls exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .core import Action, Aggregation, State, Task, Trajectory, ValueEstimate
+from .core import Action, State, Task, Trajectory, ValueEstimate, write_json
 from .envs.base import ActionRejected, Environment
 from .agents.policies import Policy
 from .agents.scales import MalformedRationale
@@ -47,8 +46,6 @@ class SearchConfig:
     beam_width: int = 5
     mcts_iterations: int = 5
     exploration: float = math.sqrt(2.0)
-    value_samples: int = 1
-    value_aggregation: Aggregation = Aggregation.MEDIAN
     excluded_actions: tuple[str, ...] = ()
     normalize_backup: bool = True
 
@@ -61,8 +58,6 @@ class SearchConfig:
             raise ValueError("beam_width must be at least 1")
         if self.mcts_iterations < 1:
             raise ValueError("mcts_iterations must be at least 1")
-        if self.value_samples < 1:
-            raise ValueError("value_samples must be at least 1")
 
 
 @dataclass
@@ -192,12 +187,7 @@ def safe_name(task_id: str) -> str:
 
 def dump_tree(tree: SearchTree, path: str | Path) -> None:
     """Write the documented tree-dump JSON (deterministic byte layout)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(tree.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, tree.to_dict())
 
 
 class _Expander:
@@ -263,14 +253,7 @@ class _Expander:
             trajectories.append(self.tree.trajectory_to(child.uid))
             slots.append(child)
         # Pass 2: judge every child in one call.
-        estimates = iter(
-            self.value_model.evaluate_many(
-                self.task,
-                trajectories,
-                self.config.value_samples,
-                self.config.value_aggregation,
-            )
-        )
+        estimates = iter(self.value_model.evaluate_many(self.task, trajectories))
         # Pass 3: record estimates and failures in proposal order.
         evaluated: list[TreeNode] = []
         for slot in slots:

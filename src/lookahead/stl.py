@@ -14,11 +14,10 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     Action,
-    Aggregation,
     LookaheadRecord,
     State,
     Task,
@@ -27,10 +26,11 @@ from .core import (
     ValueEstimate,
     render_context,
     state_key,
+    write_json,
 )
 from .agents.rationales import format_lookahead_block, parse_simulated_lookahead
 from .agents.scales import MalformedRationale, ValueScale, parse_value, strip_score_sentence
-from .agents.values import DepthRouter, RoutedValueModel, ValueModel
+from .agents.values import RoutedValueModel, ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
 from .search import ENGINES, SearchConfig, SearchTree, dump_tree, safe_name
@@ -290,9 +290,7 @@ def export_jsonl(
     meta: dict[str, object] = {"count": len(dataset), "mask": mask}
     if scale_name is not None:
         meta["scale"] = scale_name
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(str(path) + ".meta.json", meta)
     return path
 
 
@@ -349,43 +347,25 @@ class TabularValueModel(ValueModel):
             _, _, _, value = parse_simulated_lookahead(example.completion, self.scale)
             self.table[key] = (example.completion, value)
 
-    def evaluate(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
-    ) -> ValueEstimate:
+    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         stored = self.table.get(state_key(task, trajectory))
         if stored is None:
-            return self.base_model.evaluate(task, trajectory, n_samples, aggregation)
-        return _stored_estimate(stored, aggregation)
+            return self.base_model.evaluate(task, trajectory)
+        return _stored_estimate(stored)
 
     def evaluate_many(
-        self,
-        task: Task,
-        trajectories: Sequence[Trajectory],
-        n_samples: int = 1,
-        aggregation: Aggregation = Aggregation.MEDIAN,
+        self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Answer hits from the table; send all misses to the base model at once."""
         stored = [self.table.get(state_key(task, t)) for t in trajectories]
         misses = [t for t, hit in zip(trajectories, stored) if hit is None]
-        answers = iter(self.base_model.evaluate_many(task, misses, n_samples, aggregation))
-        return [
-            next(answers) if hit is None else _stored_estimate(hit, aggregation)
-            for hit in stored
-        ]
+        answers = iter(self.base_model.evaluate_many(task, misses))
+        return [next(answers) if hit is None else _stored_estimate(hit) for hit in stored]
 
 
-def _stored_estimate(stored: tuple[str, float], aggregation: Aggregation) -> ValueEstimate:
+def _stored_estimate(stored: tuple[str, float]) -> ValueEstimate:
     completion, value = stored
-    return ValueEstimate(
-        rationale=completion,
-        value=value,
-        samples=(value,),
-        aggregation=aggregation,
-    )
+    return ValueEstimate(rationale=completion, value=value, samples=(value,))
 
 
 class TabularTrainer(Trainer):
@@ -561,9 +541,7 @@ def stl_run(
                     depth: trainer.fine_tune(base_model, partition)
                     for depth, partition in per_depth.items()
                 }
-                current_model = RoutedValueModel(
-                    DepthRouter(models=depth_models, fallback=base_model)
-                )
+                current_model = RoutedValueModel(depth_models, fallback=base_model)
             elif len(dataset) > 0:
                 current_model = trainer.fine_tune(base_model, dataset)
             else:
@@ -591,14 +569,7 @@ def stl_run(
         )
 
     if out_path is not None:
-        report_path = out_path / "stl_report.json"
-        report_path.write_text(
-            json.dumps(
-                [r.to_dict() for r in reports], sort_keys=True, indent=2, ensure_ascii=False
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        write_json(out_path / "stl_report.json", [r.to_dict() for r in reports])
     return StlResult(
         final_model=current_model, datasets=datasets, reports=reports, trees=trees
     )

@@ -2,12 +2,15 @@
 
 import json
 import re
+import statistics
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from transport_doubles import PromptKeyedTransport
 
+from lookahead import cli
 from lookahead.cli import (
     ConfigError,
     ExperimentConfig,
@@ -223,6 +226,12 @@ class TestConfigHandling:
             ("search", "values.json", {"values": {}, "scale": "bogus"}, "--value=scripted:{path}"),
             ("search", "values.json", {"values": {}, "default": "high"}, "--value=scripted:{path}"),
             ("stl", "m.jsonl.meta.json", {"scale": "bogus"}, "--value=stl-dataset:{dir}/m.jsonl"),
+            ("search", "config.json", {"attempts": "2"}, "--config={path}"),
+            ("search", "config.json", {"parallel": "2"}, "--config={path}"),
+            ("search", "config.json", {"k": "3"}, "--config={path}"),
+            ("search", "config.json", {"success_threshold": "x"}, "--config={path}"),
+            ("search", "config.json", {"value_samples": "3"}, "--config={path}"),
+            ("search", "tasks.json", {"tasks": [{"id": "x", "instruction": 5}]}, "--tasks={path}"),
         ],
         ids=[
             "tasks-not-a-list",
@@ -236,6 +245,12 @@ class TestConfigHandling:
             "value-fixture-unknown-scale",
             "value-fixture-non-numeric-default",
             "dataset-meta-unknown-scale",
+            "attempts-not-a-number",
+            "parallel-not-a-number",
+            "k-not-a-number",
+            "success-threshold-not-a-number",
+            "value-samples-not-a-number",
+            "task-instruction-not-a-string",
         ],
     )
     def test_malformed_input_file_exits_2_naming_it(
@@ -250,6 +265,38 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert str(bad) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            ({"attempts": "2"}, "'attempts'"),
+            ({"parallel": 2.0}, "'parallel'"),
+            ({"success_threshold": "x"}, "'success_threshold'"),
+            ({"value_samples": True}, "'value_samples'"),
+            ({"environment": 5}, "'environment'"),
+            ({"search": {"branching": "5"}}, "'search.branching'"),
+            ({"stl": {"accumulate": "no"}}, "'stl.accumulate'"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_2_naming_its_key(
+        self, tmp_path, capsys, content, named
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content), encoding="utf-8")
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", "--config", str(config), "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err
+
+    def test_value_samples_below_one_exits_2(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", "--value-samples", "0", "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == "config error: value_samples must be at least 1\n"
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -407,9 +454,7 @@ GOLDEN_MANIFEST = """\
       "exploration": 0.5,
       "max_depth": 5,
       "mcts_iterations": 5,
-      "normalize_backup": true,
-      "value_aggregation": "mean",
-      "value_samples": 1
+      "normalize_backup": true
     },
     "stl": {
       "accumulate": false,
@@ -424,6 +469,8 @@ GOLDEN_MANIFEST = """\
     "success_threshold": 1.0,
     "tasks": null,
     "value": "constant:5",
+    "value_aggregation": "mean",
+    "value_samples": 1,
     "value_scale": null
   },
   "version": "0.1.0"
@@ -439,9 +486,9 @@ class TestManifest:
                 "value": "constant:5",
                 "method": "golden",
                 "attempts": 2,
+                "value_aggregation": "mean",
                 "search": {
                     "beam_width": 3,
-                    "value_aggregation": "mean",
                     "excluded_actions": ["Click[Back]", "Search[sofa]"],
                     "exploration": 0.5,
                 },
@@ -457,6 +504,21 @@ class TestManifest:
         path = write_manifest(config, tmp_path)
         assert path.read_text(encoding="utf-8") == GOLDEN_MANIFEST
         assert load_config(path, {}) == config
+
+    def test_replaying_a_manifest_with_sampling_keys_under_search_exits_2(
+        self, tmp_path, capsys
+    ):
+        manifest = json.loads(GOLDEN_MANIFEST)
+        config = manifest["config"]
+        for key in ("value_aggregation", "value_samples"):
+            config["search"][key] = config.pop(key)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, err = run_cli(["search", "--config", str(path)], capsys)
+        assert code == 2
+        assert err == (
+            "config error: unknown search key(s): value_aggregation, value_samples\n"
+        )
 
     def test_replaying_a_v1_manifest_exits_2_naming_seed(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -579,7 +641,57 @@ class TestSearchCommand:
         assert serial["outcomes"] == parallel["outcomes"]
 
 
+class TestRemoteValueFlags:
+    def test_sampling_flags_reach_the_remote_value_model(self, tmp_path, capsys, monkeypatch):
+        def reply(prompt, draw):
+            return "Weighing the numbers.\n" + ("sure", "likely", "impossible")[draw % 3]
+
+        transport = PromptKeyedTransport(reply)
+        monkeypatch.setattr(cli, "_transport", lambda config: transport)
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        out = tmp_path / "out"
+        argv = ["search", "--value", "remote:gpt-3.5-turbo", "--value-samples", "3"]
+        argv += ["--value-aggregation", "mean", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert transport.ns and set(transport.ns) == {3}
+        (tree_path,) = (out / "trees").glob("*.json")
+        nodes = json.loads(tree_path.read_text())["nodes"]
+        judged = [n for n in nodes if n["value"] is not None]
+        assert len(judged) == transport.sends
+        for node in judged:
+            assert len(node["samples"]) == 3
+            assert node["value"] == pytest.approx(statistics.mean(node["samples"]))
+        assert any(n["value"] != statistics.median(n["samples"]) for n in judged)
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["value_samples"], config["value_aggregation"]) == (3, "mean")
+
+
 class TestStlCommand:
+    def test_parallel_leaves_stl_serial_and_its_artifacts_unchanged(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # stl runs its rollouts one after another, so it never gates its
+        # agents for concurrent use, whatever --parallel says.
+        gated = []
+        monkeypatch.setattr(cli, "ensure_concurrent_policy", lambda p: gated.append(p) or p)
+        monkeypatch.setattr(cli, "ensure_concurrent_value_model", lambda m: gated.append(m) or m)
+        tasks = webshop_tasks(tmp_path / "tasks.json")
+        argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
+        argv += ["--stl-engine", "greedy", "--tasks-per-iteration", "2", "--tasks", tasks]
+        artifacts = {}
+        for parallel in ("1", "4"):
+            out = tmp_path / f"parallel{parallel}"
+            code, _, err = run_cli([*argv, "--parallel", parallel, "--out", str(out)], capsys)
+            assert code == 0, err
+            artifacts[parallel] = {
+                p.relative_to(out).as_posix(): p.read_bytes().replace(str(out).encode(), b"<out>")
+                for p in (out / "stl").rglob("*")
+                if p.is_file()
+            }
+        assert artifacts["4"] == artifacts["1"]
+        assert gated == []
+
     def test_webshop_per_depth_artifacts(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
         out = tmp_path / "out"

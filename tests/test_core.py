@@ -18,6 +18,7 @@ from lookahead.core import (
     canonicalize,
     render_context,
     state_key,
+    write_json,
 )
 
 
@@ -333,3 +334,11 @@ class TestStateKey:
         key = state_key(task, Trajectory(task=task, root=root))
         assert len(key) == 64
         assert set(key) <= set("0123456789abcdef")
+
+
+class TestWriteJson:
+    def test_artifact_layout(self, tmp_path):
+        path = tmp_path / "deeper" / "artifact.json"
+        write_json(path, {"b": [1, {"é": None}], "a": "ü"})
+        expected = '{\n  "a": "ü",\n  "b": [\n    1,\n    {\n      "é": null\n    }\n  ]\n}\n'
+        assert path.read_bytes() == expected.encode("utf-8")

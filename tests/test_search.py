@@ -78,10 +78,10 @@ class FlakyValueModel(ScriptedValueModel):
         super().__init__(values)
         self.bad_ids = set(bad_ids)
 
-    def evaluate(self, task, trajectory, n_samples=1, aggregation=None):
+    def evaluate(self, task, trajectory):
         if trajectory.final_state.id in self.bad_ids:
             raise MalformedRationale("scaffolding-missing", "synthetic failure")
-        return super().evaluate(task, trajectory, n_samples)
+        return super().evaluate(task, trajectory)
 
 
 def terminal_ids(tree):
@@ -112,7 +112,6 @@ class TestSearchConfig:
             {"max_depth": 0},
             {"beam_width": 0},
             {"mcts_iterations": 0},
-            {"value_samples": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -426,8 +425,8 @@ class TestBatchedEvaluation:
         env = Game24Env()
         task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
         ledger = Ledger()
-        model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
-        config = SearchConfig(branching=5, beam_width=3, max_depth=3, value_samples=2)
+        model = RemoteValueModel(transport, "m", env, GAME24, n_samples=2, ledger=ledger)
+        config = SearchConfig(branching=5, beam_width=3, max_depth=3)
         tree = beam_search(task, env, ExhaustivePolicy(env), model, config, ledger)
         path = tmp_path / name
         dump_tree(tree, path)

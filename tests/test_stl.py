@@ -602,7 +602,7 @@ class TestStlRun:
         )
         model = result.final_model
         assert isinstance(model, RoutedValueModel)
-        assert set(model.router.models) == {1}
+        assert set(model.models) == {1}
         task = stl_tasks(1)[0]
         root_trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Depth 0 has no trained model, so the base model answers with its

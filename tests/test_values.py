@@ -22,7 +22,6 @@ from lookahead.agents.scales import (
 from lookahead.agents.transport import ScriptedTransport, TransportError
 from lookahead.agents.values import (
     ConstantValueModel,
-    DepthRouter,
     OracleValueModel,
     RemoteValueModel,
     RoutedValueModel,
@@ -118,8 +117,10 @@ class TestRemoteValueModel:
     def test_multi_sample_mean(self):
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(2.0)])
-        model = RemoteValueModel(transport, "m", env, LIKERT10)
-        estimate = model.evaluate(task, trajectory, n_samples=3, aggregation=Aggregation.MEAN)
+        model = RemoteValueModel(
+            transport, "m", env, LIKERT10, n_samples=3, aggregation=Aggregation.MEAN
+        )
+        estimate = model.evaluate(task, trajectory)
         assert estimate.value == 4.0
         assert estimate.samples == (2.0, 8.0, 2.0)
         # Representative rationale is the sample nearest the median (2.0 here).
@@ -128,8 +129,8 @@ class TestRemoteValueModel:
     def test_redraw_replaces_malformed_sample(self):
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["garbled", sample(6.0)])
-        model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
-        estimate = model.evaluate(task, trajectory, n_samples=1)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=1, redraw_limit=2)
+        estimate = model.evaluate(task, trajectory)
         assert estimate.value == 6.0
         assert estimate.samples == (6.0,)
         assert model.malformed_count == 1
@@ -140,17 +141,19 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(
             ["junk", sample(8.0), sample(2.0)]
         )
-        model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=1)
-        estimate = model.evaluate(task, trajectory, n_samples=2, aggregation=Aggregation.MEAN)
+        model = RemoteValueModel(
+            transport, "m", env, LIKERT10, n_samples=2, aggregation=Aggregation.MEAN, redraw_limit=1
+        )
+        estimate = model.evaluate(task, trajectory)
         assert estimate.samples == (8.0, 2.0)
         assert estimate.value == 5.0
 
     def test_all_draws_malformed(self):
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["junk"] * 6)
-        model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=2, redraw_limit=2)
         with pytest.raises(MalformedRationale) as err:
-            model.evaluate(task, trajectory, n_samples=2)
+            model.evaluate(task, trajectory)
         assert err.value.reason == "no-parsed-samples"
         # 1 + redraw_limit requests, each asking for both slots again:
         # n_samples * (1 + redraw_limit) draws.
@@ -162,8 +165,8 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(6.0)])
         ledger = Ledger()
-        model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
-        estimate = model.evaluate(task, trajectory, n_samples=3)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=3, ledger=ledger)
+        estimate = model.evaluate(task, trajectory)
         assert [r.n for r in transport.requests_seen] == [3]
         assert estimate.samples == (2.0, 8.0, 6.0)
         # The prompt is billed once for the three choices.
@@ -177,8 +180,8 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(
             [sample(1.0), "junk", sample(2.0), "junk", "junk", sample(4.0), sample(8.0)]
         )
-        model = RemoteValueModel(transport, "m", env, LIKERT10, redraw_limit=2)
-        estimate = model.evaluate(task, trajectory, n_samples=4)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=4, redraw_limit=2)
+        estimate = model.evaluate(task, trajectory)
         assert [r.n for r in transport.requests_seen] == [4, 2, 1]
         assert estimate.samples == (1.0, 2.0, 4.0, 8.0)
         assert model.malformed_count == 3
@@ -187,10 +190,14 @@ class TestRemoteValueModel:
         env, task, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["junk", sample(6.0)])
         ledger = Ledger()
-        model = RemoteValueModel(transport, "m", env, LIKERT10, ledger=ledger)
-        model.evaluate(task, trajectory, n_samples=1)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=1, ledger=ledger)
+        model.evaluate(task, trajectory)
         counts = ledger.tokens[("value", "m")]
         assert counts.completion == len("junk".split()) + len(sample(6.0).split())
+
+    def test_sample_count_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            RemoteValueModel(ScriptedTransport([]), "m", Game24Env(), GAME24, n_samples=0)
 
     def test_prompt_includes_rendered_context(self):
         env, task, trajectory = game24_trajectory("1 2 3")
@@ -203,18 +210,17 @@ class TestRemoteValueModel:
 
 class TestDepthRouting:
     def test_routes_by_final_state_depth(self):
-        router = DepthRouter(
+        model = RoutedValueModel(
             models={1: ConstantValueModel(1.0), 2: ConstantValueModel(2.0)},
             fallback=ConstantValueModel(9.0),
         )
-        model = RoutedValueModel(router)
         for depth, expected in [(0, 9.0), (1, 1.0), (2, 2.0), (3, 9.0)]:
             task, trajectory = synthetic_trajectory(depth=depth)
             assert model.evaluate(task, trajectory).value == expected
 
     def test_scale_follows_fallback(self):
-        router = DepthRouter(models={}, fallback=ConstantValueModel(1.0, scale=LIKERT10))
-        assert RoutedValueModel(router).scale is LIKERT10
+        model = RoutedValueModel(models={}, fallback=ConstantValueModel(1.0, scale=LIKERT10))
+        assert model.scale is LIKERT10
 
 
 class TestConcurrencyGates:
@@ -267,18 +273,18 @@ class RecordingModel(ConstantValueModel):
         super().__init__(value)
         self.batches: list[list[Trajectory]] = []
 
-    def evaluate_many(self, task, trajectories, n_samples=1, aggregation=Aggregation.MEDIAN):
+    def evaluate_many(self, task, trajectories):
         self.batches.append(list(trajectories))
-        return super().evaluate_many(task, trajectories, n_samples, aggregation)
+        return super().evaluate_many(task, trajectories)
 
 
 class TestEvaluateMany:
     def test_default_loops_in_order_and_returns_parse_failures(self):
         class Flaky(ScriptedValueModel):
-            def evaluate(self, task, trajectory, *args, **kwargs):
+            def evaluate(self, task, trajectory):
                 if trajectory.final_state.id == "bad":
                     raise MalformedRationale("scaffolding-missing", "synthetic")
-                return super().evaluate(task, trajectory, *args, **kwargs)
+                return super().evaluate(task, trajectory)
 
         model = Flaky({"a": 1.0, "c": 3.0})
         trajectories = [synthetic_trajectory(i)[1] for i in ("a", "bad", "c")]
@@ -292,12 +298,12 @@ class TestEvaluateMany:
         env = Game24Env()
         trajectories = game24_trajectories("1 1 1", "2 3 4", "4 6", "1 1 1 2")
         gated = PromptKeyedTransport(verdict_reply, gate=2)
-        model = RemoteValueModel(gated, "m", env, GAME24)
-        concurrent = model.evaluate_many(TASK, trajectories, n_samples=2)
+        model = RemoteValueModel(gated, "m", env, GAME24, n_samples=2)
+        concurrent = model.evaluate_many(TASK, trajectories)
         assert gated.max_in_flight >= 2
         serial_transport = PromptKeyedTransport(verdict_reply, concurrent_safe=False)
-        serial_model = RemoteValueModel(serial_transport, "m", env, GAME24)
-        serial = serial_model.evaluate_many(TASK, trajectories, n_samples=2)
+        serial_model = RemoteValueModel(serial_transport, "m", env, GAME24, n_samples=2)
+        serial = serial_model.evaluate_many(TASK, trajectories)
         assert serial_transport.max_in_flight == 1
         assert concurrent == serial
         assert [r.value for r in concurrent] == [0.001, 20.0, 20.0, 0.001]
@@ -323,8 +329,8 @@ class TestEvaluateMany:
             return "no verdict at all" if "1 1 1" in prompt else "fine\nsure"
 
         transport = PromptKeyedTransport(reply)
-        model = RemoteValueModel(transport, "m", env, GAME24, redraw_limit=2)
-        results = model.evaluate_many(TASK, trajectories, n_samples=2)
+        model = RemoteValueModel(transport, "m", env, GAME24, n_samples=2, redraw_limit=2)
+        results = model.evaluate_many(TASK, trajectories)
         assert isinstance(results[1], MalformedRationale)
         assert results[1].reason == "no-parsed-samples"
         assert results[0].value == results[2].value == 20.0
@@ -337,11 +343,11 @@ class TestEvaluateMany:
         trajectories = game24_trajectories(*(f"{i} {i + 1} 13" for i in range(1, 17)))
         transport = PromptKeyedTransport(verdict_reply)
         ledger = Ledger()
-        model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
+        model = RemoteValueModel(transport, "m", env, GAME24, n_samples=3, ledger=ledger)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = model.evaluate_many(TASK, trajectories, n_samples=3)
+            results = model.evaluate_many(TASK, trajectories)
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 16
@@ -382,7 +388,7 @@ class TestEvaluateMany:
     def test_routed_model_routes_once_per_batch(self):
         at_depth_one = RecordingModel(1.0)
         fallback = RecordingModel(9.0)
-        model = RoutedValueModel(DepthRouter(models={1: at_depth_one}, fallback=fallback))
+        model = RoutedValueModel(models={1: at_depth_one}, fallback=fallback)
         trajectories = [synthetic_trajectory(i, depth=1)[1] for i in "abc"]
         results = model.evaluate_many(TASK, trajectories)
         assert [r.value for r in results] == [1.0, 1.0, 1.0]
@@ -390,8 +396,9 @@ class TestEvaluateMany:
         assert fallback.batches == []
 
     def test_routed_model_mixed_depths_route_each_request(self):
-        router = DepthRouter(models={1: ConstantValueModel(1.0)}, fallback=ConstantValueModel(9.0))
-        model = RoutedValueModel(router)
+        model = RoutedValueModel(
+            models={1: ConstantValueModel(1.0)}, fallback=ConstantValueModel(9.0)
+        )
         trajectories = [synthetic_trajectory("a", depth=d)[1] for d in (1, 2, 1)]
         assert [r.value for r in model.evaluate_many(TASK, trajectories)] == [1.0, 9.0, 1.0]
 
@@ -408,9 +415,9 @@ class TestEvaluateMany:
         held = []
 
         class Probe(RecordingModel):
-            def evaluate_many(self, task, trajectories, n_samples=1, aggregation=Aggregation.MEDIAN):
+            def evaluate_many(self, task, trajectories):
                 held.append(wrapped._lock.locked())
-                return super().evaluate_many(task, trajectories, n_samples, aggregation)
+                return super().evaluate_many(task, trajectories)
 
         inner = Probe(4.0)
         inner.concurrent_safe = False
@@ -427,15 +434,13 @@ class TrajectorySpy(ConstantValueModel):
         super().__init__(3.0, scale=LIKERT10)
         self.seen: list[Trajectory] = []
 
-    def evaluate(self, task, trajectory, n_samples=1, aggregation=Aggregation.MEDIAN):
+    def evaluate(self, task, trajectory):
         self.seen.append(trajectory)
-        return super().evaluate(task, trajectory, n_samples, aggregation)
+        return super().evaluate(task, trajectory)
 
 
 WRAPPERS = {
-    "routed": lambda spy: RoutedValueModel(
-        DepthRouter(models={0: spy}, fallback=ConstantValueModel(9.0))
-    ),
+    "routed": lambda spy: RoutedValueModel(models={0: spy}, fallback=ConstantValueModel(9.0)),
     "serialized": SerializedValueModel,
     "tabular-miss": lambda spy: TabularValueModel(spy, Dataset()),
 }
@@ -449,8 +454,8 @@ class TestWrappersForwardTheTrajectory:
         wrapper = WRAPPERS[kind](spy)
         task, trajectory = synthetic_trajectory("s1")
         if entry == "evaluate":
-            wrapper.evaluate(task, trajectory, n_samples=2, aggregation=Aggregation.MEAN)
+            wrapper.evaluate(task, trajectory)
         else:
-            wrapper.evaluate_many(task, [trajectory], n_samples=2, aggregation=Aggregation.MEAN)
+            wrapper.evaluate_many(task, [trajectory])
         assert len(spy.seen) == 1
         assert spy.seen[0] is trajectory

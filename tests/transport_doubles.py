@@ -17,8 +17,8 @@ def digest(text: str) -> int:
 class PromptKeyedTransport(Transport):
     """Answers ``reply(prompt, draw)`` for each of a request's ``n`` choices,
     where ``draw`` counts earlier draws of the same prompt, so reordering or
-    overlapping calls never changes a reply.  ``sends`` counts requests and
-    ``draws`` counts choices.
+    overlapping calls never changes a reply.  ``sends`` counts requests,
+    ``draws`` counts choices and ``ns`` lists each request's ``n``.
 
     With ``gate=k`` every send waits (up to ``timeout`` seconds) until ``k``
     sends have been in flight at once; after that the gate stays open.  A
@@ -42,6 +42,7 @@ class PromptKeyedTransport(Transport):
         self.in_flight = 0
         self.max_in_flight = 0
         self.prompts: list[str] = []
+        self.ns: list[int] = []
         self._draws: dict[str, int] = {}
         self._lock = threading.Lock()
         self._open = threading.Event()
@@ -54,6 +55,7 @@ class PromptKeyedTransport(Transport):
             self.sends += 1
             self.draws += request.n
             self.prompts.append(prompt)
+            self.ns.append(request.n)
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
             if self.in_flight >= self.gate:
