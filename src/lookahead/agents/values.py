@@ -64,19 +64,26 @@ class OracleValueModel(ValueModel):
 
     Sure states score 20, impossible states 0.001; the rationale is a fixed
     template ending in the verdict word, so it parses like any sampled one.
+    The estimate depends on the verdict alone, so both are built once.
     """
 
     scale = GAME24
 
+    def __init__(self) -> None:
+        self._estimates: dict[Verdict, ValueEstimate] = {}
+        for verdict in Verdict:
+            value = self.scale.labels[verdict.value]  # type: ignore[index]
+            reach = "can" if verdict is Verdict.SURE else "cannot"
+            rationale = (
+                f"Exhaustive check: the remaining numbers {reach} reach 24.\n"
+                f"{verdict.value}"
+            )
+            self._estimates[verdict] = ValueEstimate(
+                rationale=rationale, value=value, samples=(value,)
+            )
+
     def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
-        numbers = state_numbers(trajectory.final_state)
-        verdict = solve_verdict(numbers)
-        value = self.scale.labels[verdict.value]  # type: ignore[index]
-        reach = "can" if verdict is Verdict.SURE else "cannot"
-        rationale = (
-            f"Exhaustive check: the remaining numbers {reach} reach 24.\n{verdict.value}"
-        )
-        return ValueEstimate(rationale=rationale, value=value, samples=(value,))
+        return self._estimates[solve_verdict(state_numbers(trajectory.final_state))]
 
 
 class ScriptedValueModel(ValueModel):

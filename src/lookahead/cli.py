@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -126,6 +127,10 @@ def _check_types(data: Mapping, cls: type, source: str, prefix: str = "") -> Non
         value = data[f.name]
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             raise ConfigError(f"{source}: '{prefix}{f.name}' must be {f.type}, got {value!r}")
+        # JSON's NaN/Infinity and the flags' "nan"/"inf" parse as floats, but
+        # no comparison with NaN holds, so a NaN threshold fails every task.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{source}: '{prefix}{f.name}' must be finite, got {value!r}")
 
 
 def _sub_config(data: Mapping, cls: type, where: str, source: str) -> Any:

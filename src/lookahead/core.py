@@ -76,7 +76,9 @@ class State:
     ``signature`` optionally carries a canonical path-independent identity
     (e.g. the sorted number multiset in the arithmetic environment); when
     present it drives :func:`state_key`, otherwise the rendered trajectory
-    context does.
+    context does.  An environment may subclass this to carry its own parsed
+    form of the state alongside (the arithmetic environment's state keeps
+    its numbers), left out of equality, hashing and repr.
     """
 
     id: str

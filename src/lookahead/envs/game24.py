@@ -1,22 +1,27 @@
 """Arithmetic 24 puzzle environment with exact rational arithmetic.
 
-A state is a multiset of numbers (kept as a sorted tuple of ``Fraction``).
-An action combines two of the remaining numbers with one of the four basic
-operations; the episode ends when a single number remains, and the task
-succeeds when that number is exactly 24.  Intermediate values may be negative
-or fractional.
+A state is a multiset of numbers.  Each :class:`Game24State` carries them as
+a sorted tuple of ``Fraction`` (``numbers``), built once when the state is
+made; its ``signature`` and ``id`` are rendered from that tuple, and every
+environment method and the oracle read the tuple rather than re-parsing the
+signature.  An action combines two of the remaining numbers with one of the
+four basic operations; the episode ends when a single number remains, and
+the task succeeds when that number is exactly 24.  Intermediate values may
+be negative or fractional.
 
 ``solve_verdict`` is the exact solvability oracle: it decides by memoized
 recursion over pairwise reductions whether 24 is reachable from the remaining
-numbers.
+numbers.  The memo is keyed on the sorted number tuple itself.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core import Action, State, Task, Trajectory
 from .base import ActionRejected, Environment
@@ -74,27 +79,40 @@ def enumerate_actions(numbers: Sequence[Fraction]) -> list[Action]:
     """
     actions: list[Action] = []
     seen: set[str] = set()
+    rendered = [render_number(n) for n in numbers]
     size = len(numbers)
     for i in range(size):
         for j in range(i + 1, size):
-            a, b = numbers[i], numbers[j]
+            a, b = rendered[i], rendered[j]
             directed = [(a, "+", b), (a, "-", b), (b, "-", a), (a, "*", b)]
-            if b != 0:
+            if numbers[j] != 0:
                 directed.append((a, "/", b))
-            if a != 0:
+            if numbers[i] != 0:
                 directed.append((b, "/", a))
             for left, op, right in directed:
-                text = f"{render_number(left)} {op} {render_number(right)}"
+                text = f"{left} {op} {right}"
                 if text not in seen:
                     seen.add(text)
                     actions.append(Action(text))
     return actions
 
 
+@dataclass(frozen=True)
+class Game24State(State):
+    """A game24 state carrying its sorted number multiset.
+
+    ``numbers`` is left out of equality, hashing and repr: ``signature`` is
+    rendered from it, so two states with equal fields have equal numbers.
+    """
+
+    numbers: Numbers = field(default=(), compare=False, repr=False)
+
+
 def state_numbers(state: State) -> Numbers:
-    if state.signature is None:
-        raise ValueError(f"state {state.id} is not an arithmetic state")
-    return parse_numbers(state.signature)
+    """The sorted numbers of a state built by :class:`Game24Env`."""
+    if isinstance(state, Game24State) and state.numbers:
+        return state.numbers
+    raise ValueError(f"state {state.id} is not an arithmetic state")
 
 
 class Game24Env(Environment):
@@ -110,11 +128,12 @@ class Game24Env(Environment):
                 f"got {len(numbers)}"
             )
         signature = render_numbers(numbers)
-        return State(
+        return Game24State(
             id=f"24[{signature}]",
             depth=0,
             observation=signature,
             signature=signature,
+            numbers=numbers,
         )
 
     def transition(self, state: State, action: Action) -> State:
@@ -124,31 +143,39 @@ class Game24Env(Environment):
         match = _ACTION_RE.match(action.text)
         if match is None:
             raise ActionRejected(f"unparseable combine action {action.text!r}")
-        left, op, right = Fraction(match.group(1)), match.group(2), Fraction(match.group(3))
+        left_text, op, right_text = match.groups()
+        # The signature holds each number's canonical rendering, in order, so
+        # an operand written that way is found without parsing it.
+        texts = state.signature.split(" ")  # type: ignore[union-attr]
         remaining = list(numbers)
-        for operand in (left, right):
+        operands: list[Fraction] = []
+        operand_texts: list[str] = []
+        for text in (left_text, right_text):
             try:
-                remaining.remove(operand)
+                index = texts.index(text)
             except ValueError:
-                raise ActionRejected(
-                    f"operand {render_number(operand)} not present in "
-                    f"{render_numbers(numbers)!r}"
-                ) from None
-        result = apply_op(left, op, right)
-        successor = tuple(sorted(remaining + [result]))
-        signature = render_numbers(successor)
-        left_list = render_numbers([result] + remaining)
+                index = _index_of_value(text, remaining, state.signature)
+            operands.append(remaining.pop(index))
+            operand_texts.append(texts.pop(index))
+        result = apply_op(operands[0], op, operands[1])
+        result_text = render_number(result)
+        left_list = " ".join([result_text, *texts])
+        position = bisect_right(remaining, result)
+        remaining.insert(position, result)
+        texts.insert(position, result_text)
+        signature = " ".join(texts)
         observation = (
-            f"{render_number(left)} {op} {render_number(right)} = "
-            f"{render_number(result)} (left: {left_list})"
+            f"{operand_texts[0]} {op} {operand_texts[1]} = "
+            f"{result_text} (left: {left_list})"
         )
-        return State(
+        return Game24State(
             id=f"24[{signature}]",
             depth=state.depth + 1,
             observation=observation,
             incoming_action=action,
             parent=state,
             signature=signature,
+            numbers=tuple(remaining),
         )
 
     def is_terminal(self, state: State) -> bool:
@@ -168,6 +195,20 @@ class Game24Env(Environment):
         return 0.0
 
 
+def _index_of_value(text: str, numbers: list[Fraction], signature: str | None) -> int:
+    """Where an operand spelled other than canonically (``04``, ``2/4``) sits."""
+    try:
+        operand = Fraction(text)
+    except ZeroDivisionError:
+        raise ActionRejected(f"operand {text!r} divides by zero") from None
+    try:
+        return numbers.index(operand)
+    except ValueError:
+        raise ActionRejected(
+            f"operand {render_number(operand)} not present in {signature!r}"
+        ) from None
+
+
 class Verdict(str, Enum):
     SURE = "sure"
     IMPOSSIBLE = "impossible"
@@ -182,28 +223,55 @@ def _reachable(numbers: Numbers) -> bool:
     cached = _oracle_cache.get(numbers)
     if cached is not None:
         return cached
-    result = False
+    if len(numbers) == 2:
+        result = _pair_reaches_target(*numbers)
+    else:
+        result = any(
+            _reachable(tuple(sorted(rest + [value])))
+            for rest, value in _reductions(numbers)
+        )
+    _oracle_cache[numbers] = result
+    return result
+
+
+def _reductions(numbers: Numbers) -> Iterator[tuple[list[Fraction], Fraction]]:
+    """Each (other numbers, combined value) of one step, computed as needed.
+
+    Pairs go by sorted index; within a pair the values are a+b, a*b, a-b,
+    b-a, a/b, b/a, skipping division by zero.
+    """
     size = len(numbers)
     for i in range(size):
         for j in range(i + 1, size):
             a, b = numbers[i], numbers[j]
             rest = list(numbers)
             del rest[j], rest[i]
-            candidates = [a + b, a * b, a - b, b - a]
+            yield rest, a + b
+            yield rest, a * b
+            yield rest, a - b
+            yield rest, b - a
             if b != 0:
-                candidates.append(a / b)
+                yield rest, a / b
             if a != 0:
-                candidates.append(b / a)
-            for value in candidates:
-                if _reachable(tuple(sorted(rest + [value]))):
-                    result = True
-                    break
-            if result:
-                break
-        if result:
-            break
-    _oracle_cache[numbers] = result
-    return result
+                yield rest, b / a
+
+
+def _pair_reaches_target(a: Fraction, b: Fraction) -> bool:
+    """Whether one operation on ``a`` and ``b`` gives the target.
+
+    Decided in integers: with a = p/q and b = r/s, each result is compared
+    with the target over the common denominator, so no ``Fraction`` is built.
+    """
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    ps, rq, target = p * s, r * q, TARGET.numerator * q * s
+    return (
+        ps + rq == target
+        or p * r == target
+        or ps - rq == target
+        or rq - ps == target
+        or (r != 0 and ps == TARGET.numerator * q * r)
+        or (p != 0 and rq == TARGET.numerator * p * s)
+    )
 
 
 def solve_verdict(numbers: Iterable[Fraction | int]) -> Verdict:
@@ -212,7 +280,7 @@ def solve_verdict(numbers: Iterable[Fraction | int]) -> Verdict:
     Memoizes on the canonical sorted multiset, so repeated queries across
     permuted or revisited states are answered from cache.
     """
-    canonical = tuple(sorted(Fraction(n) for n in numbers))
+    canonical = tuple(sorted(n if isinstance(n, Fraction) else Fraction(n) for n in numbers))
     if not canonical:
         raise ValueError("cannot judge an empty number multiset")
     return Verdict.SURE if _reachable(canonical) else Verdict.IMPOSSIBLE

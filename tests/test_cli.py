@@ -3,6 +3,8 @@
 import json
 import re
 import statistics
+import threading
+from collections import defaultdict
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from transport_doubles import PromptKeyedTransport
 
 from lookahead import cli
+from lookahead.agents.transport import HttpTransport
 from lookahead.cli import (
     ConfigError,
     ExperimentConfig,
@@ -290,6 +293,50 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            ('{"success_threshold": NaN}', "'success_threshold'"),
+            ('{"success_threshold": -Infinity}', "'success_threshold'"),
+            ('{"search": {"exploration": Infinity}}', "'search.exploration'"),
+            ('{"stl": {"gamma": NaN}}', "'stl.gamma'"),
+        ],
+    )
+    def test_non_finite_config_number_exits_2_naming_its_key(
+        self, tmp_path, capsys, content, named
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(content, encoding="utf-8")
+        tasks = game24_tasks(tmp_path / "tasks.json", n=2)
+        argv = ["search", "--config", str(config), "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err and str(config) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value,named",
+        [
+            ("search", "--success-threshold", "nan", "'success_threshold'"),
+            ("search", "--success-threshold", "inf", "'success_threshold'"),
+            ("search", "--exploration", "inf", "'search.exploration'"),
+            ("search", "--exploration", "-inf", "'search.exploration'"),
+            ("stl", "--gamma", "nan", "'stl.gamma'"),
+        ],
+    )
+    def test_non_finite_flag_exits_2_naming_its_key(
+        self, tmp_path, capsys, command, flag, value, named
+    ):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=2)
+        argv = [command, f"{flag}={value}", "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_value_samples_below_one_exits_2(self, tmp_path, capsys):
         tasks = game24_tasks(tmp_path / "tasks.json", n=1)
@@ -933,8 +980,36 @@ class TestPromptTemplates:
         assert "scripted__value.txt" in err
 
 
+@pytest.fixture
+def backoff_delays(monkeypatch):
+    """Build the CLI's transport with a sleep that records and returns at once.
+
+    Yields the delays each thread asked for, in order, keyed by thread id.
+    """
+    delays: dict[int, list[float]] = defaultdict(list)
+
+    def record(seconds: float) -> None:
+        delays[threading.get_ident()].append(seconds)
+
+    def transport(config):
+        return HttpTransport(
+            base_url=config.base_url, api_key_env=config.api_key_env, sleep=record
+        )
+
+    monkeypatch.setattr(cli, "_transport", transport)
+    return delays
+
+
+def assert_exponential_backoff(delays: dict[int, list[float]]) -> None:
+    """Each failed send waited 0.5 s, then 1 s: the default three attempts."""
+    schedule = [0.5, 1.0]
+    assert delays
+    for waits in delays.values():
+        assert waits == schedule * (len(waits) // len(schedule))
+
+
 class TestExitCodes:
-    def test_transport_failure_exits_3(self, tmp_path, capsys):
+    def test_transport_failure_exits_3(self, tmp_path, capsys, backoff_delays):
         tasks = game24_tasks(tmp_path / "tasks.json", n=1)
         code, _, err = run_cli(
             [
@@ -956,8 +1031,9 @@ class TestExitCodes:
         )
         assert code == 3
         assert "transport error" in err
+        assert_exponential_backoff(backoff_delays)
 
-    def test_remote_value_transport_failure_exits_3(self, tmp_path, capsys):
+    def test_remote_value_transport_failure_exits_3(self, tmp_path, capsys, backoff_delays):
         # Every child of the root expansion fails at once on its own thread;
         # the run still ends with exit 3 and a single message line.
         tasks = game24_tasks(tmp_path / "tasks.json", n=1)
@@ -982,6 +1058,7 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("transport error:")
         assert len(err.strip().splitlines()) == 1
+        assert_exponential_backoff(backoff_delays)
 
     def test_unwritable_out_path_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

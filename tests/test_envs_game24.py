@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import brute24
-from lookahead.core import Action, Split, Task, Trajectory
+from lookahead.core import Action, Split, State, Task, Trajectory
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.game24 import (
     Game24Env,
@@ -191,6 +191,11 @@ class TestOracle:
         expected = brute24.solvable(numbers)
         assert (solve_verdict(numbers) is Verdict.SURE) == expected
 
+    @given(st.lists(small_fractions, min_size=2, max_size=2))
+    def test_pairs_of_signed_fractions_agree_with_expression_enumeration(self, numbers):
+        expected = brute24.solvable(numbers)
+        assert (solve_verdict(numbers) is Verdict.SURE) == expected
+
     def test_sure_state_has_sure_successor(self):
         # The hereditary property that makes oracle-guided search complete:
         # from any solvable non-terminal state some successor is solvable.
@@ -213,3 +218,54 @@ class TestOracle:
             ]
             assert sure, f"no solvable successor below {current.signature}"
             frontier.append(sure[0])
+
+
+class TestCarriedNumbers:
+    """A game24 state carries its sorted numbers; nothing re-parses them."""
+
+    @given(
+        st.lists(st.integers(0, 13), min_size=1, max_size=4),
+        st.lists(st.integers(0, 10**6), max_size=3),
+    )
+    def test_random_walk_states_agree_with_their_signature(self, puzzle, picks):
+        env = Game24Env()
+        state = env.initial_state(task_for(" ".join(map(str, puzzle))))
+        for pick in [*picks, None]:
+            assert state.numbers == parse_numbers(state.signature)
+            assert state_numbers(state) is state.numbers
+            assert state.id == f"24[{state.signature}]"
+            assert env.is_terminal(state) == (len(state.numbers) == 1)
+            solvable = solve_verdict(state.numbers) is Verdict.SURE
+            assert solvable == brute24.solvable(state.numbers)
+            actions = enumerate_actions(state.numbers)
+            if pick is None or not actions:
+                break
+            state = env.transition(state, actions[pick % len(actions)])
+
+    def test_hand_built_state_has_no_numbers(self):
+        state = State(id="24[4 6 6 8]", depth=0, observation="4 6 6 8", signature="4 6 6 8")
+        with pytest.raises(ValueError, match="not an arithmetic state"):
+            state_numbers(state)
+        with pytest.raises(ValueError, match="not an arithmetic state"):
+            Game24Env().is_terminal(state)
+
+    def test_numbers_stay_out_of_equality_and_repr(self):
+        env = Game24Env()
+        state = env.initial_state(task_for("8 4 6 6"))
+        assert "numbers" not in repr(state)
+        assert state == env.initial_state(task_for("4 6 6 8"))
+        assert hash(state) == hash(env.initial_state(task_for("6 8 6 4")))
+
+    @pytest.mark.parametrize("action", ["04 + 6", "8/2 + 6", "4 + 6/1"])
+    def test_operands_spelled_otherwise_are_found_by_value(self, action):
+        env = Game24Env()
+        state = env.initial_state(task_for("4 6 6 8"))
+        successor = env.transition(state, Action.make(action))
+        assert successor.signature == "6 8 10"
+        assert successor.observation == "4 + 6 = 10 (left: 10 6 8)"
+
+    def test_operand_with_zero_denominator_is_rejected(self):
+        env = Game24Env()
+        state = env.initial_state(task_for("1 3 4 6"))
+        with pytest.raises(ActionRejected, match="divides by zero"):
+            env.transition(state, Action.make("1/0 + 3"))
