@@ -26,8 +26,6 @@ _MAX_CALLS_PER_ACTION = 2
 
 
 class Policy(ABC):
-    concurrent_safe: bool = True
-
     @abstractmethod
     def propose(
         self,
@@ -90,7 +88,6 @@ class RemotePolicy(Policy):
         self.template = load_template(environment.name, "policy")
         self.ledger = ledger
         self.malformed_count = 0
-        self.concurrent_safe = transport.concurrent_safe
 
     def _parse_action(self, text: str) -> str | None:
         matches = _ACTION_LINE_RE.findall(text)

@@ -119,21 +119,13 @@ def parse_value(text: str, scale: ValueScale) -> float:
 
     Ten-point scales read the number in the last occurrence of the score
     sentence ("Thus the correctness score is ..."); label scales read the last
-    verdict word.  Values outside the scale's admissible set are rejected.
+    verdict word.  Values outside the scale's admissible set are rejected;
+    every admissible value lies inside the scale's bounds.
     """
-    if scale.labels is not None:
-        return _last_label(text, scale)
-    matches = list(SCORE_SENTENCE_RE.finditer(text))
-    if not matches:
-        raise MalformedRationale("scaffolding-missing", "no score sentence found")
-    value = float(matches[-1].group(1))
+    value = parse_bounded_value(text, scale)
     if scale.admissible is not None and value not in scale.admissible:
         raise MalformedRationale(
             "value-not-admissible", f"{value} not in scale {scale.name!r}"
-        )
-    if scale.admissible is None and not scale.in_bounds(value):
-        raise MalformedRationale(
-            "value-not-admissible", f"{value} outside bounds of {scale.name!r}"
         )
     return value
 

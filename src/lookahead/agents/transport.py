@@ -151,8 +151,8 @@ class ScriptedTransport(Transport):
     ``responses`` may be longer than needed; each ``send`` consumes ``n``
     entries.  Usage is the whitespace-token approximation of the prompt (once
     per send) and of every completion.
-    The double is stateful and therefore not safe for unserialized concurrent
-    use.
+    The double replays its replies in call order, so it is not safe for
+    concurrent use.
     """
 
     def __init__(self, responses: Iterable[str]) -> None:

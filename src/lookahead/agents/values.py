@@ -5,6 +5,9 @@ A value model maps the trajectory ending at the state under judgment to a
 Every model's primitive is ``evaluate(task, trajectory)``; wrappers hand the
 caller's trajectory to their inner model unchanged.  Only the remote model
 samples, so its sample count and aggregation are constructor arguments.
+
+Concurrency safety belongs to the transport: only the remote model overlaps
+its calls, and only on a transport that declares itself safe for that.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ if TYPE_CHECKING:
 
 class ValueModel(ABC):
     scale: ValueScale = NUMERIC10
-    concurrent_safe: bool = True
 
     @abstractmethod
     def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate: ...
@@ -168,7 +170,6 @@ class RemoteValueModel(ValueModel):
         self.ledger = ledger
         self.malformed_count = 0
         self._malformed_lock = threading.Lock()
-        self.concurrent_safe = transport.concurrent_safe
 
     def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
         prompt = render_template(self.template, input=render_context(trajectory))
@@ -214,7 +215,7 @@ class RemoteValueModel(ValueModel):
         in trajectory order (for example a :class:`TransportError`) is the
         one raised.
         """
-        if not self.concurrent_safe or len(trajectories) < 2:
+        if not self.transport.concurrent_safe or len(trajectories) < 2:
             return super().evaluate_many(task, trajectories)
         with ThreadPoolExecutor(max_workers=len(trajectories)) as pool:
             futures = [
@@ -233,9 +234,6 @@ class RoutedValueModel(ValueModel):
         self.models = dict(models)
         self.fallback = fallback
         self.scale = fallback.scale
-        self.concurrent_safe = all(
-            m.concurrent_safe for m in (*self.models.values(), fallback)
-        )
 
     def _route(self, depth: int) -> ValueModel:
         return self.models.get(depth, self.fallback)

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -26,7 +25,6 @@ from .core import Aggregation, Split, Task, write_json
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import FixtureError, ScriptedEnvironment
-from .agents.gate import ensure_concurrent_policy, ensure_concurrent_value_model
 from .agents.policies import ExhaustivePolicy, Policy, RemotePolicy
 from .agents.prompts import PromptError
 from .agents.scales import GAME24, LIKERT10, NUMERIC10, SCALES, ValueScale, get_scale
@@ -47,12 +45,13 @@ from .evaluation import (
     emit_report,
     paired_bootstrap,
 )
-from .search import ENGINES, SearchConfig, dump_tree, safe_name
+from .search import ENGINES, SearchConfig, run_rollouts, safe_name
 from .stl import (
     StlConfig,
     StlError,
     TabularTrainer,
     TabularValueModel,
+    check_schedule,
     export_jsonl,
     import_jsonl,
     stl_run,
@@ -435,50 +434,45 @@ def write_manifest(config: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def cmd_search(config: ExperimentConfig) -> int:
-    """Run the configured engine over every task; always exits 0 once the
-    run completes, with per-task failures tallied in the artifacts."""
+def set_up_run(
+    config: ExperimentConfig, command: str
+) -> tuple[Environment, list[Task], PricingTable, Ledger, Policy, ValueModel, Path]:
+    """Check every input of ``command`` (``search`` or ``stl``) and build its
+    agents; only then create the output directory and write the manifest."""
     if config.tasks is None:
-        raise ConfigError("search requires a tasks file (--tasks)")
+        raise ConfigError(f"{command} requires a tasks file (--tasks)")
     env = build_environment(config)
     tasks = load_tasks(config.tasks, env)
-    pricing = build_pricing(config)
+    pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
     value_model = build_value_model(config, env, ledger)
-    if config.parallel > 1:
-        policy = ensure_concurrent_policy(policy)
-        value_model = ensure_concurrent_value_model(value_model)
-
+    if command == "stl":
+        check_schedule(config.stl, len(tasks))
     out_dir = resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(config, out_dir)
+    return env, tasks, pricing, ledger, policy, value_model, out_dir
 
-    jobs = [(task, attempt) for task in tasks for attempt in range(1, config.attempts + 1)]
 
-    engine = ENGINES[config.engine]
-
-    def rollout(job: tuple[Task, int]):
-        task, _attempt = job
-        return engine(task, env, policy, value_model, config.search, ledger)
-
-    if config.parallel > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            trees = list(pool.map(rollout, jobs))
-    else:
-        trees = [rollout(job) for job in jobs]
+def cmd_search(config: ExperimentConfig) -> int:
+    """Run the configured engine over every task; always exits 0 once the
+    run completes, with per-task failures tallied in the artifacts."""
+    env, tasks, pricing, ledger, policy, value_model, out_dir = set_up_run(config, "search")
+    jobs = [
+        (task, out_dir / "trees" / f"{safe_name(task.id)}__a{attempt}.json")
+        for task in tasks
+        for attempt in range(1, config.attempts + 1)
+    ]
+    trees = run_rollouts(
+        jobs, config.engine, env, policy, value_model, config.search, ledger, config.parallel
+    )
 
     outcomes: list[TaskOutcome] = []
-    failures = 0
-    for task_index, task in enumerate(tasks):
-        attempt_scores: list[float | None] = []
-        for attempt in range(1, config.attempts + 1):
-            tree = trees[task_index * config.attempts + (attempt - 1)]
-            dump_tree(
-                tree, out_dir / "trees" / f"{safe_name(task.id)}__a{attempt}.json"
-            )
-            failures += len(tree.stats.failures)
-            attempt_scores.append(env.ground_truth_score(tree.final_trajectory()))
+    failures = sum(len(tree.stats.failures) for tree in trees)
+    for index, task in enumerate(tasks):
+        attempts = trees[index * config.attempts : (index + 1) * config.attempts]
+        attempt_scores = [env.ground_truth_score(tree.final_trajectory()) for tree in attempts]
         successes = tuple(
             s is not None and s >= config.success_threshold for s in attempt_scores
         )
@@ -509,19 +503,7 @@ def cmd_search(config: ExperimentConfig) -> int:
 def cmd_stl(config: ExperimentConfig) -> int:
     """Run the self-training loop and write datasets, reports, and the
     reloadable tabular model artifact."""
-    if config.tasks is None:
-        raise ConfigError("stl requires a tasks file (--tasks)")
-    env = build_environment(config)
-    tasks = load_tasks(config.tasks, env)
-    build_pricing(config)  # stl prices nothing, but a bad pricing file still exits 2
-    ledger = Ledger()
-    policy = build_policy(config, env, ledger)
-    base_model = build_value_model(config, env, ledger)
-
-    out_dir = resolve_out_dir(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(config, out_dir)
-
+    env, tasks, _pricing, ledger, policy, base_model, out_dir = set_up_run(config, "stl")
     result = stl_run(
         tasks=tasks,
         env=env,
@@ -532,6 +514,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
         search_config=config.search,
         out_dir=out_dir / "stl",
         ledger=ledger,
+        parallel=config.parallel,
     )
 
     final_dataset = result.datasets[-1] if result.datasets else None

@@ -17,15 +17,19 @@ name to its function.
 All engines are deterministic given the same configuration and scripted
 agents: proposal order breaks every tie.  ``stats.states_expanded`` counts
 environment transition calls exactly.
+
+:func:`run_rollouts` is the one place that runs engines over tasks and
+writes their trees; ``search`` and every ``stl`` iteration call it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import Action, State, Task, Trajectory, ValueEstimate, write_json
 from .envs.base import ActionRejected, Environment
@@ -447,3 +451,35 @@ ENGINES: dict[str, Callable[..., SearchTree]] = {
     "beam": beam_search,
     "mcts": mcts_search,
 }
+
+
+def run_rollouts(
+    jobs: Sequence[tuple[Task, Path | None]],
+    engine: str,
+    env: Environment,
+    policy: Policy,
+    value_model: ValueModel,
+    config: SearchConfig,
+    ledger: "Ledger | None" = None,
+    parallel: int = 1,
+) -> list[SearchTree]:
+    """Run the named engine on each ``(task, tree_path)`` job, ``parallel``
+    at a time, and write each tree to its path (if any) once it is built.
+
+    Trees come back in job order, so a parallel run's artifacts equal a
+    serial run's.  The threads share the agents, whose transports must then
+    be safe for concurrent use.
+    """
+
+    def rollout(job: tuple[Task, Path | None]) -> SearchTree:
+        task, tree_path = job
+        # ENGINES and dump_tree are looked up per call, so rebinding them reaches every rollout.
+        tree = ENGINES[engine](task, env, policy, value_model, config, ledger)
+        if tree_path is not None:
+            dump_tree(tree, tree_path)
+        return tree
+
+    if parallel == 1:
+        return [rollout(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        return list(pool.map(rollout, jobs))

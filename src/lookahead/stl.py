@@ -33,7 +33,7 @@ from .agents.scales import MalformedRationale, ValueScale, parse_value, strip_sc
 from .agents.values import RoutedValueModel, ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
-from .search import ENGINES, SearchConfig, SearchTree, dump_tree, safe_name
+from .search import ENGINES, SearchConfig, SearchTree, run_rollouts, safe_name
 
 if TYPE_CHECKING:
     from .evaluation import Ledger
@@ -341,7 +341,6 @@ class TabularValueModel(ValueModel):
     def __init__(self, base_model: ValueModel, dataset: Dataset) -> None:
         self.base_model = base_model
         self.scale = base_model.scale
-        self.concurrent_safe = base_model.concurrent_safe
         self.table: dict[str, tuple[str, float]] = {}
         for key, example in dataset.examples.items():
             _, _, _, value = parse_simulated_lookahead(example.completion, self.scale)
@@ -447,6 +446,17 @@ class StlResult:
     trees: list[SearchTree] = field(default_factory=list)
 
 
+def check_schedule(stl_config: StlConfig, task_count: int) -> None:
+    """Raise :class:`StlError` unless ``task_count`` tasks cover the schedule."""
+    needed = stl_config.iterations * stl_config.tasks_per_iteration
+    if needed > task_count:
+        raise StlError(
+            f"schedule needs {needed} rollout tasks "
+            f"({stl_config.iterations} x {stl_config.tasks_per_iteration}) "
+            f"but only {task_count} were provided"
+        )
+
+
 def stl_run(
     tasks: Sequence[Task],
     env: Environment,
@@ -458,23 +468,20 @@ def stl_run(
     out_dir: str | Path | None = None,
     ledger: "Ledger | None" = None,
     keep_trees: bool = False,
+    parallel: int = 1,
 ) -> StlResult:
     """Run the full self-training loop (see module docstring).
 
     Every iteration trains from ``base_model``, never from the previous
-    iteration's model.  Datasets are exported before training, so a trainer
+    iteration's model, and rolls out ``parallel`` tasks at a time with its
+    model frozen.  Datasets are exported before training, so a trainer
     failure aborts the loop with all files intact.
     """
-    needed = stl_config.iterations * stl_config.tasks_per_iteration
-    if needed > len(tasks):
-        raise StlError(
-            f"schedule needs {needed} rollout tasks "
-            f"({stl_config.iterations} x {stl_config.tasks_per_iteration}) "
-            f"but only {len(tasks)} were provided"
-        )
+    check_schedule(stl_config, len(tasks))
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+    trees_dir = out_path / "trees" if out_path is not None else None
 
     scale = base_model.scale
     current_model = base_model
@@ -486,18 +493,19 @@ def stl_run(
     for iteration in range(1, stl_config.iterations + 1):
         start = (iteration - 1) * stl_config.tasks_per_iteration
         task_slice = tasks[start : start + stl_config.tasks_per_iteration]
+        prefix = f"iter{iteration:02d}__"
+        jobs = [
+            (task, trees_dir / f"{prefix}{safe_name(task.id)}.json" if trees_dir else None)
+            for task in task_slice
+        ]
+        iteration_trees = run_rollouts(
+            jobs, stl_config.engine, env, policy, current_model, search_config, ledger, parallel
+        )
+        if keep_trees:
+            trees.extend(iteration_trees)
         candidates: list[ExampleCandidate] = []
         intra_tree_duplicates = 0
-        for task in task_slice:
-            tree = ENGINES[stl_config.engine](
-                task, env, policy, current_model, search_config, ledger
-            )
-            if keep_trees:
-                trees.append(tree)
-            if out_path is not None:
-                dump_tree(
-                    tree, out_path / "trees" / f"iter{iteration:02d}__{safe_name(task.id)}.json"
-                )
+        for task, tree in zip(task_slice, iteration_trees):
             found, duplicates = collect_candidates(
                 task, tree, stl_config.gamma, stl_config.min_example_depth
             )

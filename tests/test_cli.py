@@ -58,6 +58,16 @@ def game24_tasks(path: Path, n: int = 2) -> str:
     return write_tasks(path, source["tasks"][:n])
 
 
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote except its manifest, by path under ``out``, with
+    ``out`` itself masked wherever an artifact records it."""
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes().replace(str(out).encode(), b"<out>")
+        for p in out.rglob("*")
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
 def webshop_search_args(tasks: str, out: Path, *extra: str) -> list[str]:
     return [
         "search",
@@ -383,6 +393,15 @@ class TestConfigHandling:
         assert "'a/b'" in err and "'a-b'" in err
         assert not out.exists()
 
+    def test_stl_schedule_larger_than_task_list_exits_2_before_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["stl", "--tasks", "fixtures/game24_rollout_100.json", "--iterations", "30"]
+        code, _, err = run_cli([*argv, "--tasks-per-iteration", "5", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("config error: schedule needs 150 rollout tasks")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_default_out_dir_is_the_time_stamp(self):
         assert re.fullmatch(r"runs/\d{8}-\d{6}", resolve_out_dir(ExperimentConfig()).as_posix())
 
@@ -686,6 +705,7 @@ class TestSearchCommand:
         serial = json.loads((serial_out / "results.json").read_text())
         parallel = json.loads((parallel_out / "results.json").read_text())
         assert serial["outcomes"] == parallel["outcomes"]
+        assert artifact_bytes(parallel_out) == artifact_bytes(serial_out)
 
 
 class TestRemoteValueFlags:
@@ -715,29 +735,42 @@ class TestRemoteValueFlags:
 
 
 class TestStlCommand:
-    def test_parallel_leaves_stl_serial_and_its_artifacts_unchanged(
+    def test_parallel_overlaps_rollouts_and_leaves_artifacts_unchanged(
         self, tmp_path, capsys, monkeypatch
     ):
-        # stl runs its rollouts one after another, so it never gates its
-        # agents for concurrent use, whatever --parallel says.
-        gated = []
-        monkeypatch.setattr(cli, "ensure_concurrent_policy", lambda p: gated.append(p) or p)
-        monkeypatch.setattr(cli, "ensure_concurrent_value_model", lambda m: gated.append(m) or m)
-        tasks = webshop_tasks(tmp_path / "tasks.json")
+        tasks = webshop_tasks(tmp_path / "tasks.json", n=4)
         argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
-        argv += ["--stl-engine", "greedy", "--tasks-per-iteration", "2", "--tasks", tasks]
-        artifacts = {}
-        for parallel in ("1", "4"):
-            out = tmp_path / f"parallel{parallel}"
-            code, _, err = run_cli([*argv, "--parallel", parallel, "--out", str(out)], capsys)
-            assert code == 0, err
-            artifacts[parallel] = {
-                p.relative_to(out).as_posix(): p.read_bytes().replace(str(out).encode(), b"<out>")
-                for p in (out / "stl").rglob("*")
-                if p.is_file()
-            }
-        assert artifacts["4"] == artifacts["1"]
-        assert gated == []
+        argv += ["--stl-engine", "greedy", "--iterations", "2", "--tasks-per-iteration", "2"]
+        argv += ["--accumulate", "--tasks", tasks]
+        serial_out, parallel_out = tmp_path / "parallel1", tmp_path / "parallel4"
+        code, _, err = run_cli([*argv, "--parallel", "1", "--out", str(serial_out)], capsys)
+        assert code == 0, err
+        # Each rollout of the parallel run waits (up to a timeout) until both
+        # rollouts of its iteration are in flight at once.
+        in_flight = [0, 0]  # now, most
+        lock = threading.Lock()
+        both_started = threading.Barrier(2, timeout=2.0)
+        greedy = ENGINES["greedy"]
+
+        def overlapping_greedy(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            try:
+                both_started.wait()
+            except threading.BrokenBarrierError:
+                pass
+            try:
+                return greedy(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setitem(ENGINES, "greedy", overlapping_greedy)
+        code, _, err = run_cli([*argv, "--parallel", "4", "--out", str(parallel_out)], capsys)
+        assert code == 0, err
+        assert in_flight[1] == 2
+        assert artifact_bytes(parallel_out) == artifact_bytes(serial_out)
 
     def test_webshop_per_depth_artifacts(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")

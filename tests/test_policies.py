@@ -137,7 +137,3 @@ class TestRemotePolicy:
         policy = RemotePolicy(ScriptedTransport([]), "test-model", env)
         with pytest.raises(ValueError, match="terminal"):
             policy.propose(task, trajectory, branching=1)
-
-    def test_concurrent_safety_follows_transport(self):
-        env = Game24Env()
-        assert RemotePolicy(ScriptedTransport([]), "m", env).concurrent_safe is False

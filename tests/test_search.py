@@ -2,11 +2,14 @@
 
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 from transport_doubles import PromptKeyedTransport, digest
 
+from lookahead import search
 from lookahead.agents.policies import ExhaustivePolicy, Policy
 from lookahead.agents.scales import GAME24, MalformedRationale
 from lookahead.agents.transport import ChatRequest, ChatResponse, Transport
@@ -23,6 +26,7 @@ from lookahead.search import (
     dump_tree,
     greedy_search,
     mcts_search,
+    run_rollouts,
 )
 
 TASK = Task(id="t1", instruction="walk", split=Split.ROLLOUT)
@@ -382,6 +386,117 @@ class TestDumpTree:
         by_id = {n["observation"]: n for n in data["nodes"]}
         assert by_id["room a"]["value"] == 6.0
         assert by_id["a win"]["terminal"] is True
+
+
+class TestRunRollouts:
+    TASKS = [Task(id=f"t{i}", instruction="walk", split=Split.ROLLOUT) for i in range(3)]
+
+    def run(self, jobs, parallel=1):
+        env, policy, model = two_branch_setup()
+        return run_rollouts(
+            jobs, "greedy", env, policy, model, SearchConfig(max_depth=3), parallel=parallel
+        )
+
+    def test_parallel_trees_keep_job_order_and_serial_bytes(self, tmp_path, monkeypatch):
+        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+        serial = self.run([(t, serial_dir / f"{t.id}.json") for t in self.TASKS])
+        # The first job cannot finish before the last one has.
+        finished: list[str] = []
+        last_done = threading.Event()
+        greedy = ENGINES["greedy"]
+
+        def out_of_order(task, *args):
+            if task.id == "t0":
+                last_done.wait(timeout=2.0)
+            tree = greedy(task, *args)
+            finished.append(task.id)
+            if task.id == "t2":
+                last_done.set()
+            return tree
+
+        monkeypatch.setitem(ENGINES, "greedy", out_of_order)
+        jobs = [(t, parallel_dir / f"{t.id}.json") for t in self.TASKS]
+        parallel = self.run(jobs, parallel=3)
+        assert finished[0] != "t0" and finished[-1] == "t0"
+        assert [tree.task.id for tree in parallel] == ["t0", "t1", "t2"]
+        assert [tree.to_dict() for tree in parallel] == [tree.to_dict() for tree in serial]
+        for task in self.TASKS:
+            name = f"{task.id}.json"
+            assert (parallel_dir / name).read_bytes() == (serial_dir / name).read_bytes()
+
+    def test_each_tree_is_written_as_soon_as_it_is_built(self, tmp_path, monkeypatch):
+        greedy = ENGINES["greedy"]
+
+        def fails_on_t1(task, *args):
+            if task.id == "t1":
+                raise RuntimeError("rollout failed")
+            return greedy(task, *args)
+
+        monkeypatch.setitem(ENGINES, "greedy", fails_on_t1)
+        with pytest.raises(RuntimeError, match="rollout failed"):
+            self.run([(t, tmp_path / f"{t.id}.json") for t in self.TASKS])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t0.json"]
+
+    def test_eight_threads_keep_job_order_and_per_task_counts(self):
+        env = Game24Env()
+        puzzles = ["1 2 3 4", "4 6 6 8", "1 1 1 1", "2 3 5 7", "3 3 8 8", "1 5 5 5"] * 2
+        tasks = [Task(id=f"g{i}", instruction=p, split=Split.ROLLOUT) for i, p in enumerate(puzzles)]
+        config = SearchConfig(branching=8, beam_width=3, max_depth=3)
+        ledger = Ledger()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trees = run_rollouts(
+                [(task, None) for task in tasks], "beam", env, ExhaustivePolicy(env),
+                OracleValueModel(), config, ledger, parallel=8,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        expanded = {tree.task.id: tree.stats.states_expanded for tree in trees}
+        assert [tree.task for tree in trees] == tasks
+        assert ledger.per_task_states == expanded
+        assert ledger.states_expanded == sum(expanded.values()) > 0
+
+    def test_serial_run_stays_on_the_calling_thread(self, monkeypatch):
+        # parallel=1 starts no pool, so an order-dependent transport (a
+        # scripted replay) sees its calls from the caller, one at a time.
+        greedy = ENGINES["greedy"]
+        threads = []
+
+        def recording(task, *args):
+            threads.append(threading.get_ident())
+            return greedy(task, *args)
+
+        monkeypatch.setitem(ENGINES, "greedy", recording)
+        trees = self.run([(task, None) for task in self.TASKS])
+        assert [tree.task for tree in trees] == self.TASKS
+        assert threads == [threading.get_ident()] * len(self.TASKS)
+
+    def test_engine_table_is_looked_up_at_call_time(self, monkeypatch):
+        # A rebinding of the module's ENGINES (as a tracer makes) reaches
+        # every rollout, serial or parallel.
+        greedy = ENGINES["greedy"]
+        calls = []
+
+        def counted(task, *args):
+            calls.append(task.id)
+            return greedy(task, *args)
+
+        monkeypatch.setattr(search, "ENGINES", {"greedy": counted})
+        for parallel in (1, 2):
+            trees = self.run([(task, None) for task in self.TASKS], parallel=parallel)
+            assert [tree.task for tree in trees] == self.TASKS
+        assert sorted(calls) == sorted([t.id for t in self.TASKS] * 2)
+
+    def test_only_jobs_with_a_path_reach_dump_tree(self, tmp_path, monkeypatch):
+        # dump_tree is looked up when each tree is built, so a rebinding of
+        # the module attribute (as a tracer makes) sees every write.
+        dumped = []
+        monkeypatch.setattr(search, "dump_tree", lambda tree, path: dumped.append((tree, path)))
+        path = tmp_path / "t1.json"
+        trees = self.run([(self.TASKS[0], None), (self.TASKS[1], path)])
+        assert [tree.task for tree in trees] == self.TASKS[:2]
+        assert dumped == [(trees[1], path)]
 
 
 class FixedPolicy(Policy):

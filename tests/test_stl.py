@@ -461,6 +461,31 @@ class TestStlRun:
         assert report.merge.added == 2
         assert isinstance(result.final_model, TabularValueModel)
 
+    def test_parallel_rollouts_match_serial_run(self, tmp_path):
+        runs = {}
+        for parallel in (1, 3):
+            env, policy, base = stl_setup()
+            out = tmp_path / f"p{parallel}"
+            result = stl_run(
+                stl_tasks(6), env, policy, base, TabularTrainer(),
+                self.config(iterations=2, tasks_per_iteration=3, accumulate=True),
+                self.search_config(), out_dir=out, keep_trees=True, parallel=parallel,
+            )
+            files = {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "stl_report.json"
+            }
+            runs[parallel] = result, files
+        (serial, serial_files), (parallel, parallel_files) = runs[1], runs[3]
+        assert [t.task.id for t in parallel.trees] == [f"t{i}" for i in range(1, 7)]
+        assert [t.to_dict() for t in parallel.trees] == [t.to_dict() for t in serial.trees]
+        assert [d.sorted_examples() for d in parallel.datasets] == [
+            d.sorted_examples() for d in serial.datasets
+        ]
+        assert len([name for name in serial_files if name.startswith("trees/")]) == 6
+        assert parallel_files == serial_files
+
     def test_trained_model_answers_with_lookahead_target(self):
         env, policy, base = stl_setup()
         result = stl_run(

@@ -6,13 +6,6 @@ import threading
 import pytest
 from transport_doubles import PromptKeyedTransport
 
-from lookahead.agents.gate import (
-    SerializedPolicy,
-    SerializedValueModel,
-    ensure_concurrent_policy,
-    ensure_concurrent_value_model,
-)
-from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.scales import (
     GAME24,
     LIKERT10,
@@ -223,38 +216,6 @@ class TestDepthRouting:
         assert model.scale is LIKERT10
 
 
-class TestConcurrencyGates:
-    def test_safe_agents_pass_through(self):
-        model = ConstantValueModel(1.0)
-        assert ensure_concurrent_value_model(model) is model
-        policy = ExhaustivePolicy(Game24Env())
-        assert ensure_concurrent_policy(policy) is policy
-
-    def test_unsafe_value_model_is_wrapped(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
-        inner = RemoteValueModel(ScriptedTransport([sample(6.0)]), "m", env, LIKERT10)
-        wrapped = ensure_concurrent_value_model(inner)
-        assert isinstance(wrapped, SerializedValueModel)
-        assert wrapped.concurrent_safe is True
-        assert wrapped.scale is inner.scale
-        assert wrapped.evaluate(task, trajectory).value == 6.0
-
-    def test_unsafe_policy_is_wrapped(self):
-        env = Game24Env()
-        task = Task(id="t1", instruction="1 2 3", split=Split.ROLLOUT)
-        trajectory = Trajectory.from_state(task, env.initial_state(task))
-        from lookahead.agents.policies import RemotePolicy
-
-        inner = RemotePolicy(
-            ScriptedTransport(["Action: 1 + 2"]), "m", env
-        )
-        wrapped = ensure_concurrent_policy(inner)
-        assert isinstance(wrapped, SerializedPolicy)
-        assert wrapped.concurrent_safe is True
-        actions = wrapped.propose(task, trajectory, branching=1)
-        assert [a.text for a in actions] == ["1 + 2"]
-
-
 def game24_trajectories(*instructions: str) -> list[Trajectory]:
     return [game24_trajectory(text)[2] for text in instructions]
 
@@ -314,7 +275,7 @@ class TestEvaluateMany:
         trajectories = game24_trajectories("1 2 3", "4 5 6", "7 8 9")
         transport = ScriptedTransport([sample(1.0), "junk", sample(2.0), sample(4.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
-        assert model.concurrent_safe is False
+        assert model.transport.concurrent_safe is False
         results = model.evaluate_many(TASK, trajectories)
         assert [r.value for r in results] == [1.0, 2.0, 4.0]
         seen = [r.messages[0].content for r in transport.requests_seen]
@@ -411,21 +372,6 @@ class TestEvaluateMany:
         assert [r.value for r in results] == [2.0, 7.0, 2.0]
         assert base.batches == [[trajectories[0], trajectories[2]]]
 
-    def test_serialized_model_holds_its_lock_around_the_batch(self):
-        held = []
-
-        class Probe(RecordingModel):
-            def evaluate_many(self, task, trajectories):
-                held.append(wrapped._lock.locked())
-                return super().evaluate_many(task, trajectories)
-
-        inner = Probe(4.0)
-        inner.concurrent_safe = False
-        wrapped = ensure_concurrent_value_model(inner)
-        trajectories = [synthetic_trajectory(i)[1] for i in "ab"]
-        assert [r.value for r in wrapped.evaluate_many(TASK, trajectories)] == [4.0, 4.0]
-        assert held == [True]
-
 
 class TrajectorySpy(ConstantValueModel):
     """Constant model that records every trajectory reaching ``evaluate``."""
@@ -441,7 +387,6 @@ class TrajectorySpy(ConstantValueModel):
 
 WRAPPERS = {
     "routed": lambda spy: RoutedValueModel(models={0: spy}, fallback=ConstantValueModel(9.0)),
-    "serialized": SerializedValueModel,
     "tabular-miss": lambda spy: TabularValueModel(spy, Dataset()),
 }
 
