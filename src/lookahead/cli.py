@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 transport-fatal error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -27,7 +28,9 @@ from .envs.game24 import Game24Env
 from .envs.scripted import FixtureError, ScriptedEnvironment
 from .agents.policies import ExhaustivePolicy, Policy, RemotePolicy
 from .agents.prompts import PromptError
-from .agents.scales import GAME24, LIKERT10, NUMERIC10, SCALES, ValueScale, get_scale
+from .agents.scales import (
+    GAME24, LIKERT10, NUMERIC10, SCALES, MalformedRationale, ValueScale, get_scale
+)
 from .agents.transport import DEFAULT_API_KEY_ENV, HttpTransport, TransportError
 from .agents.values import (
     ConstantValueModel,
@@ -73,6 +76,9 @@ class ExperimentConfig:
     ``policy`` is ``exhaustive`` or ``remote:<model>``; ``value`` is one of
     ``oracle``, ``constant:<v>``, ``scripted:<fixture>``, ``remote:<model>``,
     or ``stl-dataset:<path>`` (mutually exclusive by construction).
+
+    Construction checks the numbers and choices; the spec strings and the
+    files they name are checked by the builders that read them.
     """
 
     environment: str = "game24"
@@ -94,6 +100,17 @@ class ExperimentConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
     search: SearchConfig = field(default_factory=SearchConfig)
     stl: StlConfig = field(default_factory=StlConfig)
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
+        for name in ("attempts", "parallel", "k", "value_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.value_scale is not None and self.value_scale not in SCALES:
+            raise ValueError(
+                f"value_scale must be one of {sorted(SCALES)}, got {self.value_scale!r}"
+            )
 
     def method_name(self) -> str:
         return self.method or f"{self.engine}+{self.value}"
@@ -132,13 +149,18 @@ def _check_types(data: Mapping, cls: type, source: str, prefix: str = "") -> Non
             raise ConfigError(f"{source}: '{prefix}{f.name}' must be finite, got {value!r}")
 
 
-def _sub_config(data: Mapping, cls: type, where: str, source: str) -> Any:
+def _sub_config(data: Any, cls: type, where: str, source: str) -> Any:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{source}: {where!r} must be a JSON object")
     kwargs = dict(data)
     allowed = {f.name for f in fields(cls)}
     _check_keys(kwargs, allowed, where)
     _check_types(kwargs, cls, source, f"{where}.")
     if "excluded_actions" in kwargs:
-        kwargs["excluded_actions"] = tuple(kwargs["excluded_actions"])
+        excluded = kwargs["excluded_actions"]
+        if not isinstance(excluded, (list, tuple)) or not all(isinstance(a, str) for a in excluded):
+            raise ConfigError(f"{source}: 'excluded_actions' must be a list of action strings")
+        kwargs["excluded_actions"] = tuple(excluded)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -146,9 +168,12 @@ def _sub_config(data: Mapping, cls: type, where: str, source: str) -> Any:
 
 
 def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
-    """Build and validate a config; raises :class:`ConfigError` on any problem.
+    """Build a config, checking its keys, types, numbers and choices; raises
+    :class:`ConfigError` on any problem.  The spec strings are checked when
+    the agents are built.
 
-    ``source`` names where ``data`` came from in messages about a value's type.
+    ``source`` names where ``data`` came from in messages about a value's
+    type or a section's shape.
     """
     allowed = {f.name for f in fields(ExperimentConfig)}
     _check_keys(data, allowed, "config")
@@ -162,75 +187,9 @@ def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
     search = _sub_config(kwargs.pop("search", {}), SearchConfig, "search", source)
     stl = _sub_config(kwargs.pop("stl", {}), StlConfig, "stl", source)
     try:
-        config = ExperimentConfig(search=search, stl=stl, **kwargs)
+        return ExperimentConfig(search=search, stl=stl, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    _validate(config)
-    return config
-
-
-def _spec_path(spec: str, prefix: str, what: str) -> Path:
-    path = Path(spec[len(prefix) :])
-    if not path.exists():
-        raise ConfigError(f"{what} path does not exist: {path}")
-    return path
-
-
-def _validate(config: ExperimentConfig) -> None:
-    if config.engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {tuple(ENGINES)}, got {config.engine!r}")
-    if config.environment != "game24":
-        if not config.environment.startswith("scripted:"):
-            raise ConfigError(
-                f"environment must be 'game24' or 'scripted:<fixture>', "
-                f"got {config.environment!r}"
-            )
-        _spec_path(config.environment, "scripted:", "environment fixture")
-    if config.policy != "exhaustive" and not config.policy.startswith("remote:"):
-        raise ConfigError(
-            f"policy must be 'exhaustive' or 'remote:<model>', got {config.policy!r}"
-        )
-    value = config.value
-    if value.startswith("scripted:"):
-        _spec_path(value, "scripted:", "value fixture")
-    elif value.startswith("stl-dataset:"):
-        _spec_path(value, "stl-dataset:", "value dataset")
-    elif value.startswith("constant:"):
-        try:
-            float(value[len("constant:") :])
-        except ValueError:
-            raise ConfigError(f"constant value spec is not a number: {value!r}") from None
-    elif value.startswith("remote:"):
-        pass
-    elif value != "oracle":
-        raise ConfigError(
-            "value must be one of oracle | constant:<v> | scripted:<fixture> | "
-            f"remote:<model> | stl-dataset:<path>, got {value!r}"
-        )
-    if value == "oracle" and config.environment != "game24":
-        raise ConfigError("the oracle value model requires the game24 environment")
-    if config.tasks is not None and not Path(config.tasks).exists():
-        raise ConfigError(f"tasks path does not exist: {config.tasks}")
-    if config.pricing is not None and not Path(config.pricing).exists():
-        raise ConfigError(f"pricing path does not exist: {config.pricing}")
-    if config.attempts < 1:
-        raise ConfigError("attempts must be at least 1")
-    if config.parallel < 1:
-        raise ConfigError("parallel must be at least 1")
-    if config.k < 1:
-        raise ConfigError("k must be at least 1")
-    if config.value_samples < 1:
-        raise ConfigError("value_samples must be at least 1")
-    if config.value_scale is not None and config.value_scale not in SCALES:
-        raise ConfigError(
-            f"value_scale must be one of {sorted(SCALES)}, got {config.value_scale!r}"
-        )
-    label_scale = value == "oracle" or _value_scale(config).labels is not None
-    if config.stl.gamma < 1.0 and label_scale:
-        raise ConfigError(
-            f"gamma {config.stl.gamma} discounts lookahead targets, which a "
-            "label-scale value model cannot express; use gamma 1 or a numeric value_scale"
-        )
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -243,7 +202,8 @@ def _read_json(path: str | Path, what: str) -> Any:
 
 
 def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> ExperimentConfig:
-    """Merge a config file (or manifest) with flag overrides; flags win."""
+    """Merge a config file (or manifest) with the flags given, keyed by field
+    name (``search.<name>``, ``stl.<name>``); flags win."""
     data: dict[str, Any] = {}
     if path is not None:
         raw = _read_json(path, "config")
@@ -252,28 +212,14 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
             raw = raw["config"]
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
-        for key in ("search", "stl"):
-            if not isinstance(raw.get(key, {}), dict):
-                raise ConfigError(f"config file {path}: {key!r} must be a JSON object")
-        excluded = raw.get("search", {}).get("excluded_actions", [])
-        if not isinstance(excluded, list) or not all(isinstance(a, str) for a in excluded):
-            raise ConfigError(
-                f"config file {path}: 'excluded_actions' must be a list of action strings"
-            )
         data = dict(raw)
     for key, value in overrides.items():
-        if value is None:
-            continue
-        if key.startswith("search."):
-            data.setdefault("search", {})
-            data["search"] = dict(data["search"])
-            data["search"][key.split(".", 1)[1]] = value
-        elif key.startswith("stl."):
-            data.setdefault("stl", {})
-            data["stl"] = dict(data["stl"])
-            data["stl"][key.split(".", 1)[1]] = value
-        else:
+        section, _, name = key.rpartition(".")
+        if not section:
             data[key] = value
+        elif isinstance(data.setdefault(section, {}), dict):
+            # A section that is not an object is left for config_from_dict to name.
+            data[section] = {**data[section], name: value}
     return config_from_dict(data, f"config file {path}" if path is not None else "config")
 
 
@@ -320,7 +266,11 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
 def build_environment(config: ExperimentConfig) -> Environment:
     if config.environment == "game24":
         return Game24Env()
-    path = _spec_path(config.environment, "scripted:", "environment fixture")
+    if not config.environment.startswith("scripted:"):
+        raise ConfigError(
+            f"environment must be 'game24' or 'scripted:<fixture>', got {config.environment!r}"
+        )
+    path = Path(config.environment[len("scripted:") :])
     try:
         return ScriptedEnvironment.load(path)
     except FixtureError as exc:
@@ -336,6 +286,10 @@ def build_policy(
 ) -> Policy:
     if config.policy == "exhaustive":
         return ExhaustivePolicy(env)
+    if not config.policy.startswith("remote:"):
+        raise ConfigError(
+            f"policy must be 'exhaustive' or 'remote:<model>', got {config.policy!r}"
+        )
     model = config.policy[len("remote:") :]
     try:
         return RemotePolicy(_transport(config), model, env, ledger=ledger)
@@ -356,13 +310,17 @@ def build_value_model(
 ) -> ValueModel:
     value = config.value
     if value == "oracle":
+        if config.environment != "game24":
+            raise ConfigError("the oracle value model requires the game24 environment")
         return OracleValueModel()
     if value.startswith("constant:"):
-        return ConstantValueModel(
-            float(value[len("constant:") :]), scale=_value_scale(config)
-        )
+        try:
+            constant = float(value[len("constant:") :])
+        except ValueError:
+            raise ConfigError(f"constant value spec is not a number: {value!r}") from None
+        return ConstantValueModel(constant, scale=_value_scale(config))
     if value.startswith("scripted:"):
-        path = _spec_path(value, "scripted:", "value fixture")
+        path = Path(value[len("scripted:") :])
         data = _read_json(path, "value fixture")
         if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
             raise ConfigError(f"value fixture {path} must contain a 'values' object")
@@ -375,7 +333,9 @@ def build_value_model(
             raise ConfigError(f"value fixture {path}: every value must be a number")
         return ScriptedValueModel(values=data["values"], default=default, scale=scale)
     if value.startswith("stl-dataset:"):
-        path = _spec_path(value, "stl-dataset:", "value dataset")
+        path = Path(value[len("stl-dataset:") :])
+        if not path.exists():
+            raise ConfigError(f"value dataset path does not exist: {path}")
         dataset = import_jsonl(path)
         scale = _value_scale(config)
         meta_path = Path(str(path) + ".meta.json")
@@ -387,7 +347,15 @@ def build_value_model(
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"dataset metadata {meta_path}: {exc}") from None
         base = ConstantValueModel(scale.bounds[0], scale=scale)
-        return TabularValueModel(base, dataset)
+        try:
+            return TabularValueModel(base, dataset)
+        except MalformedRationale as exc:
+            raise ConfigError(f"value dataset {path}: a completion does not parse: {exc}") from None
+    if not value.startswith("remote:"):
+        raise ConfigError(
+            "value must be one of oracle | constant:<v> | scripted:<fixture> | "
+            f"remote:<model> | stl-dataset:<path>, got {value!r}"
+        )
     model = value[len("remote:") :]
     try:
         return RemoteValueModel(
@@ -437,16 +405,27 @@ def write_manifest(config: ExperimentConfig, out_dir: Path) -> Path:
 def set_up_run(
     config: ExperimentConfig, command: str
 ) -> tuple[Environment, list[Task], PricingTable, Ledger, Policy, ValueModel, Path]:
-    """Check every input of ``command`` (``search`` or ``stl``) and build its
-    agents; only then create the output directory and write the manifest."""
+    """Build the agents of ``command`` (``search`` or ``stl``) and read its
+    inputs; only then create the output directory and write the manifest.
+
+    Each builder and loader checks the spec string or file it reads.  A
+    discount (``gamma < 1``) is checked against the built value model's
+    scale, since a label scale cannot hold a discounted target.
+    """
     if config.tasks is None:
         raise ConfigError(f"{command} requires a tasks file (--tasks)")
     env = build_environment(config)
-    tasks = load_tasks(config.tasks, env)
-    pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
     value_model = build_value_model(config, env, ledger)
+    if config.stl.gamma < 1.0 and value_model.scale.labels is not None:
+        raise ConfigError(
+            f"gamma {config.stl.gamma} discounts lookahead targets, which the "
+            f"{value_model.scale.name!r} label scale cannot express; "
+            "use gamma 1 or a numeric value_scale"
+        )
+    tasks = load_tasks(config.tasks, env)
+    pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
     if command == "stl":
         check_schedule(config.stl, len(tasks))
     out_dir = resolve_out_dir(config)
@@ -544,7 +523,7 @@ def _load_result(path: str | Path) -> MethodResult:
     data = _read_json(path, "results")
     try:
         return MethodResult.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"results file {path} is malformed: {exc}") from None
 
 
@@ -601,16 +580,15 @@ def cmd_eval(
     if out is not None:
         out_path = Path(out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        header = (
-            "metric,method_a,method_b,tasks,delta,p_a_gt_b,p_b_gt_a,"
-            "b_samples,seed,no_difference\n"
+        row = dict(
+            metric=metric, method_a=result_a.method, method_b=result_b.method, tasks=len(task_ids),
+            delta=f"{delta:.6f}", p_a_gt_b=f"{p_a_gt_b:.6f}", p_b_gt_a=f"{p_b_gt_a:.6f}",
+            b_samples=b_samples, seed=seed, no_difference=int(delta == 0),
         )
-        row = (
-            f"{metric},{result_a.method},{result_b.method},{len(task_ids)},"
-            f"{delta:.6f},{p_a_gt_b:.6f},{p_b_gt_a:.6f},{b_samples},{seed},"
-            f"{int(delta == 0)}\n"
-        )
-        out_path.write_text(header + row, encoding="utf-8")
+        with out_path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(row), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
         print(f"wrote {out_path}")
     return 0
 

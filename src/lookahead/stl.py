@@ -533,7 +533,7 @@ def stl_run(
                         mask=stl_config.mask,
                         scale_name=scale.name,
                     )
-                    dataset_paths.append(str(file_path))
+                    dataset_paths.append(file_path.name)
             else:
                 file_path = export_jsonl(
                     dataset,
@@ -541,7 +541,7 @@ def stl_run(
                     mask=stl_config.mask,
                     scale_name=scale.name,
                 )
-                dataset_paths.append(str(file_path))
+                dataset_paths.append(file_path.name)
 
         try:
             if stl_config.per_depth:

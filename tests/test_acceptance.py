@@ -673,18 +673,9 @@ def test_criterion_10_manifest_reruns_are_byte_identical(tmp_path):
     assert set(first_artifacts) == set(again_artifacts)
     datasets_compared = 0
     for rel, payload in first_artifacts.items():
-        if rel == "stl_report.json":
-            continue
         assert payload == again_artifacts[rel], rel
         if rel.endswith(".jsonl"):
             datasets_compared += 1
     assert datasets_compared >= 3
-    # The run report repeats the dataset paths, which differ by output
-    # directory; everything else must match.
-    first_report = json.loads(first_artifacts["stl_report.json"])
-    again_report = json.loads(again_artifacts["stl_report.json"])
-    for report in (first_report, again_report):
-        for iteration in report:
-            iteration.pop("dataset_paths", None)
-    assert first_report == again_report
+    assert "stl_report.json" in first_artifacts
     verdict_line(10, "search and stl reruns from manifests matched byte for byte")

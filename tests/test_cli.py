@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: configs, artifacts, exit codes."""
 
+import csv
 import json
 import re
 import statistics
@@ -58,11 +59,19 @@ def game24_tasks(path: Path, n: int = 2) -> str:
     return write_tasks(path, source["tasks"][:n])
 
 
+def game24_dataset(tmp_path: Path, tasks: str, capsys) -> Path:
+    """The final model of a one-iteration game24 ``stl`` run over ``tasks``;
+    its ``.meta.json`` names the ``game24`` label scale."""
+    argv = ["stl", "--stl-engine", "greedy", "--tasks-per-iteration", "2", "--tasks", tasks]
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "model")], capsys)
+    assert code == 0, err
+    return tmp_path / "model" / "stl" / "final_model.jsonl"
+
+
 def artifact_bytes(out: Path) -> dict[str, bytes]:
-    """Every file a run wrote except its manifest, by path under ``out``, with
-    ``out`` itself masked wherever an artifact records it."""
+    """Every file a run wrote except its manifest, by path under ``out``."""
     return {
-        p.relative_to(out).as_posix(): p.read_bytes().replace(str(out).encode(), b"<out>")
+        p.relative_to(out).as_posix(): p.read_bytes()
         for p in out.rglob("*")
         if p.is_file() and p.name != "manifest.json"
     }
@@ -102,6 +111,21 @@ class TestConfigHandling:
         assert code == 2
         assert str(missing) in err
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--environment=scripted:{path}", "--value=scripted:{path}", "--value=stl-dataset:{path}"],
+        ids=["environment-fixture", "value-fixture", "value-dataset"],
+    )
+    def test_missing_spec_file_exits_2_naming_it(self, tmp_path, capsys, flag):
+        missing = tmp_path / "absent.json"
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", flag.format(path=missing), "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(missing) in err
+        assert not (tmp_path / "o").exists()
+
     def test_search_without_tasks_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["search", "--out", str(tmp_path)], capsys)
         assert code == 2
@@ -132,17 +156,23 @@ class TestConfigHandling:
             ["--value", "oracle"],
             ["--value", "remote:m"],
             ["--value", "constant:1", "--value-scale", "game24"],
+            ["--value", "stl-dataset:{dataset}"],
+            ["--value", "scripted:{fixture}"],
         ],
-        ids=["oracle", "remote-default-scale", "named-label-scale"],
+        ids=["oracle", "remote-default-scale", "named-label-scale", "dataset-meta-scale",
+             "fixture-scale"],
     )
     def test_discounted_targets_on_label_scale_exit_2(self, tmp_path, capsys, value_flags):
         tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        fixture = tmp_path / "values.json"
+        fixture.write_text(json.dumps({"values": {}, "scale": "game24"}), encoding="utf-8")
         code, out, err = run_cli(
             [
                 "stl",
                 "--environment",
                 "game24",
-                *value_flags,
+                *[flag.format(dataset=dataset, fixture=fixture) for flag in value_flags],
                 "--gamma",
                 "0.9",
                 "--base-url",
@@ -182,6 +212,21 @@ class TestConfigHandling:
             capsys,
         )
         assert code == 0, err
+
+    def test_dataset_completion_that_does_not_parse_exits_2(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        first, *rest = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        record["completion"] = "no lookahead here"
+        dataset.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(dataset) in err and "section-missing" in err
+        assert not out.exists()
 
     def test_bad_value_spec_exits_2(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -346,6 +391,33 @@ class TestConfigHandling:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert named in err
         assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"attempts": 0}, "attempts must be at least 1"),
+            ({"parallel": 0}, "parallel must be at least 1"),
+            ({"k": 0}, "k must be at least 1"),
+            ({"value_scale": "stars"}, "value_scale must be one of"),
+            ({"search": 5}, "'search' must be a JSON object"),
+            ({"stl": [1]}, "'stl' must be a JSON object"),
+            ({"search": {"excluded_actions": [1]}}, "'excluded_actions' must be a list"),
+            ({"search": {"excluded_actions": "Click[Back]"}}, "'excluded_actions' must be a list"),
+        ],
+    )
+    def test_config_from_dict_checks_numbers_choices_and_shapes(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
+
+    def test_flag_into_a_section_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"search": 5}), encoding="utf-8")
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", "--config", str(config), "--branching", "3", "--tasks", tasks]
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err == f"config error: config file {config}: 'search' must be a JSON object\n"
         assert not (tmp_path / "o").exists()
 
     def test_value_samples_below_one_exits_2(self, tmp_path, capsys):
@@ -940,6 +1012,31 @@ class TestEvalCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert a in err
 
+    def test_out_csv_quotes_a_method_name_with_a_comma(self, tmp_path, capsys):
+        scores = {"t1": 1.0, "t2": 0.0}
+        a = fake_results(tmp_path / "a.json", "beam, oracle", scores)
+        b = fake_results(tmp_path / "b.json", 'say "greedy"', scores)
+        out_csv = tmp_path / "eval.csv"
+        code, _, err = run_cli(["eval", a, b, "--b-samples", "100", "--out", str(out_csv)], capsys)
+        assert code == 0, err
+        with out_csv.open(encoding="utf-8", newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["method_a"], row["method_b"]) == ("beam, oracle", 'say "greedy"')
+        assert (row["tasks"], row["no_difference"]) == ("2", "1")
+
+    def test_plain_out_csv_bytes(self, tmp_path, capsys):
+        a = fake_results(tmp_path / "a.json", "m-a", {"t1": 1.0, "t2": 1.0})
+        b = fake_results(tmp_path / "b.json", "m-b", {"t1": 0.0, "t2": 1.0})
+        out_csv = tmp_path / "eval.csv"
+        argv = ["eval", a, b, "--b-samples", "100", "--seed", "3", "--out", str(out_csv)]
+        assert run_cli(argv, capsys)[0] == 0
+        header, row = out_csv.read_bytes().decode("utf-8").split("\n")[:2]
+        assert header == (
+            "metric,method_a,method_b,tasks,delta,p_a_gt_b,p_b_gt_a,b_samples,seed,no_difference"
+        )
+        assert re.fullmatch(r"score,m-a,m-b,2,0\.500000,\d\.\d{6},\d\.\d{6},100,3,0", row)
+        assert out_csv.read_bytes().endswith(b",0\n") and b"\r" not in out_csv.read_bytes()
+
     def test_success_metric(self, tmp_path, capsys):
         a = fake_results(tmp_path / "a.json", "m-a", {"t1": 1.0, "t2": 1.0})
         b = fake_results(tmp_path / "b.json", "m-b", {"t1": 0.0, "t2": 0.0})
@@ -948,6 +1045,23 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "metric: success" in stdout
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+@pytest.mark.parametrize("ledger", [[], {"per_task": []}], ids=["list", "per-task-list"])
+def test_malformed_ledger_in_results_exits_2(tmp_path, capsys, command, ledger):
+    bad = tmp_path / "bad.json"
+    good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0})
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
+    bad.write_text(json.dumps({**payload, "ledger": ledger}), encoding="utf-8")
+    if command == "report":
+        argv = ["report", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", good, str(bad), "--b-samples", "10"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"config error: results file {bad} is malformed:")
+    assert err.count("\n") == 1
 
 
 class TestReportCommand:

@@ -474,7 +474,7 @@ class TestStlRun:
             files = {
                 path.relative_to(out).as_posix(): path.read_bytes()
                 for path in sorted(out.rglob("*"))
-                if path.is_file() and path.name != "stl_report.json"
+                if path.is_file()
             }
             runs[parallel] = result, files
         (serial, serial_files), (parallel, parallel_files) = runs[1], runs[3]
@@ -667,6 +667,7 @@ class TestStlRun:
         assert (tmp_path / "trees" / "iter01__t1.json").exists()
         report = json.loads((tmp_path / "stl_report.json").read_text())
         assert report[0]["dataset_size"] == 2
+        assert report[0]["dataset_paths"] == ["dataset_iter01.jsonl"]
 
     def test_per_depth_export_filenames(self, tmp_path):
         env, policy, base = stl_setup()
