@@ -46,7 +46,7 @@ from .evaluation import (
     PricingTable,
     TaskOutcome,
     emit_report,
-    paired_bootstrap,
+    paired_bootstrap_both,
 )
 from .search import ENGINES, SearchConfig, run_rollouts, safe_name
 from .stl import (
@@ -274,7 +274,7 @@ def build_environment(config: ExperimentConfig) -> Environment:
     try:
         return ScriptedEnvironment.load(path)
     except FixtureError as exc:
-        raise ConfigError(f"environment fixture {path}: {exc}") from None
+        raise ConfigError(f"environment {exc}") from None
 
 
 def _transport(config: ExperimentConfig) -> HttpTransport:
@@ -408,9 +408,10 @@ def set_up_run(
     """Build the agents of ``command`` (``search`` or ``stl``) and read its
     inputs; only then create the output directory and write the manifest.
 
-    Each builder and loader checks the spec string or file it reads.  A
-    discount (``gamma < 1``) is checked against the built value model's
-    scale, since a label scale cannot hold a discounted target.
+    Each builder and loader checks the spec string or file it reads.  Under
+    ``stl``, a discount (``gamma < 1``) is checked against the built value
+    model's scale, since a label scale cannot hold a discounted target;
+    ``search`` builds no targets, so it ignores ``gamma``.
     """
     if config.tasks is None:
         raise ConfigError(f"{command} requires a tasks file (--tasks)")
@@ -418,7 +419,7 @@ def set_up_run(
     ledger = Ledger()
     policy = build_policy(config, env, ledger)
     value_model = build_value_model(config, env, ledger)
-    if config.stl.gamma < 1.0 and value_model.scale.labels is not None:
+    if command == "stl" and config.stl.gamma < 1.0 and value_model.scale.labels is not None:
         raise ConfigError(
             f"gamma {config.stl.gamma} discounts lookahead targets, which the "
             f"{value_model.scale.name!r} label scale cannot express; "
@@ -565,8 +566,7 @@ def cmd_eval(
     mean_a = sum(scores_a) / len(scores_a)
     mean_b = sum(scores_b) / len(scores_b)
     delta = mean_a - mean_b
-    p_a_gt_b = paired_bootstrap(scores_a, scores_b, b_samples, seed)
-    p_b_gt_a = paired_bootstrap(scores_b, scores_a, b_samples, seed)
+    p_a_gt_b, p_b_gt_a = paired_bootstrap_both(scores_a, scores_b, b_samples, seed)
 
     print(f"method_a: {result_a.method} ({path_a})")
     print(f"method_b: {result_b.method} ({path_b})")

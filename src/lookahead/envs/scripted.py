@@ -113,10 +113,13 @@ def load_fixture(path: str | Path) -> Fixture:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise FixtureError(f"fixture file not found: {path}") from None
+        raise FixtureError(f"fixture file {path} not found") from None
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture file {path} is not valid JSON: {exc}") from None
-    return parse_fixture(data)
+    try:
+        return parse_fixture(data)
+    except FixtureError as exc:
+        raise FixtureError(f"fixture file {path}: {exc}") from None
 
 
 class ScriptedEnvironment(Environment):

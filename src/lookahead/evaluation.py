@@ -4,14 +4,21 @@ The :class:`Ledger` tracks prompt/completion tokens per (role, model) and the
 global count of environment transitions, with per-task breakdowns whose sums
 always equal the totals.  :func:`cost` prices a ledger with exact decimal
 arithmetic; :func:`paired_bootstrap` is a seeded, machine-stable paired
-bootstrap test; :func:`emit_report` writes deterministic CSV summaries.
+bootstrap test, and :func:`paired_bootstrap_both` runs it in both directions
+from one draw of resample indices.  The resamples come in fixed chunks, each
+from its own counter-derived stream, drawn a block of rows at a time on one
+thread per usable CPU (at most eight), so the p-values depend only on the
+scores, ``b_samples`` and the seed.  :func:`emit_report` writes deterministic CSV
+summaries.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -199,6 +206,60 @@ def pass_at_k(attempt_outcomes: Sequence[bool], k: int) -> bool:
 
 
 _BOOTSTRAP_CHUNK = 8192  # fixed: resample i always lives in chunk i // 8192
+_BOOTSTRAP_BLOCK = 1024  # rows drawn at a time; bounds each thread's working memory
+# At most one chunk's worth of rows in flight, whatever the host's size.
+_BOOTSTRAP_THREADS = _BOOTSTRAP_CHUNK // _BOOTSTRAP_BLOCK
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _paired_arrays(
+    scores_a: Sequence[float], scores_b: Sequence[float], b_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    if len(scores_a) != len(scores_b):
+        raise ValueError(
+            f"paired scores differ in length: {len(scores_a)} vs {len(scores_b)}"
+        )
+    if len(scores_a) == 0:
+        raise ValueError("paired bootstrap requires at least one task")
+    if b_samples < 1:
+        raise ValueError("b_samples must be positive")
+    return np.asarray(scores_a, dtype=np.float64), np.asarray(scores_b, dtype=np.float64)
+
+
+def _bootstrap(sorted_diffs: Sequence[np.ndarray], b_samples: int, seed: int) -> list[float]:
+    """For each sorted difference vector, the fraction of ``b_samples``
+    resampled means above twice its observed mean.
+
+    Every vector is resampled with the same indices, drawn once per chunk.
+    Chunks run on one thread per usable CPU, at most ``_BOOTSTRAP_THREADS``;
+    their counts are summed in chunk order.
+    """
+    n = sorted_diffs[0].shape[0]
+    thresholds = [2 * float(diffs.mean()) for diffs in sorted_diffs]
+
+    def chunk_counts(chunk_index: int) -> list[int]:
+        # Consecutive ``integers`` calls on one generator yield exactly the
+        # rows of a single whole-chunk draw, so blocks keep every resample.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, chunk_index])))
+        stop = min(b_samples, (chunk_index + 1) * _BOOTSTRAP_CHUNK)
+        counts = [0] * len(sorted_diffs)
+        for start in range(chunk_index * _BOOTSTRAP_CHUNK, stop, _BOOTSTRAP_BLOCK):
+            indices = rng.integers(0, n, size=(min(_BOOTSTRAP_BLOCK, stop - start), n))
+            for i, (diffs, threshold) in enumerate(zip(sorted_diffs, thresholds)):
+                counts[i] += int((diffs[indices].mean(axis=1) > threshold).sum())
+        return counts
+
+    chunks = range((b_samples + _BOOTSTRAP_CHUNK - 1) // _BOOTSTRAP_CHUNK)
+    workers = min(_usable_cpus(), _BOOTSTRAP_THREADS, len(chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_chunk = list(pool.map(chunk_counts, chunks))
+    return [sum(counts) / b_samples for counts in zip(*per_chunk)]
 
 
 def paired_bootstrap(
@@ -214,30 +275,27 @@ def paired_bootstrap(
     whose difference exceeds ``2 * delta``.  The paired differences are
     sorted before resampling, so the result is exactly invariant to task
     order; each fixed-size chunk of resamples draws from its own
-    counter-derived stream, so resample ``i`` is identical across runs and
-    machines.
+    counter-derived stream, so resample ``i`` is identical across runs,
+    machines and thread counts.
     """
-    if len(scores_a) != len(scores_b):
-        raise ValueError(
-            f"paired scores differ in length: {len(scores_a)} vs {len(scores_b)}"
-        )
-    if len(scores_a) == 0:
-        raise ValueError("paired bootstrap requires at least one task")
-    if b_samples < 1:
-        raise ValueError("b_samples must be positive")
-    diffs = np.sort(np.asarray(scores_a, dtype=np.float64) - np.asarray(scores_b, dtype=np.float64))
-    delta = float(diffs.mean())
-    n = diffs.shape[0]
-    exceed = 0
-    for chunk_index, start in enumerate(range(0, b_samples, _BOOTSTRAP_CHUNK)):
-        size = min(_BOOTSTRAP_CHUNK, b_samples - start)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed, chunk_index]))
-        )
-        indices = rng.integers(0, n, size=(size, n))
-        resampled = diffs[indices].mean(axis=1)
-        exceed += int((resampled > 2 * delta).sum())
-    return exceed / b_samples
+    a, b = _paired_arrays(scores_a, scores_b, b_samples)
+    return _bootstrap([np.sort(a - b)], b_samples, seed)[0]
+
+
+def paired_bootstrap_both(
+    scores_a: Sequence[float],
+    scores_b: Sequence[float],
+    b_samples: int = 1_000_000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """``(paired_bootstrap(a, b), paired_bootstrap(b, a))`` from one draw.
+
+    Both directions use the same seed, so they resample the same task
+    indices; drawing them once gives exactly the two separate results.
+    """
+    a, b = _paired_arrays(scores_a, scores_b, b_samples)
+    p_a_gt_b, p_b_gt_a = _bootstrap([np.sort(a - b), np.sort(b - a)], b_samples, seed)
+    return p_a_gt_b, p_b_gt_a
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,16 @@ class TestConfigHandling:
         assert str(missing) in err
         assert not (tmp_path / "o").exists()
 
+    def test_missing_environment_fixture_is_named_once(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", f"--environment=scripted:{missing}", "--tasks", tasks,
+                "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"config error: environment fixture file {missing} not found\n"
+        assert err.count(str(missing)) == 1
+
     def test_search_without_tasks_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["search", "--out", str(tmp_path)], capsys)
         assert code == 2
@@ -211,6 +221,14 @@ class TestConfigHandling:
             ],
             capsys,
         )
+        assert code == 0, err
+
+    def test_search_ignores_gamma(self, tmp_path, capsys):
+        # search builds no targets, so a discount under the oracle's label
+        # scale is no configuration error there.
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        argv = ["search", "--gamma", "0.5", "--tasks", tasks, "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
         assert code == 0, err
 
     def test_dataset_completion_that_does_not_parse_exits_2(self, tmp_path, capsys):
@@ -1036,6 +1054,23 @@ class TestEvalCommand:
         )
         assert re.fullmatch(r"score,m-a,m-b,2,0\.500000,\d\.\d{6},\d\.\d{6},100,3,0", row)
         assert out_csv.read_bytes().endswith(b",0\n") and b"\r" not in out_csv.read_bytes()
+
+    def test_out_csv_bytes_at_100k_resamples_are_pinned(self, tmp_path, capsys):
+        # Written by the two-call, one-thread bootstrap; one shared draw on
+        # threads must keep every byte.
+        a = fake_results(
+            tmp_path / "a.json", "m-a", {f"t{i:02d}": ((i * 37) % 101) / 101 for i in range(60)}
+        )
+        b = fake_results(
+            tmp_path / "b.json", "m-b", {f"t{i:02d}": ((i * 53 + 17) % 89) / 89 for i in range(60)}
+        )
+        out_csv = tmp_path / "eval.csv"
+        argv = ["eval", a, b, "--b-samples", "100000", "--seed", "3", "--out", str(out_csv)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert out_csv.read_bytes() == (
+            b"metric,method_a,method_b,tasks,delta,p_a_gt_b,p_b_gt_a,b_samples,seed,no_difference\n"
+            b"score,m-a,m-b,60,-0.018163,0.629290,0.372080,100000,3,0\n"
+        )
 
     def test_success_metric(self, tmp_path, capsys):
         a = fake_results(tmp_path / "a.json", "m-a", {"t1": 1.0, "t2": 1.0})
