@@ -199,6 +199,5 @@ def aggregate_estimate(
         rationale=samples[best_index][0],
         value=aggregate(values, aggregation),
         samples=tuple(values),
-        aggregation=aggregation,
     )
 

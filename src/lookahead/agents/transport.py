@@ -20,6 +20,8 @@ import requests
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_TOKENS = 3192
 DEFAULT_API_KEY_ENV = "LOOKAHEAD_API_KEY"
+# The longest wait a server's Retry-After header can impose before a retry.
+MAX_RETRY_AFTER_SECONDS = 60.0
 
 
 class TransportError(Exception):
@@ -69,12 +71,26 @@ class Transport(ABC):
     def send(self, request: ChatRequest) -> ChatResponse: ...
 
 
+def _retry_after(header: str | None, default: float) -> float:
+    """The wait a numeric ``Retry-After`` header asks for, at most
+    :data:`MAX_RETRY_AFTER_SECONDS`; ``default`` if it is absent, negative or
+    not a number."""
+    try:
+        seconds = float(header)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return default
+    return min(seconds, MAX_RETRY_AFTER_SECONDS) if seconds >= 0 else default
+
+
 class HttpTransport(Transport):
     """OpenAI-compatible HTTP client with exponential-backoff retries.
 
     Rate limiting (429), server errors (5xx), timeouts, connection errors and
     malformed bodies, including a body whose choice count is not the
     request's ``n``, are retried; any other 4xx status fails at once.  The
+    wait before retry ``k`` is ``backoff_seconds * 2 ** (k - 1)``, unless the
+    failed attempt was a 429 or 503 with a numeric ``Retry-After`` header,
+    whose seconds (capped at :data:`MAX_RETRY_AFTER_SECONDS`) replace it.  The
     bearer token is read from the environment variable named by
     ``api_key_env`` at call time; a missing key sends no Authorization header.
     """
@@ -112,9 +128,11 @@ class HttpTransport(Transport):
             "n": request.n,
         }
         last_error: Exception | None = None
+        delay = 0.0
         for attempt in range(self.max_attempts):
             if attempt:
-                self._sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+                self._sleep(delay)
+            delay = self.backoff_seconds * (2**attempt)
             try:
                 response = self._post(
                     f"{self.base_url}/chat/completions",
@@ -123,6 +141,8 @@ class HttpTransport(Transport):
                     timeout=self.timeout_seconds,
                 )
                 status = response.status_code
+                if status in (429, 503):
+                    delay = _retry_after(response.headers.get("Retry-After"), delay)
                 if 400 <= status < 500 and status != 429:
                     raise TransportError(
                         f"chat completion rejected with HTTP status {status}"

@@ -171,24 +171,18 @@ def aggregate(values: list[float], aggregation: Aggregation) -> float:
 class ValueEstimate:
     """An aggregated value judgment for one state.
 
-    ``value`` must equal the declared aggregation of ``samples``;
-    ``rationale`` is the text of the sample chosen to represent the estimate.
+    ``value`` aggregates ``samples`` in the way the value model that made
+    the estimate was built with; ``rationale`` is the text of the sample
+    chosen to represent the estimate.
     """
 
     rationale: str
     value: float
     samples: tuple[float, ...]
-    aggregation: Aggregation = Aggregation.MEDIAN
 
     def __post_init__(self) -> None:
         if not self.samples:
             raise ValueError("value estimate requires at least one sample")
-        expected = aggregate(list(self.samples), self.aggregation)
-        if abs(self.value - expected) > _VALUE_TOLERANCE:
-            raise ValueError(
-                f"estimate value {self.value} does not match {self.aggregation.value} "
-                f"of samples ({expected})"
-            )
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,17 @@ Fixture schema (JSON):
       ]
     }
 
-Every node must be reachable from the root, the root must not be terminal,
-and no node may carry two outgoing edges with the same canonical action text.
-Validation failures name the offending node or edge.
+Ids, observations and actions are strings, ``terminal`` is a boolean and
+``score`` a finite number or null.  Every node must be reachable from the
+root, the root must not be terminal, and no node may carry two outgoing
+edges with the same canonical action text.  Validation failures name the
+offending node, edge or key.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -55,19 +58,49 @@ def _require(data: dict[str, Any], key: str, where: str) -> Any:
     return data[key]
 
 
-def parse_fixture(data: dict[str, Any]) -> Fixture:
-    root_id = _require(data, "root", "fixture")
+def _text(data: dict[str, Any], key: str, where: str) -> str:
+    value = _require(data, key, where)
+    if not isinstance(value, str):
+        raise FixtureError(f"{where} key {key!r} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _entries(value: Any, key: str) -> list[dict[str, Any]]:
+    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+        raise FixtureError(f"fixture key {key!r} must be a list of objects")
+    return value
+
+
+def _score(raw: dict[str, Any], where: str) -> float | None:
+    score = raw.get("score")
+    if score is None:
+        return None
+    # NaN fails the bound too; an int beyond it would overflow float().
+    if isinstance(score, bool) or not isinstance(score, (int, float)) or not (
+        abs(score) <= sys.float_info.max
+    ):
+        raise FixtureError(f"{where} key 'score' must be a finite number or null, got {score!r}")
+    return float(score)
+
+
+def parse_fixture(data: Any) -> Fixture:
+    if not isinstance(data, dict):
+        raise FixtureError("fixture must be a JSON object")
+    root_id = _text(data, "root", "fixture")
     nodes: dict[str, FixtureNode] = {}
-    for raw in _require(data, "nodes", "fixture"):
-        node_id = _require(raw, "id", "node entry")
+    for raw in _entries(_require(data, "nodes", "fixture"), "nodes"):
+        node_id = _text(raw, "id", "node entry")
         if node_id in nodes:
             raise FixtureError(f"duplicate node id {node_id!r}")
-        score = raw.get("score")
+        where = f"node {node_id!r}"
+        terminal = raw.get("terminal", False)
+        if not isinstance(terminal, bool):
+            raise FixtureError(f"{where} key 'terminal' must be true or false, got {terminal!r}")
         nodes[node_id] = FixtureNode(
             id=node_id,
-            observation=_require(raw, "observation", f"node {node_id!r}"),
-            terminal=bool(raw.get("terminal", False)),
-            score=float(score) if score is not None else None,
+            observation=_text(raw, "observation", where),
+            terminal=terminal,
+            score=_score(raw, where),
         )
     if root_id not in nodes:
         raise FixtureError(f"root node {root_id!r} is not defined")
@@ -76,10 +109,10 @@ def parse_fixture(data: dict[str, Any]) -> Fixture:
 
     edges: dict[str, dict[str, str]] = {node_id: {} for node_id in nodes}
     edge_order: dict[str, list[str]] = {node_id: [] for node_id in nodes}
-    for raw in data.get("edges", []):
-        src = _require(raw, "from", "edge entry")
-        dst = _require(raw, "to", "edge entry")
-        action = canonicalize(_require(raw, "action", "edge entry"))
+    for raw in _entries(data.get("edges", []), "edges"):
+        src = _text(raw, "from", "edge entry")
+        dst = _text(raw, "to", "edge entry")
+        action = canonicalize(_text(raw, "action", "edge entry"))
         if src not in nodes:
             raise FixtureError(f"edge {src!r} -> {dst!r} starts at an unknown node")
         if dst not in nodes:

@@ -20,6 +20,13 @@ environment transition calls exactly.
 
 :func:`run_rollouts` is the one place that runs engines over tasks and
 writes their trees; ``search`` and every ``stl`` iteration call it.
+
+:func:`render_tree` holds the one description of the tree-dump layout and
+:func:`dump_tree` writes it.  The text is what ``json.dumps`` writes with
+sorted keys, a two-space indent and ``ensure_ascii=False``, plus one
+trailing newline, but each node is filled into a fixed template, because
+``json``'s indenting encoder runs in pure Python and dominated the cost of
+writing trees.
 """
 
 from __future__ import annotations
@@ -28,10 +35,11 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import Action, State, Task, Trajectory, ValueEstimate, write_json
+from .core import Action, State, Task, Trajectory, ValueEstimate
 from .envs.base import ActionRejected, Environment
 from .agents.policies import Policy
 from .agents.scales import MalformedRationale
@@ -147,38 +155,6 @@ class SearchTree:
             if children:
                 yield node, children
 
-    def to_dict(self) -> dict:
-        return {
-            "task": {"id": self.task.id, "instruction": self.task.instruction},
-            "engine": self.engine,
-            "nodes": [
-                {
-                    "uid": node.uid,
-                    "parent": node.parent_uid,
-                    "action": node.action.text if node.action else None,
-                    "depth": node.depth,
-                    "observation": node.state.observation,
-                    "signature": node.state.signature,
-                    "terminal": node.terminal,
-                    "value": node.estimate.value if node.estimate else None,
-                    "samples": list(node.estimate.samples) if node.estimate else None,
-                    "rationale": node.estimate.rationale if node.estimate else None,
-                    "visits": node.visits,
-                    "total_reward": node.total_reward,
-                    "children": list(node.children),
-                }
-                for node in self.nodes
-            ],
-            "stats": {
-                "states_expanded": self.stats.states_expanded,
-                "evaluations": self.stats.evaluations,
-                "terminal_reached": self.stats.terminal_reached,
-                "backup_total": self.stats.backup_total,
-                "failures": list(self.stats.failures),
-                "best_path": list(self.stats.best_path),
-            },
-        }
-
 
 _FILENAME_UNSAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -189,9 +165,87 @@ def safe_name(task_id: str) -> str:
     return _FILENAME_UNSAFE_RE.sub("-", task_id)
 
 
+def _number(x: float) -> str:
+    """``x`` spelled as :func:`json.dumps` spells it."""
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    return int.__repr__(x)
+
+
+def _list(items: list[str], indent: str) -> str:
+    """Encoded ``items`` as an indented JSON list whose brackets sit at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + "  " + (",\n" + indent + "  ").join(items) + "\n" + indent + "]"
+
+
+def _node_text(node: TreeNode) -> str:
+    estimate = node.estimate
+    if estimate is None:
+        value = samples = rationale = "null"
+    else:
+        value = _number(estimate.value)
+        samples = _list([_number(s) for s in estimate.samples], "      ")
+        rationale = _string(estimate.rationale)
+    state = node.state
+    return (
+        "{\n"
+        f'      "action": {"null" if node.action is None else _string(node.action.text)},\n'
+        f'      "children": {_list([str(uid) for uid in node.children], "      ")},\n'
+        f'      "depth": {state.depth},\n'
+        f'      "observation": {_string(state.observation)},\n'
+        f'      "parent": {"null" if node.parent_uid is None else node.parent_uid},\n'
+        f'      "rationale": {rationale},\n'
+        f'      "samples": {samples},\n'
+        f'      "signature": {"null" if state.signature is None else _string(state.signature)},\n'
+        f'      "terminal": {"true" if node.terminal else "false"},\n'
+        f'      "total_reward": {_number(node.total_reward)},\n'
+        f'      "uid": {node.uid},\n'
+        f'      "value": {value},\n'
+        f'      "visits": {node.visits}\n'
+        "    }"
+    )
+
+
+def render_tree(tree: SearchTree) -> str:
+    """The tree-dump text of ``tree``: exactly ``json.dumps(layout,
+    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, filled in from
+    one fixed template per node.  A node without an estimate has null
+    ``rationale``, ``samples`` and ``value``."""
+    stats = tree.stats
+    return (
+        "{\n"
+        f'  "engine": {_string(tree.engine)},\n'
+        f'  "nodes": {_list([_node_text(node) for node in tree.nodes], "  ")},\n'
+        '  "stats": {\n'
+        f'    "backup_total": {_number(stats.backup_total)},\n'
+        f'    "best_path": {_list([str(uid) for uid in stats.best_path], "    ")},\n'
+        f'    "evaluations": {stats.evaluations},\n'
+        f'    "failures": {_list([_string(f) for f in stats.failures], "    ")},\n'
+        f'    "states_expanded": {stats.states_expanded},\n'
+        f'    "terminal_reached": {"true" if stats.terminal_reached else "false"}\n'
+        "  },\n"
+        '  "task": {\n'
+        f'    "id": {_string(tree.task.id)},\n'
+        f'    "instruction": {_string(tree.task.instruction)}\n'
+        "  }\n"
+        "}\n"
+    )
+
+
 def dump_tree(tree: SearchTree, path: str | Path) -> None:
-    """Write the documented tree-dump JSON (deterministic byte layout)."""
-    write_json(path, tree.to_dict())
+    """Write :func:`render_tree`'s text to ``path`` as UTF-8, creating the
+    parent directory.  The bytes equal :func:`~lookahead.core.write_json`'s
+    for the same layout."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(render_tree(tree), encoding="utf-8")
 
 
 class _Expander:

@@ -21,7 +21,6 @@ from lookahead.agents.values import OracleValueModel, ScriptedValueModel
 from lookahead.cli import main
 from lookahead.core import (
     Action,
-    Aggregation,
     LookaheadRecord,
     Split,
     State,
@@ -404,9 +403,7 @@ def _probe_candidate(index: int, rationale: str) -> ExampleCandidate:
         incoming_action=action,
         parent=parent,
     )
-    estimate = ValueEstimate(
-        rationale=rationale, value=4.0, samples=(4.0,), aggregation=Aggregation.MEDIAN
-    )
+    estimate = ValueEstimate(rationale=rationale, value=4.0, samples=(4.0,))
     record = lookahead_target(parent, [(action, successor, estimate)], 1.0)
     trajectory = Trajectory.from_state(task, parent)
     return ExampleCandidate(

@@ -136,6 +136,29 @@ class TestConfigHandling:
         assert err == f"config error: environment fixture file {missing} not found\n"
         assert err.count(str(missing)) == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fixture: fixture.update(nodes=5),
+            lambda fixture: fixture["nodes"][0].update(score="high"),
+            lambda fixture: fixture["edges"][0].update(action=["buy"]),
+        ],
+        ids=["nodes-int", "score-string", "action-list"],
+    )
+    def test_wrongly_typed_environment_fixture_exits_2(self, tmp_path, capsys, edit):
+        fixture = json.loads(Path("fixtures/webshop_demo_env.json").read_text(encoding="utf-8"))
+        edit(fixture)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(fixture), encoding="utf-8")
+        tasks = webshop_tasks(tmp_path / "tasks.json")
+        argv = ["search", f"--environment=scripted:{path}", "--tasks", tasks,
+                "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"config error: environment fixture file {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_search_without_tasks_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["search", "--out", str(tmp_path)], capsys)
         assert code == 2

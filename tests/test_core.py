@@ -190,18 +190,8 @@ class TestValueEstimate:
             rationale="ok",
             value=2.0,
             samples=(1.0, 2.0, 6.0),
-            aggregation=Aggregation.MEDIAN,
         )
         assert est.value == 2.0
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            ValueEstimate(
-                rationale="bad",
-                value=5.0,
-                samples=(1.0, 2.0),
-                aggregation=Aggregation.MEAN,
-            )
 
     def test_rejects_empty_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):

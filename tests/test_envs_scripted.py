@@ -1,6 +1,7 @@
 """Scripted fixture environment: schema validation and replay semantics."""
 
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,65 @@ class TestParseFixture:
         data["nodes"].append({"id": "island", "observation": "isolated"})
         with pytest.raises(FixtureError, match="'island'"):
             parse_fixture(data)
+
+
+def _set(path: tuple, value):
+    """Edit ``minimal_fixture()`` at ``path`` (keys and list indices)."""
+
+    def edit(data: dict) -> dict:
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return data
+
+    return edit
+
+
+WRONGLY_TYPED = [
+    pytest.param(lambda d: [d], "JSON object", id="fixture-is-a-list"),
+    pytest.param(_set(("root",), ["r"]), "'root' must be a string", id="root-list"),
+    pytest.param(_set(("nodes",), 5), "'nodes' must be a list of objects", id="nodes-int"),
+    pytest.param(_set(("nodes", 1), "a"), "'nodes' must be a list of objects", id="node-string"),
+    pytest.param(_set(("edges",), {}), "'edges' must be a list of objects", id="edges-object"),
+    pytest.param(_set(("edges", 0), ["r"]), "'edges' must be a list of objects", id="edge-list"),
+    pytest.param(_set(("nodes", 1, "id"), 7), "'id' must be a string, got int", id="id-int"),
+    pytest.param(
+        _set(("nodes", 1, "observation"), None), "node 'a' key 'observation' must be a string",
+        id="observation-null",
+    ),
+    pytest.param(_set(("edges", 0, "from"), 1), "'from' must be a string", id="from-int"),
+    pytest.param(_set(("edges", 0, "to"), ["a"]), "'to' must be a string", id="to-list"),
+    pytest.param(_set(("edges", 0, "action"), 3), "'action' must be a string", id="action-int"),
+    pytest.param(
+        _set(("nodes", 2, "score"), "high"), "node 'b' key 'score' must be a finite number",
+        id="score-string",
+    ),
+    pytest.param(_set(("nodes", 2, "score"), True), "'score' must be a finite", id="score-bool"),
+    pytest.param(
+        _set(("nodes", 2, "score"), float("nan")), "'score' must be a finite", id="score-nan"
+    ),
+    pytest.param(_set(("nodes", 2, "score"), 10**400), "'score' must be a finite", id="score-huge"),
+    pytest.param(
+        _set(("nodes", 1, "terminal"), "no"), "node 'a' key 'terminal' must be true or false",
+        id="terminal-string",
+    ),
+    pytest.param(_set(("nodes", 1, "terminal"), 0), "'terminal' must be true", id="terminal-int"),
+]
+
+
+class TestFixtureTypes:
+    @pytest.mark.parametrize("edit, message", WRONGLY_TYPED)
+    def test_wrongly_typed_fixture_is_a_fixture_error(self, edit, message):
+        with pytest.raises(FixtureError, match=re.escape(message)):
+            parse_fixture(edit(minimal_fixture()))
+
+    def test_integer_and_null_scores_are_accepted(self):
+        data = minimal_fixture()
+        data["nodes"][2]["score"] = 1
+        data["nodes"][3]["score"] = None
+        nodes = parse_fixture(data).nodes
+        assert (nodes["b"].score, nodes["c"].score) == (1.0, None)
 
 
 class TestLoadFixture:

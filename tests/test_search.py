@@ -26,6 +26,7 @@ from lookahead.search import (
     dump_tree,
     greedy_search,
     mcts_search,
+    render_tree,
     run_rollouts,
 )
 
@@ -419,7 +420,7 @@ class TestRunRollouts:
         parallel = self.run(jobs, parallel=3)
         assert finished[0] != "t0" and finished[-1] == "t0"
         assert [tree.task.id for tree in parallel] == ["t0", "t1", "t2"]
-        assert [tree.to_dict() for tree in parallel] == [tree.to_dict() for tree in serial]
+        assert [render_tree(tree) for tree in parallel] == [render_tree(tree) for tree in serial]
         for task in self.TASKS:
             name = f"{task.id}.json"
             assert (parallel_dir / name).read_bytes() == (serial_dir / name).read_bytes()

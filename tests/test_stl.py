@@ -17,7 +17,6 @@ from lookahead.agents.values import (
 )
 from lookahead.core import (
     Action,
-    Aggregation,
     Split,
     State,
     Task,
@@ -28,7 +27,7 @@ from lookahead.core import (
 )
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
-from lookahead.search import SearchConfig, beam_search, greedy_search
+from lookahead.search import SearchConfig, beam_search, greedy_search, render_tree
 from lookahead.stl import (
     Dataset,
     ExampleCandidate,
@@ -61,7 +60,6 @@ def estimate(value: float, rationale: str | None = None) -> ValueEstimate:
         rationale=rationale,
         value=value,
         samples=(value,),
-        aggregation=Aggregation.MEDIAN,
     )
 
 
@@ -479,7 +477,7 @@ class TestStlRun:
             runs[parallel] = result, files
         (serial, serial_files), (parallel, parallel_files) = runs[1], runs[3]
         assert [t.task.id for t in parallel.trees] == [f"t{i}" for i in range(1, 7)]
-        assert [t.to_dict() for t in parallel.trees] == [t.to_dict() for t in serial.trees]
+        assert [render_tree(t) for t in parallel.trees] == [render_tree(t) for t in serial.trees]
         assert [d.sorted_examples() for d in parallel.datasets] == [
             d.sorted_examples() for d in serial.datasets
         ]

@@ -8,6 +8,7 @@ import requests
 from lookahead.agents.transport import (
     ChatMessage,
     ChatRequest,
+    MAX_RETRY_AFTER_SECONDS,
     HttpTransport,
     ScriptedTransport,
     TransportError,
@@ -72,10 +73,17 @@ class TestScriptedTransport:
 
 
 class FakeResponse:
-    def __init__(self, payload: dict | None, status: int = 200, raw: str | None = None):
+    def __init__(
+        self,
+        payload: dict | None,
+        status: int = 200,
+        raw: str | None = None,
+        headers: dict | None = None,
+    ):
         self._payload = payload
         self._raw = raw
         self.status_code = status
+        self.headers = headers or {}
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -177,6 +185,50 @@ class TestHttpTransport:
         )
         assert transport.send(make_request()).text == "later"
         assert sleeps == [0.5]
+
+    @staticmethod
+    def waits(responses):
+        """The delays a transport sleeps through while ``responses`` are served."""
+        sleeps = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            return responses.pop(0)
+
+        transport = HttpTransport("http://example.test", post=fake_post, sleep=sleeps.append)
+        assert transport.send(make_request()).text == "later"
+        return sleeps
+
+    @pytest.mark.parametrize(
+        "status, retry_after, wait",
+        [
+            (429, "2", 2.0),
+            (503, "2", 2.0),
+            (429, "0.25", 0.25),
+            (429, "86400", MAX_RETRY_AFTER_SECONDS),
+            (503, "1e308", MAX_RETRY_AFTER_SECONDS),
+            (429, None, 0.5),
+            (429, "soon", 0.5),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+            (429, "-3", 0.5),
+            (429, "nan", 0.5),
+        ],
+    )
+    def test_retry_after_replaces_the_backoff_delay(self, status, retry_after, wait):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        failed = FakeResponse(None, status=status, headers=headers)
+        assert self.waits([failed, FakeResponse(ok_payload("later"))]) == [wait]
+
+    def test_retry_after_sets_only_the_wait_after_its_own_attempt(self):
+        responses = [
+            FakeResponse(None, status=429, headers={"Retry-After": "7"}),
+            FakeResponse(None, status=503),
+            FakeResponse(ok_payload("later")),
+        ]
+        assert self.waits(responses) == [7.0, 1.0]
+
+    def test_retry_after_on_other_server_errors_is_ignored(self):
+        failed = FakeResponse(None, status=500, headers={"Retry-After": "7"})
+        assert self.waits([failed, FakeResponse(ok_payload("later"))]) == [0.5]
 
     def test_authorization_header_from_env(self, monkeypatch):
         seen = {}
