@@ -10,6 +10,7 @@ the token counts echoed by the provider.
 from __future__ import annotations
 
 import os
+import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -71,15 +72,15 @@ class Transport(ABC):
     def send(self, request: ChatRequest) -> ChatResponse: ...
 
 
-def _retry_after(header: str | None, default: float) -> float:
+def _retry_after(header: str | None) -> float | None:
     """The wait a numeric ``Retry-After`` header asks for, at most
-    :data:`MAX_RETRY_AFTER_SECONDS`; ``default`` if it is absent, negative or
+    :data:`MAX_RETRY_AFTER_SECONDS`; ``None`` if it is absent, negative or
     not a number."""
     try:
         seconds = float(header)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        return default
-    return min(seconds, MAX_RETRY_AFTER_SECONDS) if seconds >= 0 else default
+        return None
+    return min(seconds, MAX_RETRY_AFTER_SECONDS) if seconds >= 0 else None
 
 
 class HttpTransport(Transport):
@@ -88,11 +89,15 @@ class HttpTransport(Transport):
     Rate limiting (429), server errors (5xx), timeouts, connection errors and
     malformed bodies, including a body whose choice count is not the
     request's ``n``, are retried; any other 4xx status fails at once.  The
-    wait before retry ``k`` is ``backoff_seconds * 2 ** (k - 1)``, unless the
+    wait before retry ``k`` is ``backoff_seconds * 2 ** (k - 1)`` scaled by
+    ``0.5 + random()``, so it is uniform over half to one and a half times
+    that step and calls that fail together do not retry together.  If the
     failed attempt was a 429 or 503 with a numeric ``Retry-After`` header,
-    whose seconds (capped at :data:`MAX_RETRY_AFTER_SECONDS`) replace it.  The
-    bearer token is read from the environment variable named by
-    ``api_key_env`` at call time; a missing key sends no Authorization header.
+    its seconds (capped at :data:`MAX_RETRY_AFTER_SECONDS`) are the wait
+    instead, with no jitter.  ``sleep`` and ``random`` (a source of floats in
+    ``[0, 1)``) are injectable for tests.  The bearer token is read from the
+    environment variable named by ``api_key_env`` at call time; a missing
+    key sends no Authorization header.
     """
 
     def __init__(
@@ -104,6 +109,7 @@ class HttpTransport(Transport):
         timeout_seconds: float = 120.0,
         post: Callable[..., requests.Response] | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        random: Callable[[], float] = random.random,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
@@ -112,6 +118,7 @@ class HttpTransport(Transport):
         self.timeout_seconds = timeout_seconds
         self._post = post if post is not None else requests.post
         self._sleep = sleep
+        self._random = random
 
     def send(self, request: ChatRequest) -> ChatResponse:
         headers = {"Content-Type": "application/json"}
@@ -128,11 +135,14 @@ class HttpTransport(Transport):
             "n": request.n,
         }
         last_error: Exception | None = None
-        delay = 0.0
+        retry_after: float | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                self._sleep(delay)
-            delay = self.backoff_seconds * (2**attempt)
+                wait = retry_after
+                if wait is None:
+                    wait = self.backoff_seconds * 2 ** (attempt - 1) * (0.5 + self._random())
+                self._sleep(wait)
+                retry_after = None
             try:
                 response = self._post(
                     f"{self.base_url}/chat/completions",
@@ -142,7 +152,7 @@ class HttpTransport(Transport):
                 )
                 status = response.status_code
                 if status in (429, 503):
-                    delay = _retry_after(response.headers.get("Retry-After"), delay)
+                    retry_after = _retry_after(response.headers.get("Retry-After"))
                 if 400 <= status < 500 and status != 429:
                     raise TransportError(
                         f"chat completion rejected with HTTP status {status}"

@@ -199,6 +199,8 @@ def _read_json(path: str | Path, what: str) -> Any:
         raise ConfigError(f"{what} file does not exist: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an integer over the digit limit
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from None
 
 
 def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> ExperimentConfig:

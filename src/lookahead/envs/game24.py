@@ -11,7 +11,9 @@ be negative or fractional.
 
 ``solve_verdict`` is the exact solvability oracle: it decides by memoized
 recursion over pairwise reductions whether 24 is reachable from the remaining
-numbers.  The memo is keyed on the sorted number tuple itself.
+numbers.  The memo and the recursion work on flat integer keys
+(``OracleKey``), so no ``Fraction`` is built, hashed or compared below
+``solve_verdict``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from ..core import Action, State, Task, Trajectory
 from .base import ActionRejected, Environment
 
 TARGET = Fraction(24)
+_TARGET_INT = TARGET.numerator  # the target is whole; the oracle compares ints
 
 _ACTION_RE = re.compile(r"^(-?\d+(?:/\d+)?) ([+\-*/]) (-?\d+(?:/\d+)?)$")
 
@@ -214,73 +218,97 @@ class Verdict(str, Enum):
     IMPOSSIBLE = "impossible"
 
 
-_oracle_cache: dict[Numbers, bool] = {}
+# A multiset as ``(p1, q1, p2, q2, ...)``: each number p/q in lowest terms
+# with q > 0, the numbers in ascending order of value.
+OracleKey = tuple[int, ...]
+
+_oracle_cache: dict[OracleKey, bool] = {}
 
 
-def _reachable(numbers: Numbers) -> bool:
-    if len(numbers) == 1:
-        return numbers[0] == TARGET
-    cached = _oracle_cache.get(numbers)
+def _reachable(key: OracleKey) -> bool:
+    if len(key) == 2:
+        return key == (_TARGET_INT, 1)
+    cached = _oracle_cache.get(key)
     if cached is not None:
         return cached
-    if len(numbers) == 2:
-        result = _pair_reaches_target(*numbers)
+    if len(key) == 4:
+        result = _pair_reaches_target(*key)
     else:
-        result = any(
-            _reachable(tuple(sorted(rest + [value])))
-            for rest, value in _reductions(numbers)
-        )
-    _oracle_cache[numbers] = result
+        result = any(map(_reachable, _reductions(key)))
+    _oracle_cache[key] = result
     return result
 
 
-def _reductions(numbers: Numbers) -> Iterator[tuple[list[Fraction], Fraction]]:
-    """Each (other numbers, combined value) of one step, computed as needed.
+def _reductions(key: OracleKey) -> Iterator[OracleKey]:
+    """The key of each successor multiset, computed as needed.
 
     Pairs go by sorted index; within a pair the values are a+b, a*b, a-b,
-    b-a, a/b, b/a, skipping division by zero.
+    b-a, a/b, b/a, skipping division by zero.  With a = p/q and b = r/s each
+    value is an integer numerator and denominator, which :func:`_insert`
+    reduces and places among the other numbers.
     """
-    size = len(numbers)
-    for i in range(size):
-        for j in range(i + 1, size):
-            a, b = numbers[i], numbers[j]
-            rest = list(numbers)
-            del rest[j], rest[i]
-            yield rest, a + b
-            yield rest, a * b
-            yield rest, a - b
-            yield rest, b - a
-            if b != 0:
-                yield rest, a / b
-            if a != 0:
-                yield rest, b / a
+    size = len(key)
+    for i in range(0, size, 2):
+        p, q = key[i], key[i + 1]
+        for j in range(i + 2, size, 2):
+            r, s = key[j], key[j + 1]
+            rest = key[:i] + key[i + 2 : j] + key[j + 2 :]
+            ps, rq, qs = p * s, r * q, q * s
+            yield _insert(rest, ps + rq, qs)
+            yield _insert(rest, p * r, qs)
+            yield _insert(rest, ps - rq, qs)
+            yield _insert(rest, rq - ps, qs)
+            if r:
+                yield _insert(rest, ps, rq)
+            if p:
+                yield _insert(rest, rq, ps)
 
 
-def _pair_reaches_target(a: Fraction, b: Fraction) -> bool:
-    """Whether one operation on ``a`` and ``b`` gives the target.
+def _insert(rest: OracleKey, num: int, den: int) -> OracleKey:
+    """``rest`` with ``num/den`` added in lowest terms at its place by value.
 
-    Decided in integers: with a = p/q and b = r/s, each result is compared
-    with the target over the common denominator, so no ``Fraction`` is built.
+    The place is found by cross-multiplying, which is exact because every
+    denominator is positive; equal values have equal terms, so ties need no
+    rule.
     """
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    ps, rq, target = p * s, r * q, TARGET.numerator * q * s
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    for k in range(0, len(rest), 2):
+        if num * rest[k + 1] < rest[k] * den:
+            return (*rest[:k], num, den, *rest[k:])
+    return (*rest, num, den)
+
+
+def _pair_reaches_target(p: int, q: int, r: int, s: int) -> bool:
+    """Whether one operation on p/q and r/s gives the target.
+
+    Each result is compared with the target over the common denominator, so
+    nothing is reduced.
+    """
+    ps, rq, target = p * s, r * q, _TARGET_INT * q * s
     return (
         ps + rq == target
         or p * r == target
         or ps - rq == target
         or rq - ps == target
-        or (r != 0 and ps == TARGET.numerator * q * r)
-        or (p != 0 and rq == TARGET.numerator * p * s)
+        or (r != 0 and ps == _TARGET_INT * q * r)
+        or (p != 0 and rq == _TARGET_INT * p * s)
     )
 
 
 def solve_verdict(numbers: Iterable[Fraction | int]) -> Verdict:
     """Exact solvability verdict for a multiset of 1-4 numbers.
 
-    Memoizes on the canonical sorted multiset, so repeated queries across
-    permuted or revisited states are answered from cache.
+    The sorted multiset becomes one flat integer key, so permuted or
+    revisited states share a memo entry and the recursion below handles
+    integers only.
     """
-    canonical = tuple(sorted(n if isinstance(n, Fraction) else Fraction(n) for n in numbers))
+    canonical = sorted(n if isinstance(n, Fraction) else Fraction(n) for n in numbers)
     if not canonical:
         raise ValueError("cannot judge an empty number multiset")
-    return Verdict.SURE if _reachable(canonical) else Verdict.IMPOSSIBLE
+    key = tuple(x for n in canonical for x in (n.numerator, n.denominator))
+    return Verdict.SURE if _reachable(key) else Verdict.IMPOSSIBLE

@@ -149,6 +149,8 @@ def load_fixture(path: str | Path) -> Fixture:
         raise FixtureError(f"fixture file {path} not found") from None
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an integer over the digit limit
+        raise FixtureError(f"fixture file {path} cannot be read: {exc}") from None
     try:
         return parse_fixture(data)
     except FixtureError as exc:

@@ -159,6 +159,26 @@ class TestConfigHandling:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"tasks": [], "n": ' + b"7" * 5001 + b"}", b"\xff\xfe[]"],
+        ids=["5001-digit-integer", "not-utf8"],
+    )
+    @pytest.mark.parametrize("reader", ["tasks", "environment"])
+    def test_unreadable_json_exits_2_naming_the_file(self, tmp_path, capsys, payload, reader):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        if reader == "tasks":
+            argv = ["search", "--tasks", str(bad)]
+        else:
+            tasks = webshop_tasks(tmp_path / "tasks.json")
+            argv = ["search", f"--environment=scripted:{bad}", "--tasks", tasks]
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{bad} cannot be read: " in err
+        assert not (tmp_path / "o").exists()
+
     def test_search_without_tasks_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["search", "--out", str(tmp_path)], capsys)
         assert code == 2
@@ -1187,7 +1207,8 @@ class TestPromptTemplates:
 
 @pytest.fixture
 def backoff_delays(monkeypatch):
-    """Build the CLI's transport with a sleep that records and returns at once.
+    """Build the CLI's transport with a sleep that records and returns at once,
+    and a jitter source fixed at 0.5, which leaves each backoff step as it is.
 
     Yields the delays each thread asked for, in order, keyed by thread id.
     """
@@ -1198,7 +1219,10 @@ def backoff_delays(monkeypatch):
 
     def transport(config):
         return HttpTransport(
-            base_url=config.base_url, api_key_env=config.api_key_env, sleep=record
+            base_url=config.base_url,
+            api_key_env=config.api_key_env,
+            sleep=record,
+            random=lambda: 0.5,
         )
 
     monkeypatch.setattr(cli, "_transport", transport)

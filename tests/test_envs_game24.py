@@ -1,13 +1,18 @@
 """Arithmetic environment: exact transitions, enumeration order, the oracle."""
 
+import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute24
 from lookahead.core import Action, Split, State, Task, Trajectory
+from lookahead.envs import game24
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.game24 import (
     Game24Env,
@@ -28,6 +33,8 @@ def task_for(numbers: str) -> Task:
 small_fractions = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
 )
+# Signed fractions with zero drawn often: zero is where division is skipped.
+fractions_with_zero = st.one_of(st.just(Fraction(0)), small_fractions)
 
 
 class TestNumberRendering:
@@ -195,6 +202,38 @@ class TestOracle:
     def test_pairs_of_signed_fractions_agree_with_expression_enumeration(self, numbers):
         expected = brute24.solvable(numbers)
         assert (solve_verdict(numbers) is Verdict.SURE) == expected
+
+    @settings(max_examples=20)
+    @given(st.lists(fractions_with_zero, min_size=3, max_size=4))
+    def test_signed_fractions_with_zero_agree_with_expression_enumeration(self, numbers):
+        expected = brute24.solvable(numbers)
+        assert (solve_verdict(numbers) is Verdict.SURE) == expected
+
+    def test_fixture_puzzles_are_pinned(self):
+        tasks = json.loads(Path("fixtures/game24_test_50.json").read_text())["tasks"]
+        game24._oracle_cache.clear()
+        verdicts = [solve_verdict(parse_numbers(t["instruction"])) for t in tasks]
+        assert verdicts == [Verdict.SURE] * 50
+        assert len(game24._oracle_cache) == 704
+
+    def test_every_puzzle_from_1_to_13_is_pinned(self):
+        game24._oracle_cache.clear()
+        puzzles = combinations_with_replacement(range(1, 14), 4)
+        verdicts = [solve_verdict(puzzle) for puzzle in puzzles]
+        assert len(verdicts) == 1820
+        assert verdicts.count(Verdict.SURE) == 1362
+        assert len(game24._oracle_cache) == 42553
+
+    @given(st.lists(fractions_with_zero, min_size=1, max_size=4))
+    def test_memo_keys_are_flat_ascending_ints_in_lowest_terms(self, numbers):
+        game24._oracle_cache.clear()
+        solve_verdict(numbers)
+        for key in game24._oracle_cache:
+            assert type(key) is tuple and len(key) % 2 == 0 and len(key) >= 4
+            assert all(type(x) is int for x in key)
+            pairs = list(zip(key[::2], key[1::2]))
+            assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs)
+            assert all(a * d <= c * b for (a, b), (c, d) in zip(pairs, pairs[1:]))
 
     def test_sure_state_has_sure_successor(self):
         # The hereditary property that makes oracle-guided search complete:

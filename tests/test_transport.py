@@ -1,5 +1,6 @@
 """Chat transports: scripted replay semantics and HTTP retry behaviour."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,11 @@ from lookahead.agents.transport import (
     TransportError,
     approx_tokens,
 )
+
+
+# A jitter source at the middle of [0, 1): each backoff wait is then exactly
+# backoff_seconds * 2 ** (k - 1).
+MIDPOINT = lambda: 0.5  # noqa: E731
 
 
 def make_request(content: str = "evaluate this state please") -> ChatRequest:
@@ -181,20 +187,22 @@ class TestHttpTransport:
             return responses.pop(0)
 
         transport = HttpTransport(
-            "http://example.test", post=fake_post, sleep=sleeps.append
+            "http://example.test", post=fake_post, sleep=sleeps.append, random=MIDPOINT
         )
         assert transport.send(make_request()).text == "later"
         assert sleeps == [0.5]
 
     @staticmethod
-    def waits(responses):
+    def waits(responses, random=MIDPOINT):
         """The delays a transport sleeps through while ``responses`` are served."""
         sleeps = []
 
         def fake_post(url, json=None, headers=None, timeout=None):
             return responses.pop(0)
 
-        transport = HttpTransport("http://example.test", post=fake_post, sleep=sleeps.append)
+        transport = HttpTransport(
+            "http://example.test", post=fake_post, sleep=sleeps.append, random=random
+        )
         assert transport.send(make_request()).text == "later"
         return sleeps
 
@@ -267,11 +275,58 @@ class TestHttpTransport:
             return FakeResponse(ok_payload("recovered"))
 
         transport = HttpTransport(
-            "http://example.test", post=flaky_post, sleep=sleeps.append
+            "http://example.test", post=flaky_post, sleep=sleeps.append, random=MIDPOINT
         )
         assert transport.send(make_request()).text == "recovered"
         assert len(attempts) == 3
         assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("draw", [0.0, 0.25, 0.999999])
+    def test_backoff_is_jittered_over_half_to_one_and_a_half_steps(self, draw):
+        responses = [
+            FakeResponse(None, status=500),
+            FakeResponse(None, status=429),
+            FakeResponse(ok_payload("later")),
+        ]
+        waits = self.waits(responses, random=lambda: draw)
+        assert waits == [0.5 * (0.5 + draw), 1.0 * (0.5 + draw)]
+        assert 0.25 <= waits[0] < 0.75 and 0.5 <= waits[1] < 1.5
+
+    def test_retry_after_wait_is_not_jittered(self):
+        draws = []
+
+        def source():
+            draws.append(None)
+            return 0.0
+
+        responses = [
+            FakeResponse(None, status=503, headers={"Retry-After": "2"}),
+            FakeResponse(None, status=500),
+            FakeResponse(ok_payload("later")),
+        ]
+        assert self.waits(responses, random=source) == [2.0, 0.5]
+        assert len(draws) == 1  # only the backoff wait drew
+
+    def test_default_jitter_source_is_random_random(self):
+        state = random.getstate()
+        try:
+            random.seed(1234)
+            expected = [0.5 * (0.5 + random.random()), 1.0 * (0.5 + random.random())]
+            random.seed(1234)
+            sleeps = []
+            failures = [requests.ConnectionError("refused")] * 2
+
+            def flaky_post(url, json=None, headers=None, timeout=None):
+                if failures:
+                    raise failures.pop()
+                return FakeResponse(ok_payload("recovered"))
+
+            HttpTransport("http://example.test", post=flaky_post, sleep=sleeps.append).send(
+                make_request()
+            )
+        finally:
+            random.setstate(state)
+        assert sleeps == expected
 
     def test_gives_up_after_max_attempts(self):
         attempts = []
