@@ -7,7 +7,9 @@ caller's trajectory to their inner model unchanged.  Only the remote model
 samples, so its sample count and aggregation are constructor arguments.
 
 Concurrency safety belongs to the transport: only the remote model overlaps
-its calls, and only on a transport that declares itself safe for that.
+its calls, at most :data:`MAX_IN_FLIGHT` at a time, and only on a transport
+that declares itself safe for that.  A search hands it a whole beam level
+in one :meth:`ValueModel.evaluate_many` call.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .transport import ChatMessage, ChatRequest, Transport
 
 if TYPE_CHECKING:
     from ..evaluation import Ledger
+
+MAX_IN_FLIGHT = 16
+"""Most evaluations :meth:`RemoteValueModel.evaluate_many` runs at once."""
 
 
 class ValueModel(ABC):
@@ -140,11 +145,11 @@ class RemoteValueModel(ValueModel):
     aggregate.  Parsed replies keep their round and choice order.  If no
     reply parses the evaluation raises :class:`MalformedRationale`.
 
-    :meth:`evaluate_many` runs each trajectory's :meth:`evaluate` on its own
-    thread when the transport is safe for concurrent use.  Every evaluation's
-    rounds still run in order on one thread, so a transport whose replies
-    depend only on the prompt and its draw count answers exactly as it does
-    serially.
+    :meth:`evaluate_many` overlaps the trajectories' :meth:`evaluate` calls,
+    at most :data:`MAX_IN_FLIGHT` at once, when the transport is safe for
+    concurrent use.  Every evaluation's rounds still run in order on one
+    thread, so a transport whose replies depend only on the prompt and its
+    draw count answers exactly as it does serially.
     """
 
     def __init__(
@@ -209,7 +214,8 @@ class RemoteValueModel(ValueModel):
     def evaluate_many(
         self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
-        """Overlap the evaluations, one thread per trajectory.
+        """Overlap the evaluations on a pool of at most :data:`MAX_IN_FLIGHT`
+        threads.
 
         The pool drains before any result is read, so the earliest failure
         in trajectory order (for example a :class:`TransportError`) is the
@@ -217,7 +223,7 @@ class RemoteValueModel(ValueModel):
         """
         if not self.transport.concurrent_safe or len(trajectories) < 2:
             return super().evaluate_many(task, trajectories)
-        with ThreadPoolExecutor(max_workers=len(trajectories)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(trajectories), MAX_IN_FLIGHT)) as pool:
             futures = [
                 pool.submit(self._evaluate_one, task, trajectory) for trajectory in trajectories
             ]
@@ -244,7 +250,7 @@ class RoutedValueModel(ValueModel):
     def evaluate_many(
         self, task: Task, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
-        """Route once when every trajectory shares a depth, as siblings do."""
+        """Route once when every trajectory shares a depth, as a beam level does."""
         depths = {trajectory.depth for trajectory in trajectories}
         if len(depths) != 1:
             return super().evaluate_many(task, trajectories)

@@ -8,8 +8,9 @@ name to its function.
 
 * ``greedy_search`` — evaluate every proposed successor, descend into the
   argmax, repeat until a terminal state or the depth limit.
-* ``beam_search`` — level-synchronous: expand every frontier state, keep the
-  global top ``beam_width`` successors by value.
+* ``beam_search`` — level-synchronous: expand every frontier state, judge
+  the whole level in one value call, keep the global top ``beam_width``
+  successors by value.
 * ``mcts_search`` — UCT with the value estimate as a proxy reward; each
   iteration selects a leaf, expands and evaluates up to ``branching``
   children, and backs every new value up the path.
@@ -251,8 +252,10 @@ def dump_tree(tree: SearchTree, path: str | Path) -> None:
 class _Expander:
     """Shared expansion step: propose, materialize, evaluate, count.
 
-    All children of one expansion are judged by a single
-    :meth:`ValueModel.evaluate_many` call, so a model may overlap them.
+    One :meth:`expand` call takes a list of nodes (a beam frontier, or the
+    single node greedy and MCTS expand) and judges all their children with a
+    single :meth:`ValueModel.evaluate_many` call, so a model may overlap
+    every value call of a beam level.
     """
 
     def __init__(
@@ -274,59 +277,66 @@ class _Expander:
         self.ledger = ledger
         self.excluded = frozenset(config.excluded_actions)
 
-    def expand(self, node: TreeNode) -> list[TreeNode]:
-        """Materialize and evaluate up to ``branching`` children of ``node``.
+    def expand(self, nodes: Sequence[TreeNode]) -> list[list[TreeNode]]:
+        """Materialize and evaluate up to ``branching`` children of each node.
 
-        Children whose evaluation fails to parse stay in the tree without an
-        estimate and are excluded from selection.  Returns evaluated children.
+        Returns each node's evaluated children, in ``nodes`` order.  Children
+        whose evaluation fails to parse stay in the tree without an estimate
+        and are excluded from selection.  Node uids and failure lines come
+        out as if the nodes were expanded one after another.
         """
-        trajectory = self.tree.trajectory_to(node.uid)
-        try:
-            proposals = self.policy.propose(
-                self.task, trajectory, self.config.branching, self.excluded
-            )
-        except ValueError as exc:
-            self.tree.stats.failures.append(f"propose-error@{node.depth}: {exc}")
-            node.expanded = True
-            return []
-        node.expanded = True
-        if not proposals:
-            self.tree.stats.failures.append(f"empty-proposal@{node.depth}")
-            return []
-        # Pass 1: transition every proposal.  A slot holds the child awaiting
-        # its estimate, or the failure line of a rejected action.
-        slots: list[TreeNode | str] = []
+        # Pass 1: propose and transition for every node, in order.  A slot
+        # holds a child awaiting its estimate, or a failure line.
+        node_slots: list[list[TreeNode | str]] = []
         trajectories: list[Trajectory] = []
-        for action in proposals:
+        for node in nodes:
+            slots: list[TreeNode | str] = []
+            node_slots.append(slots)
+            node.expanded = True
+            trajectory = self.tree.trajectory_to(node.uid)
             try:
-                successor = self.env.transition(node.state, action)
-            except ActionRejected as exc:
-                slots.append(f"rejected-action@{node.depth}: {action.text} ({exc})")
-                continue
-            self.tree.stats.states_expanded += 1
-            if self.ledger is not None:
-                self.ledger.add_states(1, task_id=self.task.id)
-            child = self.tree._add(successor, node.uid, action)
-            child.terminal = self.env.is_terminal(successor)
-            trajectories.append(self.tree.trajectory_to(child.uid))
-            slots.append(child)
-        # Pass 2: judge every child in one call.
-        estimates = iter(self.value_model.evaluate_many(self.task, trajectories))
-        # Pass 3: record estimates and failures in proposal order.
-        evaluated: list[TreeNode] = []
-        for slot in slots:
-            if isinstance(slot, str):
-                self.tree.stats.failures.append(slot)
-                continue
-            estimate = next(estimates)
-            if isinstance(estimate, MalformedRationale):
-                self.tree.stats.failures.append(
-                    f"unparseable-value@{slot.depth}: {estimate.reason}"
+                proposals = self.policy.propose(
+                    self.task, trajectory, self.config.branching, self.excluded
                 )
+            except ValueError as exc:
+                slots.append(f"propose-error@{node.depth}: {exc}")
                 continue
-            slot.estimate = estimate
-            self.tree.stats.evaluations += 1
-            evaluated.append(slot)
+            if not proposals:
+                slots.append(f"empty-proposal@{node.depth}")
+                continue
+            for action in proposals:
+                try:
+                    successor = self.env.transition(node.state, action)
+                except ActionRejected as exc:
+                    slots.append(f"rejected-action@{node.depth}: {action.text} ({exc})")
+                    continue
+                self.tree.stats.states_expanded += 1
+                if self.ledger is not None:
+                    self.ledger.add_states(1, task_id=self.task.id)
+                child = self.tree._add(successor, node.uid, action)
+                child.terminal = self.env.is_terminal(successor)
+                trajectories.append(self.tree.trajectory_to(child.uid))
+                slots.append(child)
+        # Pass 2: judge every child of every node in one call.
+        estimates = iter(self.value_model.evaluate_many(self.task, trajectories))
+        # Pass 3: record estimates and failures node by node, in proposal order.
+        evaluated: list[list[TreeNode]] = []
+        for slots in node_slots:
+            kept: list[TreeNode] = []
+            evaluated.append(kept)
+            for slot in slots:
+                if isinstance(slot, str):
+                    self.tree.stats.failures.append(slot)
+                    continue
+                estimate = next(estimates)
+                if isinstance(estimate, MalformedRationale):
+                    self.tree.stats.failures.append(
+                        f"unparseable-value@{slot.depth}: {estimate.reason}"
+                    )
+                    continue
+                slot.estimate = estimate
+                self.tree.stats.evaluations += 1
+                kept.append(slot)
         return evaluated
 
 
@@ -349,7 +359,7 @@ def greedy_search(
     expander = _Expander(task, env, policy, value_model, config, tree, ledger)
     node = tree.root
     while node.depth < config.max_depth and not node.terminal:
-        evaluated = expander.expand(node)
+        [evaluated] = expander.expand([node])
         if not evaluated:
             break
         node = _best_by_value(evaluated)
@@ -369,11 +379,13 @@ def beam_search(
 ) -> SearchTree:
     """Level-synchronous beam.
 
-    At each level all frontier states are expanded; the next frontier is the
-    global top ``beam_width`` non-terminal successors by value (ties to the
-    earlier-generated node).  Terminal successors are collected and never
-    re-expanded; every one found is an evaluated terminal node of the tree,
-    and ``best_path`` ends at the best-valued of them.
+    At each level all frontier states are expanded in one
+    :meth:`_Expander.expand` call, so the value model judges the whole level
+    at once; the next frontier is the global top ``beam_width`` non-terminal
+    successors by value (ties to the earlier-generated node).  Terminal
+    successors are collected and never re-expanded; every one found is an
+    evaluated terminal node of the tree, and ``best_path`` ends at the
+    best-valued of them.
     """
     root = env.initial_state(task)
     tree = SearchTree(task, "beam", root)
@@ -381,9 +393,7 @@ def beam_search(
     frontier = [tree.root]
     terminals: list[TreeNode] = []
     for _level in range(config.max_depth):
-        successors: list[TreeNode] = []
-        for node in frontier:
-            successors.extend(expander.expand(node))
+        successors = [child for children in expander.expand(frontier) for child in children]
         if not successors:
             if not terminals:
                 tree.stats.failures.append(f"empty-frontier@{frontier[0].depth}")
@@ -475,7 +485,7 @@ def mcts_search(
             )
             backup(path, value)
             continue
-        evaluated = expander.expand(node)
+        [evaluated] = expander.expand([node])
         if not evaluated:
             backup(path, 0.0)
             continue

@@ -295,15 +295,19 @@ def export_jsonl(
 
 
 def import_jsonl(path: str | Path) -> Dataset:
-    """Load a dataset previously written by :func:`export_jsonl`."""
+    """Load a dataset previously written by :func:`export_jsonl`.
+
+    A line that is not UTF-8, not JSON or not a record raises
+    :class:`StlError` naming the file and line.
+    """
     path = Path(path)
     dataset = Dataset()
-    with path.open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as handle:
+        for line_number, data in enumerate(handle, start=1):
             try:
+                line = data.decode("utf-8").strip()
+                if not line:
+                    continue
                 raw = json.loads(line)
                 example = TrainingExample(
                     task_id=raw["task_id"],

@@ -289,6 +289,18 @@ class TestConfigHandling:
         assert str(dataset) in err and "section-missing" in err
         assert not out.exists()
 
+    def test_dataset_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = tmp_path / "model.jsonl"
+        dataset.write_bytes(b"\xff\xfe{}\n")
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{dataset}:1:" in err and "utf-8" in err
+        assert not out.exists()
+
     def test_bad_value_spec_exits_2(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
         code, _, err = run_cli(

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from lookahead.agents.policies import ExhaustivePolicy, Policy
 from lookahead.agents.scales import GAME24, MalformedRationale
 from lookahead.agents.transport import ChatRequest, ChatResponse, Transport
 from lookahead.agents.values import OracleValueModel, RemoteValueModel, ScriptedValueModel
-from lookahead.core import Action, Split, Task
+from lookahead.core import Action, Split, Task, Trajectory
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger
@@ -594,3 +595,93 @@ class TestBatchedEvaluation:
         assert "also bogus" in tree.stats.failures[3]
         assert [tree.node(uid).state.id for uid in tree.root.children] == ["b", "a", "c"]
         assert tree.stats.evaluations == 1
+
+
+class RecordingValueModel(FlakyValueModel):
+    """Records each ``evaluate_many`` batch as the state ids it holds."""
+
+    def __init__(self, values, bad_ids=()):
+        super().__init__(values, bad_ids)
+        self.batches: list[list[str]] = []
+
+    def evaluate_many(self, task, trajectories):
+        self.batches.append([t.final_state.id for t in trajectories])
+        return super().evaluate_many(task, trajectories)
+
+
+class ProposalsById(Policy):
+    """Proposes the listed action texts at each state id; ``None`` raises."""
+
+    def __init__(self, proposals):
+        self.proposals = proposals
+
+    def propose(self, task, trajectory, branching, disallowed=frozenset()):
+        texts = self.proposals[trajectory.final_state.id]
+        if texts is None:
+            raise ValueError("no ideas")
+        return [Action.make(t) for t in texts][:branching]
+
+
+class TestLevelBatch:
+    def test_beam_judges_each_level_in_one_call(self):
+        env, policy, _ = beam_setup()
+        model = RecordingValueModel(BEAM_VALUES)
+        config = SearchConfig(branching=5, beam_width=2, max_depth=2)
+        tree = beam_search(TASK, env, policy, model, config)
+        # Level 2's frontier is s1 then s2: s1's children come first.
+        assert model.batches == [
+            ["s1", "s2", "s3", "s4", "t0"],
+            ["s1a", "s1b", "s2a", "s2b"],
+        ]
+        assert tree.stats.evaluations == 9
+
+    def test_greedy_and_mcts_judge_one_node_per_call(self):
+        for engine in (greedy_search, mcts_search):
+            env, policy, _ = two_branch_setup()
+            model = RecordingValueModel(TWO_BRANCH_VALUES)
+            engine(TASK, env, policy, model, SearchConfig(max_depth=3, mcts_iterations=2))
+            assert model.batches == [["a", "b", "c"], ["aw", "al"]]
+
+    def test_level_failures_keep_frontier_then_proposal_order(self):
+        env = ScriptedEnvironment.from_dict(beam_fixture())
+        policy = ProposalsById({
+            "r": ["go s1", "go s2", "go s3", "go s4"],
+            "s1": None,
+            "s2": ["go s2b", "bogus", "go s2a"],
+            "s3": [],
+            "s4": ["also bogus"],
+        })
+        model = RecordingValueModel(BEAM_VALUES, bad_ids={"s2b"})
+        config = SearchConfig(branching=5, beam_width=4, max_depth=2)
+        tree = beam_search(TASK, env, policy, model, config)
+        assert model.batches == [["s1", "s2", "s3", "s4"], ["s2b", "s2a"]]
+        assert [f.split(":")[0] for f in tree.stats.failures] == [
+            "propose-error@1",
+            "unparseable-value@2",
+            "rejected-action@1",
+            "empty-proposal@1",
+            "rejected-action@1",
+        ]
+        assert "no ideas" in tree.stats.failures[0]
+        assert "bogus" in tree.stats.failures[2]
+        assert "also bogus" in tree.stats.failures[4]
+        assert [tree.node(uid).state.id for uid in tree.node(2).children] == ["s2b", "s2a"]
+        assert all(tree.node(uid).expanded for uid in (1, 2, 3, 4))
+        assert terminal_ids(tree) == ["s2a"]
+
+    def test_remote_model_keeps_at_most_16_evaluations_in_flight(self):
+        def slow_sure(prompt, draw):
+            time.sleep(0.01)
+            return "Tried the promising pairs.\nsure"
+
+        # Every send waits until 16 are in flight at once, then each reply
+        # takes a moment, so an unbounded pool would pile up all 40.
+        transport = PromptKeyedTransport(slow_sure, gate=16)
+        env = Game24Env()
+        task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
+        root = Trajectory.from_state(task, env.initial_state(task))
+        model = RemoteValueModel(transport, "m", env, GAME24)
+        results = model.evaluate_many(task, [root] * 40)
+        assert [r.value for r in results] == [GAME24.labels["sure"]] * 40
+        assert transport.sends == 40
+        assert transport.max_in_flight == 16
