@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core import Aggregation, Task, Trajectory, ValueEstimate, render_context
 from ..envs.base import Environment
-from ..envs.game24 import Verdict, solve_verdict, state_numbers
+from ..envs.game24 import Verdict, solve_verdict
 from .prompts import load_template, render_template
 from .scales import (
     GAME24,
@@ -90,7 +90,7 @@ class OracleValueModel(ValueModel):
             )
 
     def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
-        return self._estimates[solve_verdict(state_numbers(trajectory.final_state))]
+        return self._estimates[solve_verdict(trajectory.final_state)]
 
 
 class ScriptedValueModel(ValueModel):

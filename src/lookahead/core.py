@@ -78,7 +78,7 @@ class State:
     present it drives :func:`state_key`, otherwise the rendered trajectory
     context does.  An environment may subclass this to carry its own parsed
     form of the state alongside (the arithmetic environment's state keeps
-    its numbers), left out of equality, hashing and repr.
+    its numbers as an integer key), left out of equality, hashing and repr.
     """
 
     id: str
@@ -144,6 +144,14 @@ class Trajectory:
         root = chain[0]
         steps = tuple((s.incoming_action, s) for s in chain[1:])  # type: ignore[misc]
         return cls(task=task, root=root, steps=steps)
+
+    def extended(self, action: Action, state: State) -> "Trajectory":
+        """This trajectory with one more step, ``action`` into ``state``.
+
+        Raises ``ValueError`` unless ``state``'s parent is this trajectory's
+        final state and ``action`` is its incoming action.
+        """
+        return Trajectory(task=self.task, root=self.root, steps=(*self.steps, (action, state)))
 
     @property
     def final_state(self) -> State:

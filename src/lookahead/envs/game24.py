@@ -1,25 +1,29 @@
 """Arithmetic 24 puzzle environment with exact rational arithmetic.
 
-A state is a multiset of numbers.  Each :class:`Game24State` carries them as
-a sorted tuple of ``Fraction`` (``numbers``), built once when the state is
-made; its ``signature`` and ``id`` are rendered from that tuple, and every
-environment method and the oracle read the tuple rather than re-parsing the
-signature.  An action combines two of the remaining numbers with one of the
-four basic operations; the episode ends when a single number remains, and
-the task succeeds when that number is exactly 24.  Intermediate values may
-be negative or fractional.
+A state is a multiset of numbers.  Each :class:`Game24State` carries it as
+the oracle's flat integer key (``oracle_key``, see ``OracleKey``): every
+number ``p/q`` in lowest terms with ``q > 0``, in ascending order of value.
+Its ``signature`` holds the same numbers' canonical texts in the same order.
+A transition finds its operands by their text in the signature, combines
+them in integers, and inserts the reduced result into both; so
+``transition``, ``enumerable_actions``, ``is_terminal`` and the oracle build
+no ``Fraction``.  ``Fraction`` parses task instructions and operands spelled
+other than canonically (``04``, ``2/4``).
+
+An action combines two of the remaining numbers with one of the four basic
+operations; the episode ends when a single number remains, and the task
+succeeds when that number is exactly 24.  Intermediate values may be
+negative or fractional.
 
 ``solve_verdict`` is the exact solvability oracle: it decides by memoized
 recursion over pairwise reductions whether 24 is reachable from the remaining
-numbers.  The memo and the recursion work on flat integer keys
-(``OracleKey``), so no ``Fraction`` is built, hashed or compared below
-``solve_verdict``.
+numbers.  The memo and the recursion work on the same integer keys, so a
+state's verdict starts from the key it carries.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -29,12 +33,15 @@ from typing import Iterable, Iterator, Sequence
 from ..core import Action, State, Task, Trajectory
 from .base import ActionRejected, Environment
 
-TARGET = Fraction(24)
-_TARGET_INT = TARGET.numerator  # the target is whole; the oracle compares ints
+_TARGET = 24
 
 _ACTION_RE = re.compile(r"^(-?\d+(?:/\d+)?) ([+\-*/]) (-?\d+(?:/\d+)?)$")
 
 Numbers = tuple[Fraction, ...]
+
+# A multiset as ``(p1, q1, p2, q2, ...)``: each number p/q in lowest terms
+# with q > 0, the numbers in ascending order of value.
+OracleKey = tuple[int, ...]
 
 
 def render_number(value: Fraction) -> str:
@@ -60,38 +67,36 @@ def parse_numbers(text: str) -> Numbers:
     return tuple(sorted(values))
 
 
-def apply_op(a: Fraction, op: str, b: Fraction) -> Fraction:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ActionRejected("division by zero")
-        return a / b
-    raise ActionRejected(f"unknown operation {op!r}")
+def _flat_key(numbers: Iterable[Fraction]) -> OracleKey:
+    """The ``OracleKey`` of fractions given in ascending order."""
+    return tuple(x for n in numbers for x in (n.numerator, n.denominator))
 
 
 def enumerate_actions(numbers: Sequence[Fraction]) -> list[Action]:
-    """All distinct combine actions in the documented order.
+    """All distinct combine actions on ascending ``numbers``, in the order
+    :func:`_combine_actions` documents."""
+    return _combine_actions([render_number(n) for n in numbers])
+
+
+def _combine_actions(texts: Sequence[str]) -> list[Action]:
+    """All distinct combine actions on the canonical ``texts`` of ascending
+    numbers.
 
     Pairs are visited by sorted index (0,1), (0,2), ...; within a pair the
     directed forms appear as a+b, a-b, b-a, a*b, a/b, b/a.  Commutative
-    duplicates and same-text reversals collapse; division by zero is skipped.
+    duplicates and same-text reversals collapse; division by zero (the text
+    ``0``) is skipped.
     """
     actions: list[Action] = []
     seen: set[str] = set()
-    rendered = [render_number(n) for n in numbers]
-    size = len(numbers)
+    size = len(texts)
     for i in range(size):
         for j in range(i + 1, size):
-            a, b = rendered[i], rendered[j]
+            a, b = texts[i], texts[j]
             directed = [(a, "+", b), (a, "-", b), (b, "-", a), (a, "*", b)]
-            if numbers[j] != 0:
+            if b != "0":
                 directed.append((a, "/", b))
-            if numbers[i] != 0:
+            if a != "0":
                 directed.append((b, "/", a))
             for left, op, right in directed:
                 text = f"{left} {op} {right}"
@@ -103,19 +108,20 @@ def enumerate_actions(numbers: Sequence[Fraction]) -> list[Action]:
 
 @dataclass(frozen=True)
 class Game24State(State):
-    """A game24 state carrying its sorted number multiset.
+    """A game24 state carrying its number multiset as an ``OracleKey``.
 
-    ``numbers`` is left out of equality, hashing and repr: ``signature`` is
-    rendered from it, so two states with equal fields have equal numbers.
+    ``oracle_key`` lists the numbers ``signature`` spells, in the same
+    order, as integer numerator/denominator pairs.  It is left out of
+    equality, hashing and repr: ``signature`` determines it.
     """
 
-    numbers: Numbers = field(default=(), compare=False, repr=False)
+    oracle_key: OracleKey = field(default=(), compare=False, repr=False)
 
 
-def state_numbers(state: State) -> Numbers:
-    """The sorted numbers of a state built by :class:`Game24Env`."""
-    if isinstance(state, Game24State) and state.numbers:
-        return state.numbers
+def _oracle_key(state: State) -> OracleKey:
+    """The ``OracleKey`` of a state built by :class:`Game24Env`."""
+    if isinstance(state, Game24State) and state.oracle_key:
+        return state.oracle_key
     raise ValueError(f"state {state.id} is not an arithmetic state")
 
 
@@ -137,35 +143,59 @@ class Game24Env(Environment):
             depth=0,
             observation=signature,
             signature=signature,
-            numbers=numbers,
+            oracle_key=_flat_key(numbers),
         )
 
     def transition(self, state: State, action: Action) -> State:
-        numbers = state_numbers(state)
-        if len(numbers) <= 1:
+        key = _oracle_key(state)
+        if len(key) <= 2:
             raise ActionRejected("state is terminal")
         match = _ACTION_RE.match(action.text)
         if match is None:
             raise ActionRejected(f"unparseable combine action {action.text!r}")
         left_text, op, right_text = match.groups()
-        # The signature holds each number's canonical rendering, in order, so
+        # The signature holds each number's canonical text, in key order, so
         # an operand written that way is found without parsing it.
         texts = state.signature.split(" ")  # type: ignore[union-attr]
-        remaining = list(numbers)
-        operands: list[Fraction] = []
+        rest = list(key)
+        terms: list[int] = []
         operand_texts: list[str] = []
         for text in (left_text, right_text):
             try:
                 index = texts.index(text)
             except ValueError:
-                index = _index_of_value(text, remaining, state.signature)
-            operands.append(remaining.pop(index))
+                index = _index_of_value(text, rest, state.signature)
             operand_texts.append(texts.pop(index))
-        result = apply_op(operands[0], op, operands[1])
-        result_text = render_number(result)
+            terms += rest[2 * index : 2 * index + 2]
+            del rest[2 * index : 2 * index + 2]
+        p, q, r, s = terms
+        if op == "+":
+            num, den = p * s + r * q, q * s
+        elif op == "-":
+            num, den = p * s - r * q, q * s
+        elif op == "*":
+            num, den = p * r, q * s
+        else:
+            if r == 0:
+                raise ActionRejected("division by zero")
+            num, den = p * s, q * r
+            if den < 0:
+                num, den = -num, -den
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+        result_text = str(num) if den == 1 else f"{num}/{den}"
         left_list = " ".join([result_text, *texts])
-        position = bisect_right(remaining, result)
-        remaining.insert(position, result)
+        # Insert after every number not greater than the result, found by
+        # cross-multiplying (denominators are positive): where bisect_right
+        # would put it.
+        position = len(texts)
+        for k in range(position):
+            if num * rest[2 * k + 1] < rest[2 * k] * den:
+                position = k
+                break
+        rest[2 * position : 2 * position] = (num, den)
         texts.insert(position, result_text)
         signature = " ".join(texts)
         observation = (
@@ -179,38 +209,36 @@ class Game24Env(Environment):
             incoming_action=action,
             parent=state,
             signature=signature,
-            numbers=tuple(remaining),
+            oracle_key=tuple(rest),
         )
 
     def is_terminal(self, state: State) -> bool:
-        return len(state_numbers(state)) == 1
+        return len(_oracle_key(state)) == 2
 
     def enumerable_actions(self, state: State) -> list[Action] | None:
-        numbers = state_numbers(state)
-        if len(numbers) <= 1:
+        if len(_oracle_key(state)) <= 2:
             return []
-        return enumerate_actions(numbers)
+        return _combine_actions(state.signature.split(" "))  # type: ignore[union-attr]
 
     def ground_truth_score(self, trajectory: Trajectory) -> float | None:
         """1.0 iff the trajectory ends on the single number 24, else 0.0."""
-        numbers = state_numbers(trajectory.final_state)
-        if len(numbers) == 1 and numbers[0] == TARGET:
-            return 1.0
-        return 0.0
+        return 1.0 if _oracle_key(trajectory.final_state) == (_TARGET, 1) else 0.0
 
 
-def _index_of_value(text: str, numbers: list[Fraction], signature: str | None) -> int:
-    """Where an operand spelled other than canonically (``04``, ``2/4``) sits."""
+def _index_of_value(text: str, rest: list[int], signature: str | None) -> int:
+    """Where in ``rest`` (flat key terms) an operand spelled other than
+    canonically (``04``, ``2/4``) sits, as a number index."""
     try:
         operand = Fraction(text)
     except ZeroDivisionError:
         raise ActionRejected(f"operand {text!r} divides by zero") from None
-    try:
-        return numbers.index(operand)
-    except ValueError:
-        raise ActionRejected(
-            f"operand {render_number(operand)} not present in {signature!r}"
-        ) from None
+    num, den = operand.numerator, operand.denominator
+    for k in range(0, len(rest), 2):
+        if rest[k] == num and rest[k + 1] == den:
+            return k // 2
+    raise ActionRejected(
+        f"operand {render_number(operand)} not present in {signature!r}"
+    )
 
 
 class Verdict(str, Enum):
@@ -218,16 +246,12 @@ class Verdict(str, Enum):
     IMPOSSIBLE = "impossible"
 
 
-# A multiset as ``(p1, q1, p2, q2, ...)``: each number p/q in lowest terms
-# with q > 0, the numbers in ascending order of value.
-OracleKey = tuple[int, ...]
-
 _oracle_cache: dict[OracleKey, bool] = {}
 
 
 def _reachable(key: OracleKey) -> bool:
     if len(key) == 2:
-        return key == (_TARGET_INT, 1)
+        return key == (_TARGET, 1)
     cached = _oracle_cache.get(key)
     if cached is not None:
         return cached
@@ -289,26 +313,30 @@ def _pair_reaches_target(p: int, q: int, r: int, s: int) -> bool:
     Each result is compared with the target over the common denominator, so
     nothing is reduced.
     """
-    ps, rq, target = p * s, r * q, _TARGET_INT * q * s
+    ps, rq, target = p * s, r * q, _TARGET * q * s
     return (
         ps + rq == target
         or p * r == target
         or ps - rq == target
         or rq - ps == target
-        or (r != 0 and ps == _TARGET_INT * q * r)
-        or (p != 0 and rq == _TARGET_INT * p * s)
+        or (r != 0 and ps == _TARGET * q * r)
+        or (p != 0 and rq == _TARGET * p * s)
     )
 
 
-def solve_verdict(numbers: Iterable[Fraction | int]) -> Verdict:
+def solve_verdict(numbers: State | Iterable[Fraction | int]) -> Verdict:
     """Exact solvability verdict for a multiset of 1-4 numbers.
 
-    The sorted multiset becomes one flat integer key, so permuted or
-    revisited states share a memo entry and the recursion below handles
-    integers only.
+    A state built by :class:`Game24Env` is judged from the key it carries;
+    any other ``State`` raises ``ValueError``.  Other numbers are sorted into
+    one flat integer key, so permuted or revisited states share a memo entry
+    and the recursion below handles integers only.
     """
-    canonical = sorted(n if isinstance(n, Fraction) else Fraction(n) for n in numbers)
-    if not canonical:
-        raise ValueError("cannot judge an empty number multiset")
-    key = tuple(x for n in canonical for x in (n.numerator, n.denominator))
+    if isinstance(numbers, State):
+        key = _oracle_key(numbers)
+    else:
+        canonical = sorted(n if isinstance(n, Fraction) else Fraction(n) for n in numbers)
+        if not canonical:
+            raise ValueError("cannot judge an empty number multiset")
+        key = _flat_key(canonical)
     return Verdict.SURE if _reachable(key) else Verdict.IMPOSSIBLE

@@ -255,7 +255,8 @@ class _Expander:
     One :meth:`expand` call takes a list of nodes (a beam frontier, or the
     single node greedy and MCTS expand) and judges all their children with a
     single :meth:`ValueModel.evaluate_many` call, so a model may overlap
-    every value call of a beam level.
+    every value call of a beam level.  Each node's trajectory is built once,
+    for ``propose``; each child's is that trajectory extended by one step.
     """
 
     def __init__(
@@ -315,7 +316,7 @@ class _Expander:
                     self.ledger.add_states(1, task_id=self.task.id)
                 child = self.tree._add(successor, node.uid, action)
                 child.terminal = self.env.is_terminal(successor)
-                trajectories.append(self.tree.trajectory_to(child.uid))
+                trajectories.append(trajectory.extended(action, successor))
                 slots.append(child)
         # Pass 2: judge every child of every node in one call.
         estimates = iter(self.value_model.evaluate_many(self.task, trajectories))

@@ -165,6 +165,41 @@ class TestTrajectory:
         assert trajectory.depth == 0
         assert trajectory.final_state is root
 
+    def test_extended_equals_from_state(self):
+        task = make_task()
+        trajectory = make_chain(task, ["a", "b", "c"])
+        parent = trajectory.steps[0][1]
+        shorter = Trajectory.from_state(task, parent)
+        extended = shorter.extended(trajectory.steps[1][0], trajectory.final_state)
+        assert extended == trajectory
+        assert extended.root is shorter.root
+        assert shorter.depth == 1
+
+    def test_extended_rejects_a_state_not_below_the_final_state(self):
+        task = make_task()
+        trajectory = make_chain(task, ["a", "b", "c"])
+        grandchild = trajectory.final_state
+        sibling = State(
+            id="s",
+            depth=2,
+            observation="beside",
+            incoming_action=Action.make("step 2"),
+            parent=trajectory.steps[0][1],
+        )
+        with pytest.raises(ValueError, match="contiguous"):
+            trajectory.extended(Action.make("step 2"), sibling)
+        root_only = Trajectory.from_state(task, trajectory.root)
+        with pytest.raises(ValueError, match="contiguous"):
+            root_only.extended(Action.make("step 2"), grandchild)
+
+    def test_extended_rejects_a_mismatched_action(self):
+        task = make_task()
+        trajectory = make_chain(task, ["a", "b", "c"])
+        root_only = Trajectory.from_state(task, trajectory.root)
+        child = trajectory.steps[0][1]
+        with pytest.raises(ValueError, match="does not match"):
+            root_only.extended(Action.make("other"), child)
+
 
 class TestAggregate:
     def test_mean(self):

@@ -1,6 +1,7 @@
 """Arithmetic environment: exact transitions, enumeration order, the oracle."""
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute24
+from lookahead.agents.values import OracleValueModel
 from lookahead.core import Action, Split, State, Task, Trajectory
 from lookahead.envs import game24
 from lookahead.envs.base import ActionRejected
@@ -22,12 +24,16 @@ from lookahead.envs.game24 import (
     render_number,
     render_numbers,
     solve_verdict,
-    state_numbers,
 )
 
 
 def task_for(numbers: str) -> Task:
     return Task(id=f"24:{numbers}", instruction=numbers, split=Split.ROLLOUT)
+
+
+def flat(numbers) -> tuple[int, ...]:
+    """Ascending fractions as an oracle key: numerator, denominator, ..."""
+    return tuple(x for n in numbers for x in (n.numerator, n.denominator))
 
 
 small_fractions = st.fractions(
@@ -105,7 +111,7 @@ class TestEnvironment:
         env = Game24Env()
         state = env.initial_state(task_for("6 6 4 8"))
         successor = env.transition(state, Action.make("6 * 4"))
-        assert state_numbers(successor) == parse_numbers("6 8 24")
+        assert successor.oracle_key == flat(parse_numbers("6 8 24")) == (6, 1, 8, 1, 24, 1)
         assert successor.observation == "6 * 4 = 24 (left: 24 6 8)"
         assert successor.depth == 1
 
@@ -245,7 +251,7 @@ class TestOracle:
             current = frontier.pop()
             if env.is_terminal(current):
                 continue
-            assert solve_verdict(state_numbers(current)) is Verdict.SURE
+            assert solve_verdict(current) is Verdict.SURE
             successors = [
                 env.transition(current, action)
                 for action in env.enumerable_actions(current)
@@ -253,14 +259,14 @@ class TestOracle:
             sure = [
                 s
                 for s in successors
-                if solve_verdict(state_numbers(s)) is Verdict.SURE
+                if solve_verdict(s) is Verdict.SURE
             ]
             assert sure, f"no solvable successor below {current.signature}"
             frontier.append(sure[0])
 
 
 class TestCarriedNumbers:
-    """A game24 state carries its sorted numbers; nothing re-parses them."""
+    """A game24 state carries its numbers as the oracle's integer key."""
 
     @given(
         st.lists(st.integers(0, 13), min_size=1, max_size=4),
@@ -270,28 +276,71 @@ class TestCarriedNumbers:
         env = Game24Env()
         state = env.initial_state(task_for(" ".join(map(str, puzzle))))
         for pick in [*picks, None]:
-            assert state.numbers == parse_numbers(state.signature)
-            assert state_numbers(state) is state.numbers
+            numbers = parse_numbers(state.signature)
+            assert state.oracle_key == flat(numbers)
             assert state.id == f"24[{state.signature}]"
-            assert env.is_terminal(state) == (len(state.numbers) == 1)
-            solvable = solve_verdict(state.numbers) is Verdict.SURE
-            assert solvable == brute24.solvable(state.numbers)
-            actions = enumerate_actions(state.numbers)
+            assert env.is_terminal(state) == (len(numbers) == 1)
+            solvable = solve_verdict(state) is Verdict.SURE
+            assert solvable == brute24.solvable(numbers)
+            actions = env.enumerable_actions(state)
+            assert actions == enumerate_actions(numbers)
             if pick is None or not actions:
                 break
             state = env.transition(state, actions[pick % len(actions)])
 
+    def test_one_action_lister_serves_env_and_function(self, monkeypatch):
+        listed = []
+        real = game24._combine_actions
+
+        def spy(texts):
+            listed.append(list(texts))
+            return real(texts)
+
+        monkeypatch.setattr(game24, "_combine_actions", spy)
+        env = Game24Env()
+        state = env.initial_state(task_for("1/2 0 -3 8"))
+        assert env.enumerable_actions(state) == enumerate_actions(parse_numbers(state.signature))
+        assert listed == [["-3", "0", "1/2", "8"]] * 2
+
+    def test_no_fraction_is_built_below_the_initial_state(self, monkeypatch):
+        env = Game24Env()
+        task = task_for("1 5 11 13")
+        state = env.initial_state(task)
+        built = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        model = OracleValueModel()
+        frontier = [state]
+        while frontier:
+            current = frontier.pop()
+            trajectory = Trajectory.from_state(task, current)
+            model.evaluate(task, trajectory)
+            if env.is_terminal(current):
+                env.ground_truth_score(trajectory)
+                continue
+            frontier += [env.transition(current, a) for a in env.enumerable_actions(current)]
+        assert built == []
+        env.transition(state, Action.make("05 + 1"))
+        assert built == [("05",)]
+
     def test_hand_built_state_has_no_numbers(self):
         state = State(id="24[4 6 6 8]", depth=0, observation="4 6 6 8", signature="4 6 6 8")
+        env = Game24Env()
+        for judge in (env.is_terminal, env.enumerable_actions, solve_verdict):
+            with pytest.raises(ValueError, match="not an arithmetic state"):
+                judge(state)
         with pytest.raises(ValueError, match="not an arithmetic state"):
-            state_numbers(state)
-        with pytest.raises(ValueError, match="not an arithmetic state"):
-            Game24Env().is_terminal(state)
+            env.transition(state, Action.make("4 + 6"))
 
-    def test_numbers_stay_out_of_equality_and_repr(self):
+    def test_key_stays_out_of_equality_and_repr(self):
         env = Game24Env()
         state = env.initial_state(task_for("8 4 6 6"))
-        assert "numbers" not in repr(state)
+        assert "oracle_key" not in repr(state)
         assert state == env.initial_state(task_for("4 6 6 8"))
         assert hash(state) == hash(env.initial_state(task_for("6 8 6 4")))
 
@@ -308,3 +357,155 @@ class TestCarriedNumbers:
         state = env.initial_state(task_for("1 3 4 6"))
         with pytest.raises(ActionRejected, match="divides by zero"):
             env.transition(state, Action.make("1/0 + 3"))
+
+
+def fraction_transition(state: State, action: Action) -> tuple[str, str, str, int]:
+    """Reference transition in ``Fraction`` arithmetic that the integer one
+    must match.
+
+    Returns the successor's ``(id, observation, signature, depth)``.
+    """
+    numbers = parse_numbers(state.signature)
+    if len(numbers) <= 1:
+        raise ActionRejected("state is terminal")
+    match = game24._ACTION_RE.match(action.text)
+    if match is None:
+        raise ActionRejected(f"unparseable combine action {action.text!r}")
+    left_text, op, right_text = match.groups()
+    texts = state.signature.split(" ")
+    remaining = list(numbers)
+    operands, operand_texts = [], []
+    for text in (left_text, right_text):
+        try:
+            index = texts.index(text)
+        except ValueError:
+            try:
+                operand = Fraction(text)
+            except ZeroDivisionError:
+                raise ActionRejected(f"operand {text!r} divides by zero") from None
+            if operand not in remaining:
+                raise ActionRejected(
+                    f"operand {render_number(operand)} not present in {state.signature!r}"
+                )
+            index = remaining.index(operand)
+        operands.append(remaining.pop(index))
+        operand_texts.append(texts.pop(index))
+    a, b = operands
+    if op == "/" and b == 0:
+        raise ActionRejected("division by zero")
+    result = {"+": a + b, "-": a - b, "*": a * b}[op] if op != "/" else a / b
+    result_text = render_number(result)
+    left_list = " ".join([result_text, *texts])
+    position = bisect_right(remaining, result)
+    texts.insert(position, result_text)
+    signature = " ".join(texts)
+    observation = (
+        f"{operand_texts[0]} {op} {operand_texts[1]} = {result_text} (left: {left_list})"
+    )
+    return f"24[{signature}]", observation, signature, state.depth + 1
+
+
+def respellings(number: Fraction) -> list[str]:
+    """Non-canonical texts of ``number`` the action grammar still accepts."""
+    p, q = number.numerator, number.denominator
+    spellings = [f"{2 * p}/{2 * q}"]
+    if q == 1:
+        spellings.append(f"{p}/1")
+        spellings.append("-0" if p == 0 else (f"0{p}" if p > 0 else f"-0{-p}"))
+    return spellings
+
+
+@st.composite
+def states_and_actions(draw):
+    """A state reached by a short walk from random signed fractions (zero
+    drawn often), and an action whose operands are canonical texts of its
+    numbers, respellings of them, or numbers it does not hold."""
+    env = Game24Env()
+    numbers = draw(st.lists(fractions_with_zero, min_size=1, max_size=4))
+    state = env.initial_state(task_for(render_numbers(numbers)))
+    for _ in range(draw(st.integers(0, 2))):
+        actions = env.enumerable_actions(state)
+        if not actions:
+            break
+        state = env.transition(state, draw(st.sampled_from(actions)))
+    held = parse_numbers(state.signature)
+
+    def operand() -> str:
+        kind = draw(st.sampled_from(["canonical", "canonical", "respelled", "absent"]))
+        if kind == "absent":
+            return draw(
+                st.one_of(
+                    small_fractions.map(render_number),
+                    st.integers(1, 9).map(lambda n: f"{n}/0"),
+                )
+            )
+        number = held[draw(st.integers(0, len(held) - 1))]
+        if kind == "canonical":
+            return render_number(number)
+        return draw(st.sampled_from(respellings(number)))
+
+    left, op, right = operand(), draw(st.sampled_from("+-*/")), operand()
+    return state, Action.make(f"{left} {op} {right}")
+
+
+def assert_canonical_key(key: tuple[int, ...]) -> None:
+    assert len(key) % 2 == 0 and all(type(x) is int for x in key)
+    pairs = list(zip(key[::2], key[1::2]))
+    assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs)
+    assert all(a * d <= c * b for (a, b), (c, d) in zip(pairs, pairs[1:]))
+
+
+class TestIntegerTransition:
+    """The integer transition agrees with the ``Fraction`` reference."""
+
+    def check(self, state: State, action: Action) -> None:
+        try:
+            expected = fraction_transition(state, action)
+        except ActionRejected as exc:
+            with pytest.raises(ActionRejected) as raised:
+                Game24Env().transition(state, action)
+            assert str(raised.value) == str(exc)
+            return
+        successor = Game24Env().transition(state, action)
+        got = (successor.id, successor.observation, successor.signature, successor.depth)
+        assert got == expected
+        assert_canonical_key(successor.oracle_key)
+        assert successor.oracle_key == flat(parse_numbers(successor.signature))
+
+    @pytest.mark.parametrize(
+        "numbers,action",
+        [
+            ("0 0 5", "0 * 5"),  # zero result
+            ("0 3 7", "0 - 7"),  # negative result
+            ("1 2 5", "2 - 5"),
+            ("3 4 8", "3 / 4"),  # fractional result
+            ("-3/4 1/6 2", "-3/4 / 1/6"),  # negative fraction over a fraction
+            ("-3/4 1/6 2", "1/6 / -3/4"),  # negative divisor
+            ("-3 2 5", "2 / -3"),
+            ("1/2 1/2 3", "1/2 + 1/2"),  # fractions summing to a whole
+            ("2/3 3/2 5", "2/3 * 3/2"),
+            ("2 3 4", "6/4 - 2"),  # respelled absent
+            ("0 5 7", "5 / 0"),  # division by zero
+            ("0 5 7", "7 / -0"),
+            ("4 6 6 8", "04 + 6"),  # respelled operands
+            ("1/2 3 4", "2/4 * 4"),
+            ("4 6 8", "6/1 - 8"),
+            ("-2 0 9", "-0 - -2"),
+            ("2 6 7", "9 + 2"),  # absent operand
+            ("2 6 7", "2 + 1/0"),
+            ("5 7 9", "5 * 5"),  # one copy used twice
+            ("5 7 9", "05 + 5"),
+            ("5 5 9", "5 * 5"),  # two copies, fine
+            ("1 4 6 6", "6 * 4"),  # result ties an equal number
+            ("2 3 3", "1 + 2"),
+            ("24", "24 + 0"),  # terminal
+        ],
+    )
+    def test_named_cases(self, numbers, action):
+        state = Game24Env().initial_state(task_for(numbers))
+        self.check(state, Action.make(action))
+
+    @settings(max_examples=300)
+    @given(states_and_actions())
+    def test_agrees_with_fraction_reference(self, state_and_action):
+        self.check(*state_and_action)

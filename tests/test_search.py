@@ -6,15 +6,21 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from transport_doubles import PromptKeyedTransport, digest
 
 from lookahead import search
 from lookahead.agents.policies import ExhaustivePolicy, Policy
-from lookahead.agents.scales import GAME24, MalformedRationale
+from lookahead.agents.scales import GAME24, MalformedRationale, get_scale
 from lookahead.agents.transport import ChatRequest, ChatResponse, Transport
-from lookahead.agents.values import OracleValueModel, RemoteValueModel, ScriptedValueModel
+from lookahead.agents.values import (
+    OracleValueModel,
+    RemoteValueModel,
+    ScriptedValueModel,
+    ValueModel,
+)
 from lookahead.core import Action, Split, Task, Trajectory
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
@@ -620,6 +626,54 @@ class ProposalsById(Policy):
         if texts is None:
             raise ValueError("no ideas")
         return [Action.make(t) for t in texts][:branching]
+
+
+class FromStateCheckingModel(ValueModel):
+    """Wraps a value model; checks every trajectory ``evaluate_many`` gets
+    against the one :meth:`Trajectory.from_state` builds for its state, and
+    records the states judged."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.scale = inner.scale
+        self.final_states = []
+
+    def evaluate(self, task, trajectory):
+        return self.inner.evaluate(task, trajectory)
+
+    def evaluate_many(self, task, trajectories):
+        for trajectory in trajectories:
+            assert trajectory == Trajectory.from_state(task, trajectory.final_state)
+        self.final_states += [trajectory.final_state for trajectory in trajectories]
+        return self.inner.evaluate_many(task, trajectories)
+
+
+def child_trajectory_setup(world):
+    """Environment, task, value model and config for one checked search."""
+    if world == "game24":
+        env = Game24Env()
+        task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
+        config = SearchConfig(branching=6, beam_width=3, max_depth=3, mcts_iterations=8)
+        return env, task, OracleValueModel(), config
+    env = ScriptedEnvironment.load("fixtures/webshop_demo_env.json")
+    task = Task(id="w1", instruction="buy the gray sofa", split=Split.ROLLOUT)
+    payload = json.loads(Path("fixtures/webshop_demo_values.json").read_text())
+    model = ScriptedValueModel(
+        payload["values"], default=payload["default"], scale=get_scale(payload["scale"])
+    )
+    config = SearchConfig(branching=3, beam_width=2, max_depth=3, mcts_iterations=6)
+    return env, task, model, config
+
+
+class TestChildTrajectories:
+    @pytest.mark.parametrize("world", ["game24", "webshop"])
+    @pytest.mark.parametrize("engine", ["greedy", "beam", "mcts"])
+    def test_children_equal_from_state(self, engine, world):
+        env, task, inner, config = child_trajectory_setup(world)
+        model = FromStateCheckingModel(inner)
+        tree = ENGINES[engine](task, env, ExhaustivePolicy(env), model, config)
+        assert tree.stats.states_expanded > 3
+        assert model.final_states == [node.state for node in tree.nodes[1:]]
 
 
 class TestLevelBatch:
