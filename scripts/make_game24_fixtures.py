@@ -23,14 +23,14 @@ from pathlib import Path
 
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.values import OracleValueModel
-from lookahead.core import Task, Split
+from lookahead.core import Task
 from lookahead.envs.game24 import Game24Env, Verdict, parse_numbers, solve_verdict
 from lookahead.search import SearchConfig, beam_search
 
 
 def beam_solves(instruction: str, config: SearchConfig) -> bool:
     env = Game24Env()
-    task = Task(id="probe", instruction=instruction, split=Split.TEST)
+    task = Task(id="probe", instruction=instruction)
     tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
     return env.ground_truth_score(tree.final_trajectory()) == 1.0
 

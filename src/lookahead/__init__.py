@@ -9,7 +9,6 @@ from .core import (
     Action,
     Aggregation,
     LookaheadRecord,
-    Split,
     State,
     Task,
     Trajectory,
@@ -34,7 +33,6 @@ __all__ = [
     "PricingTable",
     "SearchConfig",
     "SearchTree",
-    "Split",
     "State",
     "StlConfig",
     "Task",

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import __version__
-from .core import Aggregation, Split, Task, write_json
+from .core import Aggregation, Task, write_json
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import FixtureError, ScriptedEnvironment
@@ -226,8 +226,9 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
 
 
 def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
-    """Read a ``{"tasks": [{id, instruction, split?}]}`` JSON file.
+    """Read a ``{"tasks": [{id, instruction}]}`` JSON file.
 
+    Other keys in an entry (the fixtures' ``split``) are ignored.
     With ``env``, every task must also yield an initial state there.  Ids
     must stay distinct as tree file names (:func:`~lookahead.search.safe_name`).
     """
@@ -238,13 +239,12 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     seen: dict[str, str] = {}
     for index, entry in enumerate(data["tasks"]):
         try:
-            split = Split(entry.get("split", "rollout"))
             for key in ("id", "instruction"):
                 if not isinstance(entry[key], str):
                     raise TypeError(f"{key!r} must be a string, got {entry[key]!r}")
-            task = Task(id=entry["id"], instruction=entry["instruction"], split=split)
+            task = Task(id=entry["id"], instruction=entry["instruction"])
             name = safe_name(task.id)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
         if name in seen:
             if seen[name] == task.id:

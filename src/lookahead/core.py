@@ -5,6 +5,8 @@ the training-data pipeline: tasks, actions, states, trajectories, value
 estimates, lookahead records and training examples, plus the two canonical
 derived forms (rendered trajectory context and the state key used for
 deduplication), and the one JSON layout every artifact file is written in.
+A state links to its parent, so a path is stored once: a trajectory is a task
+plus the state it ends at, and the path is that state's parent chain.
 """
 
 from __future__ import annotations
@@ -51,16 +53,10 @@ class Action:
         return cls(text=canonicalize(text))
 
 
-class Split(str, Enum):
-    ROLLOUT = "rollout"
-    TEST = "test"
-
-
 @dataclass(frozen=True)
 class Task:
     id: str
     instruction: str
-    split: Split = Split.ROLLOUT
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -103,10 +99,6 @@ class State:
                     f"({self.parent.depth + 1})"
                 )
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
     def lineage(self) -> list["State"]:
         """States from the root to this state, inclusive."""
         chain: list[State] = []
@@ -120,46 +112,24 @@ class State:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A rooted path through an environment: ``root`` plus (action, state) steps."""
+    """The path from a root state down to ``final_state``, taken for ``task``.
+
+    The path is ``final_state``'s parent chain (:meth:`State.lineage`), which
+    :class:`State` already checks link by link, so a trajectory holds no copy
+    of it and building one costs O(1).
+    """
 
     task: Task
-    root: State
-    steps: tuple[tuple[Action, State], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.root.is_root:
-            raise ValueError("trajectory root must be a root state")
-        previous = self.root
-        for action, state in self.steps:
-            if state.parent is not previous:
-                raise ValueError("trajectory steps are not contiguous")
-            if state.incoming_action != action:
-                raise ValueError("step action does not match state's incoming action")
-            previous = state
+    final_state: State
 
     @classmethod
     def from_state(cls, task: Task, state: State) -> "Trajectory":
-        """Build the trajectory from the root down to ``state``."""
-        chain = state.lineage()
-        root = chain[0]
-        steps = tuple((s.incoming_action, s) for s in chain[1:])  # type: ignore[misc]
-        return cls(task=task, root=root, steps=steps)
-
-    def extended(self, action: Action, state: State) -> "Trajectory":
-        """This trajectory with one more step, ``action`` into ``state``.
-
-        Raises ``ValueError`` unless ``state``'s parent is this trajectory's
-        final state and ``action`` is its incoming action.
-        """
-        return Trajectory(task=self.task, root=self.root, steps=(*self.steps, (action, state)))
-
-    @property
-    def final_state(self) -> State:
-        return self.steps[-1][1] if self.steps else self.root
+        """The trajectory from the root down to ``state``."""
+        return cls(task, state)
 
     @property
     def depth(self) -> int:
-        return len(self.steps)
+        return self.final_state.depth
 
 
 class Aggregation(str, Enum):
@@ -241,13 +211,16 @@ class TrainingExample:
 def render_context(trajectory: Trajectory) -> str:
     """Render a trajectory as the deterministic text context fed to value models.
 
-    The instruction comes first; each step contributes an ``Action:`` /
-    ``Observation:`` pair.  An empty trajectory renders as the instruction only.
-    Re-rendering an equal trajectory is byte-identical.
+    The instruction comes first; each state below the root, walked down the
+    final state's lineage, contributes an ``Action:`` / ``Observation:`` pair
+    (its incoming action and its observation).  A trajectory that ends at the
+    root renders as the instruction only.  Re-rendering an equal trajectory is
+    byte-identical.
     """
     parts = [trajectory.task.instruction]
-    for action, state in trajectory.steps:
-        parts.append(f"\n\nAction: {action.text}\nObservation: {state.observation}")
+    for state in trajectory.final_state.lineage()[1:]:
+        action = state.incoming_action.text  # type: ignore[union-attr]
+        parts.append(f"\n\nAction: {action}\nObservation: {state.observation}")
     return "".join(parts)
 
 

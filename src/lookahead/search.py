@@ -17,7 +17,9 @@ name to its function.
 
 All engines are deterministic given the same configuration and scripted
 agents: proposal order breaks every tie.  ``stats.states_expanded`` counts
-environment transition calls exactly.
+environment transition calls exactly.  A tree node holds its state, and a
+trajectory is the task plus the state it ends at, so the engines hand value
+models and policies trajectories without copying any path.
 
 :func:`run_rollouts` is the one place that runs engines over tasks and
 writes their trees; ``search`` and every ``stl`` iteration call it.
@@ -255,8 +257,9 @@ class _Expander:
     One :meth:`expand` call takes a list of nodes (a beam frontier, or the
     single node greedy and MCTS expand) and judges all their children with a
     single :meth:`ValueModel.evaluate_many` call, so a model may overlap
-    every value call of a beam level.  Each node's trajectory is built once,
-    for ``propose``; each child's is that trajectory extended by one step.
+    every value call of a beam level.  Each node's trajectory comes from
+    :meth:`SearchTree.trajectory_to`, for ``propose``; each child's is built
+    from the child's state.
     """
 
     def __init__(
@@ -316,7 +319,7 @@ class _Expander:
                     self.ledger.add_states(1, task_id=self.task.id)
                 child = self.tree._add(successor, node.uid, action)
                 child.terminal = self.env.is_terminal(successor)
-                trajectories.append(trajectory.extended(action, successor))
+                trajectories.append(Trajectory(self.task, successor))
                 slots.append(child)
         # Pass 2: judge every child of every node in one call.
         estimates = iter(self.value_model.evaluate_many(self.task, trajectories))

@@ -22,7 +22,6 @@ from lookahead.cli import main
 from lookahead.core import (
     Action,
     LookaheadRecord,
-    Split,
     State,
     Task,
     Trajectory,
@@ -132,7 +131,7 @@ def test_criterion_01_oracle_matches_independent_enumerator():
 def _load_test_puzzles() -> list[Task]:
     data = json.loads(Path("fixtures/game24_test_50.json").read_text())
     return [
-        Task(id=entry["id"], instruction=entry["instruction"], split=Split.TEST)
+        Task(id=entry["id"], instruction=entry["instruction"])
         for entry in data["tasks"]
     ]
 
@@ -178,7 +177,7 @@ def test_criterion_03_recorded_targets_equal_discounted_max():
     env = ScriptedEnvironment.load("fixtures/webshop_demo_env.json")
     base = _demo_value_model()
     tasks = [
-        Task(id=f"s{i}", instruction=f"buy the gray sofa, variant {i}", split=Split.ROLLOUT)
+        Task(id=f"s{i}", instruction=f"buy the gray sofa, variant {i}")
         for i in range(1, 5)
     ]
     gamma = 0.9
@@ -363,7 +362,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
     env = ScriptedEnvironment.from_dict(payload)
     base = ScriptedValueModel(leaf_values, default=5.0)
     tasks = [
-        Task(id=f"t{i}", instruction="descend", split=Split.ROLLOUT)
+        Task(id=f"t{i}", instruction="descend")
         for i in range(1, 5)
     ]
     result = stl_run(
@@ -393,7 +392,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
 
 
 def _probe_candidate(index: int, rationale: str) -> ExampleCandidate:
-    task = Task(id=f"m{index}", instruction=f"probe {index}", split=Split.ROLLOUT)
+    task = Task(id=f"m{index}", instruction=f"probe {index}")
     parent = State(id=f"m{index}", depth=0, observation=f"obs {index}")
     action = Action.make("step ahead")
     successor = State(
@@ -557,7 +556,7 @@ def _chain_fixture() -> dict:
 
 
 def test_criterion_09_states_expanded_equals_transition_calls():
-    task = Task(id="w1", instruction="buy the gray sofa", split=Split.ROLLOUT)
+    task = Task(id="w1", instruction="buy the gray sofa")
     for engine in ("greedy", "beam", "mcts"):
         counting = CountingEnv(ScriptedEnvironment.load("fixtures/webshop_demo_env.json"))
         tree = ENGINES[engine](
@@ -573,7 +572,7 @@ def test_criterion_09_states_expanded_equals_transition_calls():
     counting = CountingEnv(ScriptedEnvironment.from_dict(_chain_fixture()))
     values = {f"c{i}": 9.0 for i in range(1, 6)}
     tree = ENGINES["greedy"](
-        Task(id="ladder", instruction="climb", split=Split.ROLLOUT),
+        Task(id="ladder", instruction="climb"),
         counting,
         ExhaustivePolicy(counting),
         ScriptedValueModel(values, default=1.0),

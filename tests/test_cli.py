@@ -25,6 +25,7 @@ from lookahead.cli import (
     resolve_out_dir,
     write_manifest,
 )
+from lookahead.core import Task
 from lookahead.envs import Game24Env, ScriptedEnvironment
 from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import StlConfig
@@ -537,6 +538,13 @@ class TestConfigHandling:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "'a/b'" in err and "'a-b'" in err
         assert not out.exists()
+
+    def test_extra_task_keys_are_ignored(self, tmp_path):
+        tasks = write_tasks(
+            tmp_path / "tasks.json",
+            [{"id": "a", "instruction": "4 6 6 8", "split": "bogus", "note": 5}],
+        )
+        assert cli.load_tasks(tasks, Game24Env()) == [Task(id="a", instruction="4 6 6 8")]
 
     def test_stl_schedule_larger_than_task_list_exits_2_before_out_dir(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Domain-type invariants: actions, states, trajectories, estimates, keys."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from lookahead.core import (
     Action,
     Aggregation,
     LookaheadRecord,
-    Split,
     State,
     Task,
     Trajectory,
@@ -23,7 +24,7 @@ from lookahead.core import (
 
 
 def make_task(instruction: str = "do the thing") -> Task:
-    return Task(id="t1", instruction=instruction, split=Split.ROLLOUT)
+    return Task(id="t1", instruction=instruction)
 
 
 def make_chain(task: Task, observations: list[str]) -> Trajectory:
@@ -90,7 +91,7 @@ class TestClassifyAction:
 class TestState:
     def test_root_constraints(self):
         root = State(id="r", depth=0, observation="start")
-        assert root.is_root
+        assert root.parent is None
         with pytest.raises(ValueError, match="depth 0"):
             State(id="r", depth=1, observation="start")
         with pytest.raises(ValueError, match="incoming action"):
@@ -130,75 +131,29 @@ class TestTrajectory:
         assert rebuilt.depth == 2
         assert rebuilt.final_state.observation == "c"
 
-    def test_rejects_non_contiguous_steps(self):
-        task = make_task()
-        root = State(id="r", depth=0, observation="start")
-        other_root = State(id="r2", depth=0, observation="elsewhere")
-        action = Action.make("go")
-        stray = State(
-            id="c",
-            depth=1,
-            observation="next",
-            incoming_action=action,
-            parent=other_root,
-        )
-        with pytest.raises(ValueError, match="contiguous"):
-            Trajectory(task=task, root=root, steps=((action, stray),))
-
-    def test_rejects_mismatched_step_action(self):
-        task = make_task()
-        root = State(id="r", depth=0, observation="start")
-        child = State(
-            id="c",
-            depth=1,
-            observation="next",
-            incoming_action=Action.make("go"),
-            parent=root,
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            Trajectory(task=task, root=root, steps=((Action.make("other"), child),))
-
     def test_empty_trajectory(self):
         task = make_task()
         root = State(id="r", depth=0, observation="start")
-        trajectory = Trajectory(task=task, root=root)
+        trajectory = Trajectory(task, root)
         assert trajectory.depth == 0
         assert trajectory.final_state is root
 
-    def test_extended_equals_from_state(self):
-        task = make_task()
-        trajectory = make_chain(task, ["a", "b", "c"])
-        parent = trajectory.steps[0][1]
-        shorter = Trajectory.from_state(task, parent)
-        extended = shorter.extended(trajectory.steps[1][0], trajectory.final_state)
-        assert extended == trajectory
-        assert extended.root is shorter.root
-        assert shorter.depth == 1
+    def test_fields_are_task_and_final_state(self):
+        names = [field.name for field in dataclasses.fields(Trajectory)]
+        assert names == ["task", "final_state"]
 
-    def test_extended_rejects_a_state_not_below_the_final_state(self):
+    def test_from_state_walks_no_path(self, monkeypatch):
         task = make_task()
-        trajectory = make_chain(task, ["a", "b", "c"])
-        grandchild = trajectory.final_state
-        sibling = State(
-            id="s",
-            depth=2,
-            observation="beside",
-            incoming_action=Action.make("step 2"),
-            parent=trajectory.steps[0][1],
+        deep = make_chain(task, [f"obs {i}" for i in range(50)]).final_state
+        walks = []
+        original = State.lineage
+        monkeypatch.setattr(
+            State, "lineage", lambda self: walks.append(self) or original(self)
         )
-        with pytest.raises(ValueError, match="contiguous"):
-            trajectory.extended(Action.make("step 2"), sibling)
-        root_only = Trajectory.from_state(task, trajectory.root)
-        with pytest.raises(ValueError, match="contiguous"):
-            root_only.extended(Action.make("step 2"), grandchild)
-
-    def test_extended_rejects_a_mismatched_action(self):
-        task = make_task()
-        trajectory = make_chain(task, ["a", "b", "c"])
-        root_only = Trajectory.from_state(task, trajectory.root)
-        child = trajectory.steps[0][1]
-        with pytest.raises(ValueError, match="does not match"):
-            root_only.extended(Action.make("other"), child)
+        trajectory = Trajectory.from_state(task, deep)
+        assert walks == []
+        assert trajectory.final_state is deep
+        assert trajectory.depth == 49
 
 
 class TestAggregate:
@@ -305,7 +260,7 @@ class TestRenderContext:
     def test_empty_is_instruction_only(self):
         task = make_task("solve 4 6 6 8")
         root = State(id="r", depth=0, observation="4 6 6 8")
-        assert render_context(Trajectory(task=task, root=root)) == "solve 4 6 6 8"
+        assert render_context(Trajectory(task, root)) == "solve 4 6 6 8"
 
     def test_steps_append_action_observation_pairs(self):
         task = make_task("walk")
@@ -328,19 +283,19 @@ class TestStateKey:
         task_b = Task(id="b", instruction="6 8 6 4")
         root_a = State(id="x", depth=0, observation="4 6 6 8", signature="4 6 6 8")
         root_b = State(id="y", depth=0, observation="whatever", signature="4 6 6 8")
-        key_a = state_key(task_a, Trajectory(task=task_a, root=root_a))
-        key_b = state_key(task_b, Trajectory(task=task_b, root=root_b))
+        key_a = state_key(task_a, Trajectory(task_a, root_a))
+        key_b = state_key(task_b, Trajectory(task_b, root_b))
         assert key_a == key_b
 
     def test_context_states_embed_instruction(self):
         root = State(id="r", depth=0, observation="start")
         key_1 = state_key(
             Task(id="a", instruction="one"),
-            Trajectory(task=Task(id="a", instruction="one"), root=root),
+            Trajectory(Task(id="a", instruction="one"), root),
         )
         key_2 = state_key(
             Task(id="a", instruction="two"),
-            Trajectory(task=Task(id="a", instruction="two"), root=root),
+            Trajectory(Task(id="a", instruction="two"), root),
         )
         assert key_1 != key_2
 
@@ -348,15 +303,15 @@ class TestStateKey:
         task = make_task("x")
         plain = State(id="r", depth=0, observation="x")
         signed = State(id="r", depth=0, observation="x", signature="context:x")
-        key_plain = state_key(task, Trajectory(task=task, root=plain))
-        key_signed = state_key(task, Trajectory(task=task, root=signed))
+        key_plain = state_key(task, Trajectory(task, plain))
+        key_signed = state_key(task, Trajectory(task, signed))
         assert key_plain != key_signed
 
     @given(st.text(min_size=1, max_size=30))
     def test_key_is_hex_digest(self, signature):
         task = make_task("t")
         root = State(id="r", depth=0, observation="o", signature=signature)
-        key = state_key(task, Trajectory(task=task, root=root))
+        key = state_key(task, Trajectory(task, root))
         assert len(key) == 64
         assert set(key) <= set("0123456789abcdef")
 

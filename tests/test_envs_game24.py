@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import brute24
 from lookahead.agents.values import OracleValueModel
-from lookahead.core import Action, Split, State, Task, Trajectory
+from lookahead.core import Action, State, Task, Trajectory
 from lookahead.envs import game24
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.game24 import (
@@ -28,7 +28,7 @@ from lookahead.envs.game24 import (
 
 
 def task_for(numbers: str) -> Task:
-    return Task(id=f"24:{numbers}", instruction=numbers, split=Split.ROLLOUT)
+    return Task(id=f"24:{numbers}", instruction=numbers)
 
 
 def flat(numbers) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lookahead.core import Action, Split, Task, Trajectory
+from lookahead.core import Action, Task, Trajectory
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.scripted import (
     FixtureError,
@@ -32,7 +32,7 @@ def minimal_fixture() -> dict:
     }
 
 
-TASK = Task(id="demo", instruction="walk", split=Split.ROLLOUT)
+TASK = Task(id="demo", instruction="walk")
 
 
 class TestParseFixture:

@@ -4,11 +4,11 @@ import pytest
 
 from lookahead.agents.policies import ExhaustivePolicy, RemotePolicy
 from lookahead.agents.transport import ScriptedTransport
-from lookahead.core import Split, Task, Trajectory
+from lookahead.core import Task, Trajectory
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
 
-TASK = Task(id="t1", instruction="1 2 3", split=Split.ROLLOUT)
+TASK = Task(id="t1", instruction="1 2 3")
 
 
 def root_trajectory(env: Game24Env, task: Task = TASK) -> Trajectory:
@@ -36,7 +36,7 @@ class TestExhaustivePolicy:
 
     def test_terminal_state_rejected(self):
         env = Game24Env()
-        task = Task(id="t24", instruction="24", split=Split.ROLLOUT)
+        task = Task(id="t24", instruction="24")
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         with pytest.raises(ValueError, match="terminal"):
             ExhaustivePolicy(env).propose(task, trajectory, branching=5)
@@ -132,7 +132,7 @@ class TestRemotePolicy:
 
     def test_terminal_state_rejected(self):
         env = Game24Env()
-        task = Task(id="t24", instruction="24", split=Split.ROLLOUT)
+        task = Task(id="t24", instruction="24")
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         policy = RemotePolicy(ScriptedTransport([]), "test-model", env)
         with pytest.raises(ValueError, match="terminal"):

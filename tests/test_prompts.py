@@ -6,7 +6,7 @@ from lookahead.agents.policies import RemotePolicy
 from lookahead.agents.scales import GAME24
 from lookahead.agents.transport import ScriptedTransport
 from lookahead.agents.values import RemoteValueModel
-from lookahead.core import Split, Task
+from lookahead.core import Task
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
 from lookahead.search import SearchConfig, greedy_search
@@ -62,7 +62,7 @@ GOLDEN_LEDGER = {
 class TestGoldenPrompts:
     def test_remote_agents_send_the_pinned_requests(self):
         env = Game24Env()
-        task = Task(id="g1", instruction=ROOT, split=Split.TEST)
+        task = Task(id="g1", instruction=ROOT)
         transport = ScriptedTransport(
             [
                 "Action: 4 + 6",

@@ -21,7 +21,7 @@ from lookahead.agents.values import (
     ScriptedValueModel,
     ValueModel,
 )
-from lookahead.core import Action, Split, Task, Trajectory
+from lookahead.core import Action, State, Task, Trajectory
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger
@@ -37,7 +37,7 @@ from lookahead.search import (
     run_rollouts,
 )
 
-TASK = Task(id="t1", instruction="walk", split=Split.ROLLOUT)
+TASK = Task(id="t1", instruction="walk")
 
 
 def two_branch_fixture() -> dict:
@@ -358,7 +358,7 @@ class TestStateExpansionAccounting:
         counting = CountingEnv(Game24Env())
         policy = ExhaustivePolicy(counting)
         model = OracleValueModel()
-        task = Task(id="g", instruction="1 2 3", split=Split.ROLLOUT)
+        task = Task(id="g", instruction="1 2 3")
         config = SearchConfig(branching=4, max_depth=2, beam_width=2, mcts_iterations=3)
         if engine == "greedy":
             tree = greedy_search(task, counting, policy, model, config)
@@ -397,7 +397,7 @@ class TestDumpTree:
 
 
 class TestRunRollouts:
-    TASKS = [Task(id=f"t{i}", instruction="walk", split=Split.ROLLOUT) for i in range(3)]
+    TASKS = [Task(id=f"t{i}", instruction="walk") for i in range(3)]
 
     def run(self, jobs, parallel=1):
         env, policy, model = two_branch_setup()
@@ -448,7 +448,7 @@ class TestRunRollouts:
     def test_eight_threads_keep_job_order_and_per_task_counts(self):
         env = Game24Env()
         puzzles = ["1 2 3 4", "4 6 6 8", "1 1 1 1", "2 3 5 7", "3 3 8 8", "1 5 5 5"] * 2
-        tasks = [Task(id=f"g{i}", instruction=p, split=Split.ROLLOUT) for i, p in enumerate(puzzles)]
+        tasks = [Task(id=f"g{i}", instruction=p) for i, p in enumerate(puzzles)]
         config = SearchConfig(branching=8, beam_width=3, max_depth=3)
         ledger = Ledger()
         interval = sys.getswitchinterval()
@@ -546,7 +546,7 @@ class SingleDrawTransport(Transport):
 class TestBatchedEvaluation:
     def run_beam(self, transport, tmp_path, name):
         env = Game24Env()
-        task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
+        task = Task(id="g", instruction="4 6 6 8")
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, GAME24, n_samples=2, ledger=ledger)
         config = SearchConfig(branching=5, beam_width=3, max_depth=3)
@@ -652,11 +652,11 @@ def child_trajectory_setup(world):
     """Environment, task, value model and config for one checked search."""
     if world == "game24":
         env = Game24Env()
-        task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
+        task = Task(id="g", instruction="4 6 6 8")
         config = SearchConfig(branching=6, beam_width=3, max_depth=3, mcts_iterations=8)
         return env, task, OracleValueModel(), config
     env = ScriptedEnvironment.load("fixtures/webshop_demo_env.json")
-    task = Task(id="w1", instruction="buy the gray sofa", split=Split.ROLLOUT)
+    task = Task(id="w1", instruction="buy the gray sofa")
     payload = json.loads(Path("fixtures/webshop_demo_values.json").read_text())
     model = ScriptedValueModel(
         payload["values"], default=payload["default"], scale=get_scale(payload["scale"])
@@ -674,6 +674,26 @@ class TestChildTrajectories:
         tree = ENGINES[engine](task, env, ExhaustivePolicy(env), model, config)
         assert tree.stats.states_expanded > 3
         assert model.final_states == [node.state for node in tree.nodes[1:]]
+
+    @pytest.mark.parametrize("engine", ["greedy", "beam", "mcts"])
+    def test_search_walks_no_path(self, engine, monkeypatch):
+        """A trajectory is its task and final state, so a search whose models
+        render no context never walks a state's lineage; rebuilding each
+        node's or child's path from the root would walk once per trajectory."""
+        walks = []
+        lineage = State.lineage
+
+        def counted(state):
+            walks.append(state.id)
+            return lineage(state)
+
+        monkeypatch.setattr(State, "lineage", counted)
+        env = Game24Env()
+        task = Task(id="g", instruction="4 6 6 8")
+        config = SearchConfig(branching=10, beam_width=3, max_depth=3, mcts_iterations=10)
+        tree = ENGINES[engine](task, env, ExhaustivePolicy(env), OracleValueModel(), config)
+        assert tree.stats.states_expanded > 3
+        assert walks == []
 
 
 class TestLevelBatch:
@@ -732,7 +752,7 @@ class TestLevelBatch:
         # takes a moment, so an unbounded pool would pile up all 40.
         transport = PromptKeyedTransport(slow_sure, gate=16)
         env = Game24Env()
-        task = Task(id="g", instruction="4 6 6 8", split=Split.ROLLOUT)
+        task = Task(id="g", instruction="4 6 6 8")
         root = Trajectory.from_state(task, env.initial_state(task))
         model = RemoteValueModel(transport, "m", env, GAME24)
         results = model.evaluate_many(task, [root] * 40)

@@ -17,7 +17,6 @@ from lookahead.agents.values import (
 )
 from lookahead.core import (
     Action,
-    Split,
     State,
     Task,
     Trajectory,
@@ -48,7 +47,7 @@ from lookahead.stl import (
     stl_run,
 )
 
-TASK = Task(id="t1", instruction="walk one", split=Split.ROLLOUT)
+TASK = Task(id="t1", instruction="walk one")
 
 
 def estimate(value: float, rationale: str | None = None) -> ValueEstimate:
@@ -363,7 +362,7 @@ class TestTabularValueModel:
     def test_unknown_key_delegates_to_base(self):
         base = ConstantValueModel(2.0)
         model = TabularValueModel(base, Dataset())
-        task = Task(id="tx", instruction="other", split=Split.ROLLOUT)
+        task = Task(id="tx", instruction="other")
         trajectory = Trajectory.from_state(task, root_state("other"))
         assert model.evaluate(task, trajectory).value == 2.0
 
@@ -414,7 +413,7 @@ def stl_setup():
 
 def stl_tasks(n: int) -> list[Task]:
     return [
-        Task(id=f"t{i}", instruction=f"walk {i}", split=Split.ROLLOUT)
+        Task(id=f"t{i}", instruction=f"walk {i}")
         for i in range(1, n + 1)
     ]
 
@@ -505,7 +504,7 @@ class TestStlRun:
         # states it already memorized, and those answers feed new examples.
         env, policy, base = stl_setup()
         tasks = [
-            Task(id=f"t{i}", instruction="walk again", split=Split.ROLLOUT)
+            Task(id=f"t{i}", instruction="walk again")
             for i in (1, 2)
         ]
         result = stl_run(
@@ -718,7 +717,7 @@ class TestCollectCandidates:
         # "2 + 2" and "2 * 2" both reach the multiset {4, 4, 8}; the second
         # occurrence of that state key is skipped and counted.
         env = Game24Env()
-        task = Task(id="g", instruction="2 2 4 8", split=Split.ROLLOUT)
+        task = Task(id="g", instruction="2 2 4 8")
         config = SearchConfig(branching=30, max_depth=2, beam_width=30)
         tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
         candidates, duplicates = collect_candidates(task, tree, gamma=1.0)

@@ -20,22 +20,22 @@ from lookahead.agents.values import (
     RoutedValueModel,
     ScriptedValueModel,
 )
-from lookahead.core import Action, Aggregation, Split, State, Task, Trajectory, state_key
+from lookahead.core import Action, Aggregation, State, Task, Trajectory, state_key
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
 from lookahead.stl import Dataset, TabularValueModel
 
-TASK = Task(id="t1", instruction="4 6 6 8", split=Split.ROLLOUT)
+TASK = Task(id="t1", instruction="4 6 6 8")
 
 
 def game24_trajectory(instruction: str) -> tuple[Game24Env, Task, Trajectory]:
     env = Game24Env()
-    task = Task(id="t1", instruction=instruction, split=Split.ROLLOUT)
+    task = Task(id="t1", instruction=instruction)
     return env, task, Trajectory.from_state(task, env.initial_state(task))
 
 
 def synthetic_trajectory(state_id: str = "s1", depth: int = 0) -> tuple[Task, Trajectory]:
-    task = Task(id="t1", instruction="do the thing", split=Split.ROLLOUT)
+    task = Task(id="t1", instruction="do the thing")
     state = State(id=state_id, depth=0, observation="obs", signature=state_id)
     for level in range(depth):
         state = State(
