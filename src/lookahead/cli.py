@@ -238,13 +238,17 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     tasks: list[Task] = []
     seen: dict[str, str] = {}
     for index, entry in enumerate(data["tasks"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"tasks file {path}, entry {index} must be an object")
         try:
             for key in ("id", "instruction"):
+                if key not in entry:
+                    raise ValueError(f"missing {key!r}")
                 if not isinstance(entry[key], str):
                     raise TypeError(f"{key!r} must be a string, got {entry[key]!r}")
             task = Task(id=entry["id"], instruction=entry["instruction"])
             name = safe_name(task.id)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
         if name in seen:
             if seen[name] == task.id:
@@ -446,9 +450,9 @@ def cmd_search(config: ExperimentConfig) -> int:
         for task in tasks
         for attempt in range(1, config.attempts + 1)
     ]
-    trees = run_rollouts(
+    trees = list(run_rollouts(
         jobs, config.engine, env, policy, value_model, config.search, ledger, config.parallel
-    )
+    ))
 
     outcomes: list[TaskOutcome] = []
     failures = sum(len(tree.stats.failures) for tree in trees)

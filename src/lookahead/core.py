@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-
-_WS_RUN = re.compile(r"\s+")
 
 _VALUE_TOLERANCE = 1e-9
 
@@ -27,9 +25,10 @@ _VALUE_TOLERANCE = 1e-9
 def canonicalize(text: str) -> str:
     """Trim and collapse internal whitespace runs to single spaces.
 
-    Case is preserved.  The function is idempotent.
+    Whitespace is what ``str.split`` splits on, the same characters as the
+    regex class ``\\s``.  Case is preserved.  The function is idempotent.
     """
-    return _WS_RUN.sub(" ", text.strip())
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,16 @@ class LookaheadRecord:
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """A (context, completion) pair distilled from one lookahead record."""
+    """A (context, completion) pair distilled from one lookahead record.
+
+    ``value`` is the lookahead target parsed back out of ``completion`` when
+    the example was built, or ``None`` when it was read from a file without
+    its scale; it is left out of equality and hashing.  ``jsonl`` is the
+    example's export line: its ``RECORD_FIELDS`` as JSON, encoded on first
+    use and kept.
+    """
+
+    RECORD_FIELDS = ("task_id", "context", "completion", "depth", "iteration", "state_key")
 
     task_id: str
     context: str
@@ -200,12 +208,18 @@ class TrainingExample:
     depth: int
     iteration: int
     state_key: str
+    value: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("training example depth cannot be negative")
         if self.iteration < 1:
             raise ValueError("training example iteration starts at 1")
+
+    @cached_property
+    def jsonl(self) -> str:
+        record = {name: getattr(self, name) for name in self.RECORD_FIELDS}
+        return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
 def render_context(trajectory: Trajectory) -> str:

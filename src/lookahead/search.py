@@ -530,13 +530,14 @@ def run_rollouts(
     config: SearchConfig,
     ledger: "Ledger | None" = None,
     parallel: int = 1,
-) -> list[SearchTree]:
+) -> Iterator[SearchTree]:
     """Run the named engine on each ``(task, tree_path)`` job, ``parallel``
     at a time, and write each tree to its path (if any) once it is built.
 
-    Trees come back in job order, so a parallel run's artifacts equal a
-    serial run's.  The threads share the agents, whose transports must then
-    be safe for concurrent use.
+    Trees are yielded in job order as they are built (serially, a job runs
+    only when its tree is asked for), so a caller need not hold them all,
+    and a parallel run's artifacts equal a serial run's.  The threads share
+    the agents, whose transports must then be safe for concurrent use.
     """
 
     def rollout(job: tuple[Task, Path | None]) -> SearchTree:
@@ -548,6 +549,7 @@ def run_rollouts(
         return tree
 
     if parallel == 1:
-        return [rollout(job) for job in jobs]
+        yield from map(rollout, jobs)
+        return
     with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(rollout, jobs))
+        yield from pool.map(rollout, jobs)

@@ -6,6 +6,11 @@ turns every visited state that has at least one evaluated successor into a
 its observation, and the successor's reflection re-anchored to the discounted
 lookahead target — then filters, deduplicates against earlier iterations
 (latest wins), exports JSONL, and trains a fresh model from the *base* model.
+
+Each example's work is done once: the filter builds its completion and parses
+it back, the example keeps that completion, the parsed target and (once
+exported) its JSON line, and the trained model reads the target from it.
+Trees stream from the rollouts into candidate collection one at a time.
 """
 
 from __future__ import annotations
@@ -147,37 +152,41 @@ class ExampleCandidate:
 
 def filter_examples(
     candidates: Sequence[ExampleCandidate], scale: ValueScale
-) -> tuple[list[ExampleCandidate], list[tuple[ExampleCandidate, str]]]:
-    """Split candidates into kept and rejected-with-reason.
+) -> tuple[list[tuple[ExampleCandidate, str, float]], list[tuple[ExampleCandidate, str]]]:
+    """Split candidates into kept-with-(completion, value) and rejected-with-reason.
 
     A candidate is rejected when its successor rationale lacks the scale's
     scaffolding or parses to a value outside the admissible set, or when the
     completion built from it would not parse back (for example a rationale
-    containing a stray section label).
+    containing a stray section label).  A kept candidate comes with that
+    completion, built once, and the value its round-trip parse returned.
     """
-    kept: list[ExampleCandidate] = []
+    kept: list[tuple[ExampleCandidate, str, float]] = []
     rejected: list[tuple[ExampleCandidate, str]] = []
     for candidate in candidates:
         try:
             parse_value(candidate.record.successor_rationale, scale)
-            parse_simulated_lookahead(build_action_outcome(candidate.record, scale), scale)
+            completion = build_action_outcome(candidate.record, scale)
+            value = parse_simulated_lookahead(completion, scale)[3]
         except MalformedRationale as exc:
             rejected.append((candidate, exc.reason))
             continue
-        kept.append(candidate)
+        kept.append((candidate, completion, value))
     return kept, rejected
 
 
 def make_training_example(
-    candidate: ExampleCandidate, iteration: int, scale: ValueScale
+    candidate: ExampleCandidate, completion: str, value: float, iteration: int
 ) -> TrainingExample:
+    """The example for a kept candidate, from the filter's completion and value."""
     return TrainingExample(
         task_id=candidate.task.id,
         context=render_context(candidate.trajectory),
-        completion=build_action_outcome(candidate.record, scale),
+        completion=completion,
         depth=candidate.trajectory.depth,
         iteration=iteration,
         state_key=candidate.key,
+        value=value,
     )
 
 
@@ -259,6 +268,9 @@ def export_jsonl(
 ) -> Path:
     """Write one record per line, ordered by (task id, depth, state key).
 
+    Each line is the example's :attr:`~lookahead.core.TrainingExample.jsonl`,
+    so an example exported again (an accumulated dataset) is not re-encoded.
+
     A sidecar ``<path>.meta.json`` records the example count, the loss-mask
     flag for the external trainer, and (when given) the value scale the
     completions were rendered with, so reloaders parse them correctly.
@@ -270,22 +282,7 @@ def export_jsonl(
         raise ValueError(f"unknown mask mode {mask!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for example in dataset.sorted_examples():
-        lines.append(
-            json.dumps(
-                {
-                    "task_id": example.task_id,
-                    "depth": example.depth,
-                    "iteration": example.iteration,
-                    "context": example.context,
-                    "completion": example.completion,
-                    "state_key": example.state_key,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
+    lines = [example.jsonl for example in dataset.sorted_examples()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     meta: dict[str, object] = {"count": len(dataset), "mask": mask}
     if scale_name is not None:
@@ -296,6 +293,8 @@ def export_jsonl(
 
 def import_jsonl(path: str | Path) -> Dataset:
     """Load a dataset previously written by :func:`export_jsonl`.
+
+    The file does not name its scale, so the examples carry no ``value``.
 
     A line that is not UTF-8, not JSON or not a record raises
     :class:`StlError` naming the file and line.
@@ -309,14 +308,8 @@ def import_jsonl(path: str | Path) -> Dataset:
                 if not line:
                     continue
                 raw = json.loads(line)
-                example = TrainingExample(
-                    task_id=raw["task_id"],
-                    context=raw["context"],
-                    completion=raw["completion"],
-                    depth=raw["depth"],
-                    iteration=raw["iteration"],
-                    state_key=raw["state_key"],
-                )
+                fields = {name: raw[name] for name in TrainingExample.RECORD_FIELDS}
+                example = TrainingExample(**fields)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise StlError(f"{path}:{line_number}: bad dataset record: {exc}") from None
             dataset.examples[example.state_key] = example
@@ -339,7 +332,9 @@ class TabularValueModel(ValueModel):
 
     Unseen states delegate to the base model.  The stored target is the value
     parsed back out of the stored completion, which is what an external
-    trainer would be optimizing toward.
+    trainer would be optimizing toward.  An example built by the pipeline
+    carries that value already; only one without (an imported dataset) is
+    parsed here, with the base model's scale.
     """
 
     def __init__(self, base_model: ValueModel, dataset: Dataset) -> None:
@@ -347,7 +342,9 @@ class TabularValueModel(ValueModel):
         self.scale = base_model.scale
         self.table: dict[str, tuple[str, float]] = {}
         for key, example in dataset.examples.items():
-            _, _, _, value = parse_simulated_lookahead(example.completion, self.scale)
+            value = example.value
+            if value is None:
+                value = parse_simulated_lookahead(example.completion, self.scale)[3]
             self.table[key] = (example.completion, value)
 
     def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
@@ -391,7 +388,7 @@ def collect_candidates(
     for node, children in tree.lookahead_entries():
         if node.depth < min_depth:
             continue
-        trajectory = tree.trajectory_to(node.uid)
+        trajectory = Trajectory(task, node.state)
         key = state_key(task, trajectory)
         if key in seen:
             intra_tree_duplicates += 1
@@ -502,16 +499,16 @@ def stl_run(
             (task, trees_dir / f"{prefix}{safe_name(task.id)}.json" if trees_dir else None)
             for task in task_slice
         ]
-        iteration_trees = run_rollouts(
+        rollouts = run_rollouts(
             jobs, stl_config.engine, env, policy, current_model, search_config, ledger, parallel
         )
-        if keep_trees:
-            trees.extend(iteration_trees)
         candidates: list[ExampleCandidate] = []
         intra_tree_duplicates = 0
-        for task, tree in zip(task_slice, iteration_trees):
+        for tree in rollouts:
+            if keep_trees:
+                trees.append(tree)
             found, duplicates = collect_candidates(
-                task, tree, stl_config.gamma, stl_config.min_example_depth
+                tree.task, tree, stl_config.gamma, stl_config.min_example_depth
             )
             candidates.extend(found)
             intra_tree_duplicates += duplicates
@@ -520,7 +517,7 @@ def stl_run(
         rejection_counts: dict[str, int] = {}
         for _, reason in rejected:
             rejection_counts[reason] = rejection_counts.get(reason, 0) + 1
-        new_examples = [make_training_example(c, iteration, scale) for c in kept]
+        new_examples = [make_training_example(*entry, iteration) for entry in kept]
 
         base_dataset = dataset if stl_config.accumulate else Dataset()
         dataset, merge_counts = dedup_latest(base_dataset, new_examples, iteration)

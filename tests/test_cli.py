@@ -546,6 +546,24 @@ class TestConfigHandling:
         )
         assert cli.load_tasks(tasks, Game24Env()) == [Task(id="a", instruction="4 6 6 8")]
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([5], "entry 0 must be an object"),
+            (["x"], "entry 0 must be an object"),
+            ([{"id": "a", "instruction": "1 2 3 4"}, [1]], "entry 1 must be an object"),
+            ([{"instruction": "1 2 3 4"}], "entry 0: missing 'id'"),
+            ([{"id": "a"}], "entry 0: missing 'instruction'"),
+        ],
+    )
+    def test_malformed_task_entry_exits_2_saying_what_is_wrong(
+        self, tmp_path, capsys, entries, message
+    ):
+        tasks = write_tasks(tmp_path / "tasks.json", entries)
+        code, _, err = run_cli(["search", "--tasks", tasks, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err == f"config error: tasks file {tasks}, {message}\n"
+
     def test_stl_schedule_larger_than_task_list_exits_2_before_out_dir(self, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["stl", "--tasks", "fixtures/game24_rollout_100.json", "--iterations", "30"]

@@ -1,6 +1,9 @@
 """Domain-type invariants: actions, states, trajectories, estimates, keys."""
 
 import dataclasses
+import json
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -56,6 +59,14 @@ class TestCanonicalize:
     @given(st.text(max_size=80))
     def test_no_double_spaces(self, text):
         assert "  " not in canonicalize(text)
+
+    def test_equals_the_regex_form_for_every_code_point(self):
+        # The split-and-join form must treat exactly the characters the
+        # regex class \s matches as whitespace, for every code point.
+        run = re.compile(r"\s+")
+        for c in map(chr, range(sys.maxunicode + 1)):
+            for text in (f"a{c}{c}b ", f"{c}x"):
+                assert canonicalize(text) == run.sub(" ", text.strip()), hex(ord(c))
 
 
 class TestClassifyAction:
@@ -254,6 +265,24 @@ class TestTrainingExample:
                 iteration=0,
                 state_key="k",
             )
+
+    FIELDS = dict(task_id="t", context="c", completion="d", depth=0, iteration=1, state_key="k")
+
+    def test_equality_and_hash_ignore_value(self):
+        parsed, read = TrainingExample(**self.FIELDS, value=4.0), TrainingExample(**self.FIELDS)
+        assert parsed == read and hash(parsed) == hash(read)
+        assert parsed.value == 4.0 and read.value is None
+        assert TrainingExample(**{**self.FIELDS, "completion": "e"}, value=4.0) != parsed
+
+    def test_jsonl_line_is_encoded_once(self, monkeypatch):
+        ex = TrainingExample(**self.FIELDS)
+        line = ex.jsonl
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: pytest.fail("encoded twice"))
+        assert ex.jsonl is line
+        assert line == (
+            '{"completion": "d", "context": "c", "depth": 0, '
+            '"iteration": 1, "state_key": "k", "task_id": "t"}'
+        )
 
 
 class TestRenderContext:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lookahead import stl
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.rationales import format_lookahead_block, parse_simulated_lookahead
 from lookahead.agents.scales import LIKERT10, NUMERIC10
@@ -26,7 +27,7 @@ from lookahead.core import (
 )
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
-from lookahead.search import SearchConfig, beam_search, greedy_search, render_tree
+from lookahead.search import SearchConfig, SearchTree, beam_search, greedy_search, render_tree
 from lookahead.stl import (
     Dataset,
     ExampleCandidate,
@@ -185,7 +186,7 @@ class TestFilterExamples:
         good = make_candidate(value=8.0)
         bad = make_candidate(rationale="no scaffolding in this reply", sid="q")
         kept, rejected = filter_examples([good, bad], NUMERIC10)
-        assert kept == [good]
+        assert kept == [(good, build_action_outcome(good.record, NUMERIC10), 8.0)]
         assert [(c.key, reason) for c, reason in rejected] == [
             (bad.key, "scaffolding-missing")
         ]
@@ -213,13 +214,16 @@ class TestFilterExamples:
 class TestMakeTrainingExample:
     def test_fields_are_wired_through(self):
         candidate = make_candidate(value=6.0)
-        example = make_training_example(candidate, iteration=3, scale=NUMERIC10)
+        (kept,), _ = filter_examples([candidate], NUMERIC10)
+        example = make_training_example(*kept, iteration=3)
         assert example.task_id == "t1"
         assert example.depth == 0
         assert example.iteration == 3
         assert example.state_key == candidate.key
         assert example.context.startswith("walk one")
+        assert example.completion == build_action_outcome(candidate.record, NUMERIC10)
         assert parse_simulated_lookahead(example.completion, NUMERIC10)[3] == 6.0
+        assert example.value == 6.0
 
 
 def example(key: str, iteration: int, depth: int = 0, task_id: str = "t1") -> TrainingExample:
@@ -351,7 +355,8 @@ class TestExportImport:
 class TestTabularValueModel:
     def test_known_key_returns_trained_target(self):
         candidate = make_candidate(value=8.0, gamma=0.5)
-        ex = make_training_example(candidate, 1, NUMERIC10)
+        (kept,), _ = filter_examples([candidate], NUMERIC10)
+        ex = make_training_example(*kept, 1)
         dataset, _ = dedup_latest(Dataset(), [ex], 1)
         base = ConstantValueModel(2.0)
         model = TabularTrainer().fine_tune(base, dataset)
@@ -731,3 +736,85 @@ class TestCollectCandidates:
         tree = greedy_search(task, env, policy, base, SearchConfig(branching=4, max_depth=2))
         candidates, _ = collect_candidates(task, tree, gamma=1.0, min_depth=1)
         assert all(c.trajectory.depth >= 1 for c in candidates)
+
+    def test_trajectories_come_from_the_node_states(self, monkeypatch):
+        env = Game24Env()
+        task = Task(id="g", instruction="4 6 6 8")
+        config = SearchConfig(branching=5, max_depth=3, beam_width=3)
+        tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
+        expected = [tree.trajectory_to(node.uid) for node, _ in tree.lookahead_entries()]
+
+        def rebuilt(*args):
+            pytest.fail("collect_candidates rebuilt a trajectory through the tree")
+
+        monkeypatch.setattr(SearchTree, "trajectory_to", rebuilt)
+        monkeypatch.setattr(Trajectory, "from_state", classmethod(rebuilt))
+        candidates, duplicates = collect_candidates(task, tree, gamma=1.0)
+        assert duplicates == 0
+        assert [c.trajectory for c in candidates] == expected
+
+
+GAME24_PUZZLES = ["4 6 6 8", "1 2 3 4", "2 3 5 7", "3 3 8 8", "1 1 1 1", "1 5 5 5"]
+
+
+def game24_stl_run(out_dir=None):
+    """A small oracle-valued game24 run: 3 accumulating iterations of 2 tasks."""
+    env = Game24Env()
+    tasks = [Task(id=f"g{i}", instruction=p) for i, p in enumerate(GAME24_PUZZLES)]
+    return stl_run(
+        tasks,
+        env,
+        ExhaustivePolicy(env),
+        OracleValueModel(),
+        TabularTrainer(),
+        StlConfig(iterations=3, tasks_per_iteration=2, engine="mcts", accumulate=True),
+        SearchConfig(branching=5, max_depth=3, mcts_iterations=10),
+        out_dir=out_dir,
+    )
+
+
+class TestEachExampleOnce:
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(stl, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stl, name, counted)
+        return calls
+
+    def test_two_parses_and_one_format_per_candidate(self, monkeypatch):
+        parses = self.count_calls(monkeypatch, "parse_simulated_lookahead")
+        formats = self.count_calls(monkeypatch, "format_lookahead_block")
+        result = game24_stl_run()
+        candidates = sum(report.candidates for report in result.reports)
+        assert candidates > 0
+        assert all(report.kept == report.candidates for report in result.reports)
+        # Filtering parses the successor rationale and the built completion;
+        # training reads the value the second parse returned.
+        assert len(formats) == candidates
+        assert len(parses) == 2 * candidates
+
+    def test_examples_carry_the_value_their_completion_parses_to(self):
+        result = game24_stl_run()
+        for dataset in result.datasets:
+            for example in dataset.examples.values():
+                parsed = parse_simulated_lookahead(example.completion, OracleValueModel.scale)
+                assert example.value == parsed[3]
+        final = result.datasets[-1]
+        assert result.final_model.table == {
+            key: (e.completion, e.value) for key, e in final.examples.items()
+        }
+
+    def test_reexported_import_is_byte_identical_and_trains_the_same_table(self, tmp_path):
+        result = game24_stl_run(tmp_path / "run")
+        written = tmp_path / "run" / "dataset_iter03.jsonl"
+        reloaded = import_jsonl(written)
+        assert reloaded == result.datasets[-1]
+        assert all(e.value is None for e in reloaded.examples.values())
+        again = export_jsonl(reloaded, tmp_path / "again.jsonl")
+        assert again.read_bytes() == written.read_bytes()
+        base = OracleValueModel()
+        assert TabularTrainer().fine_tune(base, reloaded).table == result.final_model.table
