@@ -15,8 +15,10 @@ import argparse
 import csv
 import json
 import math
+import shutil
 import sys
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -443,22 +445,30 @@ def set_up_run(
 
 def cmd_search(config: ExperimentConfig) -> int:
     """Run the configured engine over every task; always exits 0 once the
-    run completes, with per-task failures tallied in the artifacts."""
+    run completes, with per-task failures tallied in the artifacts.
+
+    Each tree is written, scored and tallied as it arrives, and only its
+    score and failure count are kept, so a serial run holds one tree at a
+    time.
+    """
     env, tasks, pricing, ledger, policy, value_model, out_dir = set_up_run(config, "search")
     jobs = [
         (task, out_dir / "trees" / f"{safe_name(task.id)}__a{attempt}.json")
         for task in tasks
         for attempt in range(1, config.attempts + 1)
     ]
-    trees = list(run_rollouts(
+    scores: list[float | None] = []
+    failures = 0
+    with closing(run_rollouts(
         jobs, config.engine, env, policy, value_model, config.search, ledger, config.parallel
-    ))
+    )) as trees:
+        for tree in trees:
+            failures += len(tree.stats.failures)
+            scores.append(env.ground_truth_score(tree.final_trajectory()))
 
     outcomes: list[TaskOutcome] = []
-    failures = sum(len(tree.stats.failures) for tree in trees)
     for index, task in enumerate(tasks):
-        attempts = trees[index * config.attempts : (index + 1) * config.attempts]
-        attempt_scores = [env.ground_truth_score(tree.final_trajectory()) for tree in attempts]
+        attempt_scores = scores[index * config.attempts : (index + 1) * config.attempts]
         successes = tuple(
             s is not None and s >= config.success_threshold for s in attempt_scores
         )
@@ -506,12 +516,16 @@ def cmd_stl(config: ExperimentConfig) -> int:
     final_dataset = result.datasets[-1] if result.datasets else None
     model_path = None
     if final_dataset is not None and len(final_dataset) > 0:
-        model_path = export_jsonl(
-            final_dataset,
-            out_dir / "stl" / "final_model.jsonl",
-            mask=config.stl.mask,
-            scale_name=base_model.scale.name,
-        )
+        model_path = out_dir / "stl" / "final_model.jsonl"
+        if config.stl.per_depth:
+            export_jsonl(
+                final_dataset, model_path, mask=config.stl.mask, scale_name=base_model.scale.name
+            )
+        else:
+            # The last iteration exported this very dataset; copy that file pair.
+            last_export = out_dir / "stl" / result.reports[-1].dataset_paths[0]
+            for suffix in ("", ".meta.json"):
+                shutil.copyfile(f"{last_export}{suffix}", f"{model_path}{suffix}")
     write_json(out_dir / "ledger.json", ledger.to_dict())
 
     last = result.reports[-1]
@@ -730,6 +744,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "eval":
             if args.b_samples < 1:
                 raise ConfigError("--b-samples must be at least 1")
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             return cmd_eval(
                 args.results_a,
                 args.results_b,

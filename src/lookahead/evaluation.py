@@ -219,7 +219,7 @@ def _usable_cpus() -> int:
 
 
 def _paired_arrays(
-    scores_a: Sequence[float], scores_b: Sequence[float], b_samples: int
+    scores_a: Sequence[float], scores_b: Sequence[float], b_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     if len(scores_a) != len(scores_b):
         raise ValueError(
@@ -229,6 +229,8 @@ def _paired_arrays(
         raise ValueError("paired bootstrap requires at least one task")
     if b_samples < 1:
         raise ValueError("b_samples must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.asarray(scores_a, dtype=np.float64), np.asarray(scores_b, dtype=np.float64)
 
 
@@ -276,9 +278,9 @@ def paired_bootstrap(
     sorted before resampling, so the result is exactly invariant to task
     order; each fixed-size chunk of resamples draws from its own
     counter-derived stream, so resample ``i`` is identical across runs,
-    machines and thread counts.
+    machines and thread counts.  ``seed`` must be non-negative.
     """
-    a, b = _paired_arrays(scores_a, scores_b, b_samples)
+    a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
     return _bootstrap([np.sort(a - b)], b_samples, seed)[0]
 
 
@@ -293,7 +295,7 @@ def paired_bootstrap_both(
     Both directions use the same seed, so they resample the same task
     indices; drawing them once gives exactly the two separate results.
     """
-    a, b = _paired_arrays(scores_a, scores_b, b_samples)
+    a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
     p_a_gt_b, p_b_gt_a = _bootstrap([np.sort(a - b), np.sort(b - a)], b_samples, seed)
     return p_a_gt_b, p_b_gt_a
 

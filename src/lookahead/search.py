@@ -535,9 +535,12 @@ def run_rollouts(
     at a time, and write each tree to its path (if any) once it is built.
 
     Trees are yielded in job order as they are built (serially, a job runs
-    only when its tree is asked for), so a caller need not hold them all,
-    and a parallel run's artifacts equal a serial run's.  The threads share
-    the agents, whose transports must then be safe for concurrent use.
+    only when its tree is asked for), and the runner keeps none it has
+    yielded: ``search`` keeps each tree's outcome and ``stl`` its candidates,
+    so a serial run holds one tree at a time.  A parallel run's artifacts
+    equal a serial run's.  Closing the generator early cancels the jobs not
+    yet started and waits for the running ones.  The threads share the
+    agents, whose transports must then be safe for concurrent use.
     """
 
     def rollout(job: tuple[Task, Path | None]) -> SearchTree:

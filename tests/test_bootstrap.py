@@ -144,6 +144,12 @@ def test_both_directions_check_their_inputs():
         paired_bootstrap_both([1.0], [0.0], b_samples=0)
 
 
+@pytest.mark.parametrize("bootstrap", [paired_bootstrap, paired_bootstrap_both])
+def test_negative_seed_is_refused_by_name(bootstrap):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        bootstrap([1.0, 0.0], [0.0, 0.0], b_samples=10, seed=-1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 60, 1000])
 @pytest.mark.parametrize("blocks", [[1024] * 8, [1000, 3000, 4192], [8191, 1]])
 def test_row_blocks_draw_the_rows_of_one_whole_chunk(n, blocks):

@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour: configs, artifacts, exit codes."""
 
 import csv
+import gc
 import json
 import re
 import statistics
 import threading
+import weakref
 from collections import defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -862,6 +864,83 @@ class TestSearchCommand:
         results = json.loads((out / "results.json").read_text())
         assert results["method"] == "greedy+constant:5.0"
 
+    # (task id, score, per-attempt successes) with every third rollout cut
+    # to one level.
+    STREAMED_OUTCOMES = {
+        1: [
+            ("g24t001", 0.0, [False]),
+            ("g24t002", 1.0, [True]),
+            ("g24t003", 1.0, [True]),
+            ("g24t004", 0.0, [False]),
+            ("g24t005", 1.0, [True]),
+            ("g24t006", 1.0, [True]),
+        ],
+        2: [
+            ("g24t001", 1.0, [False, True]),
+            ("g24t002", 1.0, [True, False]),
+            ("g24t003", 1.0, [True, True]),
+            ("g24t004", 1.0, [False, True]),
+            ("g24t005", 1.0, [True, False]),
+            ("g24t006", 1.0, [True, True]),
+        ],
+    }
+
+    @pytest.mark.parametrize("attempts", sorted(STREAMED_OUTCOMES))
+    def test_serial_search_holds_one_earlier_tree_when_a_rollout_starts(
+        self, tmp_path, capsys, monkeypatch, attempts
+    ):
+        beam = ENGINES["beam"]
+        built = weakref.WeakSet()
+        alive_at_start: list[int] = []
+
+        def tracked(task, env, policy, value_model, config, ledger):
+            gc.collect()
+            alive_at_start.append(len(built))
+            if len(alive_at_start) % 3 == 1:
+                # One level cannot reach 24, so a task's attempts differ.
+                config = replace(config, max_depth=1)
+            tree = beam(task, env, policy, value_model, config, ledger)
+            built.add(tree)
+            return tree
+
+        monkeypatch.setitem(ENGINES, "beam", tracked)
+        tasks = game24_tasks(tmp_path / "tasks.json", n=6)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            [
+                "search", "--engine", "beam", "--value", "oracle", "--tasks", tasks,
+                "--branching", "5", "--beam-width", "5", "--max-depth", "3",
+                "--attempts", str(attempts), "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        assert len(alive_at_start) == 6 * attempts
+        assert max(alive_at_start) <= 1, alive_at_start
+        results = json.loads((out / "results.json").read_text())
+        outcomes = [(o["task_id"], o["score"], o["attempts"]) for o in results["outcomes"]]
+        assert outcomes == self.STREAMED_OUTCOMES[attempts]
+        solved = sum(any(successes) for _, _, successes in outcomes)
+        assert f"tasks: 6  solved: {solved}  failures-tallied: 0" in stdout
+
+    def test_an_error_while_scoring_shuts_the_rollout_pool_down(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing_score(self, trajectory):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(Game24Env, "ground_truth_score", failing_score)
+        tasks = game24_tasks(tmp_path / "tasks.json", n=6)
+        argv = ["search", "--engine", "beam", "--value", "oracle", "--tasks", tasks]
+        argv += ["--parallel", "2", "--out", str(tmp_path / "out")]
+        before = set(threading.enumerate())
+        # ``failure`` holds the traceback and with it cmd_search's frame, so
+        # only an explicit close can have shut the pool down by now.
+        with pytest.raises(RuntimeError, match="scoring failed") as failure:
+            main(argv)
+        assert failure.value.args == ("scoring failed",)
+        assert set(threading.enumerate()) - before == set()
+
     def test_parallel_matches_serial_results(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json", n=3)
         serial_out = tmp_path / "serial"
@@ -942,6 +1021,31 @@ class TestStlCommand:
         assert code == 0, err
         assert in_flight[1] == 2
         assert artifact_bytes(parallel_out) == artifact_bytes(serial_out)
+
+    def test_final_model_copies_the_last_dataset_without_exporting_it_again(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        exported = []
+        export = cli.export_jsonl
+
+        def counted(dataset, path, *args, **kwargs):
+            exported.append(Path(path).name)
+            return export(dataset, path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "export_jsonl", counted)
+        monkeypatch.setattr("lookahead.stl.export_jsonl", counted)
+        tasks = webshop_tasks(tmp_path / "tasks.json", n=4)
+        out = tmp_path / "out"
+        argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
+        argv += ["--stl-engine", "greedy", "--iterations", "2", "--tasks-per-iteration", "2"]
+        code, stdout, err = run_cli([*argv, "--tasks", tasks, "--out", str(out)], capsys)
+        assert code == 0, err
+        assert exported == ["dataset_iter01.jsonl", "dataset_iter02.jsonl"]
+        stl_dir = out / "stl"
+        for suffix in ("", ".meta.json"):
+            final = (stl_dir / f"final_model.jsonl{suffix}").read_bytes()
+            assert final == (stl_dir / f"dataset_iter02.jsonl{suffix}").read_bytes()
+        assert f"model artifact: {stl_dir / 'final_model.jsonl'}" in stdout
 
     def test_webshop_per_depth_artifacts(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -1102,6 +1206,15 @@ class TestEvalCommand:
         assert code == 2
         assert "misaligned" in err
         assert "t2" in err and "t9" in err
+
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, capsys):
+        scores = {"t1": 1.0, "t2": 0.0}
+        a = fake_results(tmp_path / "a.json", "m-a", scores)
+        b = fake_results(tmp_path / "b.json", "m-b", scores)
+        code, stdout, err = run_cli(["eval", a, b, "--b-samples", "100", "--seed", "-1"], capsys)
+        assert code == 2
+        assert err == "config error: --seed must be non-negative, got -1\n"
+        assert stdout == ""
 
     def test_results_without_outcomes_exit_2(self, tmp_path, capsys):
         a = fake_results(tmp_path / "a.json", "m-a", {})
