@@ -8,8 +8,9 @@ bootstrap test, and :func:`paired_bootstrap_both` runs it in both directions
 from one draw of resample indices.  The resamples come in fixed chunks, each
 from its own counter-derived stream, drawn a block of rows at a time on one
 thread per usable CPU (at most eight), so the p-values depend only on the
-scores, ``b_samples`` and the seed.  :func:`emit_report` writes deterministic CSV
-summaries.
+scores, ``b_samples`` and the seed.  numpy is imported on the first bootstrap
+call, not with this module, so commands that never run one do not load it.
+:func:`emit_report` writes deterministic CSV summaries.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PricingError(Exception):
@@ -221,6 +223,8 @@ def _usable_cpus() -> int:
 def _paired_arrays(
     scores_a: Sequence[float], scores_b: Sequence[float], b_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     if len(scores_a) != len(scores_b):
         raise ValueError(
             f"paired scores differ in length: {len(scores_a)} vs {len(scores_b)}"
@@ -242,6 +246,8 @@ def _bootstrap(sorted_diffs: Sequence[np.ndarray], b_samples: int, seed: int) ->
     Chunks run on one thread per usable CPU, at most ``_BOOTSTRAP_THREADS``;
     their counts are summed in chunk order.
     """
+    import numpy as np  # here, not in a pool thread
+
     n = sorted_diffs[0].shape[0]
     thresholds = [2 * float(diffs.mean()) for diffs in sorted_diffs]
 
@@ -278,8 +284,11 @@ def paired_bootstrap(
     sorted before resampling, so the result is exactly invariant to task
     order; each fixed-size chunk of resamples draws from its own
     counter-derived stream, so resample ``i`` is identical across runs,
-    machines and thread counts.  ``seed`` must be non-negative.
+    machines and thread counts.  ``seed`` must be non-negative.  numpy is
+    imported on the first call.
     """
+    import numpy as np
+
     a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
     return _bootstrap([np.sort(a - b)], b_samples, seed)[0]
 
@@ -295,6 +304,8 @@ def paired_bootstrap_both(
     Both directions use the same seed, so they resample the same task
     indices; drawing them once gives exactly the two separate results.
     """
+    import numpy as np
+
     a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
     p_a_gt_b, p_b_gt_a = _bootstrap([np.sort(a - b), np.sort(b - a)], b_samples, seed)
     return p_a_gt_b, p_b_gt_a
