@@ -238,16 +238,18 @@ def _paired_arrays(
     return np.asarray(scores_a, dtype=np.float64), np.asarray(scores_b, dtype=np.float64)
 
 
-def _bootstrap(sorted_diffs: Sequence[np.ndarray], b_samples: int, seed: int) -> list[float]:
-    """For each sorted difference vector, the fraction of ``b_samples``
-    resampled means above twice its observed mean.
+def _bootstrap(differences: Sequence[np.ndarray], b_samples: int, seed: int) -> list[float]:
+    """For each difference vector, the fraction of ``b_samples`` resampled
+    means above twice its observed mean.
 
-    Every vector is resampled with the same indices, drawn once per chunk.
-    Chunks run on one thread per usable CPU, at most ``_BOOTSTRAP_THREADS``;
-    their counts are summed in chunk order.
+    Each vector is sorted first, so the result does not depend on task
+    order.  Every vector is resampled with the same indices, drawn once per
+    chunk.  Chunks run on one thread per usable CPU, at most
+    ``_BOOTSTRAP_THREADS``; their counts are summed in chunk order.
     """
     import numpy as np  # here, not in a pool thread
 
+    sorted_diffs = [np.sort(diffs) for diffs in differences]
     n = sorted_diffs[0].shape[0]
     thresholds = [2 * float(diffs.mean()) for diffs in sorted_diffs]
 
@@ -287,10 +289,8 @@ def paired_bootstrap(
     machines and thread counts.  ``seed`` must be non-negative.  numpy is
     imported on the first call.
     """
-    import numpy as np
-
     a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
-    return _bootstrap([np.sort(a - b)], b_samples, seed)[0]
+    return _bootstrap([a - b], b_samples, seed)[0]
 
 
 def paired_bootstrap_both(
@@ -304,10 +304,8 @@ def paired_bootstrap_both(
     Both directions use the same seed, so they resample the same task
     indices; drawing them once gives exactly the two separate results.
     """
-    import numpy as np
-
     a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
-    p_a_gt_b, p_b_gt_a = _bootstrap([np.sort(a - b), np.sort(b - a)], b_samples, seed)
+    p_a_gt_b, p_b_gt_a = _bootstrap([a - b, b - a], b_samples, seed)
     return p_a_gt_b, p_b_gt_a
 
 

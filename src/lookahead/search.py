@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -539,12 +537,10 @@ def run_rollouts(
     Trees are yielded in job order as they are built (serially, a job runs
     only when its tree is asked for), and the runner keeps none it has
     yielded: ``search`` keeps each tree's outcome and ``stl`` its candidates,
-    so a serial run holds one tree at a time.  A parallel run submits at
-    most ``2 * parallel`` jobs ahead of the consumer, one more each time a
-    tree is yielded, so a slow early rollout cannot pile up later trees; its
-    artifacts equal a serial run's.  Closing the generator early cancels the
-    jobs not yet started and waits for the running ones.  The threads share
-    the agents, whose transports must then be safe for concurrent use.
+    so a serial run holds one tree at a time.  A parallel run's artifacts
+    equal a serial run's.  Closing the generator early cancels the jobs not
+    yet started and waits for the running ones.  The threads share the
+    agents, whose transports must then be safe for concurrent use.
     """
 
     def rollout(job: tuple[Task, Path | None]) -> SearchTree:
@@ -558,15 +554,5 @@ def run_rollouts(
     if parallel == 1:
         yield from map(rollout, jobs)
         return
-    pending = iter(jobs)
     with ThreadPoolExecutor(max_workers=parallel) as pool:
-        futures = deque(pool.submit(rollout, job) for job in islice(pending, 2 * parallel))
-        try:
-            while futures:
-                tree = futures.popleft().result()
-                futures.extend(pool.submit(rollout, job) for job in islice(pending, 1))
-                yield tree
-                del tree  # the consumer may drop it while the next one is awaited
-        finally:
-            for future in futures:
-                future.cancel()
+        yield from pool.map(rollout, jobs)
