@@ -8,7 +8,6 @@ back into search, with token/state/cost accounting throughout.
 from .core import (
     Action,
     Aggregation,
-    LookaheadRecord,
     State,
     Task,
     Trajectory,
@@ -29,7 +28,6 @@ __all__ = [
     "Aggregation",
     "Dataset",
     "Ledger",
-    "LookaheadRecord",
     "PricingTable",
     "SearchConfig",
     "SearchTree",

@@ -2,9 +2,11 @@
 
 Defines the vocabulary used across environments, agents, search engines and
 the training-data pipeline: tasks, actions, states, trajectories, value
-estimates, lookahead records and training examples, plus the two canonical
-derived forms (rendered trajectory context and the state key used for
-deduplication), and the one JSON layout every artifact file is written in.
+estimates and training examples, plus the two canonical derived forms
+(rendered trajectory context and the state key used for deduplication), and
+the one JSON layout every artifact file is written in.  The lookahead record
+a training example is distilled from lives with its only users, in
+:mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
 plus the state it ends at, and the path is that state's parent chain.
 """
@@ -18,9 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-
-_VALUE_TOLERANCE = 1e-9
-
 
 def canonicalize(text: str) -> str:
     """Trim and collapse internal whitespace runs to single spaces.
@@ -160,33 +159,6 @@ class ValueEstimate:
     def __post_init__(self) -> None:
         if not self.samples:
             raise ValueError("value estimate requires at least one sample")
-
-
-@dataclass(frozen=True)
-class LookaheadRecord:
-    """One step of real lookahead from ``state``.
-
-    ``target`` is ``gamma`` times the value of the best evaluated successor;
-    ``successor_rationale`` is the successor's rationale exactly as the value
-    model produced it.  When the record is rendered as a training completion
-    the rationale's own trailing score sentence is replaced by one carrying
-    the target.
-    """
-
-    state: State
-    best_action: Action
-    best_successor: State
-    successor_rationale: str
-    successor_value: float
-    target: float
-    gamma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if abs(self.target - self.gamma * self.successor_value) > _VALUE_TOLERANCE:
-            raise ValueError(
-                f"target {self.target} must equal gamma ({self.gamma}) times the "
-                f"best successor value ({self.successor_value})"
-            )
 
 
 @dataclass(frozen=True)

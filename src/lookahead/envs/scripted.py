@@ -48,8 +48,8 @@ class FixtureNode:
 class Fixture:
     root: str
     nodes: dict[str, FixtureNode]
+    # source id -> {action: target id}, each inner dict in the fixture's edge order
     edges: dict[str, dict[str, str]] = field(default_factory=dict)
-    edge_order: dict[str, list[str]] = field(default_factory=dict)
 
 
 def _require(data: dict[str, Any], key: str, where: str) -> Any:
@@ -108,7 +108,6 @@ def parse_fixture(data: Any) -> Fixture:
         raise FixtureError(f"root node {root_id!r} must not be terminal")
 
     edges: dict[str, dict[str, str]] = {node_id: {} for node_id in nodes}
-    edge_order: dict[str, list[str]] = {node_id: [] for node_id in nodes}
     for raw in _entries(data.get("edges", []), "edges"):
         src = _text(raw, "from", "edge entry")
         dst = _text(raw, "to", "edge entry")
@@ -124,7 +123,6 @@ def parse_fixture(data: Any) -> Fixture:
         if nodes[src].terminal:
             raise FixtureError(f"terminal node {src!r} cannot have outgoing edges")
         edges[src][action] = dst
-        edge_order[src].append(action)
 
     reachable = {root_id}
     frontier = [root_id]
@@ -138,7 +136,7 @@ def parse_fixture(data: Any) -> Fixture:
     if unreachable:
         raise FixtureError(f"node {unreachable[0]!r} is unreachable from the root")
 
-    return Fixture(root=root_id, nodes=nodes, edges=edges, edge_order=edge_order)
+    return Fixture(root=root_id, nodes=nodes, edges=edges)
 
 
 def load_fixture(path: str | Path) -> Fixture:
@@ -206,7 +204,7 @@ class ScriptedEnvironment(Environment):
 
     def enumerable_actions(self, state: State) -> list[Action] | None:
         node = self._node(state)
-        return [Action.make(text) for text in self.fixture.edge_order[node.id]]
+        return [Action.make(text) for text in self.fixture.edges[node.id]]
 
     def ground_truth_score(self, trajectory: Trajectory) -> float | None:
         """The fixture score of the trajectory's final node, if any."""

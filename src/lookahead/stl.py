@@ -7,23 +7,26 @@ its observation, and the successor's reflection re-anchored to the discounted
 lookahead target — then filters, deduplicates against earlier iterations
 (latest wins), exports JSONL, and trains a fresh model from the *base* model.
 
-Each example's work is done once: the filter builds its completion and parses
-it back, the example keeps that completion, the parsed target and (once
+One lookahead record carries each backup from tree to example: the visited
+state's trajectory and key, the best successor, its rationale and the
+discounted target.  The filter builds each record's completion and parses it
+back once, the example keeps that completion, the parsed target and (once
 exported) its JSON line, and the trained model reads the target from it.
-Trees stream from the rollouts into candidate collection one at a time.
+Trees stream from the rollouts into record collection one at a time.
 """
 
 from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from collections import Counter
+from contextlib import closing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     Action,
-    LookaheadRecord,
     State,
     Task,
     Trajectory,
@@ -88,8 +91,27 @@ class StlConfig:
             raise ValueError("min_example_depth cannot be negative")
 
 
+@dataclass(frozen=True)
+class LookaheadRecord:
+    """One step of real lookahead from ``trajectory``'s final state.
+
+    ``key`` is the state key of ``trajectory``; ``target`` is ``gamma`` times
+    the value of the best evaluated successor; ``successor_rationale`` is the
+    successor's rationale exactly as the value model produced it.  When the
+    record is rendered as a training completion the rationale's own trailing
+    score sentence is replaced by one carrying the target.
+    """
+
+    trajectory: Trajectory
+    key: str
+    best_action: Action
+    best_successor: State
+    successor_rationale: str
+    target: float
+
+
 def lookahead_target(
-    state: State,
+    trajectory: Trajectory,
     successors: Sequence[tuple[Action, State, ValueEstimate]],
     gamma: float = 1.0,
 ) -> LookaheadRecord:
@@ -99,19 +121,18 @@ def lookahead_target(
     pipeline skips such states and records the skip).
     """
     if not successors:
-        raise ValueError(f"state {state.id!r} has no evaluated successors")
+        raise ValueError(f"state {trajectory.final_state.id!r} has no evaluated successors")
     best_index = max(
         range(len(successors)), key=lambda i: (successors[i][2].value, -i)
     )
     action, successor, estimate = successors[best_index]
     return LookaheadRecord(
-        state=state,
+        trajectory=trajectory,
+        key=state_key(trajectory.task, trajectory),
         best_action=action,
         best_successor=successor,
         successor_rationale=estimate.rationale,
-        successor_value=estimate.value,
         target=gamma * estimate.value,
-        gamma=gamma,
     )
 
 
@@ -140,52 +161,43 @@ def build_action_outcome(record: LookaheadRecord, scale: ValueScale) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ExampleCandidate:
-    """A record plus the bookkeeping needed to turn it into an example."""
-
-    task: Task
-    trajectory: Trajectory
-    key: str
-    record: LookaheadRecord
-
-
 def filter_examples(
-    candidates: Sequence[ExampleCandidate], scale: ValueScale
-) -> tuple[list[tuple[ExampleCandidate, str, float]], list[tuple[ExampleCandidate, str]]]:
-    """Split candidates into kept-with-(completion, value) and rejected-with-reason.
+    records: Iterable[LookaheadRecord], scale: ValueScale, iteration: int
+) -> tuple[list[TrainingExample], Counter[str]]:
+    """The training examples of the records that pass, and the rejection
+    reasons of those that do not, counted.
 
-    A candidate is rejected when its successor rationale lacks the scale's
+    A record is rejected when its successor rationale lacks the scale's
     scaffolding or parses to a value outside the admissible set, or when the
     completion built from it would not parse back (for example a rationale
-    containing a stray section label).  A kept candidate comes with that
+    containing a stray section label).  A kept record's example carries that
     completion, built once, and the value its round-trip parse returned.
     """
-    kept: list[tuple[ExampleCandidate, str, float]] = []
-    rejected: list[tuple[ExampleCandidate, str]] = []
-    for candidate in candidates:
+    examples: list[TrainingExample] = []
+    rejections: Counter[str] = Counter()
+    for record in records:
         try:
-            parse_value(candidate.record.successor_rationale, scale)
-            completion = build_action_outcome(candidate.record, scale)
+            parse_value(record.successor_rationale, scale)
+            completion = build_action_outcome(record, scale)
             value = parse_simulated_lookahead(completion, scale)[3]
         except MalformedRationale as exc:
-            rejected.append((candidate, exc.reason))
+            rejections[exc.reason] += 1
             continue
-        kept.append((candidate, completion, value))
-    return kept, rejected
+        examples.append(make_training_example(record, completion, value, iteration))
+    return examples, rejections
 
 
 def make_training_example(
-    candidate: ExampleCandidate, completion: str, value: float, iteration: int
+    record: LookaheadRecord, completion: str, value: float, iteration: int
 ) -> TrainingExample:
-    """The example for a kept candidate, from the filter's completion and value."""
+    """The example for a kept record, from the filter's completion and value."""
     return TrainingExample(
-        task_id=candidate.task.id,
-        context=render_context(candidate.trajectory),
+        task_id=record.trajectory.task.id,
+        context=render_context(record.trajectory),
         completion=completion,
-        depth=candidate.trajectory.depth,
+        depth=record.trajectory.depth,
         iteration=iteration,
-        state_key=candidate.key,
+        state_key=record.key,
         value=value,
     )
 
@@ -376,34 +388,30 @@ class TabularTrainer(Trainer):
 
 def collect_candidates(
     task: Task, tree: SearchTree, gamma: float, min_depth: int = 0
-) -> tuple[list[ExampleCandidate], int]:
-    """Candidates for every visited state with evaluated successors.
+) -> tuple[list[LookaheadRecord], int]:
+    """Records for every visited state with evaluated successors.
 
     Within one tree, only the first occurrence of a state key yields a
-    candidate; the second return value counts the skipped duplicates.
+    record; the second return value counts the skipped duplicates.
     """
-    candidates: list[ExampleCandidate] = []
+    records: list[LookaheadRecord] = []
     seen: set[str] = set()
     intra_tree_duplicates = 0
     for node, children in tree.lookahead_entries():
         if node.depth < min_depth:
             continue
-        trajectory = Trajectory(task, node.state)
-        key = state_key(task, trajectory)
-        if key in seen:
-            intra_tree_duplicates += 1
-            continue
-        seen.add(key)
         successors = [
             (child.action, child.state, child.estimate)
             for child in children
             if child.action is not None and child.estimate is not None
         ]
-        record = lookahead_target(node.state, successors, gamma)
-        candidates.append(
-            ExampleCandidate(task=task, trajectory=trajectory, key=key, record=record)
-        )
-    return candidates, intra_tree_duplicates
+        record = lookahead_target(Trajectory(task, node.state), successors, gamma)
+        if record.key in seen:
+            intra_tree_duplicates += 1
+            continue
+        seen.add(record.key)
+        records.append(record)
+    return records, intra_tree_duplicates
 
 
 @dataclass
@@ -420,23 +428,10 @@ class IterationReport:
     dataset_paths: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "task_ids": self.task_ids,
-            "candidates": self.candidates,
-            "kept": self.kept,
-            "rejected": self.rejected,
-            "intra_tree_duplicates": self.intra_tree_duplicates,
-            "merge": {
-                "added": self.merge.added,
-                "replaced": self.merge.replaced,
-                "duplicates_within_iteration": self.merge.duplicates_within_iteration,
-                "kept_existing": self.merge.kept_existing,
-            },
-            "dataset_size": self.dataset_size,
-            "per_depth_sizes": {str(d): s for d, s in self.per_depth_sizes.items()},
-            "dataset_paths": self.dataset_paths,
-        }
+        data = asdict(self)
+        # String keys: json would sort int keys numerically, not as text.
+        data["per_depth_sizes"] = {str(d): s for d, s in self.per_depth_sizes.items()}
+        return data
 
 
 @dataclass
@@ -444,7 +439,6 @@ class StlResult:
     final_model: ValueModel
     datasets: list[Dataset]
     reports: list[IterationReport]
-    trees: list[SearchTree] = field(default_factory=list)
 
 
 def check_schedule(stl_config: StlConfig, task_count: int) -> None:
@@ -468,7 +462,6 @@ def stl_run(
     search_config: SearchConfig,
     out_dir: str | Path | None = None,
     ledger: "Ledger | None" = None,
-    keep_trees: bool = False,
     parallel: int = 1,
 ) -> StlResult:
     """Run the full self-training loop (see module docstring).
@@ -489,7 +482,6 @@ def stl_run(
     dataset = Dataset()
     datasets: list[Dataset] = []
     reports: list[IterationReport] = []
-    trees: list[SearchTree] = []
 
     for iteration in range(1, stl_config.iterations + 1):
         start = (iteration - 1) * stl_config.tasks_per_iteration
@@ -499,26 +491,19 @@ def stl_run(
             (task, trees_dir / f"{prefix}{safe_name(task.id)}.json" if trees_dir else None)
             for task in task_slice
         ]
-        rollouts = run_rollouts(
-            jobs, stl_config.engine, env, policy, current_model, search_config, ledger, parallel
-        )
-        candidates: list[ExampleCandidate] = []
+        records: list[LookaheadRecord] = []
         intra_tree_duplicates = 0
-        for tree in rollouts:
-            if keep_trees:
-                trees.append(tree)
-            found, duplicates = collect_candidates(
-                tree.task, tree, stl_config.gamma, stl_config.min_example_depth
-            )
-            candidates.extend(found)
-            intra_tree_duplicates += duplicates
+        with closing(run_rollouts(
+            jobs, stl_config.engine, env, policy, current_model, search_config, ledger, parallel
+        )) as rollouts:
+            for tree in rollouts:
+                found, duplicates = collect_candidates(
+                    tree.task, tree, stl_config.gamma, stl_config.min_example_depth
+                )
+                records.extend(found)
+                intra_tree_duplicates += duplicates
 
-        kept, rejected = filter_examples(candidates, scale)
-        rejection_counts: dict[str, int] = {}
-        for _, reason in rejected:
-            rejection_counts[reason] = rejection_counts.get(reason, 0) + 1
-        new_examples = [make_training_example(*entry, iteration) for entry in kept]
-
+        new_examples, rejections = filter_examples(records, scale, iteration)
         base_dataset = dataset if stl_config.accumulate else Dataset()
         dataset, merge_counts = dedup_latest(base_dataset, new_examples, iteration)
         datasets.append(dataset)
@@ -526,19 +511,15 @@ def stl_run(
         per_depth = dataset.by_depth() if stl_config.per_depth else {}
         dataset_paths: list[str] = []
         if out_path is not None and len(dataset) > 0:
-            if stl_config.per_depth:
-                for depth, partition in per_depth.items():
-                    file_path = export_jsonl(
-                        partition,
-                        out_path / f"dataset_iter{iteration:02d}_depth{depth}.jsonl",
-                        mask=stl_config.mask,
-                        scale_name=scale.name,
-                    )
-                    dataset_paths.append(file_path.name)
-            else:
+            exports = (
+                {f"_depth{d}": partition for d, partition in per_depth.items()}
+                if stl_config.per_depth
+                else {"": dataset}
+            )
+            for suffix, partition in exports.items():
                 file_path = export_jsonl(
-                    dataset,
-                    out_path / f"dataset_iter{iteration:02d}.jsonl",
+                    partition,
+                    out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl",
                     mask=stl_config.mask,
                     scale_name=scale.name,
                 )
@@ -566,9 +547,10 @@ def stl_run(
             IterationReport(
                 iteration=iteration,
                 task_ids=[t.id for t in task_slice],
-                candidates=len(candidates),
-                kept=len(kept),
-                rejected=rejection_counts,
+                candidates=len(records),
+                kept=len(new_examples),
+                # A plain dict: asdict would rebuild a Counter from its (key, count) pairs.
+                rejected=dict(rejections),
                 intra_tree_duplicates=intra_tree_duplicates,
                 merge=merge_counts,
                 dataset_size=len(dataset),
@@ -579,6 +561,4 @@ def stl_run(
 
     if out_path is not None:
         write_json(out_path / "stl_report.json", [r.to_dict() for r in reports])
-    return StlResult(
-        final_model=current_model, datasets=datasets, reports=reports, trees=trees
-    )
+    return StlResult(final_model=current_model, datasets=datasets, reports=reports)

@@ -21,7 +21,6 @@ from lookahead.agents.values import OracleValueModel, ScriptedValueModel
 from lookahead.cli import main
 from lookahead.core import (
     Action,
-    LookaheadRecord,
     State,
     Task,
     Trajectory,
@@ -35,7 +34,7 @@ from lookahead.evaluation import Ledger, cost, paired_bootstrap
 from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import (
     Dataset,
-    ExampleCandidate,
+    LookaheadRecord,
     StlConfig,
     TabularTrainer,
     build_action_outcome,
@@ -173,7 +172,16 @@ def _demo_value_model() -> ScriptedValueModel:
     )
 
 
-def test_criterion_03_recorded_targets_equal_discounted_max():
+def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch):
+    trees = []
+    beam = ENGINES["beam"]
+
+    def recording_beam(*args, **kwargs):
+        tree = beam(*args, **kwargs)
+        trees.append(tree)
+        return tree
+
+    monkeypatch.setitem(ENGINES, "beam", recording_beam)
     env = ScriptedEnvironment.load("fixtures/webshop_demo_env.json")
     base = _demo_value_model()
     tasks = [
@@ -191,11 +199,10 @@ def test_criterion_03_recorded_targets_equal_discounted_max():
             iterations=2, tasks_per_iteration=2, gamma=gamma, engine="beam", accumulate=True
         ),
         SearchConfig(branching=3, beam_width=3, max_depth=4),
-        keep_trees=True,
     )
-    assert len(result.trees) == 4
+    assert [tree.task for tree in trees] == tasks
     expected: dict[str, set[float]] = {}
-    for task, tree in zip(tasks, result.trees):
+    for task, tree in zip(tasks, trees):
         for node, children in tree.lookahead_entries():
             key = state_key(task, tree.trajectory_to(node.uid))
             best = max(child.estimate.value for child in children)
@@ -286,15 +293,10 @@ def _synthetic_record(rng: random.Random, index: int):
         incoming_action=action,
         parent=parent,
     )
-    record = LookaheadRecord(
-        state=parent,
-        best_action=action,
-        best_successor=successor,
-        successor_rationale=rationale,
-        successor_value=value,
-        target=gamma * value,
-        gamma=gamma,
-    )
+    task = Task(id=f"r{index}", instruction=f"record {index}")
+    estimate = ValueEstimate(rationale=rationale, value=value, samples=(value,))
+    record = lookahead_target(Trajectory(task, parent), [(action, successor, estimate)], gamma)
+    assert record.target == gamma * value
     return record, scale, body
 
 
@@ -391,7 +393,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
     )
 
 
-def _probe_candidate(index: int, rationale: str) -> ExampleCandidate:
+def _probe_record(index: int, rationale: str) -> LookaheadRecord:
     task = Task(id=f"m{index}", instruction=f"probe {index}")
     parent = State(id=f"m{index}", depth=0, observation=f"obs {index}")
     action = Action.make("step ahead")
@@ -403,10 +405,8 @@ def _probe_candidate(index: int, rationale: str) -> ExampleCandidate:
         parent=parent,
     )
     estimate = ValueEstimate(rationale=rationale, value=4.0, samples=(4.0,))
-    record = lookahead_target(parent, [(action, successor, estimate)], 1.0)
-    trajectory = Trajectory.from_state(task, parent)
-    return ExampleCandidate(
-        task=task, trajectory=trajectory, key=state_key(task, trajectory), record=record
+    return lookahead_target(
+        Trajectory.from_state(task, parent), [(action, successor, estimate)], 1.0
     )
 
 
@@ -446,16 +446,13 @@ def test_criterion_06_filtering_rejects_malformed_and_dedup_keeps_latest():
     rejected_total = 0
     reasons: set[str] = set()
     for scale, rationales in ((LIKERT10, likert_rationales), (GAME24, game24_rationales)):
-        candidates = [
-            _probe_candidate(i, rationale) for i, rationale in enumerate(rationales)
-        ]
-        kept, rejected = filter_examples(candidates, scale)
-        assert kept == []
-        assert len(rejected) == len(candidates)
-        rejected_total += len(rejected)
-        for _, reason in rejected:
-            assert reason
-            reasons.add(reason)
+        records = [_probe_record(i, rationale) for i, rationale in enumerate(rationales)]
+        examples, rejections = filter_examples(records, scale, 1)
+        assert examples == []
+        assert sum(rejections.values()) == len(records)
+        rejected_total += sum(rejections.values())
+        assert all(rejections)
+        reasons.update(rejections)
     assert rejected_total == 100
     assert {"scaffolding-missing", "value-not-admissible", "conflicting-labels"} <= reasons
 

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import json
 import re
 import statistics
@@ -984,6 +985,75 @@ class TestRemoteValueFlags:
         assert (config["value_samples"], config["value_aggregation"]) == (3, "mean")
 
 
+# The first 16 hex digits of the sha256 of every file two per-depth beam
+# ``stl`` runs write under ``stl/``, pinned before the lookahead record
+# replaced the candidate wrapper: refactoring the pipeline must not move a byte.
+STL_WEBSHOP_PER_DEPTH_ARGS = [
+    "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES,
+    "--tasks", "fixtures/webshop_tasks_50.json", "--stl-engine", "beam",
+    "--per-depth", "--gamma", "0.9", "--iterations", "2", "--tasks-per-iteration", "3",
+]
+STL_WEBSHOP_PER_DEPTH_DIGESTS = {
+    "dataset_iter01_depth0.jsonl": "c31916dccc7021ab",
+    "dataset_iter01_depth0.jsonl.meta.json": "4d06bd2a7fb773f5",
+    "dataset_iter01_depth1.jsonl": "eda9b57b7ed96f10",
+    "dataset_iter01_depth1.jsonl.meta.json": "0b454473d12564c4",
+    "dataset_iter01_depth2.jsonl": "fddd206c344057bb",
+    "dataset_iter01_depth2.jsonl.meta.json": "a7601f121742a91d",
+    "dataset_iter01_depth3.jsonl": "b079caf8083d47e2",
+    "dataset_iter01_depth3.jsonl.meta.json": "b40c24e29c489dec",
+    "dataset_iter01_depth4.jsonl": "bf53106e4e9cc8f1",
+    "dataset_iter01_depth4.jsonl.meta.json": "61cbef507392eb47",
+    "dataset_iter02_depth0.jsonl": "9e5db9a5e4ce25b9",
+    "dataset_iter02_depth0.jsonl.meta.json": "4d06bd2a7fb773f5",
+    "dataset_iter02_depth1.jsonl": "4a4c102c47158b15",
+    "dataset_iter02_depth1.jsonl.meta.json": "0b454473d12564c4",
+    "dataset_iter02_depth2.jsonl": "254ddfbd806777ba",
+    "dataset_iter02_depth2.jsonl.meta.json": "a7601f121742a91d",
+    "dataset_iter02_depth3.jsonl": "ea57edcaddbc5490",
+    "dataset_iter02_depth3.jsonl.meta.json": "b40c24e29c489dec",
+    "dataset_iter02_depth4.jsonl": "98b797d448df42ec",
+    "dataset_iter02_depth4.jsonl.meta.json": "61cbef507392eb47",
+    "final_model.jsonl": "98652c38d030bda0",
+    "final_model.jsonl.meta.json": "de849f5157984562",
+    "stl_report.json": "b4d3c57ccc3c4909",
+    "trees/iter01__w001.json": "e447131e30a5594a",
+    "trees/iter01__w002.json": "f9b125137da267ea",
+    "trees/iter01__w003.json": "5bec04be82cc1a37",
+    "trees/iter02__w004.json": "3528c39f621b1dde",
+    "trees/iter02__w005.json": "6a9587c309fdc489",
+    "trees/iter02__w006.json": "e78b5712e8f3030f",
+}
+STL_GAME24_PER_DEPTH_ARGS = [
+    "--value", "oracle", "--tasks", "fixtures/game24_rollout_100.json",
+    "--stl-engine", "beam", "--per-depth", "--min-example-depth", "1",
+    "--iterations", "2", "--tasks-per-iteration", "5",
+]
+STL_GAME24_PER_DEPTH_DIGESTS = {
+    "dataset_iter01_depth1.jsonl": "d4589ecef02dcb3c",
+    "dataset_iter01_depth1.jsonl.meta.json": "dc6e0dae6804ea2f",
+    "dataset_iter01_depth2.jsonl": "012b490e97f1a537",
+    "dataset_iter01_depth2.jsonl.meta.json": "dc6e0dae6804ea2f",
+    "dataset_iter02_depth1.jsonl": "09a74c92a2274b78",
+    "dataset_iter02_depth1.jsonl.meta.json": "4ff9b2fcc7d4fa59",
+    "dataset_iter02_depth2.jsonl": "7f4fe1edce457409",
+    "dataset_iter02_depth2.jsonl.meta.json": "dc6e0dae6804ea2f",
+    "final_model.jsonl": "a018465e54a6cb36",
+    "final_model.jsonl.meta.json": "a55e62b0ff21d8a2",
+    "stl_report.json": "576a325605c409b0",
+    "trees/iter01__g24r001.json": "3be4c0cc57ec0de5",
+    "trees/iter01__g24r002.json": "e900c953f0373efa",
+    "trees/iter01__g24r003.json": "3ba5309cf58c723b",
+    "trees/iter01__g24r004.json": "2a8ea2531a3ad81e",
+    "trees/iter01__g24r005.json": "159af9c7d58045f9",
+    "trees/iter02__g24r006.json": "8d6494d629f10b58",
+    "trees/iter02__g24r007.json": "dedd1bce7e36c849",
+    "trees/iter02__g24r008.json": "d858d531611d555e",
+    "trees/iter02__g24r009.json": "920c6a11d40af007",
+    "trees/iter02__g24r010.json": "40f3d9d414cda4f7",
+}
+
+
 class TestStlCommand:
     def test_parallel_overlaps_rollouts_and_leaves_artifacts_unchanged(
         self, tmp_path, capsys, monkeypatch
@@ -1156,6 +1226,25 @@ class TestStlCommand:
         assert "tasks: 2" in stdout
         results = json.loads((search_out / "results.json").read_text())
         assert results["method"].startswith("beam+stl-dataset:")
+
+    @pytest.mark.parametrize(
+        "args, digests",
+        [
+            (STL_WEBSHOP_PER_DEPTH_ARGS, STL_WEBSHOP_PER_DEPTH_DIGESTS),
+            (STL_GAME24_PER_DEPTH_ARGS, STL_GAME24_PER_DEPTH_DIGESTS),
+        ],
+        ids=["webshop-gamma-0.9", "game24-min-depth-1"],
+    )
+    def test_per_depth_artifact_bytes_are_pinned(self, tmp_path, capsys, args, digests):
+        code, _, err = run_cli(["stl", *args, "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        stl_dir = tmp_path / "stl"
+        written = {
+            p.relative_to(stl_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in sorted(stl_dir.rglob("*"))
+            if p.is_file()
+        }
+        assert written == digests
 
 
 def fake_results(path: Path, method: str, scores: dict[str, float]) -> str:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lookahead.core import (
     Action,
     Aggregation,
-    LookaheadRecord,
     State,
     Task,
     Trajectory,
@@ -197,39 +196,6 @@ class TestValueEstimate:
     def test_rejects_empty_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):
             ValueEstimate(rationale="none", value=0.0, samples=())
-
-
-class TestLookaheadRecord:
-    def _states(self):
-        root = State(id="r", depth=0, observation="start")
-        action = Action.make("go")
-        child = State(
-            id="c", depth=1, observation="next", incoming_action=action, parent=root
-        )
-        return root, action, child
-
-    def test_target_must_be_discounted_value(self):
-        root, action, child = self._states()
-        record = LookaheadRecord(
-            state=root,
-            best_action=action,
-            best_successor=child,
-            successor_rationale="fine",
-            successor_value=8.0,
-            target=4.0,
-            gamma=0.5,
-        )
-        assert record.target == 4.0
-        with pytest.raises(ValueError, match="gamma"):
-            LookaheadRecord(
-                state=root,
-                best_action=action,
-                best_successor=child,
-                successor_rationale="fine",
-                successor_value=8.0,
-                target=8.0,
-                gamma=0.5,
-            )
 
 
 class TestTrainingExample:

@@ -40,7 +40,7 @@ class TestParseFixture:
         fixture = parse_fixture(minimal_fixture())
         assert fixture.root == "r"
         assert set(fixture.nodes) == {"r", "a", "b", "c"}
-        assert fixture.edge_order["r"] == ["go a", "go c"]
+        assert list(fixture.edges["r"]) == ["go a", "go c"]
 
     def test_missing_root_key(self):
         data = minimal_fixture()

@@ -1,6 +1,8 @@
 """Self-training pipeline: targets, filtering, dedup, export, training loop."""
 
 import json
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -27,10 +29,17 @@ from lookahead.core import (
 )
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
-from lookahead.search import SearchConfig, SearchTree, beam_search, greedy_search, render_tree
+from lookahead.search import (
+    ENGINES,
+    SearchConfig,
+    SearchTree,
+    beam_search,
+    greedy_search,
+    render_tree,
+)
 from lookahead.stl import (
     Dataset,
-    ExampleCandidate,
+    LookaheadRecord,
     StlConfig,
     StlError,
     TabularTrainer,
@@ -93,11 +102,14 @@ class TestLookaheadTarget:
             successor_triple(parent, "s2", "go s2", 8.0),
             successor_triple(parent, "s3", "go s3", 6.0),
         ]
-        record = lookahead_target(parent, successors, gamma=0.9)
+        trajectory = Trajectory(TASK, parent)
+        record = lookahead_target(trajectory, successors, gamma=0.9)
+        assert record.trajectory is trajectory
+        assert record.key == state_key(TASK, trajectory)
         assert record.best_action.text == "go s2"
-        assert record.successor_value == 8.0
-        assert record.target == pytest.approx(7.2)
-        assert record.gamma == 0.9
+        assert record.best_successor is successors[1][1]
+        assert record.successor_rationale == successors[1][2].rationale
+        assert record.target == pytest.approx(0.9 * 8.0)
 
     def test_tie_breaks_to_earliest(self):
         parent = root_state()
@@ -105,21 +117,21 @@ class TestLookaheadTarget:
             successor_triple(parent, "s1", "go s1", 8.0),
             successor_triple(parent, "s2", "go s2", 8.0),
         ]
-        record = lookahead_target(parent, successors)
+        record = lookahead_target(Trajectory(TASK, parent), successors)
         assert record.best_action.text == "go s1"
 
     def test_empty_successors_rejected(self):
         with pytest.raises(ValueError, match="no evaluated successors"):
-            lookahead_target(root_state(), [])
+            lookahead_target(Trajectory(TASK, root_state()), [])
 
 
-def make_candidate(
+def make_record(
     value: float = 8.0,
     gamma: float = 1.0,
     rationale: str | None = None,
     task: Task = TASK,
     sid: str = "r",
-) -> ExampleCandidate:
+) -> LookaheadRecord:
     parent = root_state(sid)
     successors = [
         (
@@ -128,20 +140,13 @@ def make_candidate(
             estimate(value, rationale),
         )
     ]
-    record = lookahead_target(parent, successors, gamma)
-    trajectory = Trajectory.from_state(task, parent)
-    return ExampleCandidate(
-        task=task,
-        trajectory=trajectory,
-        key=state_key(task, trajectory),
-        record=record,
-    )
+    return lookahead_target(Trajectory.from_state(task, parent), successors, gamma)
 
 
 class TestBuildActionOutcome:
     def test_completion_carries_discounted_target_once(self):
-        candidate = make_candidate(value=8.0, gamma=0.5)
-        completion = build_action_outcome(candidate.record, NUMERIC10)
+        record = make_record(value=8.0, gamma=0.5)
+        completion = build_action_outcome(record, NUMERIC10)
         action, observation, rationale, value = parse_simulated_lookahead(
             completion, NUMERIC10
         )
@@ -153,13 +158,13 @@ class TestBuildActionOutcome:
         assert "8.00" not in completion
 
     def test_reflection_body_survives(self):
-        candidate = make_candidate(
+        record = make_record(
             rationale=(
                 "The cart already holds the right item. "
                 "Thus, the correctness score is 8.00 / 10.00."
             )
         )
-        completion = build_action_outcome(candidate.record, NUMERIC10)
+        completion = build_action_outcome(record, NUMERIC10)
         assert "The cart already holds the right item." in completion
 
     def test_block_rationale_uses_inner_reflection(self):
@@ -168,8 +173,8 @@ class TestBuildActionOutcome:
         block = format_lookahead_block(
             "deep action", "deep obs", "Deep body.", 7.0, NUMERIC10
         )
-        candidate = make_candidate(value=7.0, rationale=block)
-        completion = build_action_outcome(candidate.record, NUMERIC10)
+        record = make_record(value=7.0, rationale=block)
+        completion = build_action_outcome(record, NUMERIC10)
         assert completion.count("Best Next Action:") == 1
         assert completion.count("Observation of Best Successor State:") == 1
         action, observation, rationale, value = parse_simulated_lookahead(
@@ -183,45 +188,44 @@ class TestBuildActionOutcome:
 
 class TestFilterExamples:
     def test_splits_kept_and_rejected_with_reason(self):
-        good = make_candidate(value=8.0)
-        bad = make_candidate(rationale="no scaffolding in this reply", sid="q")
-        kept, rejected = filter_examples([good, bad], NUMERIC10)
-        assert kept == [(good, build_action_outcome(good.record, NUMERIC10), 8.0)]
-        assert [(c.key, reason) for c, reason in rejected] == [
-            (bad.key, "scaffolding-missing")
-        ]
+        good = make_record(value=8.0)
+        bad = make_record(rationale="no scaffolding in this reply", sid="q")
+        examples, rejections = filter_examples([good, bad], NUMERIC10, 2)
+        completion = build_action_outcome(good, NUMERIC10)
+        assert examples == [make_training_example(good, completion, 8.0, 2)]
+        assert examples[0].value == 8.0
+        assert rejections == Counter({"scaffolding-missing": 1})
 
     def test_off_grid_value_rejected_on_discrete_scale(self):
-        bad = make_candidate(
+        bad = make_record(
             rationale="Fine. Thus, the correctness score is 7.00 / 10.00."
         )
-        kept, rejected = filter_examples([bad], LIKERT10)
-        assert kept == []
-        assert rejected[0][1] == "value-not-admissible"
+        examples, rejections = filter_examples([bad], LIKERT10, 1)
+        assert examples == []
+        assert rejections == Counter({"value-not-admissible": 1})
 
     def test_stray_label_in_rationale_rejected(self):
-        bad = make_candidate(
+        bad = make_record(
             rationale=(
                 "Promising. Best Next Action: cheat. "
                 "Thus, the correctness score is 4.00 / 10.00."
             )
         )
-        kept, rejected = filter_examples([bad], NUMERIC10)
-        assert kept == []
-        assert rejected[0][1] == "section-repeated"
+        examples, rejections = filter_examples([bad], NUMERIC10, 1)
+        assert examples == []
+        assert rejections == Counter({"section-repeated": 1})
 
 
 class TestMakeTrainingExample:
     def test_fields_are_wired_through(self):
-        candidate = make_candidate(value=6.0)
-        (kept,), _ = filter_examples([candidate], NUMERIC10)
-        example = make_training_example(*kept, iteration=3)
+        record = make_record(value=6.0)
+        (example,), _ = filter_examples([record], NUMERIC10, iteration=3)
         assert example.task_id == "t1"
         assert example.depth == 0
         assert example.iteration == 3
-        assert example.state_key == candidate.key
+        assert example.state_key == record.key
         assert example.context.startswith("walk one")
-        assert example.completion == build_action_outcome(candidate.record, NUMERIC10)
+        assert example.completion == build_action_outcome(record, NUMERIC10)
         assert parse_simulated_lookahead(example.completion, NUMERIC10)[3] == 6.0
         assert example.value == 6.0
 
@@ -354,13 +358,12 @@ class TestExportImport:
 
 class TestTabularValueModel:
     def test_known_key_returns_trained_target(self):
-        candidate = make_candidate(value=8.0, gamma=0.5)
-        (kept,), _ = filter_examples([candidate], NUMERIC10)
-        ex = make_training_example(*kept, 1)
+        record = make_record(value=8.0, gamma=0.5)
+        (ex,), _ = filter_examples([record], NUMERIC10, 1)
         dataset, _ = dedup_latest(Dataset(), [ex], 1)
         base = ConstantValueModel(2.0)
         model = TabularTrainer().fine_tune(base, dataset)
-        result = model.evaluate(candidate.task, candidate.trajectory)
+        result = model.evaluate(record.trajectory.task, record.trajectory)
         assert result.value == 4.0
         assert result.rationale == ex.completion
 
@@ -463,25 +466,35 @@ class TestStlRun:
         assert report.merge.added == 2
         assert isinstance(result.final_model, TabularValueModel)
 
-    def test_parallel_rollouts_match_serial_run(self, tmp_path):
+    def test_parallel_rollouts_match_serial_run(self, tmp_path, monkeypatch):
+        greedy = ENGINES["greedy"]
         runs = {}
         for parallel in (1, 3):
+            trees: dict[str, str] = {}
+
+            def recording_greedy(*args, trees=trees, **kwargs):
+                tree = greedy(*args, **kwargs)
+                trees[tree.task.id] = render_tree(tree)
+                return tree
+
+            monkeypatch.setitem(ENGINES, "greedy", recording_greedy)
             env, policy, base = stl_setup()
             out = tmp_path / f"p{parallel}"
             result = stl_run(
                 stl_tasks(6), env, policy, base, TabularTrainer(),
                 self.config(iterations=2, tasks_per_iteration=3, accumulate=True),
-                self.search_config(), out_dir=out, keep_trees=True, parallel=parallel,
+                self.search_config(), out_dir=out, parallel=parallel,
             )
             files = {
                 path.relative_to(out).as_posix(): path.read_bytes()
                 for path in sorted(out.rglob("*"))
                 if path.is_file()
             }
-            runs[parallel] = result, files
-        (serial, serial_files), (parallel, parallel_files) = runs[1], runs[3]
-        assert [t.task.id for t in parallel.trees] == [f"t{i}" for i in range(1, 7)]
-        assert [render_tree(t) for t in parallel.trees] == [render_tree(t) for t in serial.trees]
+            runs[parallel] = result, files, trees
+        serial, serial_files, serial_trees = runs[1]
+        parallel, parallel_files, parallel_trees = runs[3]
+        assert sorted(parallel_trees) == [f"t{i}" for i in range(1, 7)]
+        assert parallel_trees == serial_trees
         assert [d.sorted_examples() for d in parallel.datasets] == [
             d.sorted_examples() for d in serial.datasets
         ]
@@ -701,20 +714,28 @@ class TestStlRun:
             )
         assert (tmp_path / "dataset_iter01.jsonl").exists()
 
-    def test_keep_trees_returns_rollout_trees(self):
+    def test_an_error_while_collecting_shuts_the_rollout_pool_down(self, monkeypatch):
+        def failing_collect(*args, **kwargs):
+            raise RuntimeError("collection failed")
+
+        monkeypatch.setattr(stl, "collect_candidates", failing_collect)
         env, policy, base = stl_setup()
-        result = stl_run(
-            stl_tasks(2),
-            env,
-            policy,
-            base,
-            SpyTrainer(),
-            self.config(iterations=2),
-            self.search_config(),
-            keep_trees=True,
-        )
-        assert len(result.trees) == 2
-        assert all(tree.engine == "greedy" for tree in result.trees)
+        before = set(threading.enumerate())
+        # ``failure`` holds the traceback and with it stl_run's frame, so
+        # only an explicit close can have shut the pool down by now.
+        with pytest.raises(RuntimeError, match="collection failed") as failure:
+            stl_run(
+                stl_tasks(4),
+                env,
+                policy,
+                base,
+                SpyTrainer(),
+                self.config(tasks_per_iteration=4),
+                self.search_config(),
+                parallel=2,
+            )
+        assert failure.value.args == ("collection failed",)
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestCollectCandidates:
