@@ -5,18 +5,43 @@ Remote policies and value models speak to an OpenAI-compatible
 :class:`ScriptedTransport` double, which replays canned responses and
 approximates token usage by whitespace word count; the HTTP transport reports
 the token counts echoed by the provider.
+
+``requests`` is loaded lazily: the module is registered in ``sys.modules``
+through :class:`importlib.util.LazyLoader` and its body runs on the first
+attribute access, which :class:`HttpTransport`'s constructor makes.  So
+oracle, tabular, scripted and ``eval`` runs never run it (it is about half of
+a cold ``import lookahead.cli``), while ``sys.modules["requests"].post`` still
+names the function every HTTP request goes through, for code that wraps it.
+A function-level import would leave no such module before the first
+transport is built.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import requests
+
+def _lazy_module(name: str):
+    """``sys.modules[name]`` if it is loaded, else a module whose body runs on
+    its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+requests = _lazy_module("requests")
 
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_TOKENS = 3192
@@ -98,6 +123,12 @@ class HttpTransport(Transport):
     ``[0, 1)``) are injectable for tests.  The bearer token is read from the
     environment variable named by ``api_key_env`` at call time; a missing
     key sends no Authorization header.
+
+    The constructor runs the lazily loaded ``requests`` module on the thread
+    that builds the transport, even when ``post`` is injected:
+    :class:`importlib.util.LazyLoader` takes no lock around that first run,
+    so a pool thread must never be the first to touch the module, and the
+    import cost stays in the run's set-up rather than its first request.
     """
 
     def __init__(
@@ -117,6 +148,8 @@ class HttpTransport(Transport):
         self.backoff_seconds = backoff_seconds
         self.timeout_seconds = timeout_seconds
         self._post = post if post is not None else requests.post
+        # Reading requests' exception here runs the module on this thread.
+        self._retryable = (requests.RequestException, KeyError, IndexError, ValueError)
         self._sleep = sleep
         self._random = random
 
@@ -168,7 +201,7 @@ class HttpTransport(Transport):
                     prompt_tokens=int(usage.get("prompt_tokens", 0)),
                     completion_tokens=int(usage.get("completion_tokens", 0)),
                 )
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            except self._retryable as exc:
                 last_error = exc
         raise TransportError(
             f"chat completion failed after {self.max_attempts} attempts: {last_error}"

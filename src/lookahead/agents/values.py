@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -223,6 +222,8 @@ class RemoteValueModel(ValueModel):
         """
         if not self.transport.concurrent_safe or len(trajectories) < 2:
             return super().evaluate_many(task, trajectories)
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when calls overlap
+
         with ThreadPoolExecutor(max_workers=min(len(trajectories), MAX_IN_FLIGHT)) as pool:
             futures = [
                 pool.submit(self._evaluate_one, task, trajectory) for trajectory in trajectories

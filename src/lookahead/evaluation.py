@@ -19,7 +19,6 @@ import csv
 import io
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -247,6 +246,8 @@ def _bootstrap(differences: Sequence[np.ndarray], b_samples: int, seed: int) -> 
     chunk.  Chunks run on one thread per usable CPU, at most
     ``_BOOTSTRAP_THREADS``; their counts are summed in chunk order.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np  # here, not in a pool thread
 
     sorted_diffs = [np.sort(diffs) for diffs in differences]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _string
 from pathlib import Path
@@ -554,5 +553,7 @@ def run_rollouts(
     if parallel == 1:
         yield from map(rollout, jobs)
         return
+    from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
+
     with ThreadPoolExecutor(max_workers=parallel) as pool:
         yield from pool.map(rollout, jobs)

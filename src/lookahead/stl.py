@@ -387,7 +387,7 @@ class TabularTrainer(Trainer):
 
 
 def collect_candidates(
-    task: Task, tree: SearchTree, gamma: float, min_depth: int = 0
+    tree: SearchTree, gamma: float, min_depth: int = 0
 ) -> tuple[list[LookaheadRecord], int]:
     """Records for every visited state with evaluated successors.
 
@@ -405,7 +405,7 @@ def collect_candidates(
             for child in children
             if child.action is not None and child.estimate is not None
         ]
-        record = lookahead_target(Trajectory(task, node.state), successors, gamma)
+        record = lookahead_target(Trajectory(tree.task, node.state), successors, gamma)
         if record.key in seen:
             intra_tree_duplicates += 1
             continue
@@ -498,7 +498,7 @@ def stl_run(
         )) as rollouts:
             for tree in rollouts:
                 found, duplicates = collect_candidates(
-                    tree.task, tree, stl_config.gamma, stl_config.min_example_depth
+                    tree, stl_config.gamma, stl_config.min_example_depth
                 )
                 records.extend(found)
                 intra_tree_duplicates += duplicates

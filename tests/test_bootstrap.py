@@ -6,6 +6,7 @@ Drawing once for both directions, in row blocks, on any number of threads
 must return them bit for bit.
 """
 
+import concurrent.futures
 import os
 import sys
 
@@ -124,12 +125,13 @@ def test_pool_size(monkeypatch, affinity, cpu_count, b_samples, workers):
     fake_cpus(monkeypatch, affinity, cpu_count)
     sizes = []
 
-    class RecordingPool(evaluation.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    # _bootstrap imports the pool class when it runs, so patch it at its source.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     # One task: the pool is sized before any work, and each chunk is cheap.
     paired_bootstrap([1.0], [0.0], b_samples, 3)
     assert sizes == [workers]

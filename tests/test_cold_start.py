@@ -1,7 +1,10 @@
-"""Import hygiene: only a bootstrap loads numpy.
+"""Import hygiene: only a bootstrap loads numpy, only a pool loads
+``concurrent.futures``, and only building an HTTP transport runs ``requests``.
 
 Each probe runs in a fresh interpreter with ``PYTHONPATH=src``, so nothing
-this test process has imported can hide or fake an import.
+this test process has imported can hide or fake an import.  ``requests`` is
+registered in ``sys.modules`` at import by design (a lazily loaded module), so
+whether its body has run shows as ``requests.api``, which that body imports.
 """
 
 import json
@@ -18,9 +21,17 @@ import sys
 
 import lookahead
 
+WATCHED = ("concurrent.futures", "numpy", "requests.api")
+
+
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+
+
 out, tasks = sys.argv[1], sys.argv[2]
-seen = {"import lookahead": "numpy" in sys.modules}
+seen = {"import lookahead": loaded(), "requests registered": "requests" in sys.modules}
 from lookahead import cli, evaluation
+from lookahead.evaluation import Ledger
 
 seen["same paired_bootstrap"] = lookahead.paired_bootstrap is evaluation.paired_bootstrap
 runs = {
@@ -36,12 +47,16 @@ runs = {
              "--b-samples", "1000"],
 }
 for name, argv in runs.items():
-    seen[name] = [cli.main(argv), "numpy" in sys.modules]
+    seen[name] = [cli.main(argv), loaded()]
+# Nothing listens on the discard port, and building the model sends nothing.
+config = cli.load_config(None, {"value": "remote:gpt-3.5-turbo", "base_url": "http://127.0.0.1:9"})
+model = cli.build_value_model(config, cli.build_environment(config), Ledger())
+seen["build remote value model"] = [type(model).__name__, loaded()]
 print("PROBE " + json.dumps(seen))
 """
 
 
-def test_only_a_bootstrap_loads_numpy(tmp_path):
+def test_only_the_paths_that_need_them_load_numpy_pools_and_requests(tmp_path):
     source = json.loads((ROOT / "fixtures" / "game24_test_50.json").read_text())
     tasks = tmp_path / "tasks.json"
     tasks.write_text(json.dumps({"tasks": source["tasks"][:2]}))
@@ -56,12 +71,17 @@ def test_only_a_bootstrap_loads_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     probe = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
     assert json.loads(probe[len("PROBE "):]) == {
-        "import lookahead": False,
+        "import lookahead": [],
+        "requests registered": True,
         "same paired_bootstrap": True,
-        "search beam": [0, False],
-        "stl mcts": [0, False],
-        "report": [0, False],
-        "search greedy": [0, False],
-        # The probe can see the import: eval runs the bootstrap.
-        "eval": [0, True],
+        "search beam": [0, []],
+        "stl mcts": [0, []],
+        "report": [0, []],
+        "search greedy": [0, []],
+        # The probe can see both imports: eval runs the bootstrap on a pool.
+        "eval": [0, ["concurrent.futures", "numpy"]],
+        # requests runs when the transport is built, before any request.
+        "build remote value model": [
+            "RemoteValueModel", ["concurrent.futures", "numpy", "requests.api"]
+        ],
     }

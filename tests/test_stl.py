@@ -746,7 +746,7 @@ class TestCollectCandidates:
         task = Task(id="g", instruction="2 2 4 8")
         config = SearchConfig(branching=30, max_depth=2, beam_width=30)
         tree = beam_search(task, env, ExhaustivePolicy(env), OracleValueModel(), config)
-        candidates, duplicates = collect_candidates(task, tree, gamma=1.0)
+        candidates, duplicates = collect_candidates(tree, gamma=1.0)
         assert duplicates >= 1
         keys = [c.key for c in candidates]
         assert len(keys) == len(set(keys))
@@ -755,7 +755,7 @@ class TestCollectCandidates:
         env, policy, base = stl_setup()
         task = stl_tasks(1)[0]
         tree = greedy_search(task, env, policy, base, SearchConfig(branching=4, max_depth=2))
-        candidates, _ = collect_candidates(task, tree, gamma=1.0, min_depth=1)
+        candidates, _ = collect_candidates(tree, gamma=1.0, min_depth=1)
         assert all(c.trajectory.depth >= 1 for c in candidates)
 
     def test_trajectories_come_from_the_node_states(self, monkeypatch):
@@ -770,7 +770,7 @@ class TestCollectCandidates:
 
         monkeypatch.setattr(SearchTree, "trajectory_to", rebuilt)
         monkeypatch.setattr(Trajectory, "from_state", classmethod(rebuilt))
-        candidates, duplicates = collect_candidates(task, tree, gamma=1.0)
+        candidates, duplicates = collect_candidates(tree, gamma=1.0)
         assert duplicates == 0
         assert [c.trajectory for c in candidates] == expected
 
