@@ -29,7 +29,8 @@ writes their trees; ``search`` and every ``stl`` iteration call it.
 sorted keys, a two-space indent and ``ensure_ascii=False``, plus one
 trailing newline, but each node is filled into a fixed template, because
 ``json``'s indenting encoder runs in pure Python and dominated the cost of
-writing trees.
+writing trees.  Each distinct estimate object is encoded once per tree: a
+value model may hand one estimate to many nodes (the oracle's two verdicts).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class SearchTree:
         self.root_uid = self._add(root_state, None, None).uid
 
     def _add(self, state: State, parent_uid: int | None, action: Action | None) -> TreeNode:
-        node = TreeNode(uid=len(self.nodes), state=state, parent_uid=parent_uid, action=action)
+        node = TreeNode(len(self.nodes), state, parent_uid, action)
         self.nodes.append(node)
         if parent_uid is not None:
             self.nodes[parent_uid].children.append(node.uid)
@@ -187,19 +188,28 @@ def _list(items: list[str], indent: str) -> str:
     return "[\n" + indent + "  " + (",\n" + indent + "  ").join(items) + "\n" + indent + "]"
 
 
-def _node_text(node: TreeNode) -> str:
+def _node_text(node: TreeNode, encoded: dict[int, tuple[str, str, str]]) -> str:
+    """One node's text.  ``encoded`` maps the ``id`` of each estimate met so
+    far to its encoded value, samples and rationale, and gains this node's."""
     estimate = node.estimate
     if estimate is None:
         value = samples = rationale = "null"
     else:
-        value = _number(estimate.value)
-        samples = _list([_number(s) for s in estimate.samples], "      ")
-        rationale = _string(estimate.rationale)
+        texts = encoded.get(id(estimate))
+        if texts is None:
+            texts = encoded[id(estimate)] = (
+                _number(estimate.value),
+                _list([_number(s) for s in estimate.samples], "      "),
+                _string(estimate.rationale),
+            )
+        value, samples, rationale = texts
     state = node.state
+    uids = node.children
+    children = _list([str(uid) for uid in uids], "      ") if uids else "[]"
     return (
         "{\n"
         f'      "action": {"null" if node.action is None else _string(node.action.text)},\n'
-        f'      "children": {_list([str(uid) for uid in node.children], "      ")},\n'
+        f'      "children": {children},\n'
         f'      "depth": {state.depth},\n'
         f'      "observation": {_string(state.observation)},\n'
         f'      "parent": {"null" if node.parent_uid is None else node.parent_uid},\n'
@@ -219,12 +229,15 @@ def render_tree(tree: SearchTree) -> str:
     """The tree-dump text of ``tree``: exactly ``json.dumps(layout,
     sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, filled in from
     one fixed template per node.  A node without an estimate has null
-    ``rationale``, ``samples`` and ``value``."""
+    ``rationale``, ``samples`` and ``value``.  Each distinct estimate object
+    is encoded once: value models hand many nodes the same one."""
     stats = tree.stats
+    # By id: the tree keeps every estimate alive while this runs.
+    encoded: dict[int, tuple[str, str, str]] = {}
     return (
         "{\n"
         f'  "engine": {_string(tree.engine)},\n'
-        f'  "nodes": {_list([_node_text(node) for node in tree.nodes], "  ")},\n'
+        f'  "nodes": {_list([_node_text(node, encoded) for node in tree.nodes], "  ")},\n'
         '  "stats": {\n'
         f'    "backup_total": {_number(stats.backup_total)},\n'
         f'    "best_path": {_list([str(uid) for uid in stats.best_path], "    ")},\n'
@@ -288,6 +301,14 @@ class _Expander:
         and are excluded from selection.  Node uids and failure lines come
         out as if the nodes were expanded one after another.
         """
+        # The per-child callables and counters, looked up once per call.
+        task = self.task
+        tree = self.tree
+        stats = tree.stats
+        transition = self.env.transition
+        is_terminal = self.env.is_terminal
+        add_node = tree._add
+        add_states = None if self.ledger is None else self.ledger.add_states
         # Pass 1: propose and transition for every node, in order.  A slot
         # holds a child awaiting its estimate, or a failure line.
         node_slots: list[list[TreeNode | str]] = []
@@ -296,10 +317,10 @@ class _Expander:
             slots: list[TreeNode | str] = []
             node_slots.append(slots)
             node.expanded = True
-            trajectory = self.tree.trajectory_to(node.uid)
+            trajectory = tree.trajectory_to(node.uid)
             try:
                 proposals = self.policy.propose(
-                    self.task, trajectory, self.config.branching, self.excluded
+                    task, trajectory, self.config.branching, self.excluded
                 )
             except ValueError as exc:
                 slots.append(f"propose-error@{node.depth}: {exc}")
@@ -307,39 +328,39 @@ class _Expander:
             if not proposals:
                 slots.append(f"empty-proposal@{node.depth}")
                 continue
+            state, uid = node.state, node.uid
             for action in proposals:
                 try:
-                    successor = self.env.transition(node.state, action)
+                    successor = transition(state, action)
                 except ActionRejected as exc:
                     slots.append(f"rejected-action@{node.depth}: {action.text} ({exc})")
                     continue
-                self.tree.stats.states_expanded += 1
-                if self.ledger is not None:
-                    self.ledger.add_states(1, task_id=self.task.id)
-                child = self.tree._add(successor, node.uid, action)
-                child.terminal = self.env.is_terminal(successor)
-                trajectories.append(Trajectory(self.task, successor))
+                stats.states_expanded += 1
+                if add_states is not None:
+                    add_states(1, task_id=task.id)
+                child = add_node(successor, uid, action)
+                child.terminal = is_terminal(successor)
+                trajectories.append(Trajectory(task, successor))
                 slots.append(child)
         # Pass 2: judge every child of every node in one call.
-        estimates = iter(self.value_model.evaluate_many(self.task, trajectories))
+        estimates = iter(self.value_model.evaluate_many(task, trajectories))
         # Pass 3: record estimates and failures node by node, in proposal order.
+        failures = stats.failures
         evaluated: list[list[TreeNode]] = []
         for slots in node_slots:
             kept: list[TreeNode] = []
             evaluated.append(kept)
             for slot in slots:
                 if isinstance(slot, str):
-                    self.tree.stats.failures.append(slot)
+                    failures.append(slot)
                     continue
                 estimate = next(estimates)
                 if isinstance(estimate, MalformedRationale):
-                    self.tree.stats.failures.append(
-                        f"unparseable-value@{slot.depth}: {estimate.reason}"
-                    )
+                    failures.append(f"unparseable-value@{slot.depth}: {estimate.reason}")
                     continue
                 slot.estimate = estimate
-                self.tree.stats.evaluations += 1
                 kept.append(slot)
+            stats.evaluations += len(kept)
         return evaluated
 
 

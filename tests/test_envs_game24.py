@@ -172,6 +172,53 @@ class TestEnvironment:
         assert env.enumerable_actions(env.initial_state(task_for("24"))) == []
 
 
+def reference_reachable(key: tuple[int, ...], memo: dict) -> bool:
+    """The oracle's generic recursion over :func:`reference_reductions`, at
+    every key size, filling ``memo`` as the package's memo is filled."""
+    if len(key) == 2:
+        return key == (24, 1)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if len(key) == 4:
+        result = game24._pair_reaches_target(*key)
+    else:
+        result = any(reference_reachable(k, memo) for k in reference_reductions(key))
+    memo[key] = result
+    return result
+
+
+def reference_reductions(key: tuple[int, ...]):
+    """Successor keys by sorted pair index; within a pair a+b, a*b, a-b, b-a,
+    a/b, b/a, skipping division by zero."""
+    for i in range(0, len(key), 2):
+        p, q = key[i], key[i + 1]
+        for j in range(i + 2, len(key), 2):
+            r, s = key[j], key[j + 1]
+            rest = key[:i] + key[i + 2 : j] + key[j + 2 :]
+            ps, rq, qs = p * s, r * q, q * s
+            yield reference_insert(rest, ps + rq, qs)
+            yield reference_insert(rest, p * r, qs)
+            yield reference_insert(rest, ps - rq, qs)
+            yield reference_insert(rest, rq - ps, qs)
+            if r:
+                yield reference_insert(rest, ps, rq)
+            if p:
+                yield reference_insert(rest, rq, ps)
+
+
+def reference_insert(rest: tuple[int, ...], num: int, den: int) -> tuple[int, ...]:
+    """``rest`` with ``num/den`` in lowest terms placed by value."""
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    for k in range(0, len(rest), 2):
+        if num * rest[k + 1] < rest[k] * den:
+            return (*rest[:k], num, den, *rest[k:])
+    return (*rest, num, den)
+
+
 class TestOracle:
     @pytest.mark.parametrize(
         "numbers,verdict",
@@ -229,6 +276,23 @@ class TestOracle:
         assert len(verdicts) == 1820
         assert verdicts.count(Verdict.SURE) == 1362
         assert len(game24._oracle_cache) == 42553
+
+    def test_three_number_kernel_memoizes_what_the_generic_recursion_does(self):
+        env = Game24Env()
+        successors = []
+        for puzzle in combinations_with_replacement(range(1, 14), 4):
+            root = env.initial_state(task_for(" ".join(map(str, puzzle))))
+            successors += [env.transition(root, a) for a in env.enumerable_actions(root)]
+        assert all(len(s.oracle_key) == 6 for s in successors)
+        game24._oracle_cache.clear()
+        for state in successors:
+            solve_verdict(state)
+        memo: dict = {}
+        for state in successors:
+            reference_reachable(state.oracle_key, memo)
+        # Same keys, same verdicts, filled in the same order.
+        assert list(game24._oracle_cache.items()) == list(memo.items())
+        assert any(memo.values()) and not all(memo.values())
 
     @given(st.lists(fractions_with_zero, min_size=1, max_size=4))
     def test_memo_keys_are_flat_ascending_ints_in_lowest_terms(self, numbers):

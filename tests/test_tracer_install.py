@@ -44,9 +44,10 @@ try:
     transport = HttpTransport(server.base_url, max_attempts=1)
     request = ChatRequest(model="m", messages=(ChatMessage("user", "Input: 2 3 4 4"),), n=2)
     seen["texts"] = len(transport.send(request).texts)
-    seen["stub requests"] = server.stub.counters()["requests"]
 finally:
     server.close()
+# The stub counts a request after sending its reply; close() waits for that.
+seen["stub requests"] = server.stub.counters()["requests"]
 seen["spans"] = [span[0] for span in recorder.spans]
 seen["attempt inside send"] = recorder.spans[1][3] is recorder.spans[0]
 print("PROBE " + json.dumps(seen))

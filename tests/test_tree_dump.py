@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given
@@ -79,12 +80,13 @@ NONEMPTY_TEXT = TEXT.filter(bool)
 BIG_INTS = st.integers(min_value=-(2**80), max_value=2**80)
 NUMBERS = st.floats() | st.just(-0.0) | st.sampled_from([float("inf"), -float("inf")]) | BIG_INTS
 COUNTS = st.integers(min_value=0, max_value=2**70)
-ESTIMATES = st.none() | st.builds(
+ESTIMATE = st.builds(
     ValueEstimate,
     rationale=TEXT,
     value=NUMBERS,
     samples=st.lists(NUMBERS, min_size=1, max_size=4).map(tuple),
 )
+ESTIMATES = st.none() | ESTIMATE
 # Actions must be canonical: control characters survive, whitespace collapses.
 ACTIONS = TEXT.filter(lambda text: bool(text.split())).map(Action.make)
 
@@ -109,8 +111,16 @@ def trees(draw) -> SearchTree:
             signature=draw(st.none() | TEXT),
         )
         tree._add(state, parent.uid, action)
+    # As value models hand them out, some nodes share one estimate object
+    # and others hold distinct but equal ones; the rest draw their own.
+    pool = draw(st.lists(ESTIMATE, min_size=1, max_size=3))
     for node in tree.nodes:
-        node.estimate = draw(ESTIMATES)
+        source = draw(st.sampled_from(["own", "shared", "equal"]))
+        if source == "own":
+            node.estimate = draw(ESTIMATES)
+        else:
+            estimate = draw(st.sampled_from(pool))
+            node.estimate = estimate if source == "shared" else replace(estimate)
         node.terminal = draw(st.booleans())
         node.visits = draw(COUNTS)
         node.total_reward = draw(NUMBERS)
@@ -130,6 +140,14 @@ class TestRenderedBytes:
         expected = json_bytes(tree)
         assert render_tree(tree).encode("utf-8") == expected
         assert dumped_bytes(tree) == expected
+
+    def test_no_encoding_outlives_its_render(self):
+        # A freed estimate's id may come back on the next one built.
+        tree = SearchTree(Task(id="t", instruction="i"), "beam", State("root", 0, "o"))
+        for value in range(5):
+            tree.root.estimate = None
+            tree.root.estimate = ValueEstimate(f"r{value}", float(value), (float(value),))
+            assert render_tree(tree).encode("utf-8") == json_bytes(tree)
 
 
 class TestGoldenTrees:
