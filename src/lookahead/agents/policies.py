@@ -1,10 +1,12 @@
 """Action-proposal policies.
 
-A policy proposes at most ``branching`` distinct canonical actions for the
-trajectory's final state, never including anything from the caller's
-disallowed set.  :class:`ExhaustivePolicy` reads the environment's enumerable
-action list; :class:`RemotePolicy` harvests actions from a chat model one
-call at a time, growing the disallowed list between calls.
+A policy's one call is ``propose(trajectory, branching, disallowed)``: at
+most ``branching`` distinct canonical actions for the trajectory's final
+state, never including anything from the caller's disallowed set.  The
+trajectory carries its task.  Every environment lists its legal actions:
+:class:`ExhaustivePolicy` proposes from that list; :class:`RemotePolicy`
+harvests actions from a chat model one call at a time, growing the
+disallowed list between calls, and keeps only listed ones.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
-from ..core import Action, Task, Trajectory, render_context
+from ..core import Action, Trajectory, render_context
 from ..envs.base import Environment
 from .prompts import load_template, render_template
 from .transport import ChatMessage, ChatRequest, Transport
@@ -28,11 +30,7 @@ _MAX_CALLS_PER_ACTION = 2
 class Policy(ABC):
     @abstractmethod
     def propose(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        branching: int,
-        disallowed: frozenset[str] = frozenset(),
+        self, trajectory: Trajectory, branching: int, disallowed: frozenset[str] = frozenset()
     ) -> list[Action]:
         """Up to ``branching`` distinct actions, disjoint from ``disallowed``."""
 
@@ -47,21 +45,12 @@ class ExhaustivePolicy(Policy):
         self.env = env
 
     def propose(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        branching: int,
-        disallowed: frozenset[str] = frozenset(),
+        self, trajectory: Trajectory, branching: int, disallowed: frozenset[str] = frozenset()
     ) -> list[Action]:
         state = trajectory.final_state
         if self.env.is_terminal(state):
             raise ValueError("cannot propose actions for a terminal state")
-        actions = self.env.enumerable_actions(state)
-        if actions is None:
-            raise ValueError(
-                f"environment {self.env.name!r} has no enumerable action space"
-            )
-        kept = [a for a in actions if a.text not in disallowed]
+        kept = [a for a in self.env.enumerable_actions(state) if a.text not in disallowed]
         return kept[:branching]
 
 
@@ -70,9 +59,9 @@ class RemotePolicy(Policy):
 
     Each call asks the model to select one action; the selected action joins
     the prompt's not-allowed list for subsequent calls.  Actions outside the
-    environment's enumerable set (when one exists) are rejected, malformed
-    replies are counted in ``malformed_count``, and harvesting stops after
-    ``branching`` distinct actions or ``2 * branching`` transport calls.
+    environment's enumerable set are rejected, malformed replies are counted
+    in ``malformed_count``, and harvesting stops after ``branching`` distinct
+    actions or ``2 * branching`` transport calls.
     """
 
     def __init__(
@@ -96,17 +85,12 @@ class RemotePolicy(Policy):
         return matches[-1].strip()
 
     def propose(
-        self,
-        task: Task,
-        trajectory: Trajectory,
-        branching: int,
-        disallowed: frozenset[str] = frozenset(),
+        self, trajectory: Trajectory, branching: int, disallowed: frozenset[str] = frozenset()
     ) -> list[Action]:
         state = trajectory.final_state
         if self.env.is_terminal(state):
             raise ValueError("cannot propose actions for a terminal state")
-        allowed = self.env.enumerable_actions(state)
-        allowed_texts = None if allowed is None else {a.text for a in allowed}
+        allowed = {a.text for a in self.env.enumerable_actions(state)}
         harvested: list[Action] = []
         blocked = set(disallowed)
         for _ in range(_MAX_CALLS_PER_ACTION * branching):
@@ -128,17 +112,14 @@ class RemotePolicy(Policy):
                     self.model,
                     response.prompt_tokens,
                     response.completion_tokens,
-                    task_id=task.id,
+                    task_id=trajectory.task.id,
                 )
             raw = self._parse_action(response.text)
             if raw is None:
                 self.malformed_count += 1
                 continue
             action = Action.make(raw)
-            if action.text in blocked:
-                blocked.add(action.text)
-                continue
-            if allowed_texts is not None and action.text not in allowed_texts:
+            if action.text in blocked or action.text not in allowed:
                 blocked.add(action.text)
                 continue
             harvested.append(action)

@@ -1,10 +1,11 @@
 """Value models: oracle, scripted doubles, remote and depth-routed.
 
 A value model maps the trajectory ending at the state under judgment to a
-:class:`~lookahead.core.ValueEstimate` under a declared scale.
-Every model's primitive is ``evaluate(task, trajectory)``; wrappers hand the
-caller's trajectory to their inner model unchanged.  Only the remote model
-samples, so its sample count and aggregation are constructor arguments.
+:class:`~lookahead.core.ValueEstimate` under a declared scale.  Every model's
+primitive is ``evaluate(trajectory)`` and its batch form is
+``evaluate_many(trajectories)``; a trajectory carries its task, and wrappers
+hand it to their inner model unchanged.  Only the remote model samples, so
+its sample count and aggregation are constructor arguments.
 
 Concurrency safety belongs to the transport: only the remote model overlaps
 its calls, at most :data:`MAX_IN_FLIGHT` at a time, and only on a transport
@@ -19,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..core import Aggregation, Task, Trajectory, ValueEstimate, render_context
+from ..core import Aggregation, Trajectory, ValueEstimate, render_context
 from ..envs.base import Environment
 from ..envs.game24 import Verdict, solve_verdict
 from .prompts import load_template, render_template
@@ -44,23 +45,21 @@ class ValueModel(ABC):
     scale: ValueScale = NUMERIC10
 
     @abstractmethod
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate: ...
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate: ...
 
     def evaluate_many(
-        self, task: Task, trajectories: Sequence[Trajectory]
+        self, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Evaluate ``trajectories`` in order, one result per trajectory.
 
         A parse failure is returned in its trajectory's slot rather than
         raised; any other exception propagates.
         """
-        return [self._evaluate_one(task, trajectory) for trajectory in trajectories]
+        return [self._evaluate_one(trajectory) for trajectory in trajectories]
 
-    def _evaluate_one(
-        self, task: Task, trajectory: Trajectory
-    ) -> ValueEstimate | MalformedRationale:
+    def _evaluate_one(self, trajectory: Trajectory) -> ValueEstimate | MalformedRationale:
         try:
-            return self.evaluate(task, trajectory)
+            return self.evaluate(trajectory)
         except MalformedRationale as exc:
             return exc
 
@@ -88,7 +87,7 @@ class OracleValueModel(ValueModel):
                 rationale=rationale, value=value, samples=(value,)
             )
 
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         return self._estimates[solve_verdict(trajectory.final_state)]
 
 
@@ -109,7 +108,7 @@ class ScriptedValueModel(ValueModel):
         self.default = default
         self.scale = scale
 
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         state = trajectory.final_state
         value = self.values.get(state.id, self.default)
         rationale = (
@@ -126,7 +125,7 @@ class ConstantValueModel(ValueModel):
         self.value = value
         self.scale = scale
 
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         rationale = (
             f"Constant evaluation. "
             f"Thus, the correctness score is {self.value:.2f} / 10.00."
@@ -175,7 +174,7 @@ class RemoteValueModel(ValueModel):
         self.malformed_count = 0
         self._malformed_lock = threading.Lock()
 
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         prompt = render_template(self.template, input=render_context(trajectory))
         chat = ChatRequest(
             model=self.model, messages=(ChatMessage(role="user", content=prompt),)
@@ -192,7 +191,7 @@ class RemoteValueModel(ValueModel):
                     self.model,
                     response.prompt_tokens,
                     response.completion_tokens,
-                    task_id=task.id,
+                    task_id=trajectory.task.id,
                 )
             malformed = 0
             for text in response.texts:
@@ -211,7 +210,7 @@ class RemoteValueModel(ValueModel):
         return aggregate_estimate(samples, self.aggregation)
 
     def evaluate_many(
-        self, task: Task, trajectories: Sequence[Trajectory]
+        self, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Overlap the evaluations on a pool of at most :data:`MAX_IN_FLIGHT`
         threads.
@@ -221,13 +220,11 @@ class RemoteValueModel(ValueModel):
         one raised.
         """
         if not self.transport.concurrent_safe or len(trajectories) < 2:
-            return super().evaluate_many(task, trajectories)
+            return super().evaluate_many(trajectories)
         from concurrent.futures import ThreadPoolExecutor  # loaded only when calls overlap
 
         with ThreadPoolExecutor(max_workers=min(len(trajectories), MAX_IN_FLIGHT)) as pool:
-            futures = [
-                pool.submit(self._evaluate_one, task, trajectory) for trajectory in trajectories
-            ]
+            futures = [pool.submit(self._evaluate_one, trajectory) for trajectory in trajectories]
         return [future.result() for future in futures]
 
 
@@ -245,14 +242,14 @@ class RoutedValueModel(ValueModel):
     def _route(self, depth: int) -> ValueModel:
         return self.models.get(depth, self.fallback)
 
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
-        return self._route(trajectory.depth).evaluate(task, trajectory)
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
+        return self._route(trajectory.depth).evaluate(trajectory)
 
     def evaluate_many(
-        self, task: Task, trajectories: Sequence[Trajectory]
+        self, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Route once when every trajectory shares a depth, as a beam level does."""
         depths = {trajectory.depth for trajectory in trajectories}
         if len(depths) != 1:
-            return super().evaluate_many(task, trajectories)
-        return self._route(depths.pop()).evaluate_many(task, trajectories)
+            return super().evaluate_many(trajectories)
+        return self._route(depths.pop()).evaluate_many(trajectories)

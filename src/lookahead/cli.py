@@ -313,6 +313,16 @@ def _value_scale(config: ExperimentConfig) -> ValueScale:
     return NUMERIC10
 
 
+def _is_finite_number(x: Any) -> bool:
+    """Whether ``x`` is a JSON number (not a bool) that is finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def build_value_model(
     config: ExperimentConfig, env: Environment, ledger: Ledger
 ) -> ValueModel:
@@ -325,7 +335,9 @@ def build_value_model(
         try:
             constant = float(value[len("constant:") :])
         except ValueError:
-            raise ConfigError(f"constant value spec is not a number: {value!r}") from None
+            constant = math.nan
+        if not math.isfinite(constant):
+            raise ConfigError(f"constant value spec is not a finite number: {value!r}")
         return ConstantValueModel(constant, scale=_value_scale(config))
     if value.startswith("scripted:"):
         path = Path(value[len("scripted:") :])
@@ -334,12 +346,16 @@ def build_value_model(
             raise ConfigError(f"value fixture {path} must contain a 'values' object")
         try:
             scale = get_scale(data.get("scale", "numeric10"))
-            default = float(data.get("default", 0.0))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"value fixture {path}: {exc}") from None
-        if not all(isinstance(v, (int, float)) for v in data["values"].values()):
-            raise ConfigError(f"value fixture {path}: every value must be a number")
-        return ScriptedValueModel(values=data["values"], default=default, scale=scale)
+        default = data.get("default", 0.0)
+        numbers = [(f"'values' entry {key!r}", v) for key, v in data["values"].items()]
+        for where, number in [*numbers, ("'default'", default)]:
+            if not _is_finite_number(number):
+                raise ConfigError(
+                    f"value fixture {path}: {where} must be a finite number, got {number!r}"
+                )
+        return ScriptedValueModel(values=data["values"], default=float(default), scale=scale)
     if value.startswith("stl-dataset:"):
         path = Path(value[len("stl-dataset:") :])
         if not path.exists():

@@ -8,7 +8,10 @@ the one JSON layout every artifact file is written in.  The lookahead record
 a training example is distilled from lives with its only users, in
 :mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
-plus the state it ends at, and the path is that state's parent chain.
+plus the state it ends at, and the path is that state's parent chain.  Each
+state below the root records the action that reached it, so nothing else
+stores that action, and a value model, a policy or a state key is given the
+trajectory alone.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ def render_context(trajectory: Trajectory) -> str:
     return "".join(parts)
 
 
-def state_key(task: Task, trajectory: Trajectory) -> str:
+def state_key(trajectory: Trajectory) -> str:
     """An opaque content-derived key identifying the trajectory's final state.
 
     States that declare a canonical ``signature`` (path-independent identity)

@@ -34,12 +34,9 @@ class Environment(ABC):
     def is_terminal(self, state: State) -> bool:
         """Whether ``state`` admits no further actions."""
 
-    def enumerable_actions(self, state: State) -> list[Action] | None:
-        """The full legal action list in a documented deterministic order.
-
-        Returns ``None`` for domains whose action space cannot be enumerated.
-        """
-        return None
+    @abstractmethod
+    def enumerable_actions(self, state: State) -> list[Action]:
+        """The full legal action list in a documented deterministic order."""
 
     def ground_truth_score(self, trajectory: Trajectory) -> float | None:
         """Evaluation-only task score for a finished trajectory, if defined."""

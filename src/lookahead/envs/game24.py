@@ -218,7 +218,7 @@ class Game24Env(Environment):
     def is_terminal(self, state: State) -> bool:
         return len(_oracle_key(state)) == 2
 
-    def enumerable_actions(self, state: State) -> list[Action] | None:
+    def enumerable_actions(self, state: State) -> list[Action]:
         if len(_oracle_key(state)) <= 2:
             return []
         return _combine_actions(state.signature.split(" "))  # type: ignore[union-attr]

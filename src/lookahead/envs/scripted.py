@@ -202,7 +202,7 @@ class ScriptedEnvironment(Environment):
     def is_terminal(self, state: State) -> bool:
         return self._node(state).terminal
 
-    def enumerable_actions(self, state: State) -> list[Action] | None:
+    def enumerable_actions(self, state: State) -> list[Action]:
         node = self._node(state)
         return [Action.make(text) for text in self.fixture.edges[node.id]]
 

@@ -17,9 +17,10 @@ name to its function.
 
 All engines are deterministic given the same configuration and scripted
 agents: proposal order breaks every tie.  ``stats.states_expanded`` counts
-environment transition calls exactly.  A tree node holds its state, and a
-trajectory is the task plus the state it ends at, so the engines hand value
-models and policies trajectories without copying any path.
+environment transition calls exactly.  A tree node holds its state, whose
+``incoming_action`` is the action that led to it; a trajectory is the tree's
+task plus the state it ends at, so the engines hand value models and
+policies trajectories, and nothing else, without copying any path.
 
 :func:`run_rollouts` is the one place that runs engines over tasks and
 writes their trees; ``search`` and every ``stl`` iteration call it.
@@ -42,7 +43,7 @@ from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import Action, State, Task, Trajectory, ValueEstimate
+from .core import State, Task, Trajectory, ValueEstimate
 from .envs.base import ActionRejected, Environment
 from .agents.policies import Policy
 from .agents.scales import MalformedRationale
@@ -80,7 +81,6 @@ class TreeNode:
     uid: int
     state: State
     parent_uid: int | None = None
-    action: Action | None = None
     estimate: ValueEstimate | None = None
     terminal: bool = False
     expanded: bool = False
@@ -111,10 +111,10 @@ class SearchTree:
         self.engine = engine
         self.nodes: list[TreeNode] = []
         self.stats = SearchStats()
-        self.root_uid = self._add(root_state, None, None).uid
+        self._add(root_state, None)
 
-    def _add(self, state: State, parent_uid: int | None, action: Action | None) -> TreeNode:
-        node = TreeNode(len(self.nodes), state, parent_uid, action)
+    def _add(self, state: State, parent_uid: int | None) -> TreeNode:
+        node = TreeNode(len(self.nodes), state, parent_uid)
         self.nodes.append(node)
         if parent_uid is not None:
             self.nodes[parent_uid].children.append(node.uid)
@@ -122,17 +122,14 @@ class SearchTree:
 
     @property
     def root(self) -> TreeNode:
-        return self.nodes[self.root_uid]
-
-    def node(self, uid: int) -> TreeNode:
-        return self.nodes[uid]
+        return self.nodes[0]
 
     def trajectory_to(self, uid: int) -> Trajectory:
         return Trajectory.from_state(self.task, self.nodes[uid].state)
 
     def final_trajectory(self) -> Trajectory:
         """The trajectory ending at ``stats.best_path[-1]``, else at the root."""
-        uid = self.stats.best_path[-1] if self.stats.best_path else self.root_uid
+        uid = self.stats.best_path[-1] if self.stats.best_path else 0
         return self.trajectory_to(uid)
 
     def path_to(self, uid: int) -> list[int]:
@@ -204,11 +201,12 @@ def _node_text(node: TreeNode, encoded: dict[int, tuple[str, str, str]]) -> str:
             )
         value, samples, rationale = texts
     state = node.state
+    action = state.incoming_action
     uids = node.children
     children = _list([str(uid) for uid in uids], "      ") if uids else "[]"
     return (
         "{\n"
-        f'      "action": {"null" if node.action is None else _string(node.action.text)},\n'
+        f'      "action": {"null" if action is None else _string(action.text)},\n'
         f'      "children": {children},\n'
         f'      "depth": {state.depth},\n'
         f'      "observation": {_string(state.observation)},\n'
@@ -271,12 +269,11 @@ class _Expander:
     single :meth:`ValueModel.evaluate_many` call, so a model may overlap
     every value call of a beam level.  Each node's trajectory comes from
     :meth:`SearchTree.trajectory_to`, for ``propose``; each child's is built
-    from the child's state.
+    from the tree's task and the child's state.
     """
 
     def __init__(
         self,
-        task: Task,
         env: Environment,
         policy: Policy,
         value_model: ValueModel,
@@ -284,7 +281,6 @@ class _Expander:
         tree: SearchTree,
         ledger: "Ledger | None",
     ) -> None:
-        self.task = task
         self.env = env
         self.policy = policy
         self.value_model = value_model
@@ -302,8 +298,8 @@ class _Expander:
         out as if the nodes were expanded one after another.
         """
         # The per-child callables and counters, looked up once per call.
-        task = self.task
         tree = self.tree
+        task = tree.task
         stats = tree.stats
         transition = self.env.transition
         is_terminal = self.env.is_terminal
@@ -319,9 +315,7 @@ class _Expander:
             node.expanded = True
             trajectory = tree.trajectory_to(node.uid)
             try:
-                proposals = self.policy.propose(
-                    task, trajectory, self.config.branching, self.excluded
-                )
+                proposals = self.policy.propose(trajectory, self.config.branching, self.excluded)
             except ValueError as exc:
                 slots.append(f"propose-error@{node.depth}: {exc}")
                 continue
@@ -338,12 +332,12 @@ class _Expander:
                 stats.states_expanded += 1
                 if add_states is not None:
                     add_states(1, task_id=task.id)
-                child = add_node(successor, uid, action)
+                child = add_node(successor, uid)
                 child.terminal = is_terminal(successor)
                 trajectories.append(Trajectory(task, successor))
                 slots.append(child)
         # Pass 2: judge every child of every node in one call.
-        estimates = iter(self.value_model.evaluate_many(task, trajectories))
+        estimates = iter(self.value_model.evaluate_many(trajectories))
         # Pass 3: record estimates and failures node by node, in proposal order.
         failures = stats.failures
         evaluated: list[list[TreeNode]] = []
@@ -380,7 +374,7 @@ def greedy_search(
     """Descend into the best-valued successor until terminal or depth limit."""
     root = env.initial_state(task)
     tree = SearchTree(task, "greedy", root)
-    expander = _Expander(task, env, policy, value_model, config, tree, ledger)
+    expander = _Expander(env, policy, value_model, config, tree, ledger)
     node = tree.root
     while node.depth < config.max_depth and not node.terminal:
         [evaluated] = expander.expand([node])
@@ -413,7 +407,7 @@ def beam_search(
     """
     root = env.initial_state(task)
     tree = SearchTree(task, "beam", root)
-    expander = _Expander(task, env, policy, value_model, config, tree, ledger)
+    expander = _Expander(env, policy, value_model, config, tree, ledger)
     frontier = [tree.root]
     terminals: list[TreeNode] = []
     for _level in range(config.max_depth):
@@ -479,7 +473,7 @@ def mcts_search(
     """
     root_state = env.initial_state(task)
     tree = SearchTree(task, "mcts", root_state)
-    expander = _Expander(task, env, policy, value_model, config, tree, ledger)
+    expander = _Expander(env, policy, value_model, config, tree, ledger)
 
     def backup(path: list[int], value: float) -> None:
         for uid in path:

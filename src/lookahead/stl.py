@@ -8,7 +8,8 @@ lookahead target — then filters, deduplicates against earlier iterations
 (latest wins), exports JSONL, and trains a fresh model from the *base* model.
 
 One lookahead record carries each backup from tree to example: the visited
-state's trajectory and key, the best successor, its rationale and the
+state's trajectory (which holds its task) and key, the best successor (whose
+``incoming_action`` is the best next action), its rationale and the
 discounted target.  The filter builds each record's completion and parses it
 back once, the example keeps that completion, the parsed target and (once
 exported) its JSON line, and the trained model reads the target from it.
@@ -26,7 +27,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
-    Action,
     State,
     Task,
     Trajectory,
@@ -104,7 +104,6 @@ class LookaheadRecord:
 
     trajectory: Trajectory
     key: str
-    best_action: Action
     best_successor: State
     successor_rationale: str
     target: float
@@ -112,24 +111,24 @@ class LookaheadRecord:
 
 def lookahead_target(
     trajectory: Trajectory,
-    successors: Sequence[tuple[Action, State, ValueEstimate]],
+    successors: Sequence[tuple[State, ValueEstimate]],
     gamma: float = 1.0,
 ) -> LookaheadRecord:
     """One step of lookahead: pick the argmax successor, discount its value.
 
-    Ties go to the earliest entry.  An empty successor list is an error (the
+    ``successors`` pairs each evaluated successor state with its estimate;
+    ties go to the earliest pair.  An empty successor list is an error (the
     pipeline skips such states and records the skip).
     """
     if not successors:
         raise ValueError(f"state {trajectory.final_state.id!r} has no evaluated successors")
     best_index = max(
-        range(len(successors)), key=lambda i: (successors[i][2].value, -i)
+        range(len(successors)), key=lambda i: (successors[i][1].value, -i)
     )
-    action, successor, estimate = successors[best_index]
+    successor, estimate = successors[best_index]
     return LookaheadRecord(
         trajectory=trajectory,
-        key=state_key(trajectory.task, trajectory),
-        best_action=action,
+        key=state_key(trajectory),
         best_successor=successor,
         successor_rationale=estimate.rationale,
         target=gamma * estimate.value,
@@ -153,7 +152,7 @@ def build_action_outcome(record: LookaheadRecord, scale: ValueScale) -> str:
     except MalformedRationale:
         body = strip_score_sentence(record.successor_rationale, scale)
     return format_lookahead_block(
-        action_text=record.best_action.text,
+        action_text=record.best_successor.incoming_action.text,  # type: ignore[union-attr]
         observation=record.best_successor.observation,
         rationale=body,
         value=record.target,
@@ -359,19 +358,19 @@ class TabularValueModel(ValueModel):
                 value = parse_simulated_lookahead(example.completion, self.scale)[3]
             self.table[key] = (example.completion, value)
 
-    def evaluate(self, task: Task, trajectory: Trajectory) -> ValueEstimate:
-        stored = self.table.get(state_key(task, trajectory))
+    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
+        stored = self.table.get(state_key(trajectory))
         if stored is None:
-            return self.base_model.evaluate(task, trajectory)
+            return self.base_model.evaluate(trajectory)
         return _stored_estimate(stored)
 
     def evaluate_many(
-        self, task: Task, trajectories: Sequence[Trajectory]
+        self, trajectories: Sequence[Trajectory]
     ) -> list[ValueEstimate | MalformedRationale]:
         """Answer hits from the table; send all misses to the base model at once."""
-        stored = [self.table.get(state_key(task, t)) for t in trajectories]
+        stored = [self.table.get(state_key(t)) for t in trajectories]
         misses = [t for t, hit in zip(trajectories, stored) if hit is None]
-        answers = iter(self.base_model.evaluate_many(task, misses))
+        answers = iter(self.base_model.evaluate_many(misses))
         return [next(answers) if hit is None else _stored_estimate(hit) for hit in stored]
 
 
@@ -400,11 +399,7 @@ def collect_candidates(
     for node, children in tree.lookahead_entries():
         if node.depth < min_depth:
             continue
-        successors = [
-            (child.action, child.state, child.estimate)
-            for child in children
-            if child.action is not None and child.estimate is not None
-        ]
+        successors = [(child.state, child.estimate) for child in children]
         record = lookahead_target(Trajectory(tree.task, node.state), successors, gamma)
         if record.key in seen:
             intra_tree_duplicates += 1

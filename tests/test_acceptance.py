@@ -204,7 +204,7 @@ def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch):
     expected: dict[str, set[float]] = {}
     for task, tree in zip(tasks, trees):
         for node, children in tree.lookahead_entries():
-            key = state_key(task, tree.trajectory_to(node.uid))
+            key = state_key(tree.trajectory_to(node.uid))
             best = max(child.estimate.value for child in children)
             expected.setdefault(key, set()).add(gamma * best)
     final = result.datasets[-1]
@@ -295,7 +295,7 @@ def _synthetic_record(rng: random.Random, index: int):
     )
     task = Task(id=f"r{index}", instruction=f"record {index}")
     estimate = ValueEstimate(rationale=rationale, value=value, samples=(value,))
-    record = lookahead_target(Trajectory(task, parent), [(action, successor, estimate)], gamma)
+    record = lookahead_target(Trajectory(task, parent), [(successor, estimate)], gamma)
     assert record.target == gamma * value
     return record, scale, body
 
@@ -308,7 +308,7 @@ def test_criterion_04_round_trip_is_exact_on_randomized_records():
         action, observation, rationale, value = parse_simulated_lookahead(
             completion, scale
         )
-        assert action == record.best_action.text, f"record {index}"
+        assert action == record.best_successor.incoming_action.text, f"record {index}"
         assert observation == record.best_successor.observation, f"record {index}"
         assert rationale == body, f"record {index}"
         assert value == record.target, f"record {index}"
@@ -385,7 +385,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
     # Every interior state (1 + 3 + 9 + 27) ends up in the dataset.
     assert len(result.datasets[-1]) == 40
     trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
-    root_value = result.final_model.evaluate(tasks[0], trajectory).value
+    root_value = result.final_model.evaluate(trajectory).value
     optimal = _optimal_backup("n", 0, leaf_values)
     assert root_value == optimal
     verdict_line(
@@ -396,18 +396,15 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
 def _probe_record(index: int, rationale: str) -> LookaheadRecord:
     task = Task(id=f"m{index}", instruction=f"probe {index}")
     parent = State(id=f"m{index}", depth=0, observation=f"obs {index}")
-    action = Action.make("step ahead")
     successor = State(
         id=f"m{index}.c",
         depth=1,
         observation="next view",
-        incoming_action=action,
+        incoming_action=Action.make("step ahead"),
         parent=parent,
     )
     estimate = ValueEstimate(rationale=rationale, value=4.0, samples=(4.0,))
-    return lookahead_target(
-        Trajectory.from_state(task, parent), [(action, successor, estimate)], 1.0
-    )
+    return lookahead_target(Trajectory.from_state(task, parent), [(successor, estimate)], 1.0)
 
 
 def _collision_example(key: str, iteration: int) -> TrainingExample:

@@ -351,6 +351,7 @@ class TestConfigHandling:
         "command,filename,content,flag",
         [
             ("search", "tasks.json", {"tasks": 5}, "--tasks={path}"),
+            ("stl", "tasks.json", {"tasks": []}, "--tasks={path}"),
             ("search", "config.json", {"search": 5}, "--config={path}"),
             ("stl", "config.json", {"stl": 5}, "--config={path}"),
             ("search", "config.json", {"search": {"excluded_actions": 5}}, "--config={path}"),
@@ -370,6 +371,7 @@ class TestConfigHandling:
         ],
         ids=[
             "tasks-not-a-list",
+            "stl-tasks-empty",
             "search-not-an-object",
             "stl-not-an-object",
             "excluded-actions-not-a-list",
@@ -446,6 +448,46 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert named in err and str(config) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spec", ["constant:nan", "constant:inf", "constant:1e999"])
+    def test_non_finite_constant_value_spec_exits_2_naming_it(self, tmp_path, capsys, spec):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", "--value", spec, "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert repr(spec) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            ('{"values": {"s": NaN}}', "'values' entry 's'"),
+            ('{"values": {"s": 1e999}}', "'values' entry 's'"),
+            ('{"values": {"s": true}}', "'values' entry 's'"),
+            ('{"values": {"s": "5"}}', "'values' entry 's'"),
+            ('{"values": {}, "default": NaN}', "'default'"),
+            ('{"values": {}, "default": 1e999}', "'default'"),
+            ('{"values": {}, "default": true}', "'default'"),
+            ('{"values": {}, "default": "5"}', "'default'"),
+            pytest.param(
+                '{"values": {}, "default": 1%s}' % ("0" * 400), "'default'", id="int-past-float"
+            ),
+        ],
+    )
+    def test_value_fixture_number_that_is_not_finite_exits_2_naming_its_key(
+        self, tmp_path, capsys, content, named
+    ):
+        fixture = tmp_path / "values.json"
+        fixture.write_text(content, encoding="utf-8")
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", "--value", f"scripted:{fixture}", "--tasks", tasks,
+                "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err and str(fixture) in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -864,6 +906,19 @@ class TestSearchCommand:
         assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert results["method"] == "greedy+constant:5.0"
+
+    def test_oracle_beam_solves_every_test_puzzle(self, tmp_path, capsys):
+        """The upper bound any value model can reach under this budget: with
+        the exact oracle only proposal truncation can miss a puzzle, and the
+        test fixture holds only puzzles that width-5 beam solves."""
+        argv = ["search", "--engine", "beam", "--value", "oracle", "--branching", "5",
+                "--beam-width", "5", "--max-depth", "3",
+                "--tasks", "fixtures/game24_test_50.json", "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert "tasks: 50  solved: 50  failures-tallied: 0" in lines
+        assert "states expanded: 2739" in lines
 
     # (task id, score, per-attempt successes) with every third rollout cut
     # to one level.

@@ -278,35 +278,29 @@ class TestStateKey:
         task_b = Task(id="b", instruction="6 8 6 4")
         root_a = State(id="x", depth=0, observation="4 6 6 8", signature="4 6 6 8")
         root_b = State(id="y", depth=0, observation="whatever", signature="4 6 6 8")
-        key_a = state_key(task_a, Trajectory(task_a, root_a))
-        key_b = state_key(task_b, Trajectory(task_b, root_b))
+        key_a = state_key(Trajectory(task_a, root_a))
+        key_b = state_key(Trajectory(task_b, root_b))
         assert key_a == key_b
 
     def test_context_states_embed_instruction(self):
         root = State(id="r", depth=0, observation="start")
-        key_1 = state_key(
-            Task(id="a", instruction="one"),
-            Trajectory(Task(id="a", instruction="one"), root),
-        )
-        key_2 = state_key(
-            Task(id="a", instruction="two"),
-            Trajectory(Task(id="a", instruction="two"), root),
-        )
+        key_1 = state_key(Trajectory(Task(id="a", instruction="one"), root))
+        key_2 = state_key(Trajectory(Task(id="a", instruction="two"), root))
         assert key_1 != key_2
 
     def test_signature_and_context_namespaces_disjoint(self):
         task = make_task("x")
         plain = State(id="r", depth=0, observation="x")
         signed = State(id="r", depth=0, observation="x", signature="context:x")
-        key_plain = state_key(task, Trajectory(task, plain))
-        key_signed = state_key(task, Trajectory(task, signed))
+        key_plain = state_key(Trajectory(task, plain))
+        key_signed = state_key(Trajectory(task, signed))
         assert key_plain != key_signed
 
     @given(st.text(min_size=1, max_size=30))
     def test_key_is_hex_digest(self, signature):
         task = make_task("t")
         root = State(id="r", depth=0, observation="o", signature=signature)
-        key = state_key(task, Trajectory(task, root))
+        key = state_key(Trajectory(task, root))
         assert len(key) == 64
         assert set(key) <= set("0123456789abcdef")
 

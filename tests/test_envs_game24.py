@@ -383,7 +383,7 @@ class TestCarriedNumbers:
         while frontier:
             current = frontier.pop()
             trajectory = Trajectory.from_state(task, current)
-            model.evaluate(task, trajectory)
+            model.evaluate(trajectory)
             if env.is_terminal(current):
                 env.ground_truth_score(trajectory)
                 continue

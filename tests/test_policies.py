@@ -20,8 +20,8 @@ class TestExhaustivePolicy:
         env = Game24Env()
         policy = ExhaustivePolicy(env)
         trajectory = root_trajectory(env)
-        full = policy.propose(TASK, trajectory, branching=100)
-        five = policy.propose(TASK, trajectory, branching=5)
+        full = policy.propose(trajectory, branching=100)
+        five = policy.propose(trajectory, branching=5)
         assert [a.text for a in five] == [a.text for a in full[:5]]
         assert len(full) == 18
 
@@ -29,9 +29,9 @@ class TestExhaustivePolicy:
         env = Game24Env()
         policy = ExhaustivePolicy(env)
         trajectory = root_trajectory(env)
-        full = [a.text for a in policy.propose(TASK, trajectory, branching=100)]
+        full = [a.text for a in policy.propose(trajectory, branching=100)]
         banned = frozenset(full[:2])
-        kept = policy.propose(TASK, trajectory, branching=3, disallowed=banned)
+        kept = policy.propose(trajectory, branching=3, disallowed=banned)
         assert [a.text for a in kept] == full[2:5]
 
     def test_terminal_state_rejected(self):
@@ -39,7 +39,7 @@ class TestExhaustivePolicy:
         task = Task(id="t24", instruction="24")
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         with pytest.raises(ValueError, match="terminal"):
-            ExhaustivePolicy(env).propose(task, trajectory, branching=5)
+            ExhaustivePolicy(env).propose(trajectory, branching=5)
 
 
 def reply(action_text: str) -> str:
@@ -54,7 +54,7 @@ class TestRemotePolicy:
             [reply("1 + 2"), reply("2 * 3"), reply("3 - 1")]
         )
         policy = RemotePolicy(transport, "test-model", env)
-        actions = [a.text for a in policy.propose(TASK, trajectory, branching=3)]
+        actions = [a.text for a in policy.propose(trajectory, branching=3)]
         assert actions == ["1 + 2", "2 * 3", "3 - 1"]
         assert policy.malformed_count == 0
 
@@ -65,7 +65,7 @@ class TestRemotePolicy:
             [reply("1 + 2"), reply("1 + 2"), reply("2 * 3")]
         )
         policy = RemotePolicy(transport, "test-model", env)
-        actions = [a.text for a in policy.propose(TASK, trajectory, branching=2)]
+        actions = [a.text for a in policy.propose(trajectory, branching=2)]
         assert actions == ["1 + 2", "2 * 3"]
         assert len(transport.requests_seen) == 3
 
@@ -74,9 +74,7 @@ class TestRemotePolicy:
         trajectory = root_trajectory(env)
         transport = ScriptedTransport([reply("2 * 3")])
         policy = RemotePolicy(transport, "test-model", env)
-        actions = policy.propose(
-            TASK, trajectory, branching=1, disallowed=frozenset({"1 + 2"})
-        )
+        actions = policy.propose(trajectory, branching=1, disallowed=frozenset({"1 + 2"}))
         assert [a.text for a in actions] == ["2 * 3"]
         prompt = transport.requests_seen[0].messages[0].content
         assert "1 + 2" in prompt
@@ -86,7 +84,7 @@ class TestRemotePolicy:
         trajectory = root_trajectory(env)
         transport = ScriptedTransport([reply("5 + 5"), reply("1 + 2")])
         policy = RemotePolicy(transport, "test-model", env)
-        actions = [a.text for a in policy.propose(TASK, trajectory, branching=1)]
+        actions = [a.text for a in policy.propose(trajectory, branching=1)]
         assert actions == ["1 + 2"]
 
     def test_malformed_replies_counted_and_skipped(self):
@@ -94,7 +92,7 @@ class TestRemotePolicy:
         trajectory = root_trajectory(env)
         transport = ScriptedTransport(["no action line here", reply("1 + 2")])
         policy = RemotePolicy(transport, "test-model", env)
-        actions = [a.text for a in policy.propose(TASK, trajectory, branching=1)]
+        actions = [a.text for a in policy.propose(trajectory, branching=1)]
         assert actions == ["1 + 2"]
         assert policy.malformed_count == 1
 
@@ -103,7 +101,7 @@ class TestRemotePolicy:
         trajectory = root_trajectory(env)
         transport = ScriptedTransport(["junk"] * 50)
         policy = RemotePolicy(transport, "test-model", env)
-        actions = policy.propose(TASK, trajectory, branching=3)
+        actions = policy.propose(trajectory, branching=3)
         assert actions == []
         assert len(transport.requests_seen) == 6
         assert policy.malformed_count == 6
@@ -115,7 +113,7 @@ class TestRemotePolicy:
             ["Action: 9 + 9\nOn second thought:\nAction: 1 + 2"]
         )
         policy = RemotePolicy(transport, "test-model", env)
-        actions = [a.text for a in policy.propose(TASK, trajectory, branching=1)]
+        actions = [a.text for a in policy.propose(trajectory, branching=1)]
         assert actions == ["1 + 2"]
 
     def test_ledger_receives_usage(self):
@@ -124,7 +122,7 @@ class TestRemotePolicy:
         transport = ScriptedTransport([reply("1 + 2")])
         ledger = Ledger()
         policy = RemotePolicy(transport, "test-model", env, ledger=ledger)
-        policy.propose(TASK, trajectory, branching=1)
+        policy.propose(trajectory, branching=1)
         counts = ledger.tokens[("policy", "test-model")]
         assert counts.prompt > 0
         assert counts.completion == len(reply("1 + 2").split())
@@ -136,4 +134,4 @@ class TestRemotePolicy:
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         policy = RemotePolicy(ScriptedTransport([]), "test-model", env)
         with pytest.raises(ValueError, match="terminal"):
-            policy.propose(task, trajectory, branching=1)
+            policy.propose(trajectory, branching=1)

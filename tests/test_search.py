@@ -90,10 +90,10 @@ class FlakyValueModel(ScriptedValueModel):
         super().__init__(values)
         self.bad_ids = set(bad_ids)
 
-    def evaluate(self, task, trajectory):
+    def evaluate(self, trajectory):
         if trajectory.final_state.id in self.bad_ids:
             raise MalformedRationale("scaffolding-missing", "synthetic failure")
-        return super().evaluate(task, trajectory)
+        return super().evaluate(trajectory)
 
 
 def terminal_ids(tree):
@@ -176,9 +176,7 @@ class TestGreedySearch:
         tree = greedy_search(TASK, env, policy, model, config)
         trajectory = tree.final_trajectory()
         assert trajectory.final_state.id == "bw"
-        assert all(
-            n.action is None or n.action.text != "go a" for n in tree.nodes
-        )
+        assert "go a" not in {n.state.incoming_action.text for n in tree.nodes[1:]}
 
     def test_ledger_mirrors_states_expanded(self):
         env, policy, model = two_branch_setup()
@@ -318,7 +316,7 @@ class TestMctsSearch:
     def test_best_path_follows_visits_then_value(self):
         env, policy, model = two_branch_setup()
         tree = mcts_search(TASK, env, policy, model, self.config(4))
-        ids = [tree.node(uid).state.id for uid in tree.stats.best_path]
+        ids = [tree.nodes[uid].state.id for uid in tree.stats.best_path]
         assert ids == ["r", "a", "aw"]
 
     def test_visits_sum_matches_backups(self):
@@ -328,7 +326,7 @@ class TestMctsSearch:
         backups = tree.root.visits
         assert backups >= 6
         total = sum(
-            tree.node(c).visits for c in tree.root.children
+            tree.nodes[c].visits for c in tree.root.children
         )
         assert total == backups
 
@@ -343,7 +341,7 @@ class TestEngineContract:
         assert tree.engine == engine
         assert tree.stats.best_path
         final = tree.final_trajectory()
-        assert final.final_state is tree.node(tree.stats.best_path[-1]).state
+        assert final.final_state is tree.nodes[tree.stats.best_path[-1]].state
         assert final.depth == len(tree.stats.best_path) - 1
 
     def test_final_trajectory_without_best_path_is_the_root(self):
@@ -531,7 +529,7 @@ class FixedPolicy(Policy):
     def __init__(self, texts):
         self.texts = texts
 
-    def propose(self, task, trajectory, branching, disallowed=frozenset()):
+    def propose(self, trajectory, branching, disallowed=frozenset()):
         return [Action.make(t) for t in self.texts if t not in disallowed][:branching]
 
 
@@ -617,7 +615,7 @@ class TestBatchedEvaluation:
         ]
         assert "bogus" in tree.stats.failures[1]
         assert "also bogus" in tree.stats.failures[3]
-        assert [tree.node(uid).state.id for uid in tree.root.children] == ["b", "a", "c"]
+        assert [tree.nodes[uid].state.id for uid in tree.root.children] == ["b", "a", "c"]
         assert tree.stats.evaluations == 1
 
 
@@ -628,9 +626,9 @@ class RecordingValueModel(FlakyValueModel):
         super().__init__(values, bad_ids)
         self.batches: list[list[str]] = []
 
-    def evaluate_many(self, task, trajectories):
+    def evaluate_many(self, trajectories):
         self.batches.append([t.final_state.id for t in trajectories])
-        return super().evaluate_many(task, trajectories)
+        return super().evaluate_many(trajectories)
 
 
 class ProposalsById(Policy):
@@ -639,7 +637,7 @@ class ProposalsById(Policy):
     def __init__(self, proposals):
         self.proposals = proposals
 
-    def propose(self, task, trajectory, branching, disallowed=frozenset()):
+    def propose(self, trajectory, branching, disallowed=frozenset()):
         texts = self.proposals[trajectory.final_state.id]
         if texts is None:
             raise ValueError("no ideas")
@@ -648,22 +646,23 @@ class ProposalsById(Policy):
 
 class FromStateCheckingModel(ValueModel):
     """Wraps a value model; checks every trajectory ``evaluate_many`` gets
-    against the one :meth:`Trajectory.from_state` builds for its state, and
-    records the states judged."""
+    against the one :meth:`Trajectory.from_state` builds for the search's
+    task and its state, and records the states judged."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, task):
         self.inner = inner
+        self.task = task
         self.scale = inner.scale
         self.final_states = []
 
-    def evaluate(self, task, trajectory):
-        return self.inner.evaluate(task, trajectory)
+    def evaluate(self, trajectory):
+        return self.inner.evaluate(trajectory)
 
-    def evaluate_many(self, task, trajectories):
+    def evaluate_many(self, trajectories):
         for trajectory in trajectories:
-            assert trajectory == Trajectory.from_state(task, trajectory.final_state)
+            assert trajectory == Trajectory.from_state(self.task, trajectory.final_state)
         self.final_states += [trajectory.final_state for trajectory in trajectories]
-        return self.inner.evaluate_many(task, trajectories)
+        return self.inner.evaluate_many(trajectories)
 
 
 def child_trajectory_setup(world):
@@ -688,7 +687,7 @@ class TestChildTrajectories:
     @pytest.mark.parametrize("engine", ["greedy", "beam", "mcts"])
     def test_children_equal_from_state(self, engine, world):
         env, task, inner, config = child_trajectory_setup(world)
-        model = FromStateCheckingModel(inner)
+        model = FromStateCheckingModel(inner, task)
         tree = ENGINES[engine](task, env, ExhaustivePolicy(env), model, config)
         assert tree.stats.states_expanded > 3
         assert model.final_states == [node.state for node in tree.nodes[1:]]
@@ -757,8 +756,8 @@ class TestLevelBatch:
         assert "no ideas" in tree.stats.failures[0]
         assert "bogus" in tree.stats.failures[2]
         assert "also bogus" in tree.stats.failures[4]
-        assert [tree.node(uid).state.id for uid in tree.node(2).children] == ["s2b", "s2a"]
-        assert all(tree.node(uid).expanded for uid in (1, 2, 3, 4))
+        assert [tree.nodes[uid].state.id for uid in tree.nodes[2].children] == ["s2b", "s2a"]
+        assert all(tree.nodes[uid].expanded for uid in (1, 2, 3, 4))
         assert terminal_ids(tree) == ["s2a"]
 
     def test_remote_model_keeps_at_most_16_evaluations_in_flight(self):
@@ -773,7 +772,7 @@ class TestLevelBatch:
         task = Task(id="g", instruction="4 6 6 8")
         root = Trajectory.from_state(task, env.initial_state(task))
         model = RemoteValueModel(transport, "m", env, GAME24)
-        results = model.evaluate_many(task, [root] * 40)
+        results = model.evaluate_many([root] * 40)
         assert [r.value for r in results] == [GAME24.labels["sure"]] * 40
         assert transport.sends == 40
         assert transport.max_in_flight == 16

@@ -86,39 +86,35 @@ def child_state(parent: State, sid: str, action_text: str) -> State:
     )
 
 
-def successor_triple(parent: State, sid: str, action_text: str, value: float):
-    return (
-        Action.make(action_text),
-        child_state(parent, sid, action_text),
-        estimate(value),
-    )
+def successor_pair(parent: State, sid: str, action_text: str, value: float):
+    return (child_state(parent, sid, action_text), estimate(value))
 
 
 class TestLookaheadTarget:
     def test_argmax_with_discount(self):
         parent = root_state()
         successors = [
-            successor_triple(parent, "s1", "go s1", 4.0),
-            successor_triple(parent, "s2", "go s2", 8.0),
-            successor_triple(parent, "s3", "go s3", 6.0),
+            successor_pair(parent, "s1", "go s1", 4.0),
+            successor_pair(parent, "s2", "go s2", 8.0),
+            successor_pair(parent, "s3", "go s3", 6.0),
         ]
         trajectory = Trajectory(TASK, parent)
         record = lookahead_target(trajectory, successors, gamma=0.9)
         assert record.trajectory is trajectory
-        assert record.key == state_key(TASK, trajectory)
-        assert record.best_action.text == "go s2"
-        assert record.best_successor is successors[1][1]
-        assert record.successor_rationale == successors[1][2].rationale
+        assert record.key == state_key(trajectory)
+        assert record.best_successor is successors[1][0]
+        assert record.best_successor.incoming_action.text == "go s2"
+        assert record.successor_rationale == successors[1][1].rationale
         assert record.target == pytest.approx(0.9 * 8.0)
 
     def test_tie_breaks_to_earliest(self):
         parent = root_state()
         successors = [
-            successor_triple(parent, "s1", "go s1", 8.0),
-            successor_triple(parent, "s2", "go s2", 8.0),
+            successor_pair(parent, "s1", "go s1", 8.0),
+            successor_pair(parent, "s2", "go s2", 8.0),
         ]
         record = lookahead_target(Trajectory(TASK, parent), successors)
-        assert record.best_action.text == "go s1"
+        assert record.best_successor.incoming_action.text == "go s1"
 
     def test_empty_successors_rejected(self):
         with pytest.raises(ValueError, match="no evaluated successors"):
@@ -133,13 +129,7 @@ def make_record(
     sid: str = "r",
 ) -> LookaheadRecord:
     parent = root_state(sid)
-    successors = [
-        (
-            Action.make("go next"),
-            child_state(parent, f"{sid}.next", "go next"),
-            estimate(value, rationale),
-        )
-    ]
+    successors = [(child_state(parent, f"{sid}.next", "go next"), estimate(value, rationale))]
     return lookahead_target(Trajectory.from_state(task, parent), successors, gamma)
 
 
@@ -363,7 +353,7 @@ class TestTabularValueModel:
         dataset, _ = dedup_latest(Dataset(), [ex], 1)
         base = ConstantValueModel(2.0)
         model = TabularTrainer().fine_tune(base, dataset)
-        result = model.evaluate(record.trajectory.task, record.trajectory)
+        result = model.evaluate(record.trajectory)
         assert result.value == 4.0
         assert result.rationale == ex.completion
 
@@ -372,7 +362,7 @@ class TestTabularValueModel:
         model = TabularValueModel(base, Dataset())
         task = Task(id="tx", instruction="other")
         trajectory = Trajectory.from_state(task, root_state("other"))
-        assert model.evaluate(task, trajectory).value == 2.0
+        assert model.evaluate(trajectory).value == 2.0
 
     def test_scale_follows_base(self):
         base = ConstantValueModel(2.0, scale=LIKERT10)
@@ -515,7 +505,7 @@ class TestStlRun:
         task = stl_tasks(1)[0]
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Best root successor is "a" at 6.0; discounted target is 3.0.
-        assert result.final_model.evaluate(task, trajectory).value == 3.0
+        assert result.final_model.evaluate(trajectory).value == 3.0
 
     def test_revisited_states_across_iterations_stay_parseable(self):
         # Same instruction every iteration: the trained model answers for
@@ -539,7 +529,7 @@ class TestStlRun:
             assert example.completion.count("Best Next Action:") == 1
         trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
         # Two iterations back the aw leaf (9.0) up to the root.
-        assert result.final_model.evaluate(tasks[0], trajectory).value == 9.0
+        assert result.final_model.evaluate(trajectory).value == 9.0
 
     def test_every_iteration_trains_from_base(self):
         env, policy, base = stl_setup()
@@ -647,7 +637,7 @@ class TestStlRun:
         root_trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Depth 0 has no trained model, so the base model answers with its
         # default for the root id.
-        assert model.evaluate(task, root_trajectory).value == 5.0
+        assert model.evaluate(root_trajectory).value == 5.0
 
     def test_empty_dataset_returns_base_model(self):
         env, policy, base = stl_setup()

@@ -35,7 +35,7 @@ def reference(tree: SearchTree) -> dict:
             {
                 "uid": node.uid,
                 "parent": node.parent_uid,
-                "action": node.action.text if node.action else None,
+                "action": node.state.incoming_action.text if node.depth else None,
                 "depth": node.depth,
                 "observation": node.state.observation,
                 "signature": node.state.signature,
@@ -110,7 +110,7 @@ def trees(draw) -> SearchTree:
             parent=parent.state,
             signature=draw(st.none() | TEXT),
         )
-        tree._add(state, parent.uid, action)
+        tree._add(state, parent.uid)
     # As value models hand them out, some nodes share one estimate object
     # and others hold distinct but equal ones; the rest draw their own.
     pool = draw(st.lists(ESTIMATE, min_size=1, max_size=3))

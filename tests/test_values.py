@@ -28,13 +28,13 @@ from lookahead.stl import Dataset, TabularValueModel
 TASK = Task(id="t1", instruction="4 6 6 8")
 
 
-def game24_trajectory(instruction: str) -> tuple[Game24Env, Task, Trajectory]:
+def game24_trajectory(instruction: str) -> tuple[Game24Env, Trajectory]:
     env = Game24Env()
     task = Task(id="t1", instruction=instruction)
-    return env, task, Trajectory.from_state(task, env.initial_state(task))
+    return env, Trajectory.from_state(task, env.initial_state(task))
 
 
-def synthetic_trajectory(state_id: str = "s1", depth: int = 0) -> tuple[Task, Trajectory]:
+def synthetic_trajectory(state_id: str = "s1", depth: int = 0) -> Trajectory:
     task = Task(id="t1", instruction="do the thing")
     state = State(id=state_id, depth=0, observation="obs", signature=state_id)
     for level in range(depth):
@@ -46,20 +46,20 @@ def synthetic_trajectory(state_id: str = "s1", depth: int = 0) -> tuple[Task, Tr
             parent=state,
             signature=f"{state_id}.{level}",
         )
-    return task, Trajectory.from_state(task, state)
+    return Trajectory.from_state(task, state)
 
 
 class TestOracleValueModel:
     def test_sure_state(self):
-        env, task, trajectory = game24_trajectory("4 6 6 8")
-        estimate = OracleValueModel().evaluate(task, trajectory)
+        env, trajectory = game24_trajectory("4 6 6 8")
+        estimate = OracleValueModel().evaluate(trajectory)
         assert estimate.value == 20.0
         assert parse_value(estimate.rationale, GAME24) == 20.0
         assert estimate.samples == (20.0,)
 
     def test_impossible_state(self):
-        env, task, trajectory = game24_trajectory("1 1 1 1")
-        estimate = OracleValueModel().evaluate(task, trajectory)
+        env, trajectory = game24_trajectory("1 1 1 1")
+        estimate = OracleValueModel().evaluate(trajectory)
         assert estimate.value == 0.001
         assert parse_value(estimate.rationale, GAME24) == 0.001
 
@@ -69,27 +69,27 @@ class TestOracleValueModel:
 
 class TestScriptedValueModel:
     def test_known_state_and_default(self):
-        task, trajectory = synthetic_trajectory("s1")
+        trajectory = synthetic_trajectory("s1")
         model = ScriptedValueModel({"s1": 7.25}, default=1.0)
-        assert model.evaluate(task, trajectory).value == 7.25
-        task2, trajectory2 = synthetic_trajectory("unknown")
-        assert model.evaluate(task2, trajectory2).value == 1.0
+        assert model.evaluate(trajectory).value == 7.25
+        trajectory2 = synthetic_trajectory("unknown")
+        assert model.evaluate(trajectory2).value == 1.0
 
     def test_rationale_parses_on_declared_scale(self):
-        task, trajectory = synthetic_trajectory("s1")
+        trajectory = synthetic_trajectory("s1")
         model = ScriptedValueModel({"s1": 7.25})
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert parse_value(estimate.rationale, model.scale) == 7.25
         assert "s1" in estimate.rationale
 
 
 class TestConstantValueModel:
     def test_same_value_everywhere(self):
-        task, trajectory = synthetic_trajectory("a")
+        trajectory = synthetic_trajectory("a")
         model = ConstantValueModel(1.0)
-        first = model.evaluate(task, trajectory)
-        task2, trajectory2 = synthetic_trajectory("b", depth=2)
-        second = model.evaluate(task2, trajectory2)
+        first = model.evaluate(trajectory)
+        trajectory2 = synthetic_trajectory("b", depth=2)
+        second = model.evaluate(trajectory2)
         assert first.value == second.value == 1.0
         assert parse_value(first.rationale, model.scale) == 1.0
 
@@ -100,53 +100,53 @@ def sample(value: float) -> str:
 
 class TestRemoteValueModel:
     def test_single_sample(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["All on track.\nsure"])
         model = RemoteValueModel(transport, "m", env, GAME24)
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert estimate.value == 20.0
         assert estimate.samples == (20.0,)
 
     def test_multi_sample_mean(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(2.0)])
         model = RemoteValueModel(
             transport, "m", env, LIKERT10, n_samples=3, aggregation=Aggregation.MEAN
         )
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert estimate.value == 4.0
         assert estimate.samples == (2.0, 8.0, 2.0)
         # Representative rationale is the sample nearest the median (2.0 here).
         assert estimate.rationale == sample(2.0)
 
     def test_redraw_replaces_malformed_sample(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["garbled", sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=1, redraw_limit=2)
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert estimate.value == 6.0
         assert estimate.samples == (6.0,)
         assert model.malformed_count == 1
         assert len(transport.requests_seen) == 2
 
     def test_redraws_never_join_aggregate(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(
             ["junk", sample(8.0), sample(2.0)]
         )
         model = RemoteValueModel(
             transport, "m", env, LIKERT10, n_samples=2, aggregation=Aggregation.MEAN, redraw_limit=1
         )
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert estimate.samples == (8.0, 2.0)
         assert estimate.value == 5.0
 
     def test_all_draws_malformed(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["junk"] * 6)
         model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=2, redraw_limit=2)
         with pytest.raises(MalformedRationale) as err:
-            model.evaluate(task, trajectory)
+            model.evaluate(trajectory)
         assert err.value.reason == "no-parsed-samples"
         # 1 + redraw_limit requests, each asking for both slots again:
         # n_samples * (1 + redraw_limit) draws.
@@ -155,11 +155,11 @@ class TestRemoteValueModel:
         assert model.malformed_count == 6
 
     def test_all_draws_parse_in_one_request(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(2.0), sample(8.0), sample(6.0)])
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=3, ledger=ledger)
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert [r.n for r in transport.requests_seen] == [3]
         assert estimate.samples == (2.0, 8.0, 6.0)
         # The prompt is billed once for the three choices.
@@ -169,22 +169,22 @@ class TestRemoteValueModel:
         assert counts.completion == 3 * len(sample(2.0).split())
 
     def test_redraw_round_asks_only_for_missing_samples(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(
             [sample(1.0), "junk", sample(2.0), "junk", "junk", sample(4.0), sample(8.0)]
         )
         model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=4, redraw_limit=2)
-        estimate = model.evaluate(task, trajectory)
+        estimate = model.evaluate(trajectory)
         assert [r.n for r in transport.requests_seen] == [4, 2, 1]
         assert estimate.samples == (1.0, 2.0, 4.0, 8.0)
         assert model.malformed_count == 3
 
     def test_ledger_counts_redrawn_calls(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["junk", sample(6.0)])
         ledger = Ledger()
         model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=1, ledger=ledger)
-        model.evaluate(task, trajectory)
+        model.evaluate(trajectory)
         counts = ledger.tokens[("value", "m")]
         assert counts.completion == len("junk".split()) + len(sample(6.0).split())
 
@@ -193,10 +193,10 @@ class TestRemoteValueModel:
             RemoteValueModel(ScriptedTransport([]), "m", Game24Env(), GAME24, n_samples=0)
 
     def test_prompt_includes_rendered_context(self):
-        env, task, trajectory = game24_trajectory("1 2 3")
+        env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport([sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
-        model.evaluate(task, trajectory)
+        model.evaluate(trajectory)
         prompt = transport.requests_seen[0].messages[0].content
         assert "1 2 3" in prompt
 
@@ -208,8 +208,8 @@ class TestDepthRouting:
             fallback=ConstantValueModel(9.0),
         )
         for depth, expected in [(0, 9.0), (1, 1.0), (2, 2.0), (3, 9.0)]:
-            task, trajectory = synthetic_trajectory(depth=depth)
-            assert model.evaluate(task, trajectory).value == expected
+            trajectory = synthetic_trajectory(depth=depth)
+            assert model.evaluate(trajectory).value == expected
 
     def test_scale_follows_fallback(self):
         model = RoutedValueModel(models={}, fallback=ConstantValueModel(1.0, scale=LIKERT10))
@@ -217,7 +217,7 @@ class TestDepthRouting:
 
 
 def game24_trajectories(*instructions: str) -> list[Trajectory]:
-    return [game24_trajectory(text)[2] for text in instructions]
+    return [game24_trajectory(text)[1] for text in instructions]
 
 
 def verdict_reply(prompt: str, draw: int) -> str:
@@ -234,22 +234,22 @@ class RecordingModel(ConstantValueModel):
         super().__init__(value)
         self.batches: list[list[Trajectory]] = []
 
-    def evaluate_many(self, task, trajectories):
+    def evaluate_many(self, trajectories):
         self.batches.append(list(trajectories))
-        return super().evaluate_many(task, trajectories)
+        return super().evaluate_many(trajectories)
 
 
 class TestEvaluateMany:
     def test_default_loops_in_order_and_returns_parse_failures(self):
         class Flaky(ScriptedValueModel):
-            def evaluate(self, task, trajectory):
+            def evaluate(self, trajectory):
                 if trajectory.final_state.id == "bad":
                     raise MalformedRationale("scaffolding-missing", "synthetic")
-                return super().evaluate(task, trajectory)
+                return super().evaluate(trajectory)
 
         model = Flaky({"a": 1.0, "c": 3.0})
-        trajectories = [synthetic_trajectory(i)[1] for i in ("a", "bad", "c")]
-        results = model.evaluate_many(TASK, trajectories)
+        trajectories = [synthetic_trajectory(i) for i in ("a", "bad", "c")]
+        results = model.evaluate_many(trajectories)
         assert results[0].value == 1.0
         assert isinstance(results[1], MalformedRationale)
         assert results[1].reason == "scaffolding-missing"
@@ -260,11 +260,11 @@ class TestEvaluateMany:
         trajectories = game24_trajectories("1 1 1", "2 3 4", "4 6", "1 1 1 2")
         gated = PromptKeyedTransport(verdict_reply, gate=2)
         model = RemoteValueModel(gated, "m", env, GAME24, n_samples=2)
-        concurrent = model.evaluate_many(TASK, trajectories)
+        concurrent = model.evaluate_many(trajectories)
         assert gated.max_in_flight >= 2
         serial_transport = PromptKeyedTransport(verdict_reply, concurrent_safe=False)
         serial_model = RemoteValueModel(serial_transport, "m", env, GAME24, n_samples=2)
-        serial = serial_model.evaluate_many(TASK, trajectories)
+        serial = serial_model.evaluate_many(trajectories)
         assert serial_transport.max_in_flight == 1
         assert concurrent == serial
         assert [r.value for r in concurrent] == [0.001, 20.0, 20.0, 0.001]
@@ -276,7 +276,7 @@ class TestEvaluateMany:
         transport = ScriptedTransport([sample(1.0), "junk", sample(2.0), sample(4.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
         assert model.transport.concurrent_safe is False
-        results = model.evaluate_many(TASK, trajectories)
+        results = model.evaluate_many(trajectories)
         assert [r.value for r in results] == [1.0, 2.0, 4.0]
         seen = [r.messages[0].content for r in transport.requests_seen]
         for prompt, numbers in zip(seen, ["1 2 3", "4 5 6", "4 5 6", "7 8 9"]):
@@ -291,7 +291,7 @@ class TestEvaluateMany:
 
         transport = PromptKeyedTransport(reply)
         model = RemoteValueModel(transport, "m", env, GAME24, n_samples=2, redraw_limit=2)
-        results = model.evaluate_many(TASK, trajectories)
+        results = model.evaluate_many(trajectories)
         assert isinstance(results[1], MalformedRationale)
         assert results[1].reason == "no-parsed-samples"
         assert results[0].value == results[2].value == 20.0
@@ -308,7 +308,7 @@ class TestEvaluateMany:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = model.evaluate_many(TASK, trajectories)
+            results = model.evaluate_many(trajectories)
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 16
@@ -342,7 +342,7 @@ class TestEvaluateMany:
         transport = PromptKeyedTransport(reply)
         model = RemoteValueModel(transport, "m", env, GAME24)
         with pytest.raises(TransportError, match="early request failed"):
-            model.evaluate_many(TASK, trajectories)
+            model.evaluate_many(trajectories)
         assert transport.sends == 4
         assert transport.in_flight == 0
 
@@ -350,8 +350,8 @@ class TestEvaluateMany:
         at_depth_one = RecordingModel(1.0)
         fallback = RecordingModel(9.0)
         model = RoutedValueModel(models={1: at_depth_one}, fallback=fallback)
-        trajectories = [synthetic_trajectory(i, depth=1)[1] for i in "abc"]
-        results = model.evaluate_many(TASK, trajectories)
+        trajectories = [synthetic_trajectory(i, depth=1) for i in "abc"]
+        results = model.evaluate_many(trajectories)
         assert [r.value for r in results] == [1.0, 1.0, 1.0]
         assert at_depth_one.batches == [trajectories]
         assert fallback.batches == []
@@ -360,15 +360,15 @@ class TestEvaluateMany:
         model = RoutedValueModel(
             models={1: ConstantValueModel(1.0)}, fallback=ConstantValueModel(9.0)
         )
-        trajectories = [synthetic_trajectory("a", depth=d)[1] for d in (1, 2, 1)]
-        assert [r.value for r in model.evaluate_many(TASK, trajectories)] == [1.0, 9.0, 1.0]
+        trajectories = [synthetic_trajectory("a", depth=d) for d in (1, 2, 1)]
+        assert [r.value for r in model.evaluate_many(trajectories)] == [1.0, 9.0, 1.0]
 
     def test_tabular_model_sends_misses_in_one_batch(self):
-        trajectories = [synthetic_trajectory(i)[1] for i in "abc"]
+        trajectories = [synthetic_trajectory(i) for i in "abc"]
         base = RecordingModel(2.0)
         model = TabularValueModel(base, Dataset())
-        model.table[state_key(TASK, trajectories[1])] = ("stored rationale", 7.0)
-        results = model.evaluate_many(TASK, trajectories)
+        model.table[state_key(trajectories[1])] = ("stored rationale", 7.0)
+        results = model.evaluate_many(trajectories)
         assert [r.value for r in results] == [2.0, 7.0, 2.0]
         assert base.batches == [[trajectories[0], trajectories[2]]]
 
@@ -380,9 +380,9 @@ class TrajectorySpy(ConstantValueModel):
         super().__init__(3.0, scale=LIKERT10)
         self.seen: list[Trajectory] = []
 
-    def evaluate(self, task, trajectory):
+    def evaluate(self, trajectory):
         self.seen.append(trajectory)
-        return super().evaluate(task, trajectory)
+        return super().evaluate(trajectory)
 
 
 WRAPPERS = {
@@ -397,10 +397,10 @@ class TestWrappersForwardTheTrajectory:
     def test_inner_model_receives_the_callers_trajectory(self, kind, entry):
         spy = TrajectorySpy()
         wrapper = WRAPPERS[kind](spy)
-        task, trajectory = synthetic_trajectory("s1")
+        trajectory = synthetic_trajectory("s1")
         if entry == "evaluate":
-            wrapper.evaluate(task, trajectory)
+            wrapper.evaluate(trajectory)
         else:
-            wrapper.evaluate_many(task, [trajectory])
+            wrapper.evaluate_many([trajectory])
         assert len(spy.seen) == 1
         assert spy.seen[0] is trajectory
