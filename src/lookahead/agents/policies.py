@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from ..core import Action, Trajectory, render_context
 from ..envs.base import Environment
 from .prompts import load_template, render_template
-from .transport import ChatMessage, ChatRequest, Transport
+from .transport import ChatRequest, Transport
 
 if TYPE_CHECKING:
     from ..evaluation import Ledger
@@ -101,11 +101,7 @@ class RemotePolicy(Policy):
                 not_allowed_actions="\n".join(sorted(blocked)) or "(none)",
                 input=render_context(trajectory),
             )
-            response = self.transport.send(
-                ChatRequest(
-                    model=self.model, messages=(ChatMessage(role="user", content=prompt),)
-                )
-            )
+            response = self.transport.send(ChatRequest(model=self.model, prompt=prompt))
             if self.ledger is not None:
                 self.ledger.add_tokens(
                     "policy",

@@ -160,10 +160,8 @@ def format_score_sentence(value: float, scale: ValueScale) -> str:
         for label, label_value in scale.labels.items():
             if abs(value - label_value) <= 1e-9:
                 return label
-        raise ValueError(
-            f"value {value} is not representable as a {scale.name!r} label; "
-            "label scales require undiscounted targets"
-        )
+        words = ", ".join(f"{label} {label_value}" for label, label_value in scale.labels.items())
+        raise ValueError(f"value {value} is not one of the {scale.name!r} label values ({words})")
     return f"Thus, the correctness score is {value:.2f} / 10.00."
 
 

@@ -1,10 +1,13 @@
 """Chat-completions transport abstraction.
 
 Remote policies and value models speak to an OpenAI-compatible
-``/chat/completions`` endpoint through a :class:`Transport`.  Tests use the
-:class:`ScriptedTransport` double, which replays canned responses and
-approximates token usage by whitespace word count; the HTTP transport reports
-the token counts echoed by the provider.
+``/chat/completions`` endpoint through a :class:`Transport`.  A
+:class:`ChatRequest` is a model, a prompt and a choice count; the HTTP
+transport sends the prompt as one user message at a fixed temperature and
+completion-token cap.  Tests use the :class:`ScriptedTransport` double,
+which replays canned responses and approximates token usage by whitespace
+word count; the HTTP transport reports the token counts echoed by the
+provider.
 
 ``requests`` is loaded lazily: the module is registered in ``sys.modules``
 through :class:`importlib.util.LazyLoader` and its body runs on the first
@@ -43,8 +46,9 @@ def _lazy_module(name: str):
 
 requests = _lazy_module("requests")
 
-DEFAULT_TEMPERATURE = 1.0
-DEFAULT_MAX_TOKENS = 3192
+# Every request sends its prompt as one user message, sampled at these settings.
+_TEMPERATURE = 1.0
+_MAX_TOKENS = 3192
 DEFAULT_API_KEY_ENV = "LOOKAHEAD_API_KEY"
 # The longest wait a server's Retry-After header can impose before a retry.
 MAX_RETRY_AFTER_SECONDS = 60.0
@@ -55,17 +59,11 @@ class TransportError(Exception):
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-
-@dataclass(frozen=True)
 class ChatRequest:
+    """One prompt to ``model``, asking for ``n`` completions."""
+
     model: str
-    messages: tuple[ChatMessage, ...]
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    prompt: str
     n: int = 1
 
 
@@ -160,11 +158,9 @@ class HttpTransport(Transport):
             headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": request.model,
-            "messages": [
-                {"role": m.role, "content": m.content} for m in request.messages
-            ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": _TEMPERATURE,
+            "max_tokens": _MAX_TOKENS,
             "n": request.n,
         }
         last_error: Exception | None = None
@@ -232,9 +228,8 @@ class ScriptedTransport(Transport):
             )
         texts = tuple(self.responses[self._cursor : self._cursor + request.n])
         self._cursor += request.n
-        prompt_tokens = sum(approx_tokens(m.content) for m in request.messages)
         return ChatResponse(
             texts=texts,
-            prompt_tokens=prompt_tokens,
+            prompt_tokens=approx_tokens(request.prompt),
             completion_tokens=sum(approx_tokens(text) for text in texts),
         )

@@ -5,7 +5,10 @@ A value model maps the trajectory ending at the state under judgment to a
 primitive is ``evaluate(trajectory)`` and its batch form is
 ``evaluate_many(trajectories)``; a trajectory carries its task, and wrappers
 hand it to their inner model unchanged.  Only the remote model samples, so
-its sample count and aggregation are constructor arguments.
+its sample count and aggregation are constructor arguments; its redraw
+limit is the module constant ``_REDRAW_LIMIT``.  The scripted and constant
+doubles end their rationales in their scale's own score form, so every
+model's rationales parse on its scale.
 
 Concurrency safety belongs to the transport: only the remote model overlaps
 its calls, at most :data:`MAX_IN_FLIGHT` at a time, and only on a transport
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core import Aggregation, Trajectory, ValueEstimate, render_context
@@ -30,15 +32,26 @@ from .scales import (
     MalformedRationale,
     ValueScale,
     aggregate_estimate,
+    format_score_sentence,
     parse_value,
 )
-from .transport import ChatMessage, ChatRequest, Transport
+from .transport import ChatRequest, Transport
 
 if TYPE_CHECKING:
     from ..evaluation import Ledger
 
 MAX_IN_FLIGHT = 16
 """Most evaluations :meth:`RemoteValueModel.evaluate_many` runs at once."""
+# Rounds after the first that re-ask for the samples whose replies failed to parse.
+_REDRAW_LIMIT = 2
+
+
+def _scored(text: str, value: float, scale: ValueScale) -> str:
+    """``text`` ending in ``value``'s score sentence under ``scale``; a
+    verdict label goes on a line of its own.  Raises ``ValueError`` for a
+    value a label scale has no word for."""
+    separator = "\n" if scale.labels is not None else " "
+    return f"{text}{separator}{format_score_sentence(value, scale)}"
 
 
 class ValueModel(ABC):
@@ -94,8 +107,10 @@ class OracleValueModel(ValueModel):
 class ScriptedValueModel(ValueModel):
     """Fixture-backed double mapping state ids to values.
 
-    Unknown states receive ``default``.  Rationales are synthesized in the
-    canonical score-sentence form so downstream filters can parse them.
+    Unknown states receive ``default``.  Every value is kept as a float, and
+    each rationale ends in the value's score sentence (or verdict label)
+    under ``scale``, so downstream filters parse it; a value the scale cannot
+    state raises ``ValueError`` here.
     """
 
     def __init__(
@@ -104,42 +119,40 @@ class ScriptedValueModel(ValueModel):
         default: float = 0.0,
         scale: ValueScale = NUMERIC10,
     ) -> None:
-        self.values = dict(values)
-        self.default = default
+        self.values = {state_id: float(value) for state_id, value in values.items()}
+        self.default = float(default)
         self.scale = scale
+        for value in (*self.values.values(), self.default):
+            format_score_sentence(value, scale)
 
     def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         state = trajectory.final_state
         value = self.values.get(state.id, self.default)
-        rationale = (
-            f"Scripted evaluation of state {state.id}. "
-            f"Thus, the correctness score is {value:.2f} / 10.00."
-        )
+        rationale = _scored(f"Scripted evaluation of state {state.id}.", value, self.scale)
         return ValueEstimate(rationale=rationale, value=value, samples=(value,))
 
 
 class ConstantValueModel(ValueModel):
-    """Answers every state with the same value."""
+    """Answers every state with the same value, stated under ``scale``; a
+    value the scale cannot state raises ``ValueError`` here."""
 
     def __init__(self, value: float, scale: ValueScale = NUMERIC10) -> None:
-        self.value = value
         self.scale = scale
+        self._estimate = ValueEstimate(
+            rationale=_scored("Constant evaluation.", value, scale), value=value, samples=(value,)
+        )
 
     def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
-        rationale = (
-            f"Constant evaluation. "
-            f"Thus, the correctness score is {self.value:.2f} / 10.00."
-        )
-        return ValueEstimate(rationale=rationale, value=self.value, samples=(self.value,))
+        return self._estimate
 
 
 class RemoteValueModel(ValueModel):
     """Samples rationales from a chat model and aggregates parsed values.
 
     Draws come in rounds: one chat request with ``n = n_samples``, then up to
-    ``redraw_limit`` more, each asking only for the samples still missing
-    because a reply failed to parse.  So each sample slot gets at most
-    ``1 + redraw_limit`` draws, and malformed replies never count toward the
+    :data:`_REDRAW_LIMIT` more, each asking only for the samples still
+    missing because a reply failed to parse.  So each sample slot gets at
+    most three draws, and malformed replies never count toward the
     aggregate.  Parsed replies keep their round and choice order.  If no
     reply parses the evaluation raises :class:`MalformedRationale`.
 
@@ -158,7 +171,6 @@ class RemoteValueModel(ValueModel):
         scale: ValueScale,
         n_samples: int = 1,
         aggregation: Aggregation = Aggregation.MEDIAN,
-        redraw_limit: int = 2,
         ledger: "Ledger | None" = None,
     ) -> None:
         if n_samples < 1:
@@ -169,22 +181,18 @@ class RemoteValueModel(ValueModel):
         self.n_samples = n_samples
         self.aggregation = aggregation
         self.template = load_template(environment.name, "value")
-        self.redraw_limit = redraw_limit
         self.ledger = ledger
         self.malformed_count = 0
         self._malformed_lock = threading.Lock()
 
     def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         prompt = render_template(self.template, input=render_context(trajectory))
-        chat = ChatRequest(
-            model=self.model, messages=(ChatMessage(role="user", content=prompt),)
-        )
         samples: list[tuple[str, float]] = []
-        for _round in range(1 + self.redraw_limit):
+        for _round in range(1 + _REDRAW_LIMIT):
             missing = self.n_samples - len(samples)
             if missing <= 0:
                 break
-            response = self.transport.send(replace(chat, n=missing))
+            response = self.transport.send(ChatRequest(model=self.model, prompt=prompt, n=missing))
             if self.ledger is not None:
                 self.ledger.add_tokens(
                     "value",

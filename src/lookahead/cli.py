@@ -1,12 +1,15 @@
 """Command-line entry point: run searches, self-training, evals, reports.
 
 One structured JSON config file drives everything; every flag overrides its
-config field (flags win).  Each run writes ``manifest.json`` — the package
+config field (flags win).  The ``search`` and ``stl`` flags are built from the
+config dataclasses' scalar fields, one each, and their values pass the same
+checks as a file's.  Each run writes ``manifest.json`` — the package
 version and the fully-resolved config — and re-running from a manifest with
 scripted agents reproduces every artifact byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 transport-fatal error,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error (a rejected command line
+included), 3 transport-fatal error, 4 I/O error; each error is one stderr
+line.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
 
 from . import __version__
 from .core import Aggregation, Task, write_json
@@ -48,7 +51,7 @@ from .evaluation import (
     PricingTable,
     TaskOutcome,
     emit_report,
-    paired_bootstrap_both,
+    paired_bootstrap,
 )
 from .search import ENGINES, SearchConfig, run_rollouts, safe_name
 from .stl import (
@@ -67,7 +70,7 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
 
-_AGGREGATIONS = ("mean", "median")
+_AGGREGATIONS = tuple(a.value for a in Aggregation)
 
 
 @dataclass
@@ -97,7 +100,7 @@ class ExperimentConfig:
     pricing: str | None = None
     value_scale: str | None = None
     value_samples: int = 1
-    value_aggregation: Aggregation = Aggregation.MEDIAN
+    value_aggregation: str = Aggregation.MEDIAN.value
     base_url: str = "https://api.openai.com/v1"
     api_key_env: str = DEFAULT_API_KEY_ENV
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -113,6 +116,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"value_scale must be one of {sorted(SCALES)}, got {self.value_scale!r}"
             )
+        if self.value_aggregation not in _AGGREGATIONS:
+            raise ValueError(
+                f"value_aggregation must be one of {_AGGREGATIONS}, got {self.value_aggregation!r}"
+            )
 
     def method_name(self) -> str:
         return self.method or f"{self.engine}+{self.value}"
@@ -127,10 +134,11 @@ def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
-# Declared field type -> the JSON values it accepts (bools are not numbers).
+# Declared field type -> the JSON values it accepts (bools are not numbers);
+# the first is the type its flag converts to.
 _SCALAR_TYPES: dict[str, tuple[type, ...]] = {
     "int": (int,),
-    "float": (int, float),
+    "float": (float, int),
     "bool": (bool,),
     "str": (str,),
     "str | None": (str, type(None)),
@@ -181,11 +189,6 @@ def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
     _check_keys(data, allowed, "config")
     _check_types(data, ExperimentConfig, source)
     kwargs: dict[str, Any] = dict(data)
-    if "value_aggregation" in kwargs:
-        raw = kwargs["value_aggregation"]
-        if raw not in _AGGREGATIONS:
-            raise ConfigError(f"value_aggregation must be one of {_AGGREGATIONS}, got {raw!r}")
-        kwargs["value_aggregation"] = Aggregation(raw)
     search = _sub_config(kwargs.pop("search", {}), SearchConfig, "search", source)
     stl = _sub_config(kwargs.pop("stl", {}), StlConfig, "stl", source)
     try:
@@ -338,7 +341,10 @@ def build_value_model(
             constant = math.nan
         if not math.isfinite(constant):
             raise ConfigError(f"constant value spec is not a finite number: {value!r}")
-        return ConstantValueModel(constant, scale=_value_scale(config))
+        try:
+            return ConstantValueModel(constant, scale=_value_scale(config))
+        except ValueError as exc:
+            raise ConfigError(f"value {value!r}: {exc}") from None
     if value.startswith("scripted:"):
         path = Path(value[len("scripted:") :])
         data = _read_json(path, "value fixture")
@@ -355,7 +361,10 @@ def build_value_model(
                 raise ConfigError(
                     f"value fixture {path}: {where} must be a finite number, got {number!r}"
                 )
-        return ScriptedValueModel(values=data["values"], default=float(default), scale=scale)
+        try:
+            return ScriptedValueModel(values=data["values"], default=default, scale=scale)
+        except ValueError as exc:
+            raise ConfigError(f"value fixture {path}: {exc}") from None
     if value.startswith("stl-dataset:"):
         path = Path(value[len("stl-dataset:") :])
         if not path.exists():
@@ -388,7 +397,7 @@ def build_value_model(
             env,
             scale=_value_scale(config),
             n_samples=config.value_samples,
-            aggregation=config.value_aggregation,
+            aggregation=Aggregation(config.value_aggregation),
             ledger=ledger,
         )
     except PromptError as exc:
@@ -602,7 +611,7 @@ def cmd_eval(
     mean_a = sum(scores_a) / len(scores_a)
     mean_b = sum(scores_b) / len(scores_b)
     delta = mean_a - mean_b
-    p_a_gt_b, p_b_gt_a = paired_bootstrap_both(scores_a, scores_b, b_samples, seed)
+    p_a_gt_b, p_b_gt_a = paired_bootstrap(scores_a, scores_b, b_samples, seed)
 
     print(f"method_a: {result_a.method} ({path_a})")
     print(f"method_b: {result_b.method} ({path_b})")
@@ -644,69 +653,52 @@ def cmd_report(
     return 0
 
 
+# Help for the flags whose value is a spec string or a path.
+_FLAG_HELP = {
+    "config": "JSON config file or a previous manifest.json",
+    "environment": "game24 | scripted:<fixture>",
+    "policy": "exhaustive | remote:<model>",
+    "value": "oracle | constant:<v> | scripted:<fixture> | remote:<model> | stl-dataset:<path>",
+    "tasks": "tasks JSON file",
+    "out": "output directory (default: runs/<stamp>)",
+    "pricing": "pricing JSON file",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file or a previous manifest.json")
-    parser.add_argument("--environment", help="game24 | scripted:<fixture>")
-    parser.add_argument("--engine", choices=tuple(ENGINES))
-    parser.add_argument("--policy", help="exhaustive | remote:<model>")
-    parser.add_argument(
-        "--value",
-        help="oracle | constant:<v> | scripted:<fixture> | remote:<model> | stl-dataset:<path>",
-    )
-    parser.add_argument("--tasks", help="tasks JSON file")
-    parser.add_argument("--out", help="output directory (default: runs/<stamp>)")
-    parser.add_argument("--method", help="label used in results and reports")
-    parser.add_argument("--attempts", type=int)
-    parser.add_argument("--parallel", type=int, help="concurrent task rollouts")
-    parser.add_argument("--success-threshold", type=float, dest="success_threshold")
-    parser.add_argument("--k", type=int, help="k for pass@k in reports")
-    parser.add_argument("--pricing", help="pricing JSON file")
-    parser.add_argument("--value-scale", dest="value_scale", choices=sorted(SCALES))
-    parser.add_argument("--value-samples", type=int, dest="value_samples")
-    parser.add_argument(
-        "--value-aggregation", choices=_AGGREGATIONS, dest="value_aggregation"
-    )
-    parser.add_argument("--base-url", dest="base_url")
-    parser.add_argument("--api-key-env", dest="api_key_env")
-    # search sub-config
-    parser.add_argument("--branching", type=int, dest="search.branching")
-    parser.add_argument("--max-depth", type=int, dest="search.max_depth")
-    parser.add_argument("--beam-width", type=int, dest="search.beam_width")
-    parser.add_argument("--mcts-iterations", type=int, dest="search.mcts_iterations")
-    parser.add_argument("--exploration", type=float, dest="search.exploration")
-    parser.add_argument(
-        "--normalize-backup",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="search.normalize_backup",
-    )
-    # stl sub-config
-    parser.add_argument("--iterations", type=int, dest="stl.iterations")
-    parser.add_argument(
-        "--tasks-per-iteration", type=int, dest="stl.tasks_per_iteration"
-    )
-    parser.add_argument("--gamma", type=float, dest="stl.gamma")
-    parser.add_argument("--stl-engine", choices=tuple(ENGINES), dest="stl.engine")
-    parser.add_argument(
-        "--accumulate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="stl.accumulate",
-    )
-    parser.add_argument(
-        "--per-depth",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="stl.per_depth",
-    )
-    parser.add_argument(
-        "--min-example-depth", type=int, dest="stl.min_example_depth"
-    )
-    parser.add_argument("--mask", choices=("none", "completion-only"), dest="stl.mask")
+    """``--config`` plus one flag per scalar config field.
+
+    A field's flag is ``--<name-with-dashes>`` with dest ``name``,
+    ``search.name`` or ``stl.name``, typed by the field's declared type; a
+    name already taken gets its section's prefix (``stl.engine`` is
+    ``--stl-engine``).  The values are checked when the config loads.
+    """
+    parser.add_argument("--config", help=_FLAG_HELP["config"])
+    taken = {"config"}
+    for section, cls in (("", ExperimentConfig), ("search", SearchConfig), ("stl", StlConfig)):
+        for f in fields(cls):
+            accepted = _SCALAR_TYPES.get(f.type)
+            if accepted is None:
+                continue
+            name = f"{section}_{f.name}" if f.name in taken else f.name
+            taken.add(name)
+            flag = "--" + name.replace("_", "-")
+            dest = f"{section}.{f.name}" if section else f.name
+            if accepted == (bool,):
+                parser.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction)
+            else:
+                parser.add_argument(flag, dest=dest, type=accepted[0], help=_FLAG_HELP.get(name))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one :class:`ConfigError` line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lookahead",
         description="Value-guided tree search and lookahead self-training.",
     )
@@ -749,9 +741,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command in ("search", "stl"):
             config = load_config(args.config, _overrides_from_args(args))
             if args.command == "search":

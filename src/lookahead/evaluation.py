@@ -4,11 +4,11 @@ The :class:`Ledger` tracks prompt/completion tokens per (role, model) and the
 global count of environment transitions, with per-task breakdowns whose sums
 always equal the totals.  :func:`cost` prices a ledger with exact decimal
 arithmetic; :func:`paired_bootstrap` is a seeded, machine-stable paired
-bootstrap test, and :func:`paired_bootstrap_both` runs it in both directions
-from one draw of resample indices.  The resamples come in fixed chunks, each
-from its own counter-derived stream, drawn a block of rows at a time on one
-thread per usable CPU (at most eight), so the p-values depend only on the
-scores, ``b_samples`` and the seed.  numpy is imported on the first bootstrap
+bootstrap test that returns both directions' p-values from one draw of
+resample indices.  The resamples come in fixed chunks, each from its own
+counter-derived stream, drawn a block of rows at a time on one thread per
+usable CPU (at most eight), so the p-values depend only on the scores,
+``b_samples`` and the seed.  numpy is imported on the first bootstrap
 call, not with this module, so commands that never run one do not load it.
 :func:`emit_report` writes deterministic CSV summaries.
 """
@@ -278,32 +278,18 @@ def paired_bootstrap(
     scores_b: Sequence[float],
     b_samples: int = 1_000_000,
     seed: int = 0,
-) -> float:
-    """Paired bootstrap probability that system A's lead is spurious.
+) -> tuple[float, float]:
+    """Paired bootstrap probabilities ``(p_a_gt_b, p_b_gt_a)`` that system
+    A's lead over B, and B's over A, is spurious.
 
     With observed mean difference ``delta``, resamples task indices with
     replacement ``b_samples`` times and reports the fraction of resamples
-    whose difference exceeds ``2 * delta``.  The paired differences are
-    sorted before resampling, so the result is exactly invariant to task
-    order; each fixed-size chunk of resamples draws from its own
-    counter-derived stream, so resample ``i`` is identical across runs,
-    machines and thread counts.  ``seed`` must be non-negative.  numpy is
-    imported on the first call.
-    """
-    a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
-    return _bootstrap([a - b], b_samples, seed)[0]
-
-
-def paired_bootstrap_both(
-    scores_a: Sequence[float],
-    scores_b: Sequence[float],
-    b_samples: int = 1_000_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """``(paired_bootstrap(a, b), paired_bootstrap(b, a))`` from one draw.
-
-    Both directions use the same seed, so they resample the same task
-    indices; drawing them once gives exactly the two separate results.
+    whose difference exceeds ``2 * delta``.  Both directions come from one
+    draw of the same resamples.  The paired differences are sorted before
+    resampling, so the result is exactly invariant to task order; each
+    fixed-size chunk of resamples draws from its own counter-derived stream,
+    so resample ``i`` is identical across runs, machines and thread counts.
+    ``seed`` must be non-negative.  numpy is imported on the first call.
     """
     a, b = _paired_arrays(scores_a, scores_b, b_samples, seed)
     p_a_gt_b, p_b_gt_a = _bootstrap([a - b, b - a], b_samples, seed)

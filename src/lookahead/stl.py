@@ -55,6 +55,10 @@ class TrainerError(Exception):
     """A fine-tuning call failed; the exported datasets remain on disk."""
 
 
+MASK_MODES = ("none", "completion-only")
+"""Loss-mask modes an exported dataset's metadata can name."""
+
+
 @dataclass(frozen=True)
 class StlConfig:
     """Self-training schedule.
@@ -84,9 +88,9 @@ class StlConfig:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.engine not in ENGINES:
-            raise ValueError(f"unknown rollout engine {self.engine!r}")
-        if self.mask not in ("none", "completion-only"):
-            raise ValueError(f"unknown mask mode {self.mask!r}")
+            raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
+        if self.mask not in MASK_MODES:
+            raise ValueError(f"mask must be one of {MASK_MODES}, got {self.mask!r}")
         if self.min_example_depth < 0:
             raise ValueError("min_example_depth cannot be negative")
 
@@ -289,7 +293,7 @@ def export_jsonl(
     """
     if len(dataset) == 0:
         raise ValueError("refusing to export an empty dataset")
-    if mask not in ("none", "completion-only"):
+    if mask not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mask!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -482,7 +482,7 @@ def test_criterion_07_default_pricing_reproduces_reference_costs():
 
 
 def test_criterion_08_paired_bootstrap_calibration_and_reproducibility():
-    dominant = paired_bootstrap([1.0] * 20, [0.0] * 20, b_samples=100_000, seed=3)
+    dominant, _ = paired_bootstrap([1.0] * 20, [0.0] * 20, b_samples=100_000, seed=3)
     assert dominant == 0.0
 
     # Symmetric zero-delta construction with tie-free resampled means: the
@@ -490,16 +490,16 @@ def test_criterion_08_paired_bootstrap_calibration_and_reproducibility():
     diffs = [1 + i / 97 for i in range(10)]
     scores_a = [5.0 + d for d in diffs] + [5.0 - d for d in diffs]
     scores_b = [5.0] * 20
-    symmetric = paired_bootstrap(scores_a, scores_b, b_samples=100_000, seed=7)
+    symmetric, _ = paired_bootstrap(scores_a, scores_b, b_samples=100_000, seed=7)
     assert 0.45 <= symmetric <= 0.55
 
     rng = random.Random(88)
     wide_a = [rng.random() for _ in range(500)]
     wide_b = [rng.random() for _ in range(500)]
     start = time.monotonic()
-    first = paired_bootstrap(wide_a, wide_b, b_samples=1_000_000, seed=13)
+    first, _ = paired_bootstrap(wide_a, wide_b, b_samples=1_000_000, seed=13)
     elapsed = time.monotonic() - start
-    second = paired_bootstrap(wide_a, wide_b, b_samples=1_000_000, seed=13)
+    second, _ = paired_bootstrap(wide_a, wide_b, b_samples=1_000_000, seed=13)
     assert elapsed < 60.0
     assert first == second
     assert 0.0 < first < 1.0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lookahead import evaluation
-from lookahead.evaluation import paired_bootstrap, paired_bootstrap_both
+from lookahead.evaluation import paired_bootstrap
 
 
 def scores(n: int) -> tuple[list[float], list[float]]:
@@ -45,9 +45,8 @@ PINNED = {
 def test_pinned_p_values(n, b_samples):
     a, b = scores(n)
     expected = PINNED[(n, b_samples)]
-    assert paired_bootstrap(a, b, b_samples, 3) == expected[0]
-    assert paired_bootstrap(b, a, b_samples, 3) == expected[1]
-    assert paired_bootstrap_both(a, b, b_samples, 3) == expected
+    assert paired_bootstrap(a, b, b_samples, 3) == expected
+    assert paired_bootstrap(b, a, b_samples, 3) == expected[::-1]
 
 
 def reference_bootstrap(scores_a, scores_b, b_samples, seed):
@@ -79,7 +78,7 @@ def test_both_directions_equal_the_reference(scores_a, scores_b, seed):
         reference_bootstrap(scores_a, scores_b, 17000, seed),
         reference_bootstrap(scores_b, scores_a, 17000, seed),
     )
-    assert paired_bootstrap_both(scores_a, scores_b, 17000, seed) == expected
+    assert paired_bootstrap(scores_a, scores_b, 17000, seed) == expected
 
 
 def fake_cpus(monkeypatch, affinity, cpu_count):
@@ -102,11 +101,9 @@ def test_p_values_do_not_depend_on_the_thread_count(monkeypatch, affinity, cpu_c
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        single = paired_bootstrap(a, b, 20001, 3)
-        both = paired_bootstrap_both(a, b, 20001, 3)
+        both = paired_bootstrap(a, b, 20001, 3)
     finally:
         sys.setswitchinterval(interval)
-    assert single == PINNED[(60, 20001)][0]
     assert both == PINNED[(60, 20001)]
 
 
@@ -137,19 +134,18 @@ def test_pool_size(monkeypatch, affinity, cpu_count, b_samples, workers):
     assert sizes == [workers]
 
 
-def test_both_directions_check_their_inputs():
+def test_inputs_are_checked():
     with pytest.raises(ValueError, match="differ in length"):
-        paired_bootstrap_both([1.0], [0.5, 0.5])
+        paired_bootstrap([1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="at least one task"):
-        paired_bootstrap_both([], [])
+        paired_bootstrap([], [])
     with pytest.raises(ValueError, match="b_samples must be positive"):
-        paired_bootstrap_both([1.0], [0.0], b_samples=0)
+        paired_bootstrap([1.0], [0.0], b_samples=0)
 
 
-@pytest.mark.parametrize("bootstrap", [paired_bootstrap, paired_bootstrap_both])
-def test_negative_seed_is_refused_by_name(bootstrap):
+def test_negative_seed_is_refused_by_name():
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-        bootstrap([1.0, 0.0], [0.0, 0.0], b_samples=10, seed=-1)
+        paired_bootstrap([1.0, 0.0], [0.0, 0.0], b_samples=10, seed=-1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 60, 1000])

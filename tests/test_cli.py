@@ -223,7 +223,9 @@ class TestConfigHandling:
         tasks = game24_tasks(tmp_path / "tasks.json")
         dataset = game24_dataset(tmp_path, tasks, capsys)
         fixture = tmp_path / "values.json"
-        fixture.write_text(json.dumps({"values": {}, "scale": "game24"}), encoding="utf-8")
+        fixture.write_text(
+            json.dumps({"values": {}, "default": 0.001, "scale": "game24"}), encoding="utf-8"
+        )
         code, out, err = run_cli(
             [
                 "stl",
@@ -812,22 +814,158 @@ class TestManifest:
 
 
 class TestEngineChoices:
-    def choices(self, dest):
-        search = build_parser()._subparsers._group_actions[0].choices["search"]
-        return next(a.choices for a in search._actions if a.dest == dest)
-
-    def test_flags_offer_exactly_the_engine_registry(self):
-        assert tuple(self.choices("engine")) == tuple(ENGINES)
-        assert tuple(self.choices("stl.engine")) == tuple(ENGINES)
-
     def test_configs_accept_exactly_the_engine_registry(self):
         for name in ENGINES:
             assert config_from_dict({"engine": name, "stl": {"engine": name}}).engine == name
             assert StlConfig(engine=name).engine == name
         with pytest.raises(ConfigError, match="engine must be one of"):
             config_from_dict({"engine": "dfs"})
-        with pytest.raises(ValueError, match="unknown rollout engine"):
+        with pytest.raises(ValueError, match="engine must be one of"):
             StlConfig(engine="dfs")
+
+
+# Every flag of ``search`` and ``stl`` with its dest, in help order.
+CONFIG_FLAGS = [
+    (("--config",), "config"),
+    (("--environment",), "environment"),
+    (("--engine",), "engine"),
+    (("--policy",), "policy"),
+    (("--value",), "value"),
+    (("--tasks",), "tasks"),
+    (("--out",), "out"),
+    (("--method",), "method"),
+    (("--attempts",), "attempts"),
+    (("--parallel",), "parallel"),
+    (("--success-threshold",), "success_threshold"),
+    (("--k",), "k"),
+    (("--pricing",), "pricing"),
+    (("--value-scale",), "value_scale"),
+    (("--value-samples",), "value_samples"),
+    (("--value-aggregation",), "value_aggregation"),
+    (("--base-url",), "base_url"),
+    (("--api-key-env",), "api_key_env"),
+    (("--branching",), "search.branching"),
+    (("--max-depth",), "search.max_depth"),
+    (("--beam-width",), "search.beam_width"),
+    (("--mcts-iterations",), "search.mcts_iterations"),
+    (("--exploration",), "search.exploration"),
+    (("--normalize-backup", "--no-normalize-backup"), "search.normalize_backup"),
+    (("--iterations",), "stl.iterations"),
+    (("--tasks-per-iteration",), "stl.tasks_per_iteration"),
+    (("--gamma",), "stl.gamma"),
+    (("--stl-engine",), "stl.engine"),
+    (("--accumulate", "--no-accumulate"), "stl.accumulate"),
+    (("--per-depth", "--no-per-depth"), "stl.per_depth"),
+    (("--min-example-depth",), "stl.min_example_depth"),
+    (("--mask",), "stl.mask"),
+]
+
+
+def benchmark_inputs(name: str, tmp_path: Path, monkeypatch):
+    """The inputs and command line of one benchmark workload, seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    (tmp_path / "in").mkdir()
+    prepare = workloads.WORKLOADS[name].prepare
+    return workloads, prepare(1, tmp_path / "in", tmp_path / "out", "http://127.0.0.1:9")
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", ["search", "stl"])
+    def test_search_and_stl_offer_exactly_the_pinned_flags(self, command):
+        parser = build_parser()._subparsers._group_actions[0].choices[command]
+        flags = [(tuple(a.option_strings), a.dest) for a in parser._actions[1:]]
+        assert flags == CONFIG_FLAGS
+
+    @pytest.mark.parametrize(
+        "name", ["search-beam-oracle", "stl-mcts-oracle", "search-beam-remote"]
+    )
+    def test_benchmark_command_lines_parse_to_the_pinned_configs(
+        self, name, tmp_path, monkeypatch
+    ):
+        workloads, inputs = benchmark_inputs(name, tmp_path, monkeypatch)
+        paths = dict(tasks=str(tmp_path / "in" / "tasks.json"), out=str(tmp_path / "out"))
+        expected = {
+            "search-beam-oracle": ExperimentConfig(
+                engine="beam",
+                search=SearchConfig(branching=100, beam_width=5, max_depth=3),
+                **paths,
+            ),
+            "stl-mcts-oracle": ExperimentConfig(
+                search=SearchConfig(mcts_iterations=30, branching=5, max_depth=3),
+                stl=StlConfig(
+                    engine="mcts",
+                    iterations=workloads.STL_ITERATIONS,
+                    tasks_per_iteration=workloads.STL_TASKS_PER_ITERATION,
+                    accumulate=True,
+                ),
+                **paths,
+            ),
+            "search-beam-remote": ExperimentConfig(
+                engine="beam",
+                value="remote:gpt-3.5-turbo",
+                value_samples=workloads.REMOTE_VALUE_SAMPLES,
+                base_url="http://127.0.0.1:9",
+                api_key_env=workloads.NO_KEY_ENV,
+                search=SearchConfig(branching=5, beam_width=5, max_depth=3),
+                **paths,
+            ),
+        }[name]
+        args = build_parser().parse_args(inputs.argv)
+        config = load_config(args.config, cli._overrides_from_args(args))
+        # Compared as manifests, so an int where a float was parsed fails too.
+        assert json.dumps(config.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_the_benchmark_eval_command_line_parses_to_the_pinned_arguments(
+        self, tmp_path, monkeypatch
+    ):
+        workloads, inputs = benchmark_inputs("eval-bootstrap", tmp_path, monkeypatch)
+        args = build_parser().parse_args(inputs.argv)
+        assert vars(args) == {
+            "command": "eval",
+            "results_a": str(tmp_path / "in" / "results_a.json"),
+            "results_b": str(tmp_path / "in" / "results_b.json"),
+            "metric": "score",
+            "b_samples": workloads.EVAL_RESAMPLES,
+            "seed": 1,
+            "out": str(tmp_path / "out" / "eval.csv"),
+        }
+
+
+class TestCommandLineErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--attempts", "x"],
+            ["search", "--bogus"],
+            ["search", "--engine", "dfs"],
+            ["search", "--value-aggregation", "mode"],
+            ["stl", "--mask", "bad"],
+            ["stl", "--stl-engine", "dfs"],
+            ["stl", "--accumulate=yes"],
+            ["eval", "a.json"],
+            ["eval", "a.json", "b.json", "--b-samples", "many"],
+            ["eval", "a.json", "b.json", "--metric", "mean"],
+            ["report", "--out", "r"],
+            ["report", "a.json", "--out", "r", "--k", "x"],
+            [],
+            ["fly"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-subcommand",
+    )
+    def test_a_bad_command_line_is_one_config_error_line(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["search", "--help"]])
+    def test_help_and_version_still_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestSearchCommand:
@@ -1043,6 +1181,60 @@ class TestRemoteValueFlags:
 # The first 16 hex digits of the sha256 of every file two per-depth beam
 # ``stl`` runs write under ``stl/``, pinned before the lookahead record
 # replaced the candidate wrapper: refactoring the pipeline must not move a byte.
+class TestLabelScaleDoubles:
+    """Scripted and constant value models state each value on their own
+    scale, so a label scale's rationales parse."""
+
+    def stl_report(self, tmp_path, capsys, value: str, tasks: str) -> dict:
+        out = tmp_path / "out"
+        argv = ["stl", "--value", value, "--stl-engine", "greedy", "--tasks-per-iteration", "4"]
+        code, _, err = run_cli([*argv, "--tasks", tasks, "--out", str(out)], capsys)
+        assert code == 0, err
+        [report] = json.loads((out / "stl" / "stl_report.json").read_text(encoding="utf-8"))
+        return report
+
+    def test_a_label_scale_fixture_keeps_every_candidate(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=4)
+        fixture = tmp_path / "values.json"
+        fixture.write_text(
+            json.dumps({"values": {}, "default": 0.001, "scale": "game24"}), encoding="utf-8"
+        )
+        report = self.stl_report(tmp_path, capsys, f"scripted:{fixture}", tasks)
+        assert report["rejected"] == {}
+        assert report["kept"] == report["candidates"] > 0
+
+    def test_a_dataset_model_states_unseen_states_on_its_label_scale(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=4)
+        dataset = game24_dataset(tmp_path, tasks, capsys)  # from the first two tasks only
+        report = self.stl_report(tmp_path, capsys, f"stl-dataset:{dataset}", tasks)
+        assert "scaffolding-missing" not in report["rejected"]
+        assert report["kept"] > 0
+
+    @pytest.mark.parametrize(
+        "fixture, flags, named",
+        [
+            ({"values": {"a": 7}, "scale": "game24"}, [], "value 7.0"),
+            ({"values": {}, "default": 5, "scale": "game24"}, [], "value 5.0"),
+            (None, ["--value", "constant:5", "--value-scale", "game24"], "value 5.0"),
+        ],
+        ids=["fixture-value", "fixture-default", "constant"],
+    )
+    def test_a_value_the_label_scale_cannot_state_exits_2(
+        self, tmp_path, capsys, fixture, flags, named
+    ):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        if fixture is not None:
+            path = tmp_path / "values.json"
+            path.write_text(json.dumps(fixture), encoding="utf-8")
+            flags = ["--value", f"scripted:{path}"]
+        out = tmp_path / "out"
+        code, _, err = run_cli(["search", *flags, "--tasks", tasks, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{named} is not one of the 'game24' label values" in err
+        assert not out.exists()
+
+
 STL_WEBSHOP_PER_DEPTH_ARGS = [
     "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES,
     "--tasks", "fixtures/webshop_tasks_50.json", "--stl-engine", "beam",

@@ -165,14 +165,14 @@ class TestPairedBootstrap:
     def test_dominant_difference_gives_zero(self):
         scores_a = [1.0] * 20
         scores_b = [0.0] * 20
-        assert paired_bootstrap(scores_a, scores_b, b_samples=20_000, seed=7) == 0.0
+        assert paired_bootstrap(scores_a, scores_b, b_samples=20_000, seed=7) == (0.0, 1.0)
 
     def test_balanced_unit_differences_match_binomial(self):
         # Twenty ±1 diffs resample to a mean above zero exactly when more
         # than ten +1s are drawn: P = (1 - C(20,10)/2^20) / 2 = 0.41190...
         scores_a = [1.0, 0.0] * 10
         scores_b = [0.0, 1.0] * 10
-        p = paired_bootstrap(scores_a, scores_b, b_samples=100_000, seed=7)
+        p, _ = paired_bootstrap(scores_a, scores_b, b_samples=100_000, seed=7)
         assert abs(p - 0.4119015) < 0.01
 
     def test_tie_free_symmetric_differences_near_half(self):
@@ -181,7 +181,7 @@ class TestPairedBootstrap:
         magnitudes = [1.0 + i / 97.0 for i in range(10)]
         scores_a = [m for m in magnitudes] + [0.0] * 10
         scores_b = [0.0] * 10 + [m for m in magnitudes]
-        p = paired_bootstrap(scores_a, scores_b, b_samples=100_000, seed=7)
+        p, _ = paired_bootstrap(scores_a, scores_b, b_samples=100_000, seed=7)
         assert 0.45 <= p <= 0.55
 
     def test_same_seed_same_result(self):
@@ -208,7 +208,7 @@ class TestPairedBootstrap:
         assert forward == backward
 
     def test_single_resample_allowed(self):
-        assert paired_bootstrap([1.0], [0.0], b_samples=1, seed=0) in (0.0, 1.0)
+        assert paired_bootstrap([1.0], [0.0], b_samples=1, seed=0)[0] in (0.0, 1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
@@ -236,8 +236,8 @@ class TestPairedBootstrap:
         # p at 10k samples uses exactly the first 10k of the 20k stream.
         scores_a = [0.9, 0.4, 0.7, 0.2, 0.8]
         scores_b = [0.5, 0.5, 0.6, 0.3, 0.4]
-        p_10k = paired_bootstrap(scores_a, scores_b, b_samples=10_000, seed=5)
-        p_20k = paired_bootstrap(scores_a, scores_b, b_samples=20_000, seed=5)
+        p_10k, _ = paired_bootstrap(scores_a, scores_b, b_samples=10_000, seed=5)
+        p_20k, _ = paired_bootstrap(scores_a, scores_b, b_samples=20_000, seed=5)
         # Counts, not probabilities, are additive across the two halves.
         exceed_10k = round(p_10k * 10_000)
         exceed_20k = round(p_20k * 20_000)

@@ -76,7 +76,7 @@ class TestRemotePolicy:
         policy = RemotePolicy(transport, "test-model", env)
         actions = policy.propose(trajectory, branching=1, disallowed=frozenset({"1 + 2"}))
         assert [a.text for a in actions] == ["2 * 3"]
-        prompt = transport.requests_seen[0].messages[0].content
+        prompt = transport.requests_seen[0].prompt
         assert "1 + 2" in prompt
 
     def test_out_of_space_actions_rejected(self):

@@ -4,7 +4,7 @@ import json
 
 from lookahead.agents.policies import RemotePolicy
 from lookahead.agents.scales import GAME24
-from lookahead.agents.transport import ScriptedTransport
+from lookahead.agents.transport import HttpTransport, ScriptedTransport
 from lookahead.agents.values import RemoteValueModel
 from lookahead.core import Task
 from lookahead.envs.game24 import Game24Env
@@ -59,29 +59,63 @@ GOLDEN_LEDGER = {
 }
 
 
+REPLIES = [
+    "Action: 4 + 6",
+    "no verdict here",
+    "10 6 8 can work\nlikely",
+    "Action: 10 - 6",
+    "4 8 cannot\nimpossible",
+]
+
+
+def golden_search(transport, ledger):
+    env = Game24Env()
+    policy = RemotePolicy(transport, "m", env, ledger=ledger)
+    value_model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
+    config = SearchConfig(branching=1, max_depth=2, excluded_actions=("6 * 8",))
+    return greedy_search(Task(id="g1", instruction=ROOT), env, policy, value_model, config, ledger)
+
+
 class TestGoldenPrompts:
     def test_remote_agents_send_the_pinned_requests(self):
-        env = Game24Env()
-        task = Task(id="g1", instruction=ROOT)
-        transport = ScriptedTransport(
-            [
-                "Action: 4 + 6",
-                "no verdict here",
-                "10 6 8 can work\nlikely",
-                "Action: 10 - 6",
-                "4 8 cannot\nimpossible",
-            ]
-        )
+        transport = ScriptedTransport(REPLIES)
         ledger = Ledger()
-        policy = RemotePolicy(transport, "m", env, ledger=ledger)
-        value_model = RemoteValueModel(transport, "m", env, GAME24, ledger=ledger)
-        config = SearchConfig(branching=1, max_depth=2, excluded_actions=("6 * 8",))
-        tree = greedy_search(task, env, policy, value_model, config, ledger)
+        tree = golden_search(transport, ledger)
 
-        sent = [(r.messages[0].content, r.n) for r in transport.requests_seen]
+        sent = [(r.prompt, r.n) for r in transport.requests_seen]
         assert sent == GOLDEN_REQUESTS
-        for request in transport.requests_seen:
-            assert [m.role for m in request.messages] == ["user"]
-            assert (request.model, request.temperature, request.max_tokens) == ("m", 1.0, 3192)
+        assert {r.model for r in transport.requests_seen} == {"m"}
         assert json.loads(json.dumps(ledger.to_dict())) == GOLDEN_LEDGER
         assert [n.estimate.value for n in tree.nodes[1:]] == [GAME24.labels["likely"], 0.001]
+
+    def test_each_request_posts_one_user_message_at_the_pinned_settings(self):
+        posted = []
+        replies = iter(REPLIES)
+
+        class Reply:
+            status_code = 200
+            headers: dict = {}
+
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"content": next(replies)}}]}
+
+        def post(url, **kwargs):
+            posted.append(json.dumps(kwargs["json"]))
+            return Reply()
+
+        golden_search(HttpTransport("http://example.test", post=post), Ledger())
+        assert posted == [
+            json.dumps(
+                {
+                    "model": "m",
+                    "messages": [{"role": "user", "content": prompt}],
+                    "temperature": 1.0,
+                    "max_tokens": 3192,
+                    "n": n,
+                }
+            )
+            for prompt, n in GOLDEN_REQUESTS
+        ]

@@ -37,12 +37,12 @@ except Exception as exc:
     print("PROBE " + json.dumps(seen))
     sys.exit(0)
 
-from lookahead.agents.transport import ChatMessage, ChatRequest, HttpTransport
+from lookahead.agents.transport import ChatRequest, HttpTransport
 
 server = StubServer(delay_s=0.0, workers=1)
 try:
     transport = HttpTransport(server.base_url, max_attempts=1)
-    request = ChatRequest(model="m", messages=(ChatMessage("user", "Input: 2 3 4 4"),), n=2)
+    request = ChatRequest(model="m", prompt="Input: 2 3 4 4", n=2)
     seen["texts"] = len(transport.send(request).texts)
 finally:
     server.close()

@@ -7,7 +7,6 @@ import pytest
 import requests
 
 from lookahead.agents.transport import (
-    ChatMessage,
     ChatRequest,
     MAX_RETRY_AFTER_SECONDS,
     HttpTransport,
@@ -22,14 +21,8 @@ from lookahead.agents.transport import (
 MIDPOINT = lambda: 0.5  # noqa: E731
 
 
-def make_request(content: str = "evaluate this state please") -> ChatRequest:
-    return ChatRequest(
-        model="test-model",
-        messages=(
-            ChatMessage(role="system", content="you are a careful evaluator"),
-            ChatMessage(role="user", content=content),
-        ),
-    )
+def make_request(prompt: str = "evaluate this state please") -> ChatRequest:
+    return ChatRequest(model="test-model", prompt=prompt)
 
 
 class TestScriptedTransport:
@@ -48,15 +41,13 @@ class TestScriptedTransport:
         transport = ScriptedTransport(["three word reply"])
         response = transport.send(make_request("two words"))
         assert response.completion_tokens == 3
-        assert response.prompt_tokens == approx_tokens(
-            "you are a careful evaluator"
-        ) + approx_tokens("two words")
+        assert response.prompt_tokens == approx_tokens("two words")
 
     def test_records_requests(self):
         transport = ScriptedTransport(["a", "b"])
         transport.send(make_request("first prompt"))
         transport.send(make_request("second prompt"))
-        assert [r.messages[-1].content for r in transport.requests_seen] == [
+        assert [r.prompt for r in transport.requests_seen] == [
             "first prompt",
             "second prompt",
         ]
@@ -67,9 +58,7 @@ class TestScriptedTransport:
         assert response.texts == ("a b", "c", "d e f")
         assert response.text == "a b"
         assert response.completion_tokens == 6
-        assert response.prompt_tokens == approx_tokens(
-            "you are a careful evaluator"
-        ) + approx_tokens("two words")
+        assert response.prompt_tokens == approx_tokens("two words")
         assert transport.send(make_request()).texts == ("g",)
         with pytest.raises(TransportError, match="exhausted after 4"):
             transport.send(make_request())
@@ -128,8 +117,13 @@ class TestHttpTransport:
         assert (response.prompt_tokens, response.completion_tokens) == (11, 7)
         url, payload, headers, timeout = calls[0]
         assert url == "http://example.test/v1/chat/completions"
-        assert payload["model"] == "test-model"
-        assert payload["messages"][0]["role"] == "system"
+        assert payload == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "evaluate this state please"}],
+            "temperature": 1.0,
+            "max_tokens": 3192,
+            "n": 1,
+        }
         assert timeout == 120.0
 
     def test_sends_n_and_returns_every_choice_in_order(self):

@@ -80,7 +80,27 @@ class TestScriptedValueModel:
         model = ScriptedValueModel({"s1": 7.25})
         estimate = model.evaluate(trajectory)
         assert parse_value(estimate.rationale, model.scale) == 7.25
-        assert "s1" in estimate.rationale
+        assert estimate.rationale == (
+            "Scripted evaluation of state s1. Thus, the correctness score is 7.25 / 10.00."
+        )
+
+    def test_rationale_parses_on_a_label_scale(self):
+        model = ScriptedValueModel({"s1": 20}, default=0.001, scale=GAME24)
+        for state_id, value in (("s1", 20.0), ("other", 0.001)):
+            estimate = model.evaluate(synthetic_trajectory(state_id))
+            assert estimate.rationale.endswith("\n" + ("sure" if value == 20.0 else "impossible"))
+            assert parse_value(estimate.rationale, GAME24) == estimate.value == value
+
+    def test_values_are_floats_however_the_fixture_spells_them(self):
+        model = ScriptedValueModel({"s1": 7}, default=1)
+        values = [model.evaluate(synthetic_trajectory(i)).value for i in ("s1", "other")]
+        assert values == [7.0, 1.0]
+        assert all(type(value) is float for value in values)
+
+    @pytest.mark.parametrize("values, default", [({"s1": 7.0}, 0.001), ({}, 5.0)])
+    def test_a_value_a_label_scale_cannot_state_is_refused(self, values, default):
+        with pytest.raises(ValueError, match=r"value (7|5)\.0 is not one of the 'game24' label values"):
+            ScriptedValueModel(values, default=default, scale=GAME24)
 
 
 class TestConstantValueModel:
@@ -92,6 +112,16 @@ class TestConstantValueModel:
         second = model.evaluate(trajectory2)
         assert first.value == second.value == 1.0
         assert parse_value(first.rationale, model.scale) == 1.0
+        assert first.rationale == "Constant evaluation. Thus, the correctness score is 1.00 / 10.00."
+
+    def test_rationale_parses_on_a_label_scale(self):
+        estimate = ConstantValueModel(0.001, scale=GAME24).evaluate(synthetic_trajectory())
+        assert estimate.rationale == "Constant evaluation.\nimpossible"
+        assert parse_value(estimate.rationale, GAME24) == 0.001
+
+    def test_a_value_a_label_scale_cannot_state_is_refused(self):
+        with pytest.raises(ValueError, match=r"value 5\.0 is not one of the 'game24' label values"):
+            ConstantValueModel(5.0, scale=GAME24)
 
 
 def sample(value: float) -> str:
@@ -122,7 +152,7 @@ class TestRemoteValueModel:
     def test_redraw_replaces_malformed_sample(self):
         env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["garbled", sample(6.0)])
-        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=1, redraw_limit=2)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=1)
         estimate = model.evaluate(trajectory)
         assert estimate.value == 6.0
         assert estimate.samples == (6.0,)
@@ -135,7 +165,7 @@ class TestRemoteValueModel:
             ["junk", sample(8.0), sample(2.0)]
         )
         model = RemoteValueModel(
-            transport, "m", env, LIKERT10, n_samples=2, aggregation=Aggregation.MEAN, redraw_limit=1
+            transport, "m", env, LIKERT10, n_samples=2, aggregation=Aggregation.MEAN
         )
         estimate = model.evaluate(trajectory)
         assert estimate.samples == (8.0, 2.0)
@@ -144,12 +174,12 @@ class TestRemoteValueModel:
     def test_all_draws_malformed(self):
         env, trajectory = game24_trajectory("1 2 3")
         transport = ScriptedTransport(["junk"] * 6)
-        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=2, redraw_limit=2)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=2)
         with pytest.raises(MalformedRationale) as err:
             model.evaluate(trajectory)
         assert err.value.reason == "no-parsed-samples"
-        # 1 + redraw_limit requests, each asking for both slots again:
-        # n_samples * (1 + redraw_limit) draws.
+        # One request and two redraws, each asking for both slots again:
+        # n_samples * 3 draws.
         assert [r.n for r in transport.requests_seen] == [2, 2, 2]
         assert sum(r.n for r in transport.requests_seen) == 6
         assert model.malformed_count == 6
@@ -163,7 +193,7 @@ class TestRemoteValueModel:
         assert [r.n for r in transport.requests_seen] == [3]
         assert estimate.samples == (2.0, 8.0, 6.0)
         # The prompt is billed once for the three choices.
-        prompt = transport.requests_seen[0].messages[0].content
+        prompt = transport.requests_seen[0].prompt
         counts = ledger.tokens[("value", "m")]
         assert counts.prompt == len(prompt.split())
         assert counts.completion == 3 * len(sample(2.0).split())
@@ -173,7 +203,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport(
             [sample(1.0), "junk", sample(2.0), "junk", "junk", sample(4.0), sample(8.0)]
         )
-        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=4, redraw_limit=2)
+        model = RemoteValueModel(transport, "m", env, LIKERT10, n_samples=4)
         estimate = model.evaluate(trajectory)
         assert [r.n for r in transport.requests_seen] == [4, 2, 1]
         assert estimate.samples == (1.0, 2.0, 4.0, 8.0)
@@ -197,7 +227,7 @@ class TestRemoteValueModel:
         transport = ScriptedTransport([sample(6.0)])
         model = RemoteValueModel(transport, "m", env, LIKERT10)
         model.evaluate(trajectory)
-        prompt = transport.requests_seen[0].messages[0].content
+        prompt = transport.requests_seen[0].prompt
         assert "1 2 3" in prompt
 
 
@@ -278,7 +308,7 @@ class TestEvaluateMany:
         assert model.transport.concurrent_safe is False
         results = model.evaluate_many(trajectories)
         assert [r.value for r in results] == [1.0, 2.0, 4.0]
-        seen = [r.messages[0].content for r in transport.requests_seen]
+        seen = [r.prompt for r in transport.requests_seen]
         for prompt, numbers in zip(seen, ["1 2 3", "4 5 6", "4 5 6", "7 8 9"]):
             assert numbers in prompt
 
@@ -290,7 +320,7 @@ class TestEvaluateMany:
             return "no verdict at all" if "1 1 1" in prompt else "fine\nsure"
 
         transport = PromptKeyedTransport(reply)
-        model = RemoteValueModel(transport, "m", env, GAME24, n_samples=2, redraw_limit=2)
+        model = RemoteValueModel(transport, "m", env, GAME24, n_samples=2)
         results = model.evaluate_many(trajectories)
         assert isinstance(results[1], MalformedRationale)
         assert results[1].reason == "no-parsed-samples"

@@ -48,7 +48,7 @@ class PromptKeyedTransport(Transport):
         self._open = threading.Event()
 
     def send(self, request: ChatRequest) -> ChatResponse:
-        prompt = "\n".join(m.content for m in request.messages)
+        prompt = request.prompt
         with self._lock:
             first = self._draws.get(prompt, 0)
             self._draws[prompt] = first + request.n
