@@ -1,83 +1,1 @@
 """Policies, value models, scales and the transports that back them."""
-
-from .policies import ExhaustivePolicy, Policy, RemotePolicy
-from .rationales import (
-    ACTION_LABEL,
-    LOOKAHEAD_HEADER,
-    OBSERVATION_LABEL,
-    REFLECTION_LABEL,
-    format_lookahead_block,
-    parse_simulated_lookahead,
-)
-from .scales import (
-    ATTRIBUTE4,
-    GAME24,
-    LIKERT10,
-    LIKERT10_ODD,
-    NUMERIC10,
-    SCALES,
-    MalformedRationale,
-    ValueScale,
-    aggregate_estimate,
-    format_score_sentence,
-    get_scale,
-    parse_bounded_value,
-    parse_value,
-    strip_score_sentence,
-)
-from .transport import (
-    ChatRequest,
-    ChatResponse,
-    HttpTransport,
-    ScriptedTransport,
-    Transport,
-    TransportError,
-    approx_tokens,
-)
-from .values import (
-    ConstantValueModel,
-    OracleValueModel,
-    RemoteValueModel,
-    RoutedValueModel,
-    ScriptedValueModel,
-    ValueModel,
-)
-
-__all__ = [
-    "ACTION_LABEL",
-    "ATTRIBUTE4",
-    "ChatRequest",
-    "ChatResponse",
-    "ConstantValueModel",
-    "ExhaustivePolicy",
-    "GAME24",
-    "HttpTransport",
-    "LIKERT10",
-    "LIKERT10_ODD",
-    "LOOKAHEAD_HEADER",
-    "MalformedRationale",
-    "NUMERIC10",
-    "OBSERVATION_LABEL",
-    "OracleValueModel",
-    "Policy",
-    "REFLECTION_LABEL",
-    "RemotePolicy",
-    "RemoteValueModel",
-    "RoutedValueModel",
-    "SCALES",
-    "ScriptedTransport",
-    "ScriptedValueModel",
-    "Transport",
-    "TransportError",
-    "ValueModel",
-    "ValueScale",
-    "aggregate_estimate",
-    "approx_tokens",
-    "format_lookahead_block",
-    "format_score_sentence",
-    "get_scale",
-    "parse_bounded_value",
-    "parse_simulated_lookahead",
-    "parse_value",
-    "strip_score_sentence",
-]

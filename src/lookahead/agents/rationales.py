@@ -11,9 +11,9 @@ from __future__ import annotations
 from .scales import (
     MalformedRationale,
     ValueScale,
-    format_score_sentence,
     parse_bounded_value,
     strip_score_sentence,
+    with_score,
 )
 
 LOOKAHEAD_HEADER = "I will evaluate the best successor state from the current state:"
@@ -32,16 +32,11 @@ def format_lookahead_block(
     scale: ValueScale,
 ) -> str:
     """Render a lookahead block; ``rationale`` must not already end in a score sentence."""
-    if scale.labels is not None:
-        reflection = f"{rationale}\n{format_score_sentence(value, scale)}".lstrip("\n")
-    else:
-        sentence = format_score_sentence(value, scale)
-        reflection = f"{rationale} {sentence}" if rationale else sentence
     return (
         f"{LOOKAHEAD_HEADER}\n\n"
         f"{ACTION_LABEL} {action_text}\n\n"
         f"{OBSERVATION_LABEL} {observation}\n\n"
-        f"{REFLECTION_LABEL} {reflection}"
+        f"{REFLECTION_LABEL} {with_score(rationale, value, scale)}"
     )
 
 

@@ -53,18 +53,6 @@ LIKERT10 = ValueScale(
     admissible=frozenset({1.0, 2.0, 4.0, 6.0, 8.0, 10.0}),
 )
 
-LIKERT10_ODD = ValueScale(
-    name="likert10-odd",
-    bounds=(1.0, 10.0),
-    admissible=frozenset({1.0, 3.0, 5.0, 7.0, 10.0}),
-)
-
-ATTRIBUTE4 = ValueScale(
-    name="attribute4",
-    bounds=(1.0, 4.0),
-    admissible=frozenset({1.0, 2.0, 3.0, 4.0}),
-)
-
 GAME24 = ValueScale(
     name="game24",
     bounds=(0.001, 20.0),
@@ -77,10 +65,7 @@ GAME24 = ValueScale(
 # grid.
 NUMERIC10 = ValueScale(name="numeric10", bounds=(0.0, 10.0))
 
-SCALES: dict[str, ValueScale] = {
-    scale.name: scale
-    for scale in (LIKERT10, LIKERT10_ODD, ATTRIBUTE4, GAME24, NUMERIC10)
-}
+SCALES: dict[str, ValueScale] = {scale.name: scale for scale in (LIKERT10, GAME24, NUMERIC10)}
 
 
 def get_scale(name: str) -> ValueScale:
@@ -163,6 +148,20 @@ def format_score_sentence(value: float, scale: ValueScale) -> str:
         words = ", ".join(f"{label} {label_value}" for label, label_value in scale.labels.items())
         raise ValueError(f"value {value} is not one of the {scale.name!r} label values ({words})")
     return f"Thus, the correctness score is {value:.2f} / 10.00."
+
+
+def with_score(text: str, value: float, scale: ValueScale) -> str:
+    """``text`` ending in ``value``'s score form under ``scale``.
+
+    A verdict label goes on a line of its own (leading newlines dropped), a
+    score sentence follows after a space; an empty ``text`` gives the score
+    form alone.  Raises ``ValueError`` for a value a label scale has no word
+    for.
+    """
+    score = format_score_sentence(value, scale)
+    if scale.labels is not None:
+        return f"{text}\n{score}".lstrip("\n")
+    return f"{text} {score}" if text else score
 
 
 def strip_score_sentence(text: str, scale: ValueScale) -> str:

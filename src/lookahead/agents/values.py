@@ -34,6 +34,7 @@ from .scales import (
     aggregate_estimate,
     format_score_sentence,
     parse_value,
+    with_score,
 )
 from .transport import ChatRequest, Transport
 
@@ -44,14 +45,6 @@ MAX_IN_FLIGHT = 16
 """Most evaluations :meth:`RemoteValueModel.evaluate_many` runs at once."""
 # Rounds after the first that re-ask for the samples whose replies failed to parse.
 _REDRAW_LIMIT = 2
-
-
-def _scored(text: str, value: float, scale: ValueScale) -> str:
-    """``text`` ending in ``value``'s score sentence under ``scale``; a
-    verdict label goes on a line of its own.  Raises ``ValueError`` for a
-    value a label scale has no word for."""
-    separator = "\n" if scale.labels is not None else " "
-    return f"{text}{separator}{format_score_sentence(value, scale)}"
 
 
 class ValueModel(ABC):
@@ -128,7 +121,7 @@ class ScriptedValueModel(ValueModel):
     def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         state = trajectory.final_state
         value = self.values.get(state.id, self.default)
-        rationale = _scored(f"Scripted evaluation of state {state.id}.", value, self.scale)
+        rationale = with_score(f"Scripted evaluation of state {state.id}.", value, self.scale)
         return ValueEstimate(rationale=rationale, value=value, samples=(value,))
 
 
@@ -138,9 +131,8 @@ class ConstantValueModel(ValueModel):
 
     def __init__(self, value: float, scale: ValueScale = NUMERIC10) -> None:
         self.scale = scale
-        self._estimate = ValueEstimate(
-            rationale=_scored("Constant evaluation.", value, scale), value=value, samples=(value,)
-        )
+        rationale = with_score("Constant evaluation.", value, scale)
+        self._estimate = ValueEstimate(rationale=rationale, value=value, samples=(value,))
 
     def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         return self._estimate

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Mapping, NoReturn, Sequence
 
 from . import __version__
-from .core import Aggregation, Task, write_json
+from .core import Aggregation, Task, is_finite_number, write_json
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import FixtureError, ScriptedEnvironment
@@ -316,16 +316,6 @@ def _value_scale(config: ExperimentConfig) -> ValueScale:
     return NUMERIC10
 
 
-def _is_finite_number(x: Any) -> bool:
-    """Whether ``x`` is a JSON number (not a bool) that is finite as a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def build_value_model(
     config: ExperimentConfig, env: Environment, ledger: Ledger
 ) -> ValueModel:
@@ -357,7 +347,7 @@ def build_value_model(
         default = data.get("default", 0.0)
         numbers = [(f"'values' entry {key!r}", v) for key, v in data["values"].items()]
         for where, number in [*numbers, ("'default'", default)]:
-            if not _is_finite_number(number):
+            if not is_finite_number(number):
                 raise ConfigError(
                     f"value fixture {path}: {where} must be a finite number, got {number!r}"
                 )

@@ -3,8 +3,9 @@
 Defines the vocabulary used across environments, agents, search engines and
 the training-data pipeline: tasks, actions, states, trajectories, value
 estimates and training examples, plus the two canonical derived forms
-(rendered trajectory context and the state key used for deduplication), and
-the one JSON layout every artifact file is written in.  The lookahead record
+(rendered trajectory context and the state key used for deduplication),
+the one JSON layout every artifact file is written in and the one rule for
+a finite JSON number that input readers apply.  The lookahead record
 a training example is distilled from lives with its only users, in
 :mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
@@ -239,3 +241,13 @@ def write_json(path: str | Path, data: object) -> None:
         json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
+
+
+def is_finite_number(x: object) -> bool:
+    """Whether ``x`` is a JSON number (not a bool) that is finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False

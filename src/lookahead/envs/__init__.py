@@ -1,20 +1,1 @@
 """Task environments: the exact-arithmetic 24 puzzle and fixture-scripted DAGs."""
-
-from .base import ActionRejected, Environment
-from .game24 import Game24Env, Verdict, enumerate_actions, parse_numbers, solve_verdict
-from .scripted import Fixture, FixtureError, ScriptedEnvironment, load_fixture, parse_fixture
-
-__all__ = [
-    "ActionRejected",
-    "Environment",
-    "Fixture",
-    "FixtureError",
-    "Game24Env",
-    "ScriptedEnvironment",
-    "Verdict",
-    "enumerate_actions",
-    "load_fixture",
-    "parse_fixture",
-    "parse_numbers",
-    "solve_verdict",
-]

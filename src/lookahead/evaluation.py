@@ -24,6 +24,8 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .core import is_finite_number
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -327,19 +329,38 @@ class MethodResult:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MethodResult":
+        """Read :meth:`to_dict`'s layout back, coercing nothing: a value of
+        the wrong type raises ``ValueError`` naming its field and outcome."""
+        method = data["method"]
+        if not isinstance(method, str):
+            raise ValueError(f"'method' must be a string, got {method!r}")
         return cls(
-            method=data["method"],
-            outcomes=[
-                TaskOutcome(
-                    task_id=o["task_id"],
-                    score=o.get("score"),
-                    success=bool(o["success"]),
-                    attempts=tuple(bool(a) for a in o["attempts"]),
-                )
-                for o in data["outcomes"]
-            ],
+            method=method,
+            outcomes=[_outcome_from_dict(i, o) for i, o in enumerate(data["outcomes"])],
             ledger=Ledger.from_dict(data.get("ledger", {})),
         )
+
+
+def _outcome_from_dict(index: int, data: object) -> TaskOutcome:
+    """One outcome entry; a missing field reads as null."""
+    if not isinstance(data, dict):
+        raise ValueError(f"outcome {index} must be an object, got {data!r}")
+    task_id, score, success, attempts = (
+        data.get(name) for name in ("task_id", "score", "success", "attempts")
+    )
+    if not isinstance(task_id, str):
+        problem = f"'task_id' must be a string, got {task_id!r}"
+    elif score is not None and not is_finite_number(score):
+        problem = f"'score' must be a finite number or null, got {score!r}"
+    elif not isinstance(success, bool):
+        problem = f"'success' must be a bool, got {success!r}"
+    elif not (
+        isinstance(attempts, list) and attempts and all(isinstance(a, bool) for a in attempts)
+    ):
+        problem = f"'attempts' must be a non-empty list of bools, got {attempts!r}"
+    else:
+        return TaskOutcome(task_id, score, success, tuple(attempts))
+    raise ValueError(f"outcome {index}: {problem}")
 
 
 _SUMMARY_COLUMNS = [

@@ -312,7 +312,9 @@ def import_jsonl(path: str | Path) -> Dataset:
     The file does not name its scale, so the examples carry no ``value``.
 
     A line that is not UTF-8, not JSON or not a record raises
-    :class:`StlError` naming the file and line.
+    :class:`StlError` naming the file and line.  A record's ``depth`` and
+    ``iteration`` must be ints that are not bools and its other fields
+    strings; nothing is coerced.
     """
     path = Path(path)
     dataset = Dataset()
@@ -324,6 +326,10 @@ def import_jsonl(path: str | Path) -> Dataset:
                     continue
                 raw = json.loads(line)
                 fields = {name: raw[name] for name in TrainingExample.RECORD_FIELDS}
+                for name, value in fields.items():
+                    kind = int if name in ("depth", "iteration") else str
+                    if type(value) is not kind:  # exact, so a bool is no int
+                        raise ValueError(f"{name!r} must be {kind.__name__}, got {value!r}")
                 example = TrainingExample(**fields)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise StlError(f"{path}:{line_number}: bad dataset record: {exc}") from None

@@ -29,7 +29,8 @@ from lookahead.cli import (
     write_manifest,
 )
 from lookahead.core import Task
-from lookahead.envs import Game24Env, ScriptedEnvironment
+from lookahead.envs.game24 import Game24Env
+from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import StlConfig
 
@@ -306,6 +307,43 @@ class TestConfigHandling:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"{dataset}:1:" in err and "utf-8" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("completion", 5),
+            ("state_key", 5),
+            ("task_id", None),
+            ("context", ["x"]),
+            ("depth", True),
+            ("iteration", 1.0),
+        ],
+    )
+    def test_dataset_field_of_the_wrong_type_exits_2(self, tmp_path, capsys, field, value):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        first, *rest = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        dataset.write_text(
+            json.dumps({**json.loads(first), field: value}) + "\n" + "".join(rest), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{dataset}:1:" in err and repr(field) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["likert10-odd", "attribute4"])
+    def test_value_scale_offers_only_the_shipped_scales(self, tmp_path, capsys, name):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        argv = ["search", "--value-scale", name, "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == (
+            "config error: value_scale must be one of ['game24', 'likert10', 'numeric10'], "
+            f"got {name!r}\n"
+        )
 
     def test_bad_value_spec_exits_2(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -1627,6 +1665,54 @@ def test_malformed_ledger_in_results_exits_2(tmp_path, capsys, command, ledger):
     assert code == 2
     assert err.startswith(f"config error: results file {bad} is malformed:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"task_id": 7}, "'task_id'"),
+        ({"score": "hi"}, "'score'"),
+        ({"score": float("nan")}, "'score'"),
+        ({"score": 10**400}, "'score'"),
+        ({"score": True}, "'score'"),
+        ({"success": "no"}, "'success'"),
+        ({"attempts": []}, "'attempts'"),
+        ({"attempts": ["x"]}, "'attempts'"),
+    ],
+    ids=[
+        "task_id-int", "score-text", "score-nan", "score-huge", "score-bool",
+        "success-text", "attempts-empty", "attempts-text",
+    ],
+)
+def test_outcome_field_of_the_wrong_type_exits_2(tmp_path, capsys, command, change, field):
+    good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0, "t2": 0.0})
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
+    payload["outcomes"][1].update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    if command == "report":
+        argv = ["report", good, str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", good, str(bad), "--b-samples", "10"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"config error: results file {bad} is malformed: outcome 1: {field}")
+    assert err.count("\n") == 1
+
+
+def test_non_string_method_exits_2(tmp_path, capsys):
+    good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0})
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({**json.loads(Path(good).read_text(encoding="utf-8")), "method": 5}),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["report", good, str(bad), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err == (
+        f"config error: results file {bad} is malformed: 'method' must be a string, got 5\n"
+    )
 
 
 class TestReportCommand:

@@ -5,10 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lookahead.agents.scales import (
-    ATTRIBUTE4,
     GAME24,
     LIKERT10,
-    LIKERT10_ODD,
     NUMERIC10,
     MalformedRationale,
     aggregate_estimate,
@@ -17,6 +15,7 @@ from lookahead.agents.scales import (
     parse_bounded_value,
     parse_value,
     strip_score_sentence,
+    with_score,
 )
 from lookahead.core import Aggregation
 
@@ -52,17 +51,15 @@ class TestParseValue:
             parse_value("Thus, the correctness score is 7.00 / 10.00.", LIKERT10)
         assert err.value.reason == "value-not-admissible"
 
-    def test_odd_grid_accepts_seven(self):
-        assert parse_value("Thus, the correctness score is 7.00 / 10.00.", LIKERT10_ODD) == 7.0
-
-    @pytest.mark.parametrize("score", [1.0, 2.0, 3.0, 4.0])
-    def test_attribute_scale_accepts_its_four_points(self, score):
-        assert parse_value(f"Thus, the correctness score is {score:.2f} / 4.00.", ATTRIBUTE4) == score
+    @pytest.mark.parametrize("score", sorted(LIKERT10.admissible))
+    def test_grid_scale_accepts_its_points(self, score):
+        text = f"Thus, the correctness score is {score:.2f} / 10.00."
+        assert parse_value(text, LIKERT10) == score
 
     @pytest.mark.parametrize("score", ["0.00", "2.50", "5.00"])
-    def test_attribute_scale_rejects_other_scores(self, score):
+    def test_grid_scale_rejects_other_scores(self, score):
         with pytest.raises(MalformedRationale) as err:
-            parse_value(f"Thus, the correctness score is {score} / 4.00.", ATTRIBUTE4)
+            parse_value(f"Thus, the correctness score is {score} / 10.00.", LIKERT10)
         assert err.value.reason == "value-not-admissible"
 
     def test_continuous_scale_enforces_bounds_only(self):
@@ -141,8 +138,20 @@ class TestFormatAndStrip:
     def test_strip_then_format_reparses(self):
         original = "The search looks stalled. Thus, the correctness score is 2.00 / 10.00."
         body = strip_score_sentence(original, LIKERT10)
-        rebuilt = f"{body} {format_score_sentence(6.0, LIKERT10)}"
-        assert parse_value(rebuilt, LIKERT10) == 6.0
+        assert parse_value(with_score(body, 6.0, LIKERT10), LIKERT10) == 6.0
+
+    @pytest.mark.parametrize(
+        "text,value,scale,expected",
+        [
+            ("Close.", 6.0, LIKERT10, "Close. Thus, the correctness score is 6.00 / 10.00."),
+            ("", 6.0, LIKERT10, "Thus, the correctness score is 6.00 / 10.00."),
+            ("Close.", 20.0, GAME24, "Close.\nsure"),
+            ("\nClose.", 1.0, GAME24, "Close.\nlikely"),
+            ("", 0.001, GAME24, "impossible"),
+        ],
+    )
+    def test_with_score_puts_a_label_on_its_own_line(self, text, value, scale, expected):
+        assert with_score(text, value, scale) == expected
 
 
 class TestAggregateEstimate:
@@ -177,9 +186,7 @@ class TestAggregateEstimate:
 
 
 class TestGetScale:
-    @pytest.mark.parametrize(
-        "name", ["likert10", "likert10-odd", "attribute4", "game24", "numeric10"]
-    )
+    @pytest.mark.parametrize("name", ["likert10", "game24", "numeric10"])
     def test_known_names(self, name):
         assert get_scale(name).name == name
 
