@@ -49,6 +49,10 @@ requests = _lazy_module("requests")
 # Every request sends its prompt as one user message, sampled at these settings.
 _TEMPERATURE = 1.0
 _MAX_TOKENS = 3192
+# Retries: attempts per request, the first backoff step, and each attempt's timeout.
+_MAX_ATTEMPTS = 3
+_BACKOFF_SECONDS = 0.5
+_TIMEOUT_SECONDS = 120.0
 DEFAULT_API_KEY_ENV = "LOOKAHEAD_API_KEY"
 # The longest wait a server's Retry-After header can impose before a retry.
 MAX_RETRY_AFTER_SECONDS = 60.0
@@ -112,7 +116,7 @@ class HttpTransport(Transport):
     Rate limiting (429), server errors (5xx), timeouts, connection errors and
     malformed bodies, including a body whose choice count is not the
     request's ``n``, are retried; any other 4xx status fails at once.  The
-    wait before retry ``k`` is ``backoff_seconds * 2 ** (k - 1)`` scaled by
+    wait before retry ``k`` is ``_BACKOFF_SECONDS * 2 ** (k - 1)`` scaled by
     ``0.5 + random()``, so it is uniform over half to one and a half times
     that step and calls that fail together do not retry together.  If the
     failed attempt was a 429 or 503 with a numeric ``Retry-After`` header,
@@ -133,18 +137,12 @@ class HttpTransport(Transport):
         self,
         base_url: str,
         api_key_env: str = DEFAULT_API_KEY_ENV,
-        max_attempts: int = 3,
-        backoff_seconds: float = 0.5,
-        timeout_seconds: float = 120.0,
         post: Callable[..., requests.Response] | None = None,
         sleep: Callable[[float], None] = time.sleep,
         random: Callable[[], float] = random.random,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
-        self.timeout_seconds = timeout_seconds
         self._post = post if post is not None else requests.post
         # Reading requests' exception here runs the module on this thread.
         self._retryable = (requests.RequestException, KeyError, IndexError, ValueError)
@@ -165,11 +163,11 @@ class HttpTransport(Transport):
         }
         last_error: Exception | None = None
         retry_after: float | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt:
                 wait = retry_after
                 if wait is None:
-                    wait = self.backoff_seconds * 2 ** (attempt - 1) * (0.5 + self._random())
+                    wait = _BACKOFF_SECONDS * 2 ** (attempt - 1) * (0.5 + self._random())
                 self._sleep(wait)
                 retry_after = None
             try:
@@ -177,7 +175,7 @@ class HttpTransport(Transport):
                     f"{self.base_url}/chat/completions",
                     json=payload,
                     headers=headers,
-                    timeout=self.timeout_seconds,
+                    timeout=_TIMEOUT_SECONDS,
                 )
                 status = response.status_code
                 if status in (429, 503):
@@ -200,7 +198,7 @@ class HttpTransport(Transport):
             except self._retryable as exc:
                 last_error = exc
         raise TransportError(
-            f"chat completion failed after {self.max_attempts} attempts: {last_error}"
+            f"chat completion failed after {_MAX_ATTEMPTS} attempts: {last_error}"
         )
 
 

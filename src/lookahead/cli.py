@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import shutil
 import sys
 import time
 from contextlib import closing
@@ -60,7 +59,6 @@ from .stl import (
     TabularTrainer,
     TabularValueModel,
     check_schedule,
-    export_jsonl,
     import_jsonl,
     stl_run,
 )
@@ -528,19 +526,6 @@ def cmd_stl(config: ExperimentConfig) -> int:
         parallel=config.parallel,
     )
 
-    final_dataset = result.datasets[-1] if result.datasets else None
-    model_path = None
-    if final_dataset is not None and len(final_dataset) > 0:
-        model_path = out_dir / "stl" / "final_model.jsonl"
-        if config.stl.per_depth:
-            export_jsonl(
-                final_dataset, model_path, mask=config.stl.mask, scale_name=base_model.scale.name
-            )
-        else:
-            # The last iteration exported this very dataset; copy that file pair.
-            last_export = out_dir / "stl" / result.reports[-1].dataset_paths[0]
-            for suffix in ("", ".meta.json"):
-                shutil.copyfile(f"{last_export}{suffix}", f"{model_path}{suffix}")
     write_json(out_dir / "ledger.json", ledger.to_dict())
 
     last = result.reports[-1]
@@ -549,8 +534,8 @@ def cmd_stl(config: ExperimentConfig) -> int:
     if last.per_depth_sizes:
         sizes = ", ".join(f"d{d}:{n}" for d, n in sorted(last.per_depth_sizes.items()))
         print(f"per-depth sizes: {sizes}")
-    if model_path is not None:
-        print(f"model artifact: {model_path}")
+    if result.model_path is not None:
+        print(f"model artifact: {result.model_path}")
     print(f"artifacts: {out_dir}")
     return 0
 

@@ -1,16 +1,15 @@
 """Efficiency accounting and statistical evaluation.
 
-The :class:`Ledger` tracks prompt/completion tokens per (role, model) and the
-global count of environment transitions, with per-task breakdowns whose sums
-always equal the totals.  :func:`cost` prices a ledger with exact decimal
-arithmetic; :func:`paired_bootstrap` is a seeded, machine-stable paired
-bootstrap test that returns both directions' p-values from one draw of
-resample indices.  The resamples come in fixed chunks, each from its own
-counter-derived stream, drawn a block of rows at a time on one thread per
-usable CPU (at most eight), so the p-values depend only on the scores,
-``b_samples`` and the seed.  numpy is imported on the first bootstrap
-call, not with this module, so commands that never run one do not load it.
-:func:`emit_report` writes deterministic CSV summaries.
+The :class:`Ledger` keeps prompt/completion tokens per (task, role, model) and
+environment transitions per task, and sums them for its totals.  :func:`cost`
+prices a ledger with exact decimal arithmetic; :func:`paired_bootstrap` is a
+seeded, machine-stable paired bootstrap test that returns both directions'
+p-values from one draw of resample indices.  The resamples come in fixed
+chunks, each from its own counter-derived stream, drawn a block of rows at a
+time on one thread per usable CPU (at most eight), so the p-values depend
+only on the scores, ``b_samples`` and the seed.  numpy is imported on the
+first bootstrap call, not with this module, so commands that never run one do
+not load it.  :func:`emit_report` writes deterministic CSV summaries.
 """
 
 from __future__ import annotations
@@ -45,12 +44,10 @@ class TokenCount:
 
 
 class Ledger:
-    """Thread-safe accumulator for token usage and state expansions."""
+    """Thread-safe accumulator for token usage and state expansions, kept per task."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.tokens: dict[tuple[str, str], TokenCount] = {}
-        self.states_expanded = 0
         self.per_task_tokens: dict[str, dict[tuple[str, str], TokenCount]] = {}
         self.per_task_states: dict[str, int] = {}
 
@@ -65,22 +62,33 @@ class Ledger:
         if prompt_tokens < 0 or completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
         with self._lock:
-            key = (role, model)
-            self.tokens.setdefault(key, TokenCount()).add(prompt_tokens, completion_tokens)
             per_task = self.per_task_tokens.setdefault(task_id, {})
-            per_task.setdefault(key, TokenCount()).add(prompt_tokens, completion_tokens)
+            per_task.setdefault((role, model), TokenCount()).add(prompt_tokens, completion_tokens)
 
     def add_states(self, count: int, task_id: str) -> None:
         if count < 0:
             raise ValueError("state counts must be non-negative")
         with self._lock:
-            self.states_expanded += count
             self.per_task_states[task_id] = self.per_task_states.get(task_id, 0) + count
 
+    @property
+    def tokens(self) -> dict[tuple[str, str], TokenCount]:
+        """Token counts per (role, model), summed over tasks."""
+        totals: dict[tuple[str, str], TokenCount] = {}
+        with self._lock:
+            for task_counts in self.per_task_tokens.values():
+                for key, count in task_counts.items():
+                    totals.setdefault(key, TokenCount()).add(count.prompt, count.completion)
+        return totals
+
+    @property
+    def states_expanded(self) -> int:
+        with self._lock:
+            return sum(self.per_task_states.values())
+
     def total_tokens(self) -> tuple[int, int]:
-        prompt = sum(c.prompt for c in self.tokens.values())
-        completion = sum(c.completion for c in self.tokens.values())
-        return prompt, completion
+        tokens = self.tokens.values()
+        return sum(c.prompt for c in tokens), sum(c.completion for c in tokens)
 
     def tokens_by_model(self) -> dict[str, TokenCount]:
         out: dict[str, TokenCount] = {}
@@ -90,19 +98,11 @@ class Ledger:
 
     def to_dict(self) -> dict:
         return {
-            "tokens": {
-                f"{role}|{model}": {"prompt": c.prompt, "completion": c.completion}
-                for (role, model), c in sorted(self.tokens.items())
-            },
+            "tokens": _tokens_dict(self.tokens),
             "states_expanded": self.states_expanded,
             "per_task": {
                 task_id: {
-                    "tokens": {
-                        f"{role}|{model}": {"prompt": c.prompt, "completion": c.completion}
-                        for (role, model), c in sorted(
-                            self.per_task_tokens.get(task_id, {}).items()
-                        )
-                    },
+                    "tokens": _tokens_dict(self.per_task_tokens.get(task_id, {})),
                     "states_expanded": self.per_task_states.get(task_id, 0),
                 }
                 for task_id in sorted(
@@ -112,18 +112,48 @@ class Ledger:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Ledger":
+    def from_dict(cls, data: object) -> "Ledger":
+        """Read :meth:`to_dict`'s layout back from its ``per_task`` entries
+        (the totals are their sums), coercing nothing: every count must be an
+        int, not a bool, of at least 0, and a value of the wrong type raises
+        ``ValueError`` naming its task and key."""
+        per_task = _object(_object(data, "ledger").get("per_task", {}), "ledger 'per_task'")
         ledger = cls()
-        for task_id, entry in data.get("per_task", {}).items():
-            for key, counts in entry.get("tokens", {}).items():
-                role, model = key.split("|", 1)
-                ledger.add_tokens(
-                    role, model, counts["prompt"], counts["completion"], task_id
-                )
-            states = entry.get("states_expanded", 0)
+        for task_id, entry in per_task.items():
+            where = f"ledger task {task_id!r}"
+            entry = _object(entry, where)
+            for key, counts in _object(entry.get("tokens", {}), f"{where}: 'tokens'").items():
+                role, bar, model = key.partition("|")
+                if not bar:
+                    raise ValueError(f"{where}: token key {key!r} is not '<role>|<model>'")
+                at = f"{where}: {key!r}"
+                counts = _object(counts, at)
+                prompt, completion = (_count(counts, n, at) for n in ("prompt", "completion"))
+                ledger.add_tokens(role, model, prompt, completion, task_id)
+            states = _count(entry, "states_expanded", where, default=0)
             if states:
                 ledger.add_states(states, task_id)
         return ledger
+
+
+def _tokens_dict(tokens: Mapping[tuple[str, str], TokenCount]) -> dict:
+    return {
+        f"{role}|{model}": {"prompt": c.prompt, "completion": c.completion}
+        for (role, model), c in sorted(tokens.items())
+    }
+
+
+def _object(value: object, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _count(data: dict, name: str, where: str, default: int | None = None) -> int:
+    value = data.get(name, default)
+    if type(value) is not int or value < 0:  # exact, so a bool is no int
+        raise ValueError(f"{where}: {name!r} must be an int of at least 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -133,11 +163,21 @@ class Pricing:
     open_source: bool = False
 
 
-def _decimal(value: float | str | Decimal) -> Decimal:
-    try:
-        return value if isinstance(value, Decimal) else Decimal(str(value))
-    except InvalidOperation:
-        raise ValueError(f"rate {value!r} is not a number") from None
+def _rate(entry: dict, name: str, where: str) -> Decimal:
+    """A per-1000-token rate: a finite number of at least 0, given as a JSON
+    number (not a bool) or a numeric string."""
+    value = entry.get(name)
+    rate = None
+    if isinstance(value, str):
+        try:
+            rate = Decimal(value)
+        except InvalidOperation:
+            pass
+    elif is_finite_number(value):
+        rate = Decimal(str(value))
+    if rate is None or not rate.is_finite() or rate < 0:
+        raise ValueError(f"{where}: {name!r} must be a finite number of at least 0, got {value!r}")
+    return rate
 
 
 DEFAULT_PRICING: dict[str, Pricing] = {
@@ -157,14 +197,20 @@ class PricingTable:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PricingTable":
-        rates = {
-            model: Pricing(
-                prompt_per_1k=_decimal(entry["prompt_per_1k"]),
-                completion_per_1k=_decimal(entry["completion_per_1k"]),
-                open_source=bool(entry.get("open_source", False)),
+        """Rates keyed by model, coercing nothing: a malformed entry raises
+        ``ValueError`` naming its model and field."""
+        rates = {}
+        for model, entry in data.items():
+            where = f"model {model!r}"
+            entry = _object(entry, f"{where}: its entry")
+            open_source = entry.get("open_source", False)
+            if not isinstance(open_source, bool):
+                raise ValueError(f"{where}: 'open_source' must be a bool, got {open_source!r}")
+            rates[model] = Pricing(
+                prompt_per_1k=_rate(entry, "prompt_per_1k", where),
+                completion_per_1k=_rate(entry, "completion_per_1k", where),
+                open_source=open_source,
             )
-            for model, entry in data.items()
-        }
         return cls(rates)
 
     def get(self, model: str) -> Pricing:
@@ -174,27 +220,20 @@ class PricingTable:
             raise PricingError(f"no pricing known for model {model!r}") from None
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    per_model: Mapping[str, Decimal]
-    total: Decimal
-
-
-def cost(ledger: Ledger, pricing: PricingTable | None = None) -> CostBreakdown:
-    """Dollar cost of a ledger's token usage; linear in token counts.
+def cost(ledger: Ledger, pricing: PricingTable) -> dict[str, Decimal]:
+    """Dollar cost of a ledger's token usage per model, in model order;
+    linear in token counts.
 
     Raises :class:`PricingError` naming any model absent from the table.
     """
-    pricing = pricing or PricingTable()
     per_model: dict[str, Decimal] = {}
     for model, counts in sorted(ledger.tokens_by_model().items()):
         rates = pricing.get(model)
-        amount = (
+        per_model[model] = (
             Decimal(counts.prompt) / 1000 * rates.prompt_per_1k
             + Decimal(counts.completion) / 1000 * rates.completion_per_1k
         )
-        per_model[model] = amount
-    return CostBreakdown(per_model=per_model, total=sum(per_model.values(), Decimal(0)))
+    return per_model
 
 
 def pass_at_k(attempt_outcomes: Sequence[bool], k: int) -> bool:
@@ -334,11 +373,15 @@ class MethodResult:
         method = data["method"]
         if not isinstance(method, str):
             raise ValueError(f"'method' must be a string, got {method!r}")
-        return cls(
-            method=method,
-            outcomes=[_outcome_from_dict(i, o) for i, o in enumerate(data["outcomes"])],
-            ledger=Ledger.from_dict(data.get("ledger", {})),
-        )
+        outcomes = [_outcome_from_dict(i, o) for i, o in enumerate(data["outcomes"])]
+        first_index: dict[str, int] = {}
+        for index, outcome in enumerate(outcomes):
+            earlier = first_index.setdefault(outcome.task_id, index)
+            if earlier != index:
+                raise ValueError(
+                    f"outcome {index}: 'task_id' {outcome.task_id!r} repeats outcome {earlier}"
+                )
+        return cls(method, outcomes, Ledger.from_dict(data.get("ledger", {})))
 
 
 def _outcome_from_dict(index: int, data: object) -> TaskOutcome:
@@ -398,7 +441,7 @@ def summary_row(result: MethodResult, pricing: PricingTable, k: int) -> dict[str
         else:
             closed_tokens += total
     prompt_total, completion_total = result.ledger.total_tokens()
-    breakdown = cost(result.ledger, pricing)
+    total_cost = sum(cost(result.ledger, pricing).values(), Decimal(0))
     return {
         "method": result.method,
         "tasks": str(len(outcomes)),
@@ -419,14 +462,14 @@ def summary_row(result: MethodResult, pricing: PricingTable, k: int) -> dict[str
         "tokens_open_source": str(open_tokens),
         "tokens_closed_source": str(closed_tokens),
         "states_expanded": str(result.ledger.states_expanded),
-        "cost_usd": f"{breakdown.total:.6f}",
+        "cost_usd": f"{total_cost:.6f}",
     }
 
 
 def emit_report(
     results: Iterable[MethodResult],
     out_dir: str | Path,
-    pricing: PricingTable | None = None,
+    pricing: PricingTable,
     k: int = 3,
 ) -> dict[str, Path]:
     """Write ``summary.csv`` (one row per method) and ``per_task.csv``.
@@ -434,7 +477,6 @@ def emit_report(
     Rows are sorted by method name (then task id); re-emitting the same
     results is byte-identical.
     """
-    pricing = pricing or PricingTable()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(results, key=lambda r: r.method)

@@ -536,7 +536,7 @@ ENGINES: dict[str, Callable[..., SearchTree]] = {
 
 
 def run_rollouts(
-    jobs: Sequence[tuple[Task, Path | None]],
+    jobs: Sequence[tuple[Task, Path]],
     engine: str,
     env: Environment,
     policy: Policy,
@@ -546,7 +546,7 @@ def run_rollouts(
     parallel: int = 1,
 ) -> Iterator[SearchTree]:
     """Run the named engine on each ``(task, tree_path)`` job, ``parallel``
-    at a time, and write each tree to its path (if any) once it is built.
+    at a time, and write each tree to its path once it is built.
 
     Trees are yielded in job order as they are built (serially, a job runs
     only when its tree is asked for), and the runner keeps none it has
@@ -557,12 +557,11 @@ def run_rollouts(
     agents, whose transports must then be safe for concurrent use.
     """
 
-    def rollout(job: tuple[Task, Path | None]) -> SearchTree:
+    def rollout(job: tuple[Task, Path]) -> SearchTree:
         task, tree_path = job
         # ENGINES and dump_tree are looked up per call, so rebinding them reaches every rollout.
         tree = ENGINES[engine](task, env, policy, value_model, config, ledger)
-        if tree_path is not None:
-            dump_tree(tree, tree_path)
+        dump_tree(tree, tree_path)
         return tree
 
     if parallel == 1:

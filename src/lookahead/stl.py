@@ -19,6 +19,7 @@ Trees stream from the rollouts into record collection one at a time.
 from __future__ import annotations
 
 import json
+import shutil
 from abc import ABC, abstractmethod
 from collections import Counter
 from contextlib import closing
@@ -275,21 +276,16 @@ def dedup_latest(
     )
 
 
-def export_jsonl(
-    dataset: Dataset,
-    path: str | Path,
-    mask: str = "none",
-    scale_name: str | None = None,
-) -> Path:
+def export_jsonl(dataset: Dataset, path: str | Path, scale_name: str, mask: str = "none") -> Path:
     """Write one record per line, ordered by (task id, depth, state key).
 
     Each line is the example's :attr:`~lookahead.core.TrainingExample.jsonl`,
     so an example exported again (an accumulated dataset) is not re-encoded.
 
     A sidecar ``<path>.meta.json`` records the example count, the loss-mask
-    flag for the external trainer, and (when given) the value scale the
-    completions were rendered with, so reloaders parse them correctly.
-    Exporting an empty dataset is refused.
+    flag for the external trainer, and the value scale the completions were
+    rendered with, so reloaders parse them correctly.  Exporting an empty
+    dataset is refused.
     """
     if len(dataset) == 0:
         raise ValueError("refusing to export an empty dataset")
@@ -299,10 +295,7 @@ def export_jsonl(
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [example.jsonl for example in dataset.sorted_examples()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    meta: dict[str, object] = {"count": len(dataset), "mask": mask}
-    if scale_name is not None:
-        meta["scale"] = scale_name
-    write_json(str(path) + ".meta.json", meta)
+    write_json(str(path) + ".meta.json", {"count": len(dataset), "mask": mask, "scale": scale_name})
     return path
 
 
@@ -444,6 +437,7 @@ class StlResult:
     final_model: ValueModel
     datasets: list[Dataset]
     reports: list[IterationReport]
+    model_path: Path | None  # the final dataset's file; None when it is empty
 
 
 def check_schedule(stl_config: StlConfig, task_count: int) -> None:
@@ -465,11 +459,13 @@ def stl_run(
     trainer: Trainer,
     stl_config: StlConfig,
     search_config: SearchConfig,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     ledger: "Ledger | None" = None,
     parallel: int = 1,
 ) -> StlResult:
-    """Run the full self-training loop (see module docstring).
+    """Run the full self-training loop (see module docstring) and write its
+    trees, datasets, ``stl_report.json`` and ``final_model.jsonl`` under
+    ``out_dir``.
 
     Every iteration trains from ``base_model``, never from the previous
     iteration's model, and rolls out ``parallel`` tasks at a time with its
@@ -477,10 +473,9 @@ def stl_run(
     failure aborts the loop with all files intact.
     """
     check_schedule(stl_config, len(tasks))
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-    trees_dir = out_path / "trees" if out_path is not None else None
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    trees_dir = out_path / "trees"
 
     scale = base_model.scale
     current_model = base_model
@@ -492,10 +487,7 @@ def stl_run(
         start = (iteration - 1) * stl_config.tasks_per_iteration
         task_slice = tasks[start : start + stl_config.tasks_per_iteration]
         prefix = f"iter{iteration:02d}__"
-        jobs = [
-            (task, trees_dir / f"{prefix}{safe_name(task.id)}.json" if trees_dir else None)
-            for task in task_slice
-        ]
+        jobs = [(task, trees_dir / f"{prefix}{safe_name(task.id)}.json") for task in task_slice]
         records: list[LookaheadRecord] = []
         intra_tree_duplicates = 0
         with closing(run_rollouts(
@@ -515,7 +507,7 @@ def stl_run(
 
         per_depth = dataset.by_depth() if stl_config.per_depth else {}
         dataset_paths: list[str] = []
-        if out_path is not None and len(dataset) > 0:
+        if len(dataset) > 0:
             exports = (
                 {f"_depth{d}": partition for d, partition in per_depth.items()}
                 if stl_config.per_depth
@@ -564,6 +556,14 @@ def stl_run(
             )
         )
 
-    if out_path is not None:
-        write_json(out_path / "stl_report.json", [r.to_dict() for r in reports])
-    return StlResult(final_model=current_model, datasets=datasets, reports=reports)
+    write_json(out_path / "stl_report.json", [r.to_dict() for r in reports])
+    model_path = None
+    if len(dataset) > 0:
+        model_path = out_path / "final_model.jsonl"
+        if stl_config.per_depth:
+            export_jsonl(dataset, model_path, mask=stl_config.mask, scale_name=scale.name)
+        else:
+            # The last iteration exported this very dataset; copy that file pair.
+            for suffix in ("", ".meta.json"):
+                shutil.copyfile(f"{out_path / dataset_paths[0]}{suffix}", f"{model_path}{suffix}")
+    return StlResult(current_model, datasets, reports, model_path)

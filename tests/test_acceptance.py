@@ -30,7 +30,7 @@ from lookahead.core import (
 )
 from lookahead.envs.game24 import Game24Env, Verdict, solve_verdict
 from lookahead.envs.scripted import ScriptedEnvironment
-from lookahead.evaluation import Ledger, cost, paired_bootstrap
+from lookahead.evaluation import Ledger, PricingTable, cost, paired_bootstrap
 from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import (
     Dataset,
@@ -172,7 +172,7 @@ def _demo_value_model() -> ScriptedValueModel:
     )
 
 
-def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch):
+def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch, tmp_path):
     trees = []
     beam = ENGINES["beam"]
 
@@ -199,6 +199,7 @@ def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch):
             iterations=2, tasks_per_iteration=2, gamma=gamma, engine="beam", accumulate=True
         ),
         SearchConfig(branching=3, beam_width=3, max_depth=4),
+        out_dir=tmp_path,
     )
     assert [tree.task for tree in trees] == tasks
     expected: dict[str, set[float]] = {}
@@ -359,7 +360,7 @@ def _optimal_backup(node_id: str, depth: int, leaf_values: dict[str, float]) -> 
     )
 
 
-def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
+def test_criterion_05_four_iterations_reach_value_iteration_fixed_point(tmp_path):
     payload, leaf_values = _fan_out_fixture()
     env = ScriptedEnvironment.from_dict(payload)
     base = ScriptedValueModel(leaf_values, default=5.0)
@@ -381,6 +382,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point():
             accumulate=True,
         ),
         SearchConfig(branching=3, beam_width=30, max_depth=4),
+        out_dir=tmp_path,
     )
     # Every interior state (1 + 3 + 9 + 27) ends up in the dataset.
     assert len(result.datasets[-1]) == 40
@@ -473,11 +475,11 @@ def test_criterion_07_default_pricing_reproduces_reference_costs():
     ledger = Ledger()
     for model in ("gpt-3.5-turbo", "gpt-4o", "llama-3.1-8b-instruct"):
         ledger.add_tokens("policy", model, 1000, 1000, task_id="t1")
-    breakdown = cost(ledger)
-    assert breakdown.per_model["gpt-3.5-turbo"] == Decimal("0.002000")
-    assert breakdown.per_model["gpt-4o"] == Decimal("0.012500")
-    assert breakdown.per_model["llama-3.1-8b-instruct"] == Decimal("0.000130")
-    assert breakdown.total == Decimal("0.014630")
+    per_model = cost(ledger, PricingTable())
+    assert per_model["gpt-3.5-turbo"] == Decimal("0.002000")
+    assert per_model["gpt-4o"] == Decimal("0.012500")
+    assert per_model["llama-3.1-8b-instruct"] == Decimal("0.000130")
+    assert sum(per_model.values()) == Decimal("0.014630")
     verdict_line(7, "1000+1000 tokens price to 0.002000 / 0.012500 / 0.000130 exactly")
 
 

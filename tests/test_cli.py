@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from transport_doubles import PromptKeyedTransport
 
-from lookahead import cli
+from lookahead import cli, stl
 from lookahead.agents.transport import HttpTransport
 from lookahead.cli import (
     ConfigError,
@@ -1381,14 +1381,13 @@ class TestStlCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         exported = []
-        export = cli.export_jsonl
+        export = stl.export_jsonl
 
         def counted(dataset, path, *args, **kwargs):
             exported.append(Path(path).name)
             return export(dataset, path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "export_jsonl", counted)
-        monkeypatch.setattr("lookahead.stl.export_jsonl", counted)
+        monkeypatch.setattr(stl, "export_jsonl", counted)
         tasks = webshop_tasks(tmp_path / "tasks.json", n=4)
         out = tmp_path / "out"
         argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
@@ -1701,6 +1700,120 @@ def test_outcome_field_of_the_wrong_type_exits_2(tmp_path, capsys, command, chan
     assert err.count("\n") == 1
 
 
+def results_with_a_repeated_id(tmp_path: Path) -> tuple[str, Path]:
+    """A 50-task results file, and a copy whose first outcome comes again
+    as a failure at the end."""
+    good = fake_results(tmp_path / "good.json", "m", {f"t{i:02d}": 1.0 for i in range(50)})
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
+    payload["outcomes"].append({**payload["outcomes"][0], "score": 0.0, "success": False})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    return good, bad
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+def test_repeated_task_id_exits_2(tmp_path, capsys, command):
+    good, bad = results_with_a_repeated_id(tmp_path)
+    if command == "report":
+        argv = ["report", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", good, str(bad), "--b-samples", "10"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == (
+        f"config error: results file {bad} is malformed: "
+        "outcome 50: 'task_id' 't00' repeats outcome 0\n"
+    )
+
+
+def test_benchmark_child_refuses_a_repeated_task_id(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import child
+
+    good, bad = results_with_a_repeated_id(tmp_path)
+    with pytest.raises(ValueError, match="outcome 50: 'task_id' 't00' repeats outcome 0"):
+        child._build(cli, ["eval", good, str(bad)])
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+@pytest.mark.parametrize(
+    "ledger,problem",
+    [
+        ({"per_task": {"t1": 5}}, "ledger task 't1' must be an object, got 5"),
+        (
+            {"per_task": {"t1": {"tokens": []}}},
+            "ledger task 't1': 'tokens' must be an object, got []",
+        ),
+        (
+            {"per_task": {"t1": {"tokens": {"gpt-4o": {"prompt": 1, "completion": 1}}}}},
+            "ledger task 't1': token key 'gpt-4o' is not '<role>|<model>'",
+        ),
+        (
+            {"per_task": {"t1": {"tokens": {"value|gpt-4o": 3}}}},
+            "ledger task 't1': 'value|gpt-4o' must be an object, got 3",
+        ),
+        (
+            {"per_task": {"t1": {"tokens": {"value|gpt-4o": {"prompt": 1.5, "completion": 1}}}}},
+            "ledger task 't1': 'value|gpt-4o': 'prompt' must be an int of at least 0, got 1.5",
+        ),
+        (
+            {"per_task": {"t1": {"tokens": {"value|gpt-4o": {"prompt": 1, "completion": True}}}}},
+            "ledger task 't1': 'value|gpt-4o': 'completion' must be an int of at least 0, "
+            "got True",
+        ),
+        (
+            {"per_task": {"t1": {"tokens": {"value|gpt-4o": {"prompt": -1, "completion": 1}}}}},
+            "ledger task 't1': 'value|gpt-4o': 'prompt' must be an int of at least 0, got -1",
+        ),
+        (
+            {"per_task": {"t1": {"tokens": {"value|gpt-4o": {"prompt": 1}}}}},
+            "ledger task 't1': 'value|gpt-4o': 'completion' must be an int of at least 0, "
+            "got None",
+        ),
+        (
+            {"per_task": {"t1": {"states_expanded": 2.5}}},
+            "ledger task 't1': 'states_expanded' must be an int of at least 0, got 2.5",
+        ),
+        (
+            {"per_task": {"t1": {"states_expanded": True}}},
+            "ledger task 't1': 'states_expanded' must be an int of at least 0, got True",
+        ),
+    ],
+    ids=[
+        "entry-int", "tokens-list", "key-without-bar", "counts-int", "prompt-float",
+        "completion-bool", "prompt-negative", "completion-missing", "states-float", "states-bool",
+    ],
+)
+def test_ledger_count_of_the_wrong_type_exits_2(tmp_path, capsys, command, ledger, problem):
+    good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0})
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, "ledger": ledger}), encoding="utf-8")
+    if command == "report":
+        argv = ["report", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", good, str(bad), "--b-samples", "10"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == f"config error: results file {bad} is malformed: {problem}\n"
+
+
+@pytest.mark.parametrize("ledger", [{}, None], ids=["empty", "missing"])
+def test_empty_or_missing_ledger_reads_as_no_usage(tmp_path, capsys, ledger):
+    good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0})
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
+    payload.pop("ledger")
+    if ledger is not None:
+        payload["ledger"] = ledger
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["report", str(results), "--out", str(out)], capsys)[0] == 0
+    header, values = (out / "summary.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert (row["prompt_tokens"], row["states_expanded"], row["cost_usd"]) == ("0", "0", "0.000000")
+
+
 def test_non_string_method_exits_2(tmp_path, capsys):
     good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0})
     bad = tmp_path / "bad.json"
@@ -1759,6 +1872,62 @@ class TestPricingFile:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert str(pricing) in err
+
+
+    def gpt4o_results(self, tmp_path):
+        """A results file that bills 1,000 prompt and 1,000 completion gpt-4o tokens."""
+        path = fake_results(tmp_path / "a.json", "m", {"t1": 1.0})
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        counts = {"prompt": 1000, "completion": 1000}
+        payload["ledger"] = {"per_task": {"t1": {"tokens": {"value|gpt-4o": counts}}}}
+        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "entry,problem",
+        [
+            ("5", "its entry must be an object, got 5"),
+            (
+                '{"prompt_per_1k": "NaN", "completion_per_1k": 0.01}',
+                "'prompt_per_1k' must be a finite number of at least 0, got 'NaN'",
+            ),
+            (
+                '{"prompt_per_1k": 0.0025, "completion_per_1k": 1e999}',
+                "'completion_per_1k' must be a finite number of at least 0, got inf",
+            ),
+            (
+                '{"prompt_per_1k": -1, "completion_per_1k": 0.01}',
+                "'prompt_per_1k' must be a finite number of at least 0, got -1",
+            ),
+            (
+                '{"prompt_per_1k": "-0.5", "completion_per_1k": 0.01}',
+                "'prompt_per_1k' must be a finite number of at least 0, got '-0.5'",
+            ),
+            (
+                '{"prompt_per_1k": true, "completion_per_1k": 0.01}',
+                "'prompt_per_1k' must be a finite number of at least 0, got True",
+            ),
+            (
+                '{"prompt_per_1k": 0.0025}',
+                "'completion_per_1k' must be a finite number of at least 0, got None",
+            ),
+            (
+                '{"prompt_per_1k": 0.0025, "completion_per_1k": 0.01, "open_source": "no"}',
+                "'open_source' must be a bool, got 'no'",
+            ),
+        ],
+        ids=[
+            "entry-int", "rate-nan-text", "rate-overflow", "rate-negative", "rate-negative-text",
+            "rate-bool", "rate-missing", "open-source-text",
+        ],
+    )
+    def test_malformed_model_entry_exits_2(self, tmp_path, capsys, entry, problem):
+        pricing = tmp_path / "pricing.json"
+        pricing.write_text('{"gpt-4o": ' + entry + "}", encoding="utf-8")
+        argv = ["report", self.gpt4o_results(tmp_path), "--out", str(tmp_path / "out")]
+        code, _, err = run_cli([*argv, "--pricing", str(pricing)], capsys)
+        assert code == 2
+        assert err == f"config error: pricing file {pricing}: model 'gpt-4o': {problem}\n"
 
 
 class TestPromptTemplates:

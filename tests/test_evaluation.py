@@ -1,5 +1,7 @@
 """Efficiency accounting, pricing, bootstrap significance, report emission."""
 
+import json
+import sys
 import threading
 from decimal import Decimal
 
@@ -96,6 +98,55 @@ class TestLedger:
         assert completion == 16 * per_thread
         assert ledger.states_expanded == 8 * per_thread
 
+    def test_layout_of_two_tasks_roles_and_models_filled_from_eight_threads(self):
+        # Thread i bills role i % 2 and model i // 2 % 2 on task t1 or t2
+        # (i // 4), and every thread also expands states on t3, which has
+        # no tokens: the totals are sums across tasks, roles and models.
+        ledger = Ledger()
+        roles, models = ("policy", "value"), ("gpt-4o", "llama-3.1-8b-instruct")
+
+        def worker(i):
+            for _ in range(50):
+                ledger.add_tokens(roles[i % 2], models[i // 2 % 2], i + 1, 2 * i, f"t{i // 4 + 1}")
+                ledger.add_states(1, f"t{i // 4 + 1}")
+                ledger.add_states(2, "t3")
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = (
+            '{"tokens": {'
+            '"policy|gpt-4o": {"prompt": 300, "completion": 400}, '
+            '"policy|llama-3.1-8b-instruct": {"prompt": 500, "completion": 800}, '
+            '"value|gpt-4o": {"prompt": 400, "completion": 600}, '
+            '"value|llama-3.1-8b-instruct": {"prompt": 600, "completion": 1000}}, '
+            '"states_expanded": 1200, '
+            '"per_task": {'
+            '"t1": {"tokens": {'
+            '"policy|gpt-4o": {"prompt": 50, "completion": 0}, '
+            '"policy|llama-3.1-8b-instruct": {"prompt": 150, "completion": 200}, '
+            '"value|gpt-4o": {"prompt": 100, "completion": 100}, '
+            '"value|llama-3.1-8b-instruct": {"prompt": 200, "completion": 300}}, '
+            '"states_expanded": 200}, '
+            '"t2": {"tokens": {'
+            '"policy|gpt-4o": {"prompt": 250, "completion": 400}, '
+            '"policy|llama-3.1-8b-instruct": {"prompt": 350, "completion": 600}, '
+            '"value|gpt-4o": {"prompt": 300, "completion": 500}, '
+            '"value|llama-3.1-8b-instruct": {"prompt": 400, "completion": 700}}, '
+            '"states_expanded": 200}, '
+            '"t3": {"tokens": {}, "states_expanded": 800}}}'
+        )
+        assert json.dumps(ledger.to_dict()) == expected
+        assert json.dumps(Ledger.from_dict(json.loads(expected)).to_dict()) == expected
+
     def test_tokens_by_model_merges_roles(self):
         ledger = Ledger()
         ledger.add_tokens("policy", "m", 10, 1, task_id="t1")
@@ -120,32 +171,32 @@ class TestCost:
         ],
     )
     def test_exact_decimal_totals(self, model, expected):
-        breakdown = cost(self.ledger_with(model, 1000, 1000))
-        assert breakdown.total == expected
+        per_model = cost(self.ledger_with(model, 1000, 1000), PricingTable())
+        assert per_model == {model: expected}
 
     def test_linear_in_token_counts(self):
-        one = cost(self.ledger_with("gpt-4o", 123, 456)).total
-        ten = cost(self.ledger_with("gpt-4o", 1230, 4560)).total
+        one = cost(self.ledger_with("gpt-4o", 123, 456), PricingTable())["gpt-4o"]
+        ten = cost(self.ledger_with("gpt-4o", 1230, 4560), PricingTable())["gpt-4o"]
         assert ten == one * 10
 
     def test_multiple_models_sum(self):
         ledger = Ledger()
         ledger.add_tokens("value", "gpt-4o", 1000, 1000, task_id="t1")
         ledger.add_tokens("policy", "gpt-3.5-turbo", 1000, 1000, task_id="t1")
-        breakdown = cost(ledger)
-        assert breakdown.total == Decimal("0.0145")
-        assert set(breakdown.per_model) == {"gpt-4o", "gpt-3.5-turbo"}
+        per_model = cost(ledger, PricingTable())
+        assert sum(per_model.values()) == Decimal("0.0145")
+        assert set(per_model) == {"gpt-4o", "gpt-3.5-turbo"}
 
     def test_unknown_model_named_in_error(self):
         with pytest.raises(PricingError, match="mystery-model"):
-            cost(self.ledger_with("mystery-model", 1, 1))
+            cost(self.ledger_with("mystery-model", 1, 1), PricingTable())
 
     def test_custom_table_from_dict(self):
         table = PricingTable.from_dict(
             {"local": {"prompt_per_1k": "0.001", "completion_per_1k": 0.002, "open_source": True}}
         )
-        breakdown = cost(self.ledger_with("local", 2000, 500), table)
-        assert breakdown.total == Decimal("0.003")
+        per_model = cost(self.ledger_with("local", 2000, 500), table)
+        assert per_model == {"local": Decimal("0.003")}
         assert table.get("local").open_source is True
 
 
@@ -282,8 +333,8 @@ class TestReports:
 
     def test_emit_report_sorted_and_deterministic(self, tmp_path):
         results = [demo_result("zeta"), demo_result("alpha")]
-        paths_one = emit_report(results, tmp_path / "one", k=2)
-        paths_two = emit_report(list(reversed(results)), tmp_path / "two", k=2)
+        paths_one = emit_report(results, tmp_path / "one", PricingTable(), k=2)
+        paths_two = emit_report(list(reversed(results)), tmp_path / "two", PricingTable(), k=2)
         assert (
             paths_one["summary"].read_bytes() == paths_two["summary"].read_bytes()
         )
@@ -295,7 +346,7 @@ class TestReports:
         assert lines[2].startswith("zeta,")
 
     def test_per_task_rows_sorted_by_task(self, tmp_path):
-        paths = emit_report([demo_result("m")], tmp_path, k=2)
+        paths = emit_report([demo_result("m")], tmp_path, PricingTable(), k=2)
         lines = paths["per_task"].read_text().splitlines()
         assert lines[0] == "method,task_id,score,success,attempts"
         assert lines[1].split(",")[1] == "t1"

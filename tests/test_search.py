@@ -443,7 +443,7 @@ class TestRunRollouts:
             self.run([(t, tmp_path / f"{t.id}.json") for t in self.TASKS])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t0.json"]
 
-    def test_eight_threads_keep_job_order_and_per_task_counts(self):
+    def test_eight_threads_keep_job_order_and_per_task_counts(self, tmp_path):
         env = Game24Env()
         puzzles = ["1 2 3 4", "4 6 6 8", "1 1 1 1", "2 3 5 7", "3 3 8 8", "1 5 5 5"] * 2
         tasks = [Task(id=f"g{i}", instruction=p) for i, p in enumerate(puzzles)]
@@ -452,9 +452,10 @@ class TestRunRollouts:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            jobs = [(task, tmp_path / f"{task.id}.json") for task in tasks]
             trees = list(run_rollouts(
-                [(task, None) for task in tasks], "beam", env, ExhaustivePolicy(env),
-                OracleValueModel(), config, ledger, parallel=8,
+                jobs, "beam", env, ExhaustivePolicy(env), OracleValueModel(), config, ledger,
+                parallel=8,
             ))
         finally:
             sys.setswitchinterval(interval)
@@ -463,7 +464,7 @@ class TestRunRollouts:
         assert ledger.per_task_states == expanded
         assert ledger.states_expanded == sum(expanded.values()) > 0
 
-    def test_serial_rollouts_run_a_job_only_when_its_tree_is_asked_for(self, monkeypatch):
+    def test_serial_rollouts_run_a_job_only_when_its_tree_is_asked_for(self, tmp_path, monkeypatch):
         greedy = ENGINES["greedy"]
         calls = []
 
@@ -473,7 +474,7 @@ class TestRunRollouts:
 
         monkeypatch.setitem(ENGINES, "greedy", counted)
         env, policy, model = two_branch_setup()
-        jobs = [(task, None) for task in self.TASKS]
+        jobs = [(task, tmp_path / f"{task.id}.json") for task in self.TASKS]
         trees = run_rollouts(jobs, "greedy", env, policy, model, SearchConfig(max_depth=3))
         assert calls == []
         assert next(trees).task == self.TASKS[0]
@@ -481,7 +482,7 @@ class TestRunRollouts:
         assert [tree.task for tree in trees] == self.TASKS[1:]
         assert calls == ["t0", "t1", "t2"]
 
-    def test_serial_run_stays_on_the_calling_thread(self, monkeypatch):
+    def test_serial_run_stays_on_the_calling_thread(self, tmp_path, monkeypatch):
         # parallel=1 starts no pool, so an order-dependent transport (a
         # scripted replay) sees its calls from the caller, one at a time.
         greedy = ENGINES["greedy"]
@@ -492,11 +493,11 @@ class TestRunRollouts:
             return greedy(task, *args)
 
         monkeypatch.setitem(ENGINES, "greedy", recording)
-        trees = self.run([(task, None) for task in self.TASKS])
+        trees = self.run([(task, tmp_path / f"{task.id}.json") for task in self.TASKS])
         assert [tree.task for tree in trees] == self.TASKS
         assert threads == [threading.get_ident()] * len(self.TASKS)
 
-    def test_engine_table_is_looked_up_at_call_time(self, monkeypatch):
+    def test_engine_table_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
         # A rebinding of the module's ENGINES (as a tracer makes) reaches
         # every rollout, serial or parallel.
         greedy = ENGINES["greedy"]
@@ -508,19 +509,25 @@ class TestRunRollouts:
 
         monkeypatch.setattr(search, "ENGINES", {"greedy": counted})
         for parallel in (1, 2):
-            trees = self.run([(task, None) for task in self.TASKS], parallel=parallel)
+            jobs = [(task, tmp_path / f"{task.id}.json") for task in self.TASKS]
+            trees = self.run(jobs, parallel=parallel)
             assert [tree.task for tree in trees] == self.TASKS
         assert sorted(calls) == sorted([t.id for t in self.TASKS] * 2)
 
-    def test_only_jobs_with_a_path_reach_dump_tree(self, tmp_path, monkeypatch):
+    def test_every_job_reaches_a_rebound_dump_tree(self, tmp_path, monkeypatch):
         # dump_tree is looked up when each tree is built, so a rebinding of
         # the module attribute (as a tracer makes) sees every write.
-        dumped = []
-        monkeypatch.setattr(search, "dump_tree", lambda tree, path: dumped.append((tree, path)))
-        path = tmp_path / "t1.json"
-        trees = self.run([(self.TASKS[0], None), (self.TASKS[1], path)])
-        assert [tree.task for tree in trees] == self.TASKS[:2]
-        assert dumped == [(trees[1], path)]
+        for parallel in (1, 2):
+            dumped = []
+            monkeypatch.setattr(
+                search, "dump_tree", lambda tree, path, dumped=dumped: dumped.append((tree, path))
+            )
+            jobs = [(task, tmp_path / f"{task.id}.json") for task in self.TASKS]
+            trees = self.run(jobs, parallel=parallel)
+            assert [tree.task for tree in trees] == self.TASKS
+            paths = [path for _, path in jobs]
+            assert sorted(dumped, key=lambda pair: pair[1]) == list(zip(trees, paths))
+            assert not any(tmp_path.iterdir())
 
 
 class FixedPolicy(Policy):

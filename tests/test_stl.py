@@ -3,6 +3,7 @@
 import json
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -308,17 +309,17 @@ class TestExportImport:
         dataset, _ = dedup_latest(
             Dataset(), [example("k1", 1), example("k2", 1, depth=2)], 1
         )
-        path = export_jsonl(dataset, tmp_path / "data.jsonl")
+        path = export_jsonl(dataset, tmp_path / "data.jsonl", "numeric10")
         assert import_jsonl(path) == dataset
 
     def test_refuses_empty_dataset(self, tmp_path):
         with pytest.raises(ValueError, match="empty dataset"):
-            export_jsonl(Dataset(), tmp_path / "data.jsonl")
+            export_jsonl(Dataset(), tmp_path / "data.jsonl", "numeric10")
 
     def test_rejects_unknown_mask(self, tmp_path):
         dataset, _ = dedup_latest(Dataset(), [example("k1", 1)], 1)
         with pytest.raises(ValueError, match="mask"):
-            export_jsonl(dataset, tmp_path / "data.jsonl", mask="everything")
+            export_jsonl(dataset, tmp_path / "data.jsonl", "numeric10", mask="everything")
 
     def test_sidecar_metadata(self, tmp_path):
         dataset, _ = dedup_latest(Dataset(), [example("k1", 1)], 1)
@@ -334,7 +335,7 @@ class TestExportImport:
             [example("kz", 1, task_id="t2"), example("ka", 1, task_id="t1")],
             1,
         )
-        path = export_jsonl(dataset, tmp_path / "data.jsonl")
+        path = export_jsonl(dataset, tmp_path / "data.jsonl", "numeric10")
         lines = path.read_text(encoding="utf-8").splitlines()
         parsed = [json.loads(line) for line in lines]
         assert [p["task_id"] for p in parsed] == ["t1", "t2"]
@@ -441,11 +442,12 @@ class TestStlRun:
     def search_config(self):
         return SearchConfig(branching=4, max_depth=2)
 
-    def test_single_iteration_collects_and_trains(self):
+    def test_single_iteration_collects_and_trains(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
         result = stl_run(
-            stl_tasks(1), env, policy, base, trainer, self.config(), self.search_config()
+            stl_tasks(1), env, policy, base, trainer, self.config(), self.search_config(),
+            out_dir=tmp_path,
         )
         # Greedy visits the root and "a"; both have evaluated successors.
         assert trainer.dataset_sizes == [2]
@@ -491,7 +493,7 @@ class TestStlRun:
         assert len([name for name in serial_files if name.startswith("trees/")]) == 6
         assert parallel_files == serial_files
 
-    def test_trained_model_answers_with_lookahead_target(self):
+    def test_trained_model_answers_with_lookahead_target(self, tmp_path):
         env, policy, base = stl_setup()
         result = stl_run(
             stl_tasks(1),
@@ -501,13 +503,14 @@ class TestStlRun:
             SpyTrainer(),
             self.config(gamma=0.5),
             self.search_config(),
+            out_dir=tmp_path,
         )
         task = stl_tasks(1)[0]
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Best root successor is "a" at 6.0; discounted target is 3.0.
         assert result.final_model.evaluate(trajectory).value == 3.0
 
-    def test_revisited_states_across_iterations_stay_parseable(self):
+    def test_revisited_states_across_iterations_stay_parseable(self, tmp_path):
         # Same instruction every iteration: the trained model answers for
         # states it already memorized, and those answers feed new examples.
         env, policy, base = stl_setup()
@@ -523,6 +526,7 @@ class TestStlRun:
             SpyTrainer(),
             self.config(iterations=2, accumulate=True),
             self.search_config(),
+            out_dir=tmp_path,
         )
         for example in result.datasets[-1].sorted_examples():
             parse_simulated_lookahead(example.completion, NUMERIC10)
@@ -531,7 +535,7 @@ class TestStlRun:
         # Two iterations back the aw leaf (9.0) up to the root.
         assert result.final_model.evaluate(trajectory).value == 9.0
 
-    def test_every_iteration_trains_from_base(self):
+    def test_every_iteration_trains_from_base(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
         stl_run(
@@ -542,10 +546,11 @@ class TestStlRun:
             trainer,
             self.config(iterations=3),
             self.search_config(),
+            out_dir=tmp_path,
         )
         assert trainer.base_models == [base, base, base]
 
-    def test_schedule_larger_than_task_list_rejected(self):
+    def test_schedule_larger_than_task_list_rejected(self, tmp_path):
         env, policy, base = stl_setup()
         with pytest.raises(StlError, match="schedule needs 4"):
             stl_run(
@@ -556,9 +561,10 @@ class TestStlRun:
                 SpyTrainer(),
                 self.config(iterations=2, tasks_per_iteration=2),
                 self.search_config(),
+                out_dir=tmp_path,
             )
 
-    def test_iterations_consume_disjoint_slices(self):
+    def test_iterations_consume_disjoint_slices(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
         result = stl_run(
@@ -569,11 +575,12 @@ class TestStlRun:
             trainer,
             self.config(iterations=2, tasks_per_iteration=2),
             self.search_config(),
+            out_dir=tmp_path,
         )
         assert result.reports[0].task_ids == ["t1", "t2"]
         assert result.reports[1].task_ids == ["t3", "t4"]
 
-    def test_accumulate_carries_examples_forward(self):
+    def test_accumulate_carries_examples_forward(self, tmp_path):
         env, policy, base = stl_setup()
         result = stl_run(
             stl_tasks(2),
@@ -583,6 +590,7 @@ class TestStlRun:
             SpyTrainer(),
             self.config(iterations=2, accumulate=True),
             self.search_config(),
+            out_dir=tmp_path,
         )
         # Distinct instructions produce distinct state keys, so the second
         # iteration extends the first instead of replacing it.
@@ -591,7 +599,7 @@ class TestStlRun:
         assert result.reports[1].merge.added == 2
         assert result.reports[1].merge.replaced == 0
 
-    def test_without_accumulate_each_iteration_is_fresh(self):
+    def test_without_accumulate_each_iteration_is_fresh(self, tmp_path):
         env, policy, base = stl_setup()
         result = stl_run(
             stl_tasks(2),
@@ -601,10 +609,11 @@ class TestStlRun:
             SpyTrainer(),
             self.config(iterations=2, accumulate=False),
             self.search_config(),
+            out_dir=tmp_path,
         )
         assert len(result.datasets[1]) == 2
 
-    def test_min_example_depth_skips_shallow_states(self):
+    def test_min_example_depth_skips_shallow_states(self, tmp_path):
         env, policy, base = stl_setup()
         result = stl_run(
             stl_tasks(1),
@@ -614,12 +623,13 @@ class TestStlRun:
             SpyTrainer(),
             self.config(min_example_depth=1),
             self.search_config(),
+            out_dir=tmp_path,
         )
         examples = list(result.datasets[0].examples.values())
         assert len(examples) == 1
         assert examples[0].depth == 1
 
-    def test_per_depth_routes_and_falls_back(self):
+    def test_per_depth_routes_and_falls_back(self, tmp_path):
         env, policy, base = stl_setup()
         result = stl_run(
             stl_tasks(1),
@@ -629,6 +639,7 @@ class TestStlRun:
             SpyTrainer(),
             self.config(per_depth=True, min_example_depth=1),
             self.search_config(),
+            out_dir=tmp_path,
         )
         model = result.final_model
         assert isinstance(model, RoutedValueModel)
@@ -639,7 +650,7 @@ class TestStlRun:
         # default for the root id.
         assert model.evaluate(root_trajectory).value == 5.0
 
-    def test_empty_dataset_returns_base_model(self):
+    def test_empty_dataset_returns_base_model(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
         result = stl_run(
@@ -650,6 +661,7 @@ class TestStlRun:
             trainer,
             self.config(min_example_depth=10),
             self.search_config(),
+            out_dir=tmp_path,
         )
         assert result.final_model is base
         assert trainer.dataset_sizes == []
@@ -673,6 +685,30 @@ class TestStlRun:
         report = json.loads((tmp_path / "stl_report.json").read_text())
         assert report[0]["dataset_size"] == 2
         assert report[0]["dataset_paths"] == ["dataset_iter01.jsonl"]
+
+    @pytest.mark.parametrize("per_depth", [False, True])
+    def test_final_model_is_the_final_dataset(self, tmp_path, per_depth):
+        env, policy, base = stl_setup()
+        out = tmp_path / "run"
+        result = stl_run(
+            stl_tasks(2), env, policy, base, SpyTrainer(),
+            self.config(iterations=2, accumulate=True, per_depth=per_depth),
+            self.search_config(), out_dir=out,
+        )
+        assert result.model_path == out / "final_model.jsonl"
+        expected = export_jsonl(result.datasets[-1], tmp_path / "expected.jsonl", base.scale.name)
+        for suffix in ("", ".meta.json"):
+            written = Path(f"{result.model_path}{suffix}").read_bytes()
+            assert written == Path(f"{expected}{suffix}").read_bytes()
+
+    def test_no_final_model_without_examples(self, tmp_path):
+        env, policy, base = stl_setup()
+        result = stl_run(
+            stl_tasks(1), env, policy, base, SpyTrainer(),
+            self.config(min_example_depth=10), self.search_config(), out_dir=tmp_path,
+        )
+        assert result.model_path is None
+        assert not list(tmp_path.glob("*.jsonl*"))
 
     def test_per_depth_export_filenames(self, tmp_path):
         env, policy, base = stl_setup()
@@ -704,7 +740,7 @@ class TestStlRun:
             )
         assert (tmp_path / "dataset_iter01.jsonl").exists()
 
-    def test_an_error_while_collecting_shuts_the_rollout_pool_down(self, monkeypatch):
+    def test_an_error_while_collecting_shuts_the_rollout_pool_down(self, monkeypatch, tmp_path):
         def failing_collect(*args, **kwargs):
             raise RuntimeError("collection failed")
 
@@ -722,6 +758,7 @@ class TestStlRun:
                 SpyTrainer(),
                 self.config(tasks_per_iteration=4),
                 self.search_config(),
+                out_dir=tmp_path,
                 parallel=2,
             )
         assert failure.value.args == ("collection failed",)
@@ -768,7 +805,7 @@ class TestCollectCandidates:
 GAME24_PUZZLES = ["4 6 6 8", "1 2 3 4", "2 3 5 7", "3 3 8 8", "1 1 1 1", "1 5 5 5"]
 
 
-def game24_stl_run(out_dir=None):
+def game24_stl_run(out_dir):
     """A small oracle-valued game24 run: 3 accumulating iterations of 2 tasks."""
     env = Game24Env()
     tasks = [Task(id=f"g{i}", instruction=p) for i, p in enumerate(GAME24_PUZZLES)]
@@ -796,10 +833,10 @@ class TestEachExampleOnce:
         monkeypatch.setattr(stl, name, counted)
         return calls
 
-    def test_two_parses_and_one_format_per_candidate(self, monkeypatch):
+    def test_two_parses_and_one_format_per_candidate(self, monkeypatch, tmp_path):
         parses = self.count_calls(monkeypatch, "parse_simulated_lookahead")
         formats = self.count_calls(monkeypatch, "format_lookahead_block")
-        result = game24_stl_run()
+        result = game24_stl_run(tmp_path)
         candidates = sum(report.candidates for report in result.reports)
         assert candidates > 0
         assert all(report.kept == report.candidates for report in result.reports)
@@ -808,8 +845,8 @@ class TestEachExampleOnce:
         assert len(formats) == candidates
         assert len(parses) == 2 * candidates
 
-    def test_examples_carry_the_value_their_completion_parses_to(self):
-        result = game24_stl_run()
+    def test_examples_carry_the_value_their_completion_parses_to(self, tmp_path):
+        result = game24_stl_run(tmp_path)
         for dataset in result.datasets:
             for example in dataset.examples.values():
                 parsed = parse_simulated_lookahead(example.completion, OracleValueModel.scale)
@@ -825,7 +862,7 @@ class TestEachExampleOnce:
         reloaded = import_jsonl(written)
         assert reloaded == result.datasets[-1]
         assert all(e.value is None for e in reloaded.examples.values())
-        again = export_jsonl(reloaded, tmp_path / "again.jsonl")
+        again = export_jsonl(reloaded, tmp_path / "again.jsonl", OracleValueModel.scale.name)
         assert again.read_bytes() == written.read_bytes()
         base = OracleValueModel()
         assert TabularTrainer().fine_tune(base, reloaded).table == result.final_model.table

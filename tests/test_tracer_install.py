@@ -41,7 +41,7 @@ from lookahead.agents.transport import ChatRequest, HttpTransport
 
 server = StubServer(delay_s=0.0, workers=1)
 try:
-    transport = HttpTransport(server.base_url, max_attempts=1)
+    transport = HttpTransport(server.base_url)
     request = ChatRequest(model="m", prompt="Input: 2 3 4 4", n=2)
     seen["texts"] = len(transport.send(request).texts)
 finally:

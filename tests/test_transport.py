@@ -329,12 +329,10 @@ class TestHttpTransport:
             attempts.append(url)
             raise requests.ConnectionError("refused")
 
-        transport = HttpTransport(
-            "http://example.test", max_attempts=4, post=failing_post, sleep=lambda s: None
-        )
-        with pytest.raises(TransportError, match="after 4 attempts"):
+        transport = HttpTransport("http://example.test", post=failing_post, sleep=lambda s: None)
+        with pytest.raises(TransportError, match="after 3 attempts"):
             transport.send(make_request())
-        assert len(attempts) == 4
+        assert len(attempts) == 3
 
     def test_http_error_status_is_retried(self):
         responses = [FakeResponse(None, status=500), FakeResponse(ok_payload("ok now"))]
