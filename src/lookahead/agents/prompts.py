@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-
-class PromptError(Exception):
-    pass
+from ..core import ConfigError
 
 
 def load_template(environment: str, role: str) -> str:
@@ -22,7 +20,7 @@ def load_template(environment: str, role: str) -> str:
             resources.files("lookahead").joinpath("prompts", filename).read_text("utf-8")
         )
     except FileNotFoundError:
-        raise PromptError(
+        raise ConfigError(
             f"no prompt template for environment {environment!r}, role {role!r} "
             f"(expected asset {filename})"
         ) from None
@@ -32,4 +30,4 @@ def render_template(template: str, **variables: str) -> str:
     try:
         return template.format(**variables)
     except KeyError as exc:
-        raise PromptError(f"prompt template placeholder {exc} was not supplied") from None
+        raise ConfigError(f"prompt template placeholder {exc} was not supplied") from None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -26,12 +25,11 @@ from pathlib import Path
 from typing import Any, Mapping, NoReturn, Sequence
 
 from . import __version__
-from .core import Aggregation, Task, is_finite_number, write_json
+from .core import Aggregation, ConfigError, Task, is_finite_number, read_json, write_json
 from .envs.base import Environment
 from .envs.game24 import Game24Env
-from .envs.scripted import FixtureError, ScriptedEnvironment
+from .envs.scripted import ScriptedEnvironment
 from .agents.policies import ExhaustivePolicy, Policy, RemotePolicy
-from .agents.prompts import PromptError
 from .agents.scales import (
     GAME24, LIKERT10, NUMERIC10, SCALES, MalformedRationale, ValueScale, get_scale
 )
@@ -46,7 +44,6 @@ from .agents.values import (
 from .evaluation import (
     Ledger,
     MethodResult,
-    PricingError,
     PricingTable,
     TaskOutcome,
     emit_report,
@@ -55,17 +52,12 @@ from .evaluation import (
 from .search import ENGINES, SearchConfig, run_rollouts, safe_name
 from .stl import (
     StlConfig,
-    StlError,
     TabularTrainer,
     TabularValueModel,
     check_schedule,
     import_jsonl,
     stl_run,
 )
-
-
-class ConfigError(Exception):
-    """Invalid experiment configuration; the message names the field."""
 
 
 _AGGREGATIONS = tuple(a.value for a in Aggregation)
@@ -195,23 +187,12 @@ def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _read_json(path: str | Path, what: str) -> Any:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file does not exist: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
-    except ValueError as exc:  # not UTF-8, or an integer over the digit limit
-        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from None
-
-
 def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> ExperimentConfig:
     """Merge a config file (or manifest) with the flags given, keyed by field
     name (``search.<name>``, ``stl.<name>``); flags win."""
     data: dict[str, Any] = {}
     if path is not None:
-        raw = _read_json(path, "config")
+        raw = read_json(path, "config")
         # A manifest is a valid config source: unwrap its config snapshot.
         if isinstance(raw, dict) and "config" in raw and "version" in raw:
             raw = raw["config"]
@@ -235,7 +216,7 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     With ``env``, every task must also yield an initial state there.  Ids
     must stay distinct as tree file names (:func:`~lookahead.search.safe_name`).
     """
-    data = _read_json(path, "tasks")
+    data = read_json(path, "tasks")
     if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
         raise ConfigError(f"tasks file {path} must contain a 'tasks' array")
     tasks: list[Task] = []
@@ -279,11 +260,7 @@ def build_environment(config: ExperimentConfig) -> Environment:
         raise ConfigError(
             f"environment must be 'game24' or 'scripted:<fixture>', got {config.environment!r}"
         )
-    path = Path(config.environment[len("scripted:") :])
-    try:
-        return ScriptedEnvironment.load(path)
-    except FixtureError as exc:
-        raise ConfigError(f"environment {exc}") from None
+    return ScriptedEnvironment.load(config.environment[len("scripted:") :])
 
 
 def _transport(config: ExperimentConfig) -> HttpTransport:
@@ -302,7 +279,7 @@ def build_policy(
     model = config.policy[len("remote:") :]
     try:
         return RemotePolicy(_transport(config), model, env, ledger=ledger)
-    except PromptError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"policy {config.policy!r}: {exc}") from None
 
 
@@ -335,7 +312,7 @@ def build_value_model(
             raise ConfigError(f"value {value!r}: {exc}") from None
     if value.startswith("scripted:"):
         path = Path(value[len("scripted:") :])
-        data = _read_json(path, "value fixture")
+        data = read_json(path, "value fixture")
         if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
             raise ConfigError(f"value fixture {path} must contain a 'values' object")
         try:
@@ -357,11 +334,13 @@ def build_value_model(
         path = Path(value[len("stl-dataset:") :])
         if not path.exists():
             raise ConfigError(f"value dataset path does not exist: {path}")
+        if path.is_dir():
+            raise ConfigError(f"value dataset path {path} is a directory")
         dataset = import_jsonl(path)
         scale = _value_scale(config)
         meta_path = Path(str(path) + ".meta.json")
         if config.value_scale is None and meta_path.exists():
-            meta = _read_json(meta_path, "dataset metadata")
+            meta = read_json(meta_path, "dataset metadata")
             if isinstance(meta, dict) and "scale" in meta:
                 try:
                     scale = get_scale(meta["scale"])
@@ -388,7 +367,7 @@ def build_value_model(
             aggregation=Aggregation(config.value_aggregation),
             ledger=ledger,
         )
-    except PromptError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"value {value!r}: {exc}") from None
 
 
@@ -396,7 +375,7 @@ def load_pricing(path: str | Path | None) -> PricingTable:
     """The rates in the pricing file at ``path``; the default rates without one."""
     if path is None:
         return PricingTable()
-    data = _read_json(path, "pricing")
+    data = read_json(path, "pricing")
     if not isinstance(data, dict):
         raise ConfigError(f"pricing file {path} must contain a JSON object")
     try:
@@ -432,7 +411,8 @@ def set_up_run(
     Each builder and loader checks the spec string or file it reads.  Under
     ``stl``, a discount (``gamma < 1``) is checked against the built value
     model's scale, since a label scale cannot hold a discounted target;
-    ``search`` builds no targets, so it ignores ``gamma``.
+    ``search`` builds no targets, so it ignores ``gamma``, but its report
+    prices every ``remote:`` model, so each must be in the pricing table.
     """
     if config.tasks is None:
         raise ConfigError(f"{command} requires a tasks file (--tasks)")
@@ -448,10 +428,17 @@ def set_up_run(
         )
     tasks = load_tasks(config.tasks, env)
     pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
-    if command == "stl":
+    if command == "search":
+        for spec in (config.policy, config.value):
+            if spec.startswith("remote:"):
+                pricing.get(spec[len("remote:") :])
+    else:
         check_schedule(config.stl, len(tasks))
     out_dir = resolve_out_dir(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL or an unencodable character
+        raise ConfigError(f"out directory {out_dir} cannot be made: {exc}") from None
     write_manifest(config, out_dir)
     return env, tasks, pricing, ledger, policy, value_model, out_dir
 
@@ -541,7 +528,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
 
 
 def _load_result(path: str | Path) -> MethodResult:
-    data = _read_json(path, "results")
+    data = read_json(path, "results")
     try:
         return MethodResult.from_dict(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -715,6 +702,14 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print ``exc`` as one stderr line (a line break in a file name prints
+    as ``\\n``) and return the exit ``code``."""
+    message = str(exc).replace("\n", "\\n")
+    print(f"{kind} error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -737,15 +732,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.out,
             )
         return cmd_report(args.results, args.pricing, args.k, args.out)
-    except (ConfigError, StlError, PricingError, FixtureError, PromptError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except ConfigError as exc:
+        return _fail("config", exc, 2)
     except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return 3
+        return _fail("transport", exc, 3)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+        return _fail("i/o", exc, 4)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Defines the vocabulary used across environments, agents, search engines and
 the training-data pipeline: tasks, actions, states, trajectories, value
 estimates and training examples, plus the two canonical derived forms
 (rendered trajectory context and the state key used for deduplication),
-the one JSON layout every artifact file is written in and the one rule for
-a finite JSON number that input readers apply.  The lookahead record
-a training example is distilled from lives with its only users, in
+the one JSON layout every artifact file is written in, and the one error,
+JSON reader and finite-number rule that input readers share.  The lookahead
+record a training example is distilled from lives with its only users, in
 :mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
 plus the state it ends at, and the path is that state's parent chain.  Each
@@ -25,6 +25,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import Any
+
+
+class ConfigError(Exception):
+    """Bad input: a config, spec string, command line or input file that
+    breaks its contract.  The message names the field or file, and the
+    command-line entry point exits 2 with it."""
+
 
 def canonicalize(text: str) -> str:
     """Trim and collapse internal whitespace runs to single spaces.
@@ -241,6 +249,22 @@ def write_json(path: str | Path, data: object) -> None:
         json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON value in the ``what`` file at ``path``; a file that is
+    missing, a directory, unreadable or malformed raises :class:`ConfigError`
+    naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file does not exist: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{what} file {path} is a directory") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an integer over the digit limit
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from None
 
 
 def is_finite_number(x: object) -> bool:

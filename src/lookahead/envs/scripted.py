@@ -22,18 +22,13 @@ offending node, edge or key.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..core import Action, State, Task, Trajectory, canonicalize
+from ..core import Action, ConfigError, State, Task, Trajectory, canonicalize, read_json
 from .base import ActionRejected, Environment
-
-
-class FixtureError(Exception):
-    """Raised when a fixture file violates the documented schema."""
 
 
 @dataclass(frozen=True)
@@ -54,20 +49,20 @@ class Fixture:
 
 def _require(data: dict[str, Any], key: str, where: str) -> Any:
     if key not in data:
-        raise FixtureError(f"{where} is missing required key {key!r}")
+        raise ConfigError(f"{where} is missing required key {key!r}")
     return data[key]
 
 
 def _text(data: dict[str, Any], key: str, where: str) -> str:
     value = _require(data, key, where)
     if not isinstance(value, str):
-        raise FixtureError(f"{where} key {key!r} must be a string, got {type(value).__name__}")
+        raise ConfigError(f"{where} key {key!r} must be a string, got {type(value).__name__}")
     return value
 
 
 def _entries(value: Any, key: str) -> list[dict[str, Any]]:
     if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
-        raise FixtureError(f"fixture key {key!r} must be a list of objects")
+        raise ConfigError(f"fixture key {key!r} must be a list of objects")
     return value
 
 
@@ -79,23 +74,23 @@ def _score(raw: dict[str, Any], where: str) -> float | None:
     if isinstance(score, bool) or not isinstance(score, (int, float)) or not (
         abs(score) <= sys.float_info.max
     ):
-        raise FixtureError(f"{where} key 'score' must be a finite number or null, got {score!r}")
+        raise ConfigError(f"{where} key 'score' must be a finite number or null, got {score!r}")
     return float(score)
 
 
 def parse_fixture(data: Any) -> Fixture:
     if not isinstance(data, dict):
-        raise FixtureError("fixture must be a JSON object")
+        raise ConfigError("fixture must be a JSON object")
     root_id = _text(data, "root", "fixture")
     nodes: dict[str, FixtureNode] = {}
     for raw in _entries(_require(data, "nodes", "fixture"), "nodes"):
         node_id = _text(raw, "id", "node entry")
         if node_id in nodes:
-            raise FixtureError(f"duplicate node id {node_id!r}")
+            raise ConfigError(f"duplicate node id {node_id!r}")
         where = f"node {node_id!r}"
         terminal = raw.get("terminal", False)
         if not isinstance(terminal, bool):
-            raise FixtureError(f"{where} key 'terminal' must be true or false, got {terminal!r}")
+            raise ConfigError(f"{where} key 'terminal' must be true or false, got {terminal!r}")
         nodes[node_id] = FixtureNode(
             id=node_id,
             observation=_text(raw, "observation", where),
@@ -103,9 +98,9 @@ def parse_fixture(data: Any) -> Fixture:
             score=_score(raw, where),
         )
     if root_id not in nodes:
-        raise FixtureError(f"root node {root_id!r} is not defined")
+        raise ConfigError(f"root node {root_id!r} is not defined")
     if nodes[root_id].terminal:
-        raise FixtureError(f"root node {root_id!r} must not be terminal")
+        raise ConfigError(f"root node {root_id!r} must not be terminal")
 
     edges: dict[str, dict[str, str]] = {node_id: {} for node_id in nodes}
     for raw in _entries(data.get("edges", []), "edges"):
@@ -113,15 +108,15 @@ def parse_fixture(data: Any) -> Fixture:
         dst = _text(raw, "to", "edge entry")
         action = canonicalize(_text(raw, "action", "edge entry"))
         if src not in nodes:
-            raise FixtureError(f"edge {src!r} -> {dst!r} starts at an unknown node")
+            raise ConfigError(f"edge {src!r} -> {dst!r} starts at an unknown node")
         if dst not in nodes:
-            raise FixtureError(f"edge {src!r} -> {dst!r} ends at an unknown node")
+            raise ConfigError(f"edge {src!r} -> {dst!r} ends at an unknown node")
         if action in edges[src]:
-            raise FixtureError(
+            raise ConfigError(
                 f"node {src!r} has a duplicate outgoing action {action!r}"
             )
         if nodes[src].terminal:
-            raise FixtureError(f"terminal node {src!r} cannot have outgoing edges")
+            raise ConfigError(f"terminal node {src!r} cannot have outgoing edges")
         edges[src][action] = dst
 
     reachable = {root_id}
@@ -134,25 +129,17 @@ def parse_fixture(data: Any) -> Fixture:
                 frontier.append(target)
     unreachable = sorted(set(nodes) - reachable)
     if unreachable:
-        raise FixtureError(f"node {unreachable[0]!r} is unreachable from the root")
+        raise ConfigError(f"node {unreachable[0]!r} is unreachable from the root")
 
     return Fixture(root=root_id, nodes=nodes, edges=edges)
 
 
 def load_fixture(path: str | Path) -> Fixture:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise FixtureError(f"fixture file {path} not found") from None
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"fixture file {path} is not valid JSON: {exc}") from None
-    except ValueError as exc:  # not UTF-8, or an integer over the digit limit
-        raise FixtureError(f"fixture file {path} cannot be read: {exc}") from None
+    data = read_json(path, "environment fixture")
     try:
         return parse_fixture(data)
-    except FixtureError as exc:
-        raise FixtureError(f"fixture file {path}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"environment fixture file {path}: {exc}") from None
 
 
 class ScriptedEnvironment(Environment):

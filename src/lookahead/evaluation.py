@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -23,14 +24,10 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .core import is_finite_number
+from .core import ConfigError, is_finite_number
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class PricingError(Exception):
-    pass
 
 
 @dataclass
@@ -113,11 +110,13 @@ class Ledger:
 
     @classmethod
     def from_dict(cls, data: object) -> "Ledger":
-        """Read :meth:`to_dict`'s layout back from its ``per_task`` entries
-        (the totals are their sums), coercing nothing: every count must be an
-        int, not a bool, of at least 0, and a value of the wrong type raises
-        ``ValueError`` naming its task and key."""
-        per_task = _object(_object(data, "ledger").get("per_task", {}), "ledger 'per_task'")
+        """Read :meth:`to_dict`'s layout back from its ``per_task`` entries,
+        coercing nothing: every count must be an int, not a bool, of at least
+        0, and a value of the wrong type raises ``ValueError`` naming its task
+        and key.  Top-level ``tokens`` and ``states_expanded``, where given,
+        must be the per-task sums, as JSON text (so ``true`` is not ``1``)."""
+        data = _object(data, "ledger")
+        per_task = _object(data.get("per_task", {}), "ledger 'per_task'")
         ledger = cls()
         for task_id, entry in per_task.items():
             where = f"ledger task {task_id!r}"
@@ -133,6 +132,11 @@ class Ledger:
             states = _count(entry, "states_expanded", where, default=0)
             if states:
                 ledger.add_states(states, task_id)
+        sums = ledger.to_dict()
+        for name in ("tokens", "states_expanded"):
+            given, summed = (json.dumps(d.get(name), sort_keys=True) for d in (data, sums))
+            if name in data and given != summed:
+                raise ValueError(f"ledger {name!r} is {given}, not the per-task sum {summed}")
         return ledger
 
 
@@ -217,14 +221,14 @@ class PricingTable:
         try:
             return self.rates[model]
         except KeyError:
-            raise PricingError(f"no pricing known for model {model!r}") from None
+            raise ConfigError(f"no pricing known for model {model!r}") from None
 
 
 def cost(ledger: Ledger, pricing: PricingTable) -> dict[str, Decimal]:
     """Dollar cost of a ledger's token usage per model, in model order;
     linear in token counts.
 
-    Raises :class:`PricingError` naming any model absent from the table.
+    Raises :class:`ConfigError` naming any model absent from the table.
     """
     per_model: dict[str, Decimal] = {}
     for model, counts in sorted(ledger.tokens_by_model().items()):
@@ -373,7 +377,10 @@ class MethodResult:
         method = data["method"]
         if not isinstance(method, str):
             raise ValueError(f"'method' must be a string, got {method!r}")
-        outcomes = [_outcome_from_dict(i, o) for i, o in enumerate(data["outcomes"])]
+        outcomes = data["outcomes"]
+        if not isinstance(outcomes, list):
+            raise ValueError(f"'outcomes' must be a list, got {outcomes!r}")
+        outcomes = [_outcome_from_dict(i, o) for i, o in enumerate(outcomes)]
         first_index: dict[str, int] = {}
         for index, outcome in enumerate(outcomes):
             earlier = first_index.setdefault(outcome.task_id, index)
@@ -475,10 +482,9 @@ def emit_report(
     """Write ``summary.csv`` (one row per method) and ``per_task.csv``.
 
     Rows are sorted by method name (then task id); re-emitting the same
-    results is byte-identical.
+    results is byte-identical.  Every row is built before ``out_dir`` is
+    created, so a model missing from ``pricing`` writes nothing.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(results, key=lambda r: r.method)
 
     summary_io = io.StringIO()
@@ -486,8 +492,6 @@ def emit_report(
     writer.writeheader()
     for result in ordered:
         writer.writerow(summary_row(result, pricing, k))
-    summary_path = out_dir / "summary.csv"
-    summary_path.write_text(summary_io.getvalue(), encoding="utf-8")
 
     per_task_io = io.StringIO()
     writer = csv.DictWriter(per_task_io, fieldnames=_PER_TASK_COLUMNS, lineterminator="\n")
@@ -503,6 +507,9 @@ def emit_report(
                     "attempts": "".join("1" if a else "0" for a in outcome.attempts),
                 }
             )
-    per_task_path = out_dir / "per_task.csv"
-    per_task_path.write_text(per_task_io.getvalue(), encoding="utf-8")
-    return {"summary": summary_path, "per_task": per_task_path}
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {"summary": out_dir / "summary.csv", "per_task": out_dir / "per_task.csv"}
+    paths["summary"].write_text(summary_io.getvalue(), encoding="utf-8")
+    paths["per_task"].write_text(per_task_io.getvalue(), encoding="utf-8")
+    return paths

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
+    ConfigError,
     State,
     Task,
     Trajectory,
@@ -46,10 +47,6 @@ from .search import ENGINES, SearchConfig, SearchTree, run_rollouts, safe_name
 
 if TYPE_CHECKING:
     from .evaluation import Ledger
-
-
-class StlError(Exception):
-    pass
 
 
 class TrainerError(Exception):
@@ -206,14 +203,6 @@ def make_training_example(
     )
 
 
-@dataclass(frozen=True)
-class MergeCounts:
-    added: int = 0
-    replaced: int = 0
-    duplicates_within_iteration: int = 0
-    kept_existing: int = 0
-
-
 @dataclass
 class Dataset:
     """At most one training example per state key."""
@@ -238,14 +227,14 @@ class Dataset:
 
 def dedup_latest(
     dataset: Dataset, new_examples: Iterable[TrainingExample], iteration: int
-) -> tuple[Dataset, MergeCounts]:
+) -> tuple[Dataset, dict[str, int]]:
     """Merge ``new_examples`` into a copy of ``dataset``.
 
     On a state-key collision the higher iteration wins; within one iteration
-    the first occurrence wins.  Counts report what happened.
+    the first occurrence wins.  The counts report what happened.
     """
     merged = dict(dataset.examples)
-    added = replaced = duplicates = kept = 0
+    counts = dict.fromkeys(("added", "replaced", "duplicates_within_iteration", "kept_existing"), 0)
     seen_this_iteration: set[str] = set()
     for example in new_examples:
         if example.iteration != iteration:
@@ -253,27 +242,19 @@ def dedup_latest(
                 f"example tagged iteration {example.iteration}, expected {iteration}"
             )
         if example.state_key in seen_this_iteration:
-            duplicates += 1
+            counts["duplicates_within_iteration"] += 1
             continue
         seen_this_iteration.add(example.state_key)
         existing = merged.get(example.state_key)
         if existing is None:
             merged[example.state_key] = example
-            added += 1
+            counts["added"] += 1
         elif existing.iteration <= iteration:
             merged[example.state_key] = example
-            replaced += 1
+            counts["replaced"] += 1
         else:
-            kept += 1
-    return (
-        Dataset(examples=merged),
-        MergeCounts(
-            added=added,
-            replaced=replaced,
-            duplicates_within_iteration=duplicates,
-            kept_existing=kept,
-        ),
-    )
+            counts["kept_existing"] += 1
+    return Dataset(examples=merged), counts
 
 
 def export_jsonl(dataset: Dataset, path: str | Path, scale_name: str, mask: str = "none") -> Path:
@@ -305,7 +286,7 @@ def import_jsonl(path: str | Path) -> Dataset:
     The file does not name its scale, so the examples carry no ``value``.
 
     A line that is not UTF-8, not JSON or not a record raises
-    :class:`StlError` naming the file and line.  A record's ``depth`` and
+    :class:`ConfigError` naming the file and line.  A record's ``depth`` and
     ``iteration`` must be ints that are not bools and its other fields
     strings; nothing is coerced.
     """
@@ -325,7 +306,7 @@ def import_jsonl(path: str | Path) -> Dataset:
                         raise ValueError(f"{name!r} must be {kind.__name__}, got {value!r}")
                 example = TrainingExample(**fields)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise StlError(f"{path}:{line_number}: bad dataset record: {exc}") from None
+                raise ConfigError(f"{path}:{line_number}: bad dataset record: {exc}") from None
             dataset.examples[example.state_key] = example
     return dataset
 
@@ -420,7 +401,7 @@ class IterationReport:
     kept: int
     rejected: dict[str, int]
     intra_tree_duplicates: int
-    merge: MergeCounts
+    merge: dict[str, int]
     dataset_size: int
     per_depth_sizes: dict[int, int]
     dataset_paths: list[str]
@@ -441,10 +422,10 @@ class StlResult:
 
 
 def check_schedule(stl_config: StlConfig, task_count: int) -> None:
-    """Raise :class:`StlError` unless ``task_count`` tasks cover the schedule."""
+    """Raise :class:`ConfigError` unless ``task_count`` tasks cover the schedule."""
     needed = stl_config.iterations * stl_config.tasks_per_iteration
     if needed > task_count:
-        raise StlError(
+        raise ConfigError(
             f"schedule needs {needed} rollout tasks "
             f"({stl_config.iterations} x {stl_config.tasks_per_iteration}) "
             f"but only {task_count} were provided"

@@ -461,8 +461,8 @@ def test_criterion_06_filtering_rejects_malformed_and_dedup_keeps_latest():
     incoming = [_collision_example(k, 2) for k in keys]
     rng.shuffle(incoming)
     merged, counts = dedup_latest(first, incoming, 2)
-    assert counts.replaced == 200
-    assert counts.added == 0
+    assert counts["replaced"] == 200
+    assert counts["added"] == 0
     assert all(ex.iteration == 2 for ex in merged.examples.values())
     verdict_line(
         6,

@@ -19,7 +19,6 @@ from transport_doubles import PromptKeyedTransport
 from lookahead import cli, stl
 from lookahead.agents.transport import HttpTransport
 from lookahead.cli import (
-    ConfigError,
     ExperimentConfig,
     build_parser,
     config_from_dict,
@@ -28,7 +27,7 @@ from lookahead.cli import (
     resolve_out_dir,
     write_manifest,
 )
-from lookahead.core import Task
+from lookahead.core import ConfigError, Task
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.search import ENGINES, SearchConfig
@@ -138,7 +137,7 @@ class TestConfigHandling:
                 "--out", str(tmp_path / "o")]
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert err == f"config error: environment fixture file {missing} not found\n"
+        assert err == f"config error: environment fixture file does not exist: {missing}\n"
         assert err.count(str(missing)) == 1
 
     @pytest.mark.parametrize(
@@ -1828,6 +1827,41 @@ def test_non_string_method_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["report", "eval"])
+@pytest.mark.parametrize(
+    "edit,problem",
+    [
+        ({"outcomes": {}}, "'outcomes' must be a list, got {}"),
+        (
+            {"ledger": {"tokens": {"value|gpt-4o": {"completion": 0, "prompt": 999999}}}},
+            'ledger \'tokens\' is {"value|gpt-4o": {"completion": 0, "prompt": 999999}}, '
+            "not the per-task sum {}",
+        ),
+        (
+            {"ledger": {"states_expanded": True, "per_task": {"t1": {"states_expanded": 1}}}},
+            "ledger 'states_expanded' is true, not the per-task sum 1",
+        ),
+    ],
+    ids=["outcomes-object", "tokens-over-per-task", "states-bool-for-int"],
+)
+def test_results_that_contradict_themselves_exit_2(tmp_path, capsys, command, edit, problem):
+    good = fake_results(tmp_path / "good.json", "m", {"t1": 1.0})
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({**json.loads(Path(good).read_text(encoding="utf-8")), **edit}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", str(bad), "--out", str(out)]
+    else:
+        argv = ["eval", good, str(bad), "--b-samples", "10", "--out", str(out / "eval.csv")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == f"config error: results file {bad} is malformed: {problem}\n"
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_multi_result_summary_sorted(self, tmp_path, capsys):
         a = fake_results(tmp_path / "a.json", "zeta", {"t1": 1.0})
@@ -1929,6 +1963,27 @@ class TestPricingFile:
         assert code == 2
         assert err == f"config error: pricing file {pricing}: model 'gpt-4o': {problem}\n"
 
+    @pytest.mark.parametrize("flag", ["--policy", "--value"])
+    def test_search_prices_its_remote_models_before_it_writes(self, tmp_path, capsys, flag):
+        # Nothing listens on port 9: a run that got as far as the transport
+        # would exit 3 after its retries.
+        out = tmp_path / "out"
+        argv = ["search", "--engine", "beam", flag, "remote:my-local-model",
+                "--base-url", "http://127.0.0.1:9/v1",
+                "--tasks", game24_tasks(tmp_path / "tasks.json", n=1), "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (2, "config error: no pricing known for model 'my-local-model'\n")
+        assert not out.exists()
+
+    def test_report_on_an_unpriced_model_writes_nothing(self, tmp_path, capsys):
+        pricing = tmp_path / "pricing.json"
+        pricing.write_text('{"m": {"prompt_per_1k": 0, "completion_per_1k": 0}}', encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["report", self.gpt4o_results(tmp_path), "--pricing", str(pricing), "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (2, "config error: no pricing known for model 'gpt-4o'\n")
+        assert not out.exists()
+
 
 class TestPromptTemplates:
     def test_every_template_belongs_to_a_shipped_environment_and_role(self):
@@ -1988,7 +2043,7 @@ class TestExitCodes:
                 "--environment",
                 "game24",
                 "--policy",
-                "remote:test-model",
+                "remote:gpt-4o",
                 "--value",
                 "oracle",
                 "--base-url",
@@ -2016,7 +2071,7 @@ class TestExitCodes:
                 "--engine",
                 "beam",
                 "--value",
-                "remote:m",
+                "remote:gpt-4o",
                 "--base-url",
                 "http://127.0.0.1:9",
                 "--tasks",

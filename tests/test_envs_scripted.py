@@ -5,10 +5,9 @@ import re
 
 import pytest
 
-from lookahead.core import Action, Task, Trajectory
+from lookahead.core import Action, ConfigError, Task, Trajectory
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.scripted import (
-    FixtureError,
     ScriptedEnvironment,
     load_fixture,
     parse_fixture,
@@ -45,49 +44,49 @@ class TestParseFixture:
     def test_missing_root_key(self):
         data = minimal_fixture()
         del data["root"]
-        with pytest.raises(FixtureError, match="root"):
+        with pytest.raises(ConfigError, match="root"):
             parse_fixture(data)
 
     def test_duplicate_node_id_named(self):
         data = minimal_fixture()
         data["nodes"].append({"id": "a", "observation": "again"})
-        with pytest.raises(FixtureError, match="'a'"):
+        with pytest.raises(ConfigError, match="'a'"):
             parse_fixture(data)
 
     def test_undefined_root_named(self):
         data = minimal_fixture()
         data["root"] = "missing"
-        with pytest.raises(FixtureError, match="'missing'"):
+        with pytest.raises(ConfigError, match="'missing'"):
             parse_fixture(data)
 
     def test_terminal_root_rejected(self):
         data = minimal_fixture()
         data["nodes"][0]["terminal"] = True
-        with pytest.raises(FixtureError, match="must not be terminal"):
+        with pytest.raises(ConfigError, match="must not be terminal"):
             parse_fixture(data)
 
     def test_edge_to_unknown_node_named(self):
         data = minimal_fixture()
         data["edges"].append({"from": "a", "action": "jump", "to": "nowhere"})
-        with pytest.raises(FixtureError, match="'nowhere'"):
+        with pytest.raises(ConfigError, match="'nowhere'"):
             parse_fixture(data)
 
     def test_duplicate_action_on_node_named(self):
         data = minimal_fixture()
         data["edges"].append({"from": "r", "action": "go  a", "to": "c"})
-        with pytest.raises(FixtureError, match="duplicate outgoing action"):
+        with pytest.raises(ConfigError, match="duplicate outgoing action"):
             parse_fixture(data)
 
     def test_terminal_node_with_edges_named(self):
         data = minimal_fixture()
         data["edges"].append({"from": "b", "action": "escape", "to": "a"})
-        with pytest.raises(FixtureError, match="'b'"):
+        with pytest.raises(ConfigError, match="'b'"):
             parse_fixture(data)
 
     def test_unreachable_node_named(self):
         data = minimal_fixture()
         data["nodes"].append({"id": "island", "observation": "isolated"})
-        with pytest.raises(FixtureError, match="'island'"):
+        with pytest.raises(ConfigError, match="'island'"):
             parse_fixture(data)
 
 
@@ -139,7 +138,7 @@ WRONGLY_TYPED = [
 class TestFixtureTypes:
     @pytest.mark.parametrize("edit, message", WRONGLY_TYPED)
     def test_wrongly_typed_fixture_is_a_fixture_error(self, edit, message):
-        with pytest.raises(FixtureError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_fixture(edit(minimal_fixture()))
 
     def test_integer_and_null_scores_are_accepted(self):
@@ -152,13 +151,13 @@ class TestFixtureTypes:
 
 class TestLoadFixture:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FixtureError, match="not found"):
+        with pytest.raises(ConfigError, match="environment fixture file does not exist"):
             load_fixture(tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(FixtureError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match="not valid JSON"):
             load_fixture(path)
 
     def test_round_trip_from_disk(self, tmp_path):

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lookahead.core import ConfigError
 from lookahead.evaluation import (
     Ledger,
     MethodResult,
-    PricingError,
     PricingTable,
     TaskOutcome,
     cost,
@@ -188,7 +188,7 @@ class TestCost:
         assert set(per_model) == {"gpt-4o", "gpt-3.5-turbo"}
 
     def test_unknown_model_named_in_error(self):
-        with pytest.raises(PricingError, match="mystery-model"):
+        with pytest.raises(ConfigError, match="mystery-model"):
             cost(self.ledger_with("mystery-model", 1, 1), PricingTable())
 
     def test_custom_table_from_dict(self):

@@ -21,6 +21,7 @@ from lookahead.agents.values import (
 )
 from lookahead.core import (
     Action,
+    ConfigError,
     State,
     Task,
     Trajectory,
@@ -42,7 +43,6 @@ from lookahead.stl import (
     Dataset,
     LookaheadRecord,
     StlConfig,
-    StlError,
     TabularTrainer,
     TabularValueModel,
     Trainer,
@@ -236,8 +236,8 @@ class TestDedupLatest:
     def test_adds_new_keys(self):
         merged, counts = dedup_latest(Dataset(), [example("k1", 1), example("k2", 1)], 1)
         assert len(merged) == 2
-        assert counts.added == 2
-        assert counts.replaced == counts.duplicates_within_iteration == 0
+        assert counts["added"] == 2
+        assert counts["replaced"] == counts["duplicates_within_iteration"] == 0
 
     def test_within_iteration_first_wins(self):
         first = example("k1", 1)
@@ -251,21 +251,21 @@ class TestDedupLatest:
         )
         merged, counts = dedup_latest(Dataset(), [first, second], 1)
         assert merged.examples["k1"] is first
-        assert counts.duplicates_within_iteration == 1
-        assert counts.added == 1
+        assert counts["duplicates_within_iteration"] == 1
+        assert counts["added"] == 1
 
     def test_later_iteration_replaces(self):
         base, _ = dedup_latest(Dataset(), [example("k1", 1)], 1)
         merged, counts = dedup_latest(base, [example("k1", 2)], 2)
         assert merged.examples["k1"].iteration == 2
-        assert counts.replaced == 1
-        assert counts.added == 0
+        assert counts["replaced"] == 1
+        assert counts["added"] == 0
 
     def test_earlier_iteration_keeps_existing(self):
         base, _ = dedup_latest(Dataset(), [example("k1", 5)], 5)
         merged, counts = dedup_latest(base, [example("k1", 2)], 2)
         assert merged.examples["k1"].iteration == 5
-        assert counts.kept_existing == 1
+        assert counts["kept_existing"] == 1
 
     def test_wrong_iteration_tag_rejected(self):
         with pytest.raises(ValueError, match="tagged iteration 3"):
@@ -343,7 +343,7 @@ class TestExportImport:
     def test_import_rejects_bad_record(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"task_id": "only-this"}\n', encoding="utf-8")
-        with pytest.raises(StlError, match=":1:"):
+        with pytest.raises(ConfigError, match=":1:"):
             import_jsonl(path)
 
 
@@ -455,7 +455,7 @@ class TestStlRun:
         report = result.reports[0]
         assert report.candidates == 2
         assert report.kept == 2
-        assert report.merge.added == 2
+        assert report.merge["added"] == 2
         assert isinstance(result.final_model, TabularValueModel)
 
     def test_parallel_rollouts_match_serial_run(self, tmp_path, monkeypatch):
@@ -552,7 +552,7 @@ class TestStlRun:
 
     def test_schedule_larger_than_task_list_rejected(self, tmp_path):
         env, policy, base = stl_setup()
-        with pytest.raises(StlError, match="schedule needs 4"):
+        with pytest.raises(ConfigError, match="schedule needs 4"):
             stl_run(
                 stl_tasks(3),
                 env,
@@ -596,8 +596,8 @@ class TestStlRun:
         # iteration extends the first instead of replacing it.
         assert len(result.datasets[0]) == 2
         assert len(result.datasets[1]) == 4
-        assert result.reports[1].merge.added == 2
-        assert result.reports[1].merge.replaced == 0
+        assert result.reports[1].merge["added"] == 2
+        assert result.reports[1].merge["replaced"] == 0
 
     def test_without_accumulate_each_iteration_is_fresh(self, tmp_path):
         env, policy, base = stl_setup()
