@@ -150,7 +150,9 @@ class HttpTransport(Transport):
         self._random = random
 
     def send(self, request: ChatRequest) -> ChatResponse:
-        headers = {"Content-Type": "application/json"}
+        # Each post opens its own connection; asking the server to close it frees a
+        # thread-per-connection server's worker as soon as the reply is written.
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"

@@ -19,8 +19,8 @@ import csv
 import math
 import sys
 import time
-from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, NoReturn, Sequence
 
@@ -49,7 +49,7 @@ from .evaluation import (
     emit_report,
     paired_bootstrap,
 )
-from .search import ENGINES, SearchConfig, run_rollouts, safe_name
+from .search import ENGINES, SearchConfig, SearchTree, run_rollouts, safe_name
 from .stl import (
     StlConfig,
     TabularTrainer,
@@ -443,13 +443,17 @@ def set_up_run(
     return env, tasks, pricing, ledger, policy, value_model, out_dir
 
 
+def _tally(env: Environment, tree: SearchTree) -> tuple[int, float | None]:
+    """A search tree's failure count and its final trajectory's ground-truth score."""
+    return len(tree.stats.failures), env.ground_truth_score(tree.final_trajectory())
+
+
 def cmd_search(config: ExperimentConfig) -> int:
     """Run the configured engine over every task; always exits 0 once the
     run completes, with per-task failures tallied in the artifacts.
 
-    Each tree is written, scored and tallied as it arrives, and only its
-    score and failure count are kept, so a serial run holds one tree at a
-    time.
+    Each tree is reduced to its failure count and score in its rollout's
+    worker, so a run holds at most ``parallel`` trees.
     """
     env, tasks, pricing, ledger, policy, value_model, out_dir = set_up_run(config, "search")
     jobs = [
@@ -457,14 +461,12 @@ def cmd_search(config: ExperimentConfig) -> int:
         for task in tasks
         for attempt in range(1, config.attempts + 1)
     ]
-    scores: list[float | None] = []
-    failures = 0
-    with closing(run_rollouts(
-        jobs, config.engine, env, policy, value_model, config.search, ledger, config.parallel
-    )) as trees:
-        for tree in trees:
-            failures += len(tree.stats.failures)
-            scores.append(env.ground_truth_score(tree.final_trajectory()))
+    tallies = run_rollouts(
+        jobs, config.engine, env, policy, value_model, config.search, partial(_tally, env),
+        ledger, config.parallel,
+    )
+    failures = sum(count for count, _ in tallies)
+    scores = [score for _, score in tallies]
 
     outcomes: list[TaskOutcome] = []
     for index, task in enumerate(tasks):
@@ -492,6 +494,8 @@ def cmd_search(config: ExperimentConfig) -> int:
     print(f"method: {result.method}")
     print(f"tasks: {len(tasks)}  solved: {solved}  failures-tallied: {failures}")
     print(f"states expanded: {ledger.states_expanded}")
+    if isinstance(value_model, TabularValueModel):
+        print(f"table hits: {value_model.hits}  fallbacks: {value_model.fallbacks}")
     print(f"artifacts: {out_dir}")
     return 0
 

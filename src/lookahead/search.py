@@ -22,8 +22,8 @@ environment transition calls exactly.  A tree node holds its state, whose
 task plus the state it ends at, so the engines hand value models and
 policies trajectories, and nothing else, without copying any path.
 
-:func:`run_rollouts` is the one place that runs engines over tasks and
-writes their trees; ``search`` and every ``stl`` iteration call it.
+:func:`run_rollouts` runs engines over tasks, writes each tree and reduces it
+to what its caller keeps; ``search`` and every ``stl`` iteration call it.
 
 :func:`render_tree` holds the one description of the tree-dump layout and
 :func:`dump_tree` writes it.  The text is what ``json.dumps`` writes with
@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _string
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .core import State, Task, Trajectory, ValueEstimate
 from .envs.base import ActionRejected, Environment
@@ -542,32 +542,28 @@ def run_rollouts(
     policy: Policy,
     value_model: ValueModel,
     config: SearchConfig,
+    reduce: Callable[[SearchTree], Any],
     ledger: "Ledger | None" = None,
     parallel: int = 1,
-) -> Iterator[SearchTree]:
+) -> list:
     """Run the named engine on each ``(task, tree_path)`` job, ``parallel``
-    at a time, and write each tree to its path once it is built.
-
-    Trees are yielded in job order as they are built (serially, a job runs
-    only when its tree is asked for), and the runner keeps none it has
-    yielded: ``search`` keeps each tree's outcome and ``stl`` its candidates,
-    so a serial run holds one tree at a time.  A parallel run's artifacts
-    equal a serial run's.  Closing the generator early cancels the jobs not
-    yet started and waits for the running ones.  The threads share the
-    agents, whose transports must then be safe for concurrent use.
+    at a time; write each tree to its path and reduce it in the job's worker,
+    so a run holds at most ``parallel`` trees.  Returns the reductions in job
+    order, and writes what a serial run writes.  A failing job raises once
+    the jobs before it are done and cancels those not yet started.  Threads
+    share the agents and ``reduce``, so transports must be concurrency-safe.
     """
 
-    def rollout(job: tuple[Task, Path]) -> SearchTree:
+    def rollout(job: tuple[Task, Path]) -> Any:
         task, tree_path = job
         # ENGINES and dump_tree are looked up per call, so rebinding them reaches every rollout.
         tree = ENGINES[engine](task, env, policy, value_model, config, ledger)
         dump_tree(tree, tree_path)
-        return tree
+        return reduce(tree)
 
     if parallel == 1:
-        yield from map(rollout, jobs)
-        return
+        return [rollout(job) for job in jobs]
     from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
 
     with ThreadPoolExecutor(max_workers=parallel) as pool:
-        yield from pool.map(rollout, jobs)
+        return list(pool.map(rollout, jobs))

@@ -13,17 +13,18 @@ state's trajectory (which holds its task) and key, the best successor (whose
 discounted target.  The filter builds each record's completion and parses it
 back once, the example keeps that completion, the parsed target and (once
 exported) its JSON line, and the trained model reads the target from it.
-Trees stream from the rollouts into record collection one at a time.
+Each tree is reduced to its records in its rollout's worker.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
+import threading
 from abc import ABC, abstractmethod
 from collections import Counter
-from contextlib import closing
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -325,28 +326,39 @@ class Trainer(ABC):
 class TabularValueModel(ValueModel):
     """Training double: memorizes (state key -> completion, target) exactly.
 
-    Unseen states delegate to the base model.  The stored target is the value
-    parsed back out of the stored completion, which is what an external
-    trainer would be optimizing toward.  An example built by the pipeline
-    carries that value already; only one without (an imported dataset) is
-    parsed here, with the base model's scale.
+    Unseen states delegate to the base model; ``hits`` and ``fallbacks``
+    count the states answered from the table and by the base model.  The
+    stored target is the value parsed back out of the stored completion,
+    which is what an external trainer would be optimizing toward.  An
+    example built by the pipeline carries that value already; only one
+    without (an imported dataset) is parsed here, with the base model's
+    scale.
     """
 
     def __init__(self, base_model: ValueModel, dataset: Dataset) -> None:
         self.base_model = base_model
         self.scale = base_model.scale
-        self.table: dict[str, tuple[str, float]] = {}
+        self.table: dict[str, ValueEstimate] = {}
         for key, example in dataset.examples.items():
             value = example.value
             if value is None:
                 value = parse_simulated_lookahead(example.completion, self.scale)[3]
-            self.table[key] = (example.completion, value)
+            self.table[key] = ValueEstimate(example.completion, value, (value,))
+        self.hits = self.fallbacks = 0
+        self._count_lock = threading.Lock()
+
+    def _count(self, hits: int, fallbacks: int) -> None:
+        with self._count_lock:
+            self.hits += hits
+            self.fallbacks += fallbacks
 
     def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
         stored = self.table.get(state_key(trajectory))
         if stored is None:
+            self._count(0, 1)
             return self.base_model.evaluate(trajectory)
-        return _stored_estimate(stored)
+        self._count(1, 0)
+        return stored
 
     def evaluate_many(
         self, trajectories: Sequence[Trajectory]
@@ -354,13 +366,9 @@ class TabularValueModel(ValueModel):
         """Answer hits from the table; send all misses to the base model at once."""
         stored = [self.table.get(state_key(t)) for t in trajectories]
         misses = [t for t, hit in zip(trajectories, stored) if hit is None]
+        self._count(len(stored) - len(misses), len(misses))
         answers = iter(self.base_model.evaluate_many(misses))
-        return [next(answers) if hit is None else _stored_estimate(hit) for hit in stored]
-
-
-def _stored_estimate(stored: tuple[str, float]) -> ValueEstimate:
-    completion, value = stored
-    return ValueEstimate(rationale=completion, value=value, samples=(value,))
+        return [next(answers) if hit is None else hit for hit in stored]
 
 
 class TabularTrainer(Trainer):
@@ -463,23 +471,21 @@ def stl_run(
     dataset = Dataset()
     datasets: list[Dataset] = []
     reports: list[IterationReport] = []
+    collect = partial(
+        collect_candidates, gamma=stl_config.gamma, min_depth=stl_config.min_example_depth
+    )
 
     for iteration in range(1, stl_config.iterations + 1):
         start = (iteration - 1) * stl_config.tasks_per_iteration
         task_slice = tasks[start : start + stl_config.tasks_per_iteration]
         prefix = f"iter{iteration:02d}__"
         jobs = [(task, trees_dir / f"{prefix}{safe_name(task.id)}.json") for task in task_slice]
-        records: list[LookaheadRecord] = []
-        intra_tree_duplicates = 0
-        with closing(run_rollouts(
-            jobs, stl_config.engine, env, policy, current_model, search_config, ledger, parallel
-        )) as rollouts:
-            for tree in rollouts:
-                found, duplicates = collect_candidates(
-                    tree, stl_config.gamma, stl_config.min_example_depth
-                )
-                records.extend(found)
-                intra_tree_duplicates += duplicates
+        collected = run_rollouts(
+            jobs, stl_config.engine, env, policy, current_model, search_config, collect, ledger,
+            parallel,
+        )
+        records = [record for found, _ in collected for record in found]
+        intra_tree_duplicates = sum(duplicates for _, duplicates in collected)
 
         new_examples, rejections = filter_examples(records, scale, iteration)
         base_dataset = dataset if stl_config.accumulate else Dataset()

@@ -1153,6 +1153,50 @@ class TestSearchCommand:
         assert outcomes == self.STREAMED_OUTCOMES[attempts]
         solved = sum(any(successes) for _, _, successes in outcomes)
         assert f"tasks: 6  solved: {solved}  failures-tallied: 0" in stdout
+        assert "table hits" not in stdout
+
+    def test_parallel_search_holds_at_most_parallel_trees_behind_a_slow_rollout(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The first rollout waits until the last one has started, so the
+        # other thread runs every later job meanwhile; no finished tree may
+        # wait for the slow one.
+        beam = ENGINES["beam"]
+        built = weakref.WeakSet()
+        alive: list[int] = []  # trees alive as each rollout starts and ends
+        starts = []
+        lock = threading.Lock()
+        last_started = threading.Event()
+
+        def count_alive() -> None:
+            with lock:
+                gc.collect()
+                alive.append(len(built))
+
+        def slow_first(task, *args):
+            count_alive()
+            with lock:
+                starts.append(task.id)
+                first, last = len(starts) == 1, len(starts) == 40
+            if first:
+                last_started.wait(timeout=5.0)
+            if last:
+                last_started.set()
+            tree = beam(task, *args)
+            built.add(tree)
+            count_alive()
+            return tree
+
+        monkeypatch.setitem(ENGINES, "beam", slow_first)
+        tasks = game24_tasks(tmp_path / "tasks.json", n=40)
+        argv = ["search", "--engine", "beam", "--value", "oracle", "--tasks", tasks]
+        argv += ["--branching", "5", "--beam-width", "5", "--max-depth", "3", "--parallel", "2"]
+        code, stdout, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0, err
+        assert last_started.is_set()
+        assert len(alive) == 2 * 40
+        assert max(alive) <= 2, alive
+        assert "tasks: 40  solved:" in stdout
 
     def test_an_error_while_scoring_shuts_the_rollout_pool_down(
         self, tmp_path, capsys, monkeypatch
@@ -1507,6 +1551,10 @@ class TestStlCommand:
         )
         assert code == 0
         assert "tasks: 2" in stdout
+        # Every evaluated state is a table hit or a fallback to the base model.
+        counts = re.search(r"states expanded: (\d+)\ntable hits: (\d+)  fallbacks: (\d+)\n", stdout)
+        expanded, hits, fallbacks = map(int, counts.groups())
+        assert hits > 0 and hits + fallbacks == expanded
         results = json.loads((search_out / "results.json").read_text())
         assert results["method"].startswith("beam+stl-dataset:")
 

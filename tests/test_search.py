@@ -394,14 +394,19 @@ class TestDumpTree:
         assert by_id["a win"]["terminal"] is True
 
 
+def identity(tree):
+    return tree
+
+
 class TestRunRollouts:
     TASKS = [Task(id=f"t{i}", instruction="walk") for i in range(3)]
 
     def run(self, jobs, parallel=1):
         env, policy, model = two_branch_setup()
-        return list(run_rollouts(
-            jobs, "greedy", env, policy, model, SearchConfig(max_depth=3), parallel=parallel
-        ))
+        return run_rollouts(
+            jobs, "greedy", env, policy, model, SearchConfig(max_depth=3), identity,
+            parallel=parallel,
+        )
 
     def test_parallel_trees_keep_job_order_and_serial_bytes(self, tmp_path, monkeypatch):
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
@@ -453,34 +458,16 @@ class TestRunRollouts:
         sys.setswitchinterval(1e-6)
         try:
             jobs = [(task, tmp_path / f"{task.id}.json") for task in tasks]
-            trees = list(run_rollouts(
-                jobs, "beam", env, ExhaustivePolicy(env), OracleValueModel(), config, ledger,
-                parallel=8,
-            ))
+            trees = run_rollouts(
+                jobs, "beam", env, ExhaustivePolicy(env), OracleValueModel(), config, identity,
+                ledger, parallel=8,
+            )
         finally:
             sys.setswitchinterval(interval)
         expanded = {tree.task.id: tree.stats.states_expanded for tree in trees}
         assert [tree.task for tree in trees] == tasks
         assert ledger.per_task_states == expanded
         assert ledger.states_expanded == sum(expanded.values()) > 0
-
-    def test_serial_rollouts_run_a_job_only_when_its_tree_is_asked_for(self, tmp_path, monkeypatch):
-        greedy = ENGINES["greedy"]
-        calls = []
-
-        def counted(task, *args):
-            calls.append(task.id)
-            return greedy(task, *args)
-
-        monkeypatch.setitem(ENGINES, "greedy", counted)
-        env, policy, model = two_branch_setup()
-        jobs = [(task, tmp_path / f"{task.id}.json") for task in self.TASKS]
-        trees = run_rollouts(jobs, "greedy", env, policy, model, SearchConfig(max_depth=3))
-        assert calls == []
-        assert next(trees).task == self.TASKS[0]
-        assert calls == ["t0"]
-        assert [tree.task for tree in trees] == self.TASKS[1:]
-        assert calls == ["t0", "t1", "t2"]
 
     def test_serial_run_stays_on_the_calling_thread(self, tmp_path, monkeypatch):
         # parallel=1 starts no pool, so an order-dependent transport (a

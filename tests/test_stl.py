@@ -357,6 +357,7 @@ class TestTabularValueModel:
         result = model.evaluate(record.trajectory)
         assert result.value == 4.0
         assert result.rationale == ex.completion
+        assert (model.hits, model.fallbacks) == (1, 0)
 
     def test_unknown_key_delegates_to_base(self):
         base = ConstantValueModel(2.0)
@@ -364,6 +365,7 @@ class TestTabularValueModel:
         task = Task(id="tx", instruction="other")
         trajectory = Trajectory.from_state(task, root_state("other"))
         assert model.evaluate(trajectory).value == 2.0
+        assert (model.hits, model.fallbacks) == (0, 1)
 
     def test_scale_follows_base(self):
         base = ConstantValueModel(2.0, scale=LIKERT10)
@@ -853,7 +855,8 @@ class TestEachExampleOnce:
                 assert example.value == parsed[3]
         final = result.datasets[-1]
         assert result.final_model.table == {
-            key: (e.completion, e.value) for key, e in final.examples.items()
+            key: ValueEstimate(e.completion, e.value, (e.value,))
+            for key, e in final.examples.items()
         }
 
     def test_reexported_import_is_byte_identical_and_trains_the_same_table(self, tmp_path):

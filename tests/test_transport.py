@@ -1,7 +1,10 @@
 """Chat transports: scripted replay semantics and HTTP retry behaviour."""
 
+import json
 import random
+import threading
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -368,3 +371,36 @@ class TestHttpTransport:
             "http://example.test", post=fake_post, sleep=lambda s: None
         ).send(make_request())
         assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
+
+    def test_each_request_asks_a_real_server_to_close_its_connection(self):
+        # An HTTP/1.1 server keeps a connection (and, thread per connection,
+        # its worker) open after replying unless the request asks to close it.
+        seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                seen.append(self.headers.get("Connection"))
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.dumps(ok_payload("served")).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = HttpTransport(f"http://127.0.0.1:{server.server_port}/v1")
+            assert transport.send(make_request()).text == "served"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert seen == ["close"]

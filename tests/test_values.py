@@ -20,7 +20,9 @@ from lookahead.agents.values import (
     RoutedValueModel,
     ScriptedValueModel,
 )
-from lookahead.core import Action, Aggregation, State, Task, Trajectory, state_key
+from lookahead.core import (
+    Action, Aggregation, State, Task, Trajectory, ValueEstimate, state_key
+)
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
 from lookahead.stl import Dataset, TabularValueModel
@@ -397,10 +399,36 @@ class TestEvaluateMany:
         trajectories = [synthetic_trajectory(i) for i in "abc"]
         base = RecordingModel(2.0)
         model = TabularValueModel(base, Dataset())
-        model.table[state_key(trajectories[1])] = ("stored rationale", 7.0)
+        model.table[state_key(trajectories[1])] = ValueEstimate("stored rationale", 7.0, (7.0,))
         results = model.evaluate_many(trajectories)
         assert [r.value for r in results] == [2.0, 7.0, 2.0]
         assert base.batches == [[trajectories[0], trajectories[2]]]
+        assert (model.hits, model.fallbacks) == (1, 2)
+
+    def test_tabular_counts_exact_under_contention(self):
+        # More threads than cores and a tiny switch interval: a lost update
+        # to either counter would show as a short total.
+        trajectories = [synthetic_trajectory(i) for i in "abcd"]
+        model = TabularValueModel(ConstantValueModel(2.0), Dataset())
+        model.table[state_key(trajectories[0])] = ValueEstimate("stored rationale", 7.0, (7.0,))
+
+        def work():
+            for _ in range(500):
+                model.evaluate_many(trajectories)
+                model.evaluate(trajectories[1])
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (model.hits, model.fallbacks) == (8 * 500, 8 * 500 * 4)
 
 
 class TrajectorySpy(ConstantValueModel):
