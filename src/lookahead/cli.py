@@ -295,6 +295,11 @@ def build_value_model(
     config: ExperimentConfig, env: Environment, ledger: Ledger
 ) -> ValueModel:
     value = config.value
+    if config.value_scale is not None and (value == "oracle" or value.startswith("scripted:")):
+        raise ConfigError(
+            f"value {value!r} has its own scale; value_scale applies to "
+            "remote:, constant: and stl-dataset: values only"
+        )
     if value == "oracle":
         if config.environment != "game24":
             raise ConfigError("the oracle value model requires the game24 environment")
@@ -504,7 +509,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
     """Run the self-training loop and write datasets, reports, and the
     reloadable tabular model artifact."""
     env, tasks, _pricing, ledger, policy, base_model, out_dir = set_up_run(config, "stl")
-    result = stl_run(
+    _final_model, reports = stl_run(
         tasks=tasks,
         env=env,
         policy=policy,
@@ -519,14 +524,14 @@ def cmd_stl(config: ExperimentConfig) -> int:
 
     write_json(out_dir / "ledger.json", ledger.to_dict())
 
-    last = result.reports[-1]
-    print(f"iterations: {len(result.reports)}")
+    last = reports[-1]
+    print(f"iterations: {len(reports)}")
     print(f"final dataset size: {last.dataset_size}")
     if last.per_depth_sizes:
         sizes = ", ".join(f"d{d}:{n}" for d, n in sorted(last.per_depth_sizes.items()))
         print(f"per-depth sizes: {sizes}")
-    if result.model_path is not None:
-        print(f"model artifact: {result.model_path}")
+    if last.dataset_size > 0:
+        print(f"model artifact: {out_dir / 'stl' / 'final_model.jsonl'}")
     print(f"artifacts: {out_dir}")
     return 0
 

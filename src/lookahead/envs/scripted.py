@@ -22,12 +22,13 @@ offending node, edge or key.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..core import Action, ConfigError, State, Task, Trajectory, canonicalize, read_json
+from ..core import (
+    Action, ConfigError, State, Task, Trajectory, canonicalize, is_finite_number, read_json
+)
 from .base import ActionRejected, Environment
 
 
@@ -70,10 +71,7 @@ def _score(raw: dict[str, Any], where: str) -> float | None:
     score = raw.get("score")
     if score is None:
         return None
-    # NaN fails the bound too; an int beyond it would overflow float().
-    if isinstance(score, bool) or not isinstance(score, (int, float)) or not (
-        abs(score) <= sys.float_info.max
-    ):
+    if not is_finite_number(score):
         raise ConfigError(f"{where} key 'score' must be a finite number or null, got {score!r}")
     return float(score)
 

@@ -50,10 +50,6 @@ if TYPE_CHECKING:
     from .evaluation import Ledger
 
 
-class TrainerError(Exception):
-    """A fine-tuning call failed; the exported datasets remain on disk."""
-
-
 MASK_MODES = ("none", "completion-only")
 """Loss-mask modes an exported dataset's metadata can name."""
 
@@ -289,10 +285,12 @@ def import_jsonl(path: str | Path) -> Dataset:
     A line that is not UTF-8, not JSON or not a record raises
     :class:`ConfigError` naming the file and line.  A record's ``depth`` and
     ``iteration`` must be ints that are not bools and its other fields
-    strings; nothing is coerced.
+    strings; nothing is coerced.  A ``state_key`` may appear on one line
+    only; a repeat raises :class:`ConfigError` naming both lines.
     """
     path = Path(path)
     dataset = Dataset()
+    first_lines: dict[str, int] = {}
     with path.open("rb") as handle:
         for line_number, data in enumerate(handle, start=1):
             try:
@@ -308,6 +306,11 @@ def import_jsonl(path: str | Path) -> Dataset:
                 example = TrainingExample(**fields)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}:{line_number}: bad dataset record: {exc}") from None
+            earlier = first_lines.setdefault(example.state_key, line_number)
+            if earlier != line_number:
+                raise ConfigError(
+                    f"{path}:{line_number}: 'state_key' {example.state_key!r} repeats line {earlier}"
+                )
             dataset.examples[example.state_key] = example
     return dataset
 
@@ -421,14 +424,6 @@ class IterationReport:
         return data
 
 
-@dataclass
-class StlResult:
-    final_model: ValueModel
-    datasets: list[Dataset]
-    reports: list[IterationReport]
-    model_path: Path | None  # the final dataset's file; None when it is empty
-
-
 def check_schedule(stl_config: StlConfig, task_count: int) -> None:
     """Raise :class:`ConfigError` unless ``task_count`` tasks cover the schedule."""
     needed = stl_config.iterations * stl_config.tasks_per_iteration
@@ -451,15 +446,17 @@ def stl_run(
     out_dir: str | Path,
     ledger: "Ledger | None" = None,
     parallel: int = 1,
-) -> StlResult:
-    """Run the full self-training loop (see module docstring) and write its
+) -> tuple[ValueModel, list[IterationReport]]:
+    """Run the full self-training loop (see module docstring), write its
     trees, datasets, ``stl_report.json`` and ``final_model.jsonl`` under
-    ``out_dir``.
+    ``out_dir``, and return the last iteration's model and every
+    iteration's report.
 
     Every iteration trains from ``base_model``, never from the previous
     iteration's model, and rolls out ``parallel`` tasks at a time with its
-    model frozen.  Datasets are exported before training, so a trainer
-    failure aborts the loop with all files intact.
+    model frozen.  Each dataset partition (one per depth with ``per_depth``,
+    else the whole non-empty dataset) is exported before it is trained on,
+    so a trainer's own exception ends the loop with that file on disk.
     """
     check_schedule(stl_config, len(tasks))
     out_path = Path(out_dir)
@@ -469,7 +466,6 @@ def stl_run(
     scale = base_model.scale
     current_model = base_model
     dataset = Dataset()
-    datasets: list[Dataset] = []
     reports: list[IterationReport] = []
     collect = partial(
         collect_candidates, gamma=stl_config.gamma, min_depth=stl_config.min_example_depth
@@ -490,42 +486,27 @@ def stl_run(
         new_examples, rejections = filter_examples(records, scale, iteration)
         base_dataset = dataset if stl_config.accumulate else Dataset()
         dataset, merge_counts = dedup_latest(base_dataset, new_examples, iteration)
-        datasets.append(dataset)
 
-        per_depth = dataset.by_depth() if stl_config.per_depth else {}
+        if stl_config.per_depth:
+            partitions = dataset.by_depth()
+        else:
+            partitions = {None: dataset} if len(dataset) > 0 else {}
         dataset_paths: list[str] = []
-        if len(dataset) > 0:
-            exports = (
-                {f"_depth{d}": partition for d, partition in per_depth.items()}
-                if stl_config.per_depth
-                else {"": dataset}
+        models: dict[int | None, ValueModel] = {}
+        for depth, partition in partitions.items():
+            suffix = "" if depth is None else f"_depth{depth}"
+            file_path = export_jsonl(
+                partition,
+                out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl",
+                mask=stl_config.mask,
+                scale_name=scale.name,
             )
-            for suffix, partition in exports.items():
-                file_path = export_jsonl(
-                    partition,
-                    out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl",
-                    mask=stl_config.mask,
-                    scale_name=scale.name,
-                )
-                dataset_paths.append(file_path.name)
-
-        try:
-            if stl_config.per_depth:
-                depth_models = {
-                    depth: trainer.fine_tune(base_model, partition)
-                    for depth, partition in per_depth.items()
-                }
-                current_model = RoutedValueModel(depth_models, fallback=base_model)
-            elif len(dataset) > 0:
-                current_model = trainer.fine_tune(base_model, dataset)
-            else:
-                current_model = base_model
-        except TrainerError:
-            raise
-        except Exception as exc:
-            raise TrainerError(
-                f"fine-tuning failed in iteration {iteration}: {exc}"
-            ) from exc
+            dataset_paths.append(file_path.name)
+            models[depth] = trainer.fine_tune(base_model, partition)
+        if stl_config.per_depth:
+            current_model = RoutedValueModel(models, fallback=base_model)
+        else:
+            current_model = models.get(None, base_model)
 
         reports.append(
             IterationReport(
@@ -538,13 +519,12 @@ def stl_run(
                 intra_tree_duplicates=intra_tree_duplicates,
                 merge=merge_counts,
                 dataset_size=len(dataset),
-                per_depth_sizes={d: len(p) for d, p in per_depth.items()},
+                per_depth_sizes={d: len(p) for d, p in partitions.items() if d is not None},
                 dataset_paths=dataset_paths,
             )
         )
 
     write_json(out_path / "stl_report.json", [r.to_dict() for r in reports])
-    model_path = None
     if len(dataset) > 0:
         model_path = out_path / "final_model.jsonl"
         if stl_config.per_depth:
@@ -553,4 +533,4 @@ def stl_run(
             # The last iteration exported this very dataset; copy that file pair.
             for suffix in ("", ".meta.json"):
                 shutil.copyfile(f"{out_path / dataset_paths[0]}{suffix}", f"{model_path}{suffix}")
-    return StlResult(current_model, datasets, reports, model_path)
+    return current_model, reports

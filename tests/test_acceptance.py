@@ -40,6 +40,7 @@ from lookahead.stl import (
     build_action_outcome,
     dedup_latest,
     filter_examples,
+    import_jsonl,
     lookahead_target,
     stl_run,
 )
@@ -189,7 +190,7 @@ def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch, tmp_pat
         for i in range(1, 5)
     ]
     gamma = 0.9
-    result = stl_run(
+    stl_run(
         tasks,
         env,
         ExhaustivePolicy(env),
@@ -208,7 +209,7 @@ def test_criterion_03_recorded_targets_equal_discounted_max(monkeypatch, tmp_pat
             key = state_key(tree.trajectory_to(node.uid))
             best = max(child.estimate.value for child in children)
             expected.setdefault(key, set()).add(gamma * best)
-    final = result.datasets[-1]
+    final = import_jsonl(tmp_path / "dataset_iter02.jsonl")
     assert len(final) >= 40
     violations = 0
     for key, example in final.examples.items():
@@ -368,7 +369,7 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point(tmp_path
         Task(id=f"t{i}", instruction="descend")
         for i in range(1, 5)
     ]
-    result = stl_run(
+    final_model, _ = stl_run(
         tasks,
         env,
         ExhaustivePolicy(env),
@@ -385,9 +386,9 @@ def test_criterion_05_four_iterations_reach_value_iteration_fixed_point(tmp_path
         out_dir=tmp_path,
     )
     # Every interior state (1 + 3 + 9 + 27) ends up in the dataset.
-    assert len(result.datasets[-1]) == 40
+    assert len(import_jsonl(tmp_path / "dataset_iter04.jsonl")) == 40
     trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
-    root_value = result.final_model.evaluate(trajectory).value
+    root_value = final_model.evaluate(trajectory).value
     optimal = _optimal_backup("n", 0, leaf_values)
     assert root_value == optimal
     verdict_line(

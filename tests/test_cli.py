@@ -17,7 +17,7 @@ import pytest
 from transport_doubles import PromptKeyedTransport
 
 from lookahead import cli, stl
-from lookahead.agents.transport import HttpTransport
+from lookahead.agents.transport import HttpTransport, TransportError
 from lookahead.cli import (
     ExperimentConfig,
     build_parser,
@@ -307,6 +307,19 @@ class TestConfigHandling:
         assert f"{dataset}:1:" in err and "utf-8" in err
         assert not out.exists()
 
+    def test_dataset_with_a_repeated_state_key_exits_2(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        first = dataset.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        dataset.write_text(first + first, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        key = json.loads(first)["state_key"]
+        assert err == f"config error: {dataset}:2: 'state_key' {key!r} repeats line 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -343,6 +356,29 @@ class TestConfigHandling:
             "config error: value_scale must be one of ['game24', 'likert10', 'numeric10'], "
             f"got {name!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "environment, value, scale, make_tasks",
+        [
+            ("game24", "oracle", "likert10", game24_tasks),
+            (WEBSHOP_ENV, WEBSHOP_VALUES, "game24", webshop_tasks),
+        ],
+        ids=["oracle", "scripted"],
+    )
+    def test_value_scale_on_a_value_with_its_own_scale_exits_2(
+        self, tmp_path, capsys, environment, value, scale, make_tasks
+    ):
+        tasks = make_tasks(tmp_path / "tasks.json")
+        out = tmp_path / "out"
+        argv = ["search", "--environment", environment, "--value", value]
+        argv += ["--value-scale", scale, "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == (
+            f"config error: value {value!r} has its own scale; value_scale applies to "
+            "remote:, constant: and stl-dataset: values only\n"
+        )
+        assert not out.exists()
 
     def test_bad_value_spec_exits_2(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -2133,6 +2169,32 @@ class TestExitCodes:
         assert err.startswith("transport error:")
         assert len(err.strip().splitlines()) == 1
         assert_exponential_backoff(backoff_delays)
+
+    @pytest.mark.parametrize(
+        "error, code, kind",
+        [
+            (ConfigError("optimizer settings rejected"), 2, "config"),
+            (TransportError("training endpoint gone"), 3, "transport"),
+            (OSError(28, "No space left on device"), 4, "i/o"),
+        ],
+        ids=["ConfigError", "TransportError", "OSError"],
+    )
+    def test_trainer_failure_exits_with_its_own_code_and_keeps_the_dataset(
+        self, tmp_path, capsys, monkeypatch, error, code, kind
+    ):
+        class FailingTrainer(stl.Trainer):
+            def fine_tune(self, base_model, dataset):
+                raise error
+
+        monkeypatch.setattr(cli, "TabularTrainer", FailingTrainer)
+        tasks = webshop_tasks(tmp_path / "tasks.json", n=1)
+        out = tmp_path / "out"
+        argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
+        argv += ["--stl-engine", "greedy", "--tasks", tasks, "--out", str(out)]
+        exit_code, _, err = run_cli(argv, capsys)
+        assert exit_code == code
+        assert err.splitlines() == [f"{kind} error: {error}"]
+        assert (out / "stl" / "dataset_iter01.jsonl").exists()
 
     def test_unwritable_out_path_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

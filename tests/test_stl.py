@@ -46,7 +46,6 @@ from lookahead.stl import (
     TabularTrainer,
     TabularValueModel,
     Trainer,
-    TrainerError,
     build_action_outcome,
     collect_candidates,
     dedup_latest,
@@ -340,6 +339,15 @@ class TestExportImport:
         parsed = [json.loads(line) for line in lines]
         assert [p["task_id"] for p in parsed] == ["t1", "t2"]
 
+    def test_import_rejects_a_repeated_state_key(self, tmp_path):
+        dataset, _ = dedup_latest(Dataset(), [example("k1", 1), example("k2", 1)], 1)
+        path = export_jsonl(dataset, tmp_path / "data.jsonl", "numeric10")
+        first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(first + second + first, encoding="utf-8")
+        with pytest.raises(ConfigError) as failure:
+            import_jsonl(path)
+        assert str(failure.value) == f"{path}:3: 'state_key' 'k1' repeats line 1"
+
     def test_import_rejects_bad_record(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"task_id": "only-this"}\n', encoding="utf-8")
@@ -420,13 +428,19 @@ def stl_tasks(n: int) -> list[Task]:
 
 
 class SpyTrainer(Trainer):
+    """Trains as ``TabularTrainer`` does and keeps each dataset it is handed."""
+
     def __init__(self):
         self.base_models = []
-        self.dataset_sizes = []
+        self.datasets = []
+
+    @property
+    def dataset_sizes(self):
+        return [len(dataset) for dataset in self.datasets]
 
     def fine_tune(self, base_model, dataset):
         self.base_models.append(base_model)
-        self.dataset_sizes.append(len(dataset))
+        self.datasets.append(dataset)
         return TabularTrainer().fine_tune(base_model, dataset)
 
 
@@ -447,18 +461,17 @@ class TestStlRun:
     def test_single_iteration_collects_and_trains(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
-        result = stl_run(
+        final_model, reports = stl_run(
             stl_tasks(1), env, policy, base, trainer, self.config(), self.search_config(),
             out_dir=tmp_path,
         )
         # Greedy visits the root and "a"; both have evaluated successors.
         assert trainer.dataset_sizes == [2]
-        assert len(result.datasets[0]) == 2
-        report = result.reports[0]
+        report = reports[0]
         assert report.candidates == 2
         assert report.kept == 2
         assert report.merge["added"] == 2
-        assert isinstance(result.final_model, TabularValueModel)
+        assert isinstance(final_model, TabularValueModel)
 
     def test_parallel_rollouts_match_serial_run(self, tmp_path, monkeypatch):
         greedy = ENGINES["greedy"]
@@ -474,8 +487,9 @@ class TestStlRun:
             monkeypatch.setitem(ENGINES, "greedy", recording_greedy)
             env, policy, base = stl_setup()
             out = tmp_path / f"p{parallel}"
-            result = stl_run(
-                stl_tasks(6), env, policy, base, TabularTrainer(),
+            trainer = SpyTrainer()
+            stl_run(
+                stl_tasks(6), env, policy, base, trainer,
                 self.config(iterations=2, tasks_per_iteration=3, accumulate=True),
                 self.search_config(), out_dir=out, parallel=parallel,
             )
@@ -484,11 +498,12 @@ class TestStlRun:
                 for path in sorted(out.rglob("*"))
                 if path.is_file()
             }
-            runs[parallel] = result, files, trees
+            runs[parallel] = trainer, files, trees
         serial, serial_files, serial_trees = runs[1]
         parallel, parallel_files, parallel_trees = runs[3]
         assert sorted(parallel_trees) == [f"t{i}" for i in range(1, 7)]
         assert parallel_trees == serial_trees
+        assert len(serial.datasets) == 2
         assert [d.sorted_examples() for d in parallel.datasets] == [
             d.sorted_examples() for d in serial.datasets
         ]
@@ -497,7 +512,7 @@ class TestStlRun:
 
     def test_trained_model_answers_with_lookahead_target(self, tmp_path):
         env, policy, base = stl_setup()
-        result = stl_run(
+        final_model, _ = stl_run(
             stl_tasks(1),
             env,
             policy,
@@ -510,7 +525,7 @@ class TestStlRun:
         task = stl_tasks(1)[0]
         trajectory = Trajectory.from_state(task, env.initial_state(task))
         # Best root successor is "a" at 6.0; discounted target is 3.0.
-        assert result.final_model.evaluate(trajectory).value == 3.0
+        assert final_model.evaluate(trajectory).value == 3.0
 
     def test_revisited_states_across_iterations_stay_parseable(self, tmp_path):
         # Same instruction every iteration: the trained model answers for
@@ -520,22 +535,23 @@ class TestStlRun:
             Task(id=f"t{i}", instruction="walk again")
             for i in (1, 2)
         ]
-        result = stl_run(
+        trainer = SpyTrainer()
+        final_model, _ = stl_run(
             tasks,
             env,
             policy,
             base,
-            SpyTrainer(),
+            trainer,
             self.config(iterations=2, accumulate=True),
             self.search_config(),
             out_dir=tmp_path,
         )
-        for example in result.datasets[-1].sorted_examples():
+        for example in trainer.datasets[-1].sorted_examples():
             parse_simulated_lookahead(example.completion, NUMERIC10)
             assert example.completion.count("Best Next Action:") == 1
         trajectory = Trajectory.from_state(tasks[0], env.initial_state(tasks[0]))
         # Two iterations back the aw leaf (9.0) up to the root.
-        assert result.final_model.evaluate(trajectory).value == 9.0
+        assert final_model.evaluate(trajectory).value == 9.0
 
     def test_every_iteration_trains_from_base(self, tmp_path):
         env, policy, base = stl_setup()
@@ -569,7 +585,7 @@ class TestStlRun:
     def test_iterations_consume_disjoint_slices(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
-        result = stl_run(
+        _, reports = stl_run(
             stl_tasks(4),
             env,
             policy,
@@ -579,61 +595,64 @@ class TestStlRun:
             self.search_config(),
             out_dir=tmp_path,
         )
-        assert result.reports[0].task_ids == ["t1", "t2"]
-        assert result.reports[1].task_ids == ["t3", "t4"]
+        assert reports[0].task_ids == ["t1", "t2"]
+        assert reports[1].task_ids == ["t3", "t4"]
 
     def test_accumulate_carries_examples_forward(self, tmp_path):
         env, policy, base = stl_setup()
-        result = stl_run(
+        trainer = SpyTrainer()
+        _, reports = stl_run(
             stl_tasks(2),
             env,
             policy,
             base,
-            SpyTrainer(),
+            trainer,
             self.config(iterations=2, accumulate=True),
             self.search_config(),
             out_dir=tmp_path,
         )
         # Distinct instructions produce distinct state keys, so the second
         # iteration extends the first instead of replacing it.
-        assert len(result.datasets[0]) == 2
-        assert len(result.datasets[1]) == 4
-        assert result.reports[1].merge["added"] == 2
-        assert result.reports[1].merge["replaced"] == 0
+        assert trainer.dataset_sizes == [2, 4]
+        assert reports[1].merge["added"] == 2
+        assert reports[1].merge["replaced"] == 0
 
     def test_without_accumulate_each_iteration_is_fresh(self, tmp_path):
         env, policy, base = stl_setup()
-        result = stl_run(
+        trainer = SpyTrainer()
+        stl_run(
             stl_tasks(2),
             env,
             policy,
             base,
-            SpyTrainer(),
+            trainer,
             self.config(iterations=2, accumulate=False),
             self.search_config(),
             out_dir=tmp_path,
         )
-        assert len(result.datasets[1]) == 2
+        assert trainer.dataset_sizes == [2, 2]
 
     def test_min_example_depth_skips_shallow_states(self, tmp_path):
         env, policy, base = stl_setup()
-        result = stl_run(
+        trainer = SpyTrainer()
+        stl_run(
             stl_tasks(1),
             env,
             policy,
             base,
-            SpyTrainer(),
+            trainer,
             self.config(min_example_depth=1),
             self.search_config(),
             out_dir=tmp_path,
         )
-        examples = list(result.datasets[0].examples.values())
+        [dataset] = trainer.datasets
+        examples = list(dataset.examples.values())
         assert len(examples) == 1
         assert examples[0].depth == 1
 
     def test_per_depth_routes_and_falls_back(self, tmp_path):
         env, policy, base = stl_setup()
-        result = stl_run(
+        model, _ = stl_run(
             stl_tasks(1),
             env,
             policy,
@@ -643,7 +662,6 @@ class TestStlRun:
             self.search_config(),
             out_dir=tmp_path,
         )
-        model = result.final_model
         assert isinstance(model, RoutedValueModel)
         assert set(model.models) == {1}
         task = stl_tasks(1)[0]
@@ -655,7 +673,7 @@ class TestStlRun:
     def test_empty_dataset_returns_base_model(self, tmp_path):
         env, policy, base = stl_setup()
         trainer = SpyTrainer()
-        result = stl_run(
+        final_model, reports = stl_run(
             stl_tasks(1),
             env,
             policy,
@@ -665,9 +683,9 @@ class TestStlRun:
             self.search_config(),
             out_dir=tmp_path,
         )
-        assert result.final_model is base
+        assert final_model is base
         assert trainer.dataset_sizes == []
-        assert result.reports[0].dataset_size == 0
+        assert reports[0].dataset_size == 0
 
     def test_out_dir_artifacts(self, tmp_path):
         env, policy, base = stl_setup()
@@ -692,24 +710,28 @@ class TestStlRun:
     def test_final_model_is_the_final_dataset(self, tmp_path, per_depth):
         env, policy, base = stl_setup()
         out = tmp_path / "run"
-        result = stl_run(
-            stl_tasks(2), env, policy, base, SpyTrainer(),
+        trainer = SpyTrainer()
+        _, reports = stl_run(
+            stl_tasks(2), env, policy, base, trainer,
             self.config(iterations=2, accumulate=True, per_depth=per_depth),
             self.search_config(), out_dir=out,
         )
-        assert result.model_path == out / "final_model.jsonl"
-        expected = export_jsonl(result.datasets[-1], tmp_path / "expected.jsonl", base.scale.name)
+        # The last iteration trains once on each partition it exports.
+        last = trainer.datasets[-len(reports[-1].dataset_paths):]
+        final = Dataset({k: e for partition in last for k, e in partition.examples.items()})
+        assert len(final) == reports[-1].dataset_size
+        expected = export_jsonl(final, tmp_path / "expected.jsonl", base.scale.name)
         for suffix in ("", ".meta.json"):
-            written = Path(f"{result.model_path}{suffix}").read_bytes()
+            written = (out / f"final_model.jsonl{suffix}").read_bytes()
             assert written == Path(f"{expected}{suffix}").read_bytes()
 
     def test_no_final_model_without_examples(self, tmp_path):
         env, policy, base = stl_setup()
-        result = stl_run(
+        _, reports = stl_run(
             stl_tasks(1), env, policy, base, SpyTrainer(),
             self.config(min_example_depth=10), self.search_config(), out_dir=tmp_path,
         )
-        assert result.model_path is None
+        assert reports[-1].dataset_size == 0
         assert not list(tmp_path.glob("*.jsonl*"))
 
     def test_per_depth_export_filenames(self, tmp_path):
@@ -729,7 +751,7 @@ class TestStlRun:
 
     def test_trainer_failure_preserves_exports(self, tmp_path):
         env, policy, base = stl_setup()
-        with pytest.raises(TrainerError, match="iteration 1"):
+        with pytest.raises(RuntimeError, match="synthetic optimizer explosion"):
             stl_run(
                 stl_tasks(1),
                 env,
@@ -808,19 +830,24 @@ GAME24_PUZZLES = ["4 6 6 8", "1 2 3 4", "2 3 5 7", "3 3 8 8", "1 1 1 1", "1 5 5 
 
 
 def game24_stl_run(out_dir):
-    """A small oracle-valued game24 run: 3 accumulating iterations of 2 tasks."""
+    """A small oracle-valued game24 run: 3 accumulating iterations of 2 tasks.
+
+    Returns the final model, the reports and each iteration's dataset.
+    """
     env = Game24Env()
     tasks = [Task(id=f"g{i}", instruction=p) for i, p in enumerate(GAME24_PUZZLES)]
-    return stl_run(
+    trainer = SpyTrainer()
+    final_model, reports = stl_run(
         tasks,
         env,
         ExhaustivePolicy(env),
         OracleValueModel(),
-        TabularTrainer(),
+        trainer,
         StlConfig(iterations=3, tasks_per_iteration=2, engine="mcts", accumulate=True),
         SearchConfig(branching=5, max_depth=3, mcts_iterations=10),
         out_dir=out_dir,
     )
+    return final_model, reports, trainer.datasets
 
 
 class TestEachExampleOnce:
@@ -838,34 +865,35 @@ class TestEachExampleOnce:
     def test_two_parses_and_one_format_per_candidate(self, monkeypatch, tmp_path):
         parses = self.count_calls(monkeypatch, "parse_simulated_lookahead")
         formats = self.count_calls(monkeypatch, "format_lookahead_block")
-        result = game24_stl_run(tmp_path)
-        candidates = sum(report.candidates for report in result.reports)
+        _, reports, _ = game24_stl_run(tmp_path)
+        candidates = sum(report.candidates for report in reports)
         assert candidates > 0
-        assert all(report.kept == report.candidates for report in result.reports)
+        assert all(report.kept == report.candidates for report in reports)
         # Filtering parses the successor rationale and the built completion;
         # training reads the value the second parse returned.
         assert len(formats) == candidates
         assert len(parses) == 2 * candidates
 
     def test_examples_carry_the_value_their_completion_parses_to(self, tmp_path):
-        result = game24_stl_run(tmp_path)
-        for dataset in result.datasets:
+        final_model, _, datasets = game24_stl_run(tmp_path)
+        assert len(datasets) == 3
+        for dataset in datasets:
             for example in dataset.examples.values():
                 parsed = parse_simulated_lookahead(example.completion, OracleValueModel.scale)
                 assert example.value == parsed[3]
-        final = result.datasets[-1]
-        assert result.final_model.table == {
+        final = datasets[-1]
+        assert final_model.table == {
             key: ValueEstimate(e.completion, e.value, (e.value,))
             for key, e in final.examples.items()
         }
 
     def test_reexported_import_is_byte_identical_and_trains_the_same_table(self, tmp_path):
-        result = game24_stl_run(tmp_path / "run")
+        final_model, _, datasets = game24_stl_run(tmp_path / "run")
         written = tmp_path / "run" / "dataset_iter03.jsonl"
         reloaded = import_jsonl(written)
-        assert reloaded == result.datasets[-1]
+        assert reloaded == datasets[-1]
         assert all(e.value is None for e in reloaded.examples.values())
         again = export_jsonl(reloaded, tmp_path / "again.jsonl", OracleValueModel.scale.name)
         assert again.read_bytes() == written.read_bytes()
         base = OracleValueModel()
-        assert TabularTrainer().fine_tune(base, reloaded).table == result.final_model.table
+        assert TabularTrainer().fine_tune(base, reloaded).table == final_model.table
