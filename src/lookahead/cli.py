@@ -19,13 +19,17 @@ import csv
 import math
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from . import __version__
-from .core import Aggregation, ConfigError, Task, is_finite_number, read_json, write_json
+from .core import (
+    Aggregation, ConfigError, Task, check_bool, check_int, check_list, check_number,
+    check_object, check_str, read_json, write_json,
+)
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import ScriptedEnvironment
@@ -118,48 +122,37 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
-# Declared field type -> the JSON values it accepts (bools are not numbers);
-# the first is the type its flag converts to.
-_SCALAR_TYPES: dict[str, tuple[type, ...]] = {
-    "int": (int,),
-    "float": (float, int),
-    "bool": (bool,),
-    "str": (str,),
-    "str | None": (str, type(None)),
+# Declared field type -> the type its flag converts to, and the check its
+# value passes.  A number must be finite: JSON's NaN/Infinity and the flags'
+# "nan"/"inf" parse as floats, but no comparison with NaN holds, so a NaN
+# threshold fails every task.
+_SCALAR_TYPES: dict[str, tuple[type, Callable[[Any, str], object]]] = {
+    "int": (int, check_int),
+    "float": (float, check_number),
+    "bool": (bool, check_bool),
+    "str": (str, check_str),
+    "str | None": (str, partial(check_str, nullable=True)),
 }
 
 
-def _check_types(data: Mapping, cls: type, source: str, prefix: str = "") -> None:
+def _check_types(data: Mapping, cls: type, source: str, section: str | None = None) -> None:
+    """Refuse a key of ``data`` that names no field of ``cls``, then a scalar
+    field's value of the wrong type."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section or 'config'} key(s): {', '.join(unknown)}")
+    prefix = f"{section}." if section else ""
     for f in fields(cls):
-        allowed = _SCALAR_TYPES.get(f.type)
-        if allowed is None or f.name not in data:
-            continue
-        value = data[f.name]
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            raise ConfigError(f"{source}: '{prefix}{f.name}' must be {f.type}, got {value!r}")
-        # JSON's NaN/Infinity and the flags' "nan"/"inf" parse as floats, but
-        # no comparison with NaN holds, so a NaN threshold fails every task.
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{source}: '{prefix}{f.name}' must be finite, got {value!r}")
+        if f.type in _SCALAR_TYPES and f.name in data:
+            check = _SCALAR_TYPES[f.type][1]
+            check(data[f.name], f"{source}: '{prefix}{f.name}'")
 
 
 def _sub_config(data: Any, cls: type, where: str, source: str) -> Any:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{source}: {where!r} must be a JSON object")
-    kwargs = dict(data)
-    allowed = {f.name for f in fields(cls)}
-    _check_keys(kwargs, allowed, where)
-    _check_types(kwargs, cls, source, f"{where}.")
+    kwargs = dict(check_object(data, f"{source}: {where!r}"))
+    _check_types(kwargs, cls, source, where)
     if "excluded_actions" in kwargs:
-        excluded = kwargs["excluded_actions"]
-        if not isinstance(excluded, (list, tuple)) or not all(isinstance(a, str) for a in excluded):
-            raise ConfigError(f"{source}: 'excluded_actions' must be a list of action strings")
+        excluded = check_list(kwargs["excluded_actions"], f"{source}: 'excluded_actions'", str)
         kwargs["excluded_actions"] = tuple(excluded)
     try:
         return cls(**kwargs)
@@ -175,8 +168,6 @@ def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
     ``source`` names where ``data`` came from in messages about a value's
     type or a section's shape.
     """
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    _check_keys(data, allowed, "config")
     _check_types(data, ExperimentConfig, source)
     kwargs: dict[str, Any] = dict(data)
     search = _sub_config(kwargs.pop("search", {}), SearchConfig, "search", source)
@@ -192,13 +183,10 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> Experi
     name (``search.<name>``, ``stl.<name>``); flags win."""
     data: dict[str, Any] = {}
     if path is not None:
-        raw = read_json(path, "config")
+        data = read_json(path, "config")
         # A manifest is a valid config source: unwrap its config snapshot.
-        if isinstance(raw, dict) and "config" in raw and "version" in raw:
-            raw = raw["config"]
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must contain a JSON object")
-        data = dict(raw)
+        if "config" in data and "version" in data:
+            data = check_object(data["config"], f"config file {path}: 'config'")
     for key, value in overrides.items():
         section, _, name = key.rpartition(".")
         if not section:
@@ -217,23 +205,20 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
     must stay distinct as tree file names (:func:`~lookahead.search.safe_name`).
     """
     data = read_json(path, "tasks")
-    if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
-        raise ConfigError(f"tasks file {path} must contain a 'tasks' array")
+    entries = check_list(data.get("tasks"), f"tasks file {path}: 'tasks'", nonempty=True)
     tasks: list[Task] = []
     seen: dict[str, str] = {}
-    for index, entry in enumerate(data["tasks"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"tasks file {path}, entry {index} must be an object")
+    for index, entry in enumerate(entries):
+        where = f"tasks file {path}, entry {index}"
+        entry = check_object(entry, where)
+        task_id, instruction = (
+            check_str(entry.get(key), f"{where}: {key!r}") for key in ("id", "instruction")
+        )
         try:
-            for key in ("id", "instruction"):
-                if key not in entry:
-                    raise ValueError(f"missing {key!r}")
-                if not isinstance(entry[key], str):
-                    raise TypeError(f"{key!r} must be a string, got {entry[key]!r}")
-            task = Task(id=entry["id"], instruction=entry["instruction"])
-            name = safe_name(task.id)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
+            task = Task(id=task_id, instruction=instruction)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        name = safe_name(task.id)
         if name in seen:
             if seen[name] == task.id:
                 raise ConfigError(f"tasks file {path}: duplicate task id {task.id!r}")
@@ -245,11 +230,9 @@ def load_tasks(path: str | Path, env: Environment | None = None) -> list[Task]:
             try:
                 env.initial_state(task)
             except ValueError as exc:
-                raise ConfigError(f"tasks file {path}, entry {index}: {exc}") from None
+                raise ConfigError(f"{where}: {exc}") from None
         seen[name] = task.id
         tasks.append(task)
-    if not tasks:
-        raise ConfigError(f"tasks file {path} contains no tasks")
     return tasks
 
 
@@ -318,23 +301,19 @@ def build_value_model(
     if value.startswith("scripted:"):
         path = Path(value[len("scripted:") :])
         data = read_json(path, "value fixture")
-        if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
-            raise ConfigError(f"value fixture {path} must contain a 'values' object")
+        where = f"value fixture {path}"
+        values = check_object(data.get("values"), f"{where}: 'values'")
         try:
-            scale = get_scale(data.get("scale", "numeric10"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"value fixture {path}: {exc}") from None
-        default = data.get("default", 0.0)
-        numbers = [(f"'values' entry {key!r}", v) for key, v in data["values"].items()]
-        for where, number in [*numbers, ("'default'", default)]:
-            if not is_finite_number(number):
-                raise ConfigError(
-                    f"value fixture {path}: {where} must be a finite number, got {number!r}"
-                )
-        try:
-            return ScriptedValueModel(values=data["values"], default=default, scale=scale)
+            scale = get_scale(check_str(data.get("scale", "numeric10"), f"{where}: 'scale'"))
         except ValueError as exc:
-            raise ConfigError(f"value fixture {path}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
+        for key, number in values.items():
+            check_number(number, f"{where}: 'values' entry {key!r}")
+        default = check_number(data.get("default", 0.0), f"{where}: 'default'")
+        try:
+            return ScriptedValueModel(values=values, default=default, scale=scale)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if value.startswith("stl-dataset:"):
         path = Path(value[len("stl-dataset:") :])
         if not path.exists():
@@ -344,13 +323,20 @@ def build_value_model(
         dataset = import_jsonl(path)
         scale = _value_scale(config)
         meta_path = Path(str(path) + ".meta.json")
-        if config.value_scale is None and meta_path.exists():
+        if meta_path.exists():
             meta = read_json(meta_path, "dataset metadata")
-            if isinstance(meta, dict) and "scale" in meta:
+            where = f"dataset metadata {meta_path}"
+            if config.value_scale is None and "scale" in meta:
                 try:
-                    scale = get_scale(meta["scale"])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"dataset metadata {meta_path}: {exc}") from None
+                    scale = get_scale(check_str(meta["scale"], f"{where}: 'scale'"))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
+            # A count that disagrees with the records read means a cut or edited file.
+            count = check_int(meta.get("count", len(dataset)), f"{where}: 'count'", 0)
+            if count != len(dataset):
+                raise ConfigError(
+                    f"{where}: 'count' is {count}, but {path} has {len(dataset)} records"
+                )
         base = ConstantValueModel(scale.bounds[0], scale=scale)
         try:
             return TabularValueModel(base, dataset)
@@ -381,11 +367,9 @@ def load_pricing(path: str | Path | None) -> PricingTable:
     if path is None:
         return PricingTable()
     data = read_json(path, "pricing")
-    if not isinstance(data, dict):
-        raise ConfigError(f"pricing file {path} must contain a JSON object")
     try:
         return PricingTable.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"pricing file {path}: {exc}") from None
 
 
@@ -448,6 +432,19 @@ def set_up_run(
     return env, tasks, pricing, ledger, policy, value_model, out_dir
 
 
+@contextmanager
+def _ledger_written(out_dir: Path, ledger: Ledger):
+    """Write ``ledger.json`` after the block, also when it fails; a write
+    that fails then does not replace the block's own error."""
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):
+            write_json(out_dir / "ledger.json", ledger.to_dict())
+        raise
+    write_json(out_dir / "ledger.json", ledger.to_dict())
+
+
 def _tally(env: Environment, tree: SearchTree) -> tuple[int, float | None]:
     """A search tree's failure count and its final trajectory's ground-truth score."""
     return len(tree.stats.failures), env.ground_truth_score(tree.final_trajectory())
@@ -458,7 +455,8 @@ def cmd_search(config: ExperimentConfig) -> int:
     run completes, with per-task failures tallied in the artifacts.
 
     Each tree is reduced to its failure count and score in its rollout's
-    worker, so a run holds at most ``parallel`` trees.
+    worker, so a run holds at most ``parallel`` trees.  ``ledger.json`` is
+    written even when a rollout fails, with what the run spent until then.
     """
     env, tasks, pricing, ledger, policy, value_model, out_dir = set_up_run(config, "search")
     jobs = [
@@ -466,10 +464,11 @@ def cmd_search(config: ExperimentConfig) -> int:
         for task in tasks
         for attempt in range(1, config.attempts + 1)
     ]
-    tallies = run_rollouts(
-        jobs, config.engine, env, policy, value_model, config.search, partial(_tally, env),
-        ledger, config.parallel,
-    )
+    with _ledger_written(out_dir, ledger):
+        tallies = run_rollouts(
+            jobs, config.engine, env, policy, value_model, config.search, partial(_tally, env),
+            ledger, config.parallel,
+        )
     failures = sum(count for count, _ in tallies)
     scores = [score for _, score in tallies]
 
@@ -491,7 +490,6 @@ def cmd_search(config: ExperimentConfig) -> int:
 
     result = MethodResult(method=config.method_name(), outcomes=outcomes, ledger=ledger)
     write_json(out_dir / "results.json", result.to_dict())
-    write_json(out_dir / "ledger.json", ledger.to_dict())
     k = min(config.k, config.attempts)
     emit_report([result], out_dir / "report", pricing, k=k)
 
@@ -506,23 +504,23 @@ def cmd_search(config: ExperimentConfig) -> int:
 
 
 def cmd_stl(config: ExperimentConfig) -> int:
-    """Run the self-training loop and write datasets, reports, and the
-    reloadable tabular model artifact."""
+    """Run the self-training loop and write datasets, reports, the
+    reloadable tabular model artifact and ``ledger.json``, which is written
+    even when the loop fails, with what the run spent until then."""
     env, tasks, _pricing, ledger, policy, base_model, out_dir = set_up_run(config, "stl")
-    _final_model, reports = stl_run(
-        tasks=tasks,
-        env=env,
-        policy=policy,
-        base_model=base_model,
-        trainer=TabularTrainer(),
-        stl_config=config.stl,
-        search_config=config.search,
-        out_dir=out_dir / "stl",
-        ledger=ledger,
-        parallel=config.parallel,
-    )
-
-    write_json(out_dir / "ledger.json", ledger.to_dict())
+    with _ledger_written(out_dir, ledger):
+        _final_model, reports = stl_run(
+            tasks=tasks,
+            env=env,
+            policy=policy,
+            base_model=base_model,
+            trainer=TabularTrainer(),
+            stl_config=config.stl,
+            search_config=config.search,
+            out_dir=out_dir / "stl",
+            ledger=ledger,
+            parallel=config.parallel,
+        )
 
     last = reports[-1]
     print(f"iterations: {len(reports)}")
@@ -540,7 +538,7 @@ def _load_result(path: str | Path) -> MethodResult:
     data = read_json(path, "results")
     try:
         return MethodResult.from_dict(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"results file {path} is malformed: {exc}") from None
 
 
@@ -648,17 +646,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     taken = {"config"}
     for section, cls in (("", ExperimentConfig), ("search", SearchConfig), ("stl", StlConfig)):
         for f in fields(cls):
-            accepted = _SCALAR_TYPES.get(f.type)
-            if accepted is None:
+            if f.type not in _SCALAR_TYPES:
                 continue
+            flag_type = _SCALAR_TYPES[f.type][0]
             name = f"{section}_{f.name}" if f.name in taken else f.name
             taken.add(name)
             flag = "--" + name.replace("_", "-")
             dest = f"{section}.{f.name}" if section else f.name
-            if accepted == (bool,):
+            if flag_type is bool:
                 parser.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction)
             else:
-                parser.add_argument(flag, dest=dest, type=accepted[0], help=_FLAG_HELP.get(name))
+                parser.add_argument(flag, dest=dest, type=flag_type, help=_FLAG_HELP.get(name))
 
 
 class _Parser(argparse.ArgumentParser):

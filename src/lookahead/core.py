@@ -4,8 +4,12 @@ Defines the vocabulary used across environments, agents, search engines and
 the training-data pipeline: tasks, actions, states, trajectories, value
 estimates and training examples, plus the two canonical derived forms
 (rendered trajectory context and the state key used for deduplication),
-the one JSON layout every artifact file is written in, and the one error,
-JSON reader and finite-number rule that input readers share.  The lookahead
+the one JSON layout every artifact file is written in, and what every input
+reader shares: the one error (:class:`ConfigError`), the one JSON reader
+(:func:`read_json`, which requires an object) and the checkers that refuse a
+value through the same few rules and wordings (:func:`check_object`,
+:func:`check_str`, :func:`check_bool`, :func:`check_int`,
+:func:`check_number` and :func:`check_list`).  The lookahead
 record a training example is distilled from lives with its only users, in
 :mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 
 class ConfigError(Exception):
@@ -251,12 +255,12 @@ def write_json(path: str | Path, data: object) -> None:
     )
 
 
-def read_json(path: str | Path, what: str) -> Any:
-    """The JSON value in the ``what`` file at ``path``; a file that is
-    missing, a directory, unreadable or malformed raises :class:`ConfigError`
-    naming it."""
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the ``what`` file at ``path``; a file that is
+    missing, a directory, unreadable, malformed or not an object raises
+    :class:`ConfigError` naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} file does not exist: {path}") from None
     except IsADirectoryError:
@@ -265,13 +269,82 @@ def read_json(path: str | Path, what: str) -> Any:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # not UTF-8, or an integer over the digit limit
         raise ConfigError(f"{what} file {path} cannot be read: {exc}") from None
+    return check_object(data, f"{what} file {path}")
 
 
-def is_finite_number(x: object) -> bool:
-    """Whether ``x`` is a JSON number (not a bool) that is finite as a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
+# The input checkers.  Each returns its value unchanged (nothing is coerced)
+# or raises ConfigError("<where> must be <rule>, got <value>"); a key that is
+# missing is read as null, so it is refused as that.  A non-empty object or
+# list, which may be a whole section of a document, is named, not shown.
+
+
+def _shown(value: object) -> str:
+    if isinstance(value, (dict, list)) and value:
+        return "an object" if isinstance(value, dict) else "a list"
+    return repr(value)
+
+
+def _refuse(where: str, rule: str, value: object) -> NoReturn:
+    raise ConfigError(f"{where} must be {rule}, got {_shown(value)}")
+
+
+def check_object(value: Any, where: str) -> dict:
+    """``value`` if it is a JSON object; the refusal does not show the value,
+    since a wrong document or section may be large."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return value
+
+
+def check_str(value: Any, where: str, *, nullable: bool = False) -> str | None:
+    if not (isinstance(value, str) or (nullable and value is None)):
+        _refuse(where, "a string or null" if nullable else "a string", value)
+    return value
+
+
+def check_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        _refuse(where, "a bool", value)
+    return value
+
+
+def check_int(value: Any, where: str, minimum: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, of at least ``minimum`` when given."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        _refuse(where, "an int" if minimum is None else f"an int of at least {minimum}", value)
+    return value
+
+
+def check_number(
+    value: Any, where: str, minimum: float | None = None, *, nullable: bool = False
+) -> float | None:
+    """``value`` if it is a JSON number, not a bool, finite as a float, and of
+    at least ``minimum`` when given; or null when ``nullable``."""
+    if nullable and value is None:
+        return value
     try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        finite = False
+    if not finite or (minimum is not None and value < minimum):
+        rule = "a finite number" + ("" if minimum is None else f" of at least {minimum}")
+        _refuse(where, rule + (" or null" if nullable else ""), value)
+    return value
+
+
+_ITEM_RULES = {dict: "objects", str: "strings", bool: "bools"}
+
+
+def check_list(
+    value: Any, where: str, of: type | None = None, *, nonempty: bool = False
+) -> list:
+    """``value`` if it is a list, of ``dict``, ``str`` or ``bool`` items
+    when ``of`` is given; a bad item is shown with its index, not the list."""
+    rule = ("a non-empty list" if nonempty else "a list") + (f" of {_ITEM_RULES[of]}" if of else "")
+    if not isinstance(value, list) or (nonempty and not value):
+        _refuse(where, rule, value)
+    if of is not None:
+        for index, item in enumerate(value):
+            if not isinstance(item, of):
+                raise ConfigError(f"{where} must be {rule}, got {_shown(item)} at index {index}")
+    return value

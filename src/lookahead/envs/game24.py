@@ -74,12 +74,6 @@ def _flat_key(numbers: Iterable[Fraction]) -> OracleKey:
     return tuple(x for n in numbers for x in (n.numerator, n.denominator))
 
 
-def enumerate_actions(numbers: Sequence[Fraction]) -> list[Action]:
-    """All distinct combine actions on ascending ``numbers``, in the order
-    :func:`_combine_actions` documents."""
-    return _combine_actions([render_number(n) for n in numbers])
-
-
 def _combine_actions(texts: Sequence[str]) -> list[Action]:
     """All distinct combine actions on the canonical ``texts`` of ascending
     numbers.

@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Any
 
 from ..core import (
-    Action, ConfigError, State, Task, Trajectory, canonicalize, is_finite_number, read_json
+    Action, ConfigError, State, Task, Trajectory, canonicalize, check_bool, check_list,
+    check_number, check_object, check_str, read_json,
 )
 from .base import ActionRejected, Environment
 
@@ -48,52 +49,20 @@ class Fixture:
     edges: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
-def _require(data: dict[str, Any], key: str, where: str) -> Any:
-    if key not in data:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return data[key]
-
-
-def _text(data: dict[str, Any], key: str, where: str) -> str:
-    value = _require(data, key, where)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} key {key!r} must be a string, got {type(value).__name__}")
-    return value
-
-
-def _entries(value: Any, key: str) -> list[dict[str, Any]]:
-    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
-        raise ConfigError(f"fixture key {key!r} must be a list of objects")
-    return value
-
-
-def _score(raw: dict[str, Any], where: str) -> float | None:
-    score = raw.get("score")
-    if score is None:
-        return None
-    if not is_finite_number(score):
-        raise ConfigError(f"{where} key 'score' must be a finite number or null, got {score!r}")
-    return float(score)
-
-
 def parse_fixture(data: Any) -> Fixture:
-    if not isinstance(data, dict):
-        raise ConfigError("fixture must be a JSON object")
-    root_id = _text(data, "root", "fixture")
+    data = check_object(data, "fixture")
+    root_id = check_str(data.get("root"), "fixture key 'root'")
     nodes: dict[str, FixtureNode] = {}
-    for raw in _entries(_require(data, "nodes", "fixture"), "nodes"):
-        node_id = _text(raw, "id", "node entry")
+    for raw in check_list(data.get("nodes"), "fixture key 'nodes'", dict):
+        node_id = check_str(raw.get("id"), "node entry key 'id'")
         if node_id in nodes:
             raise ConfigError(f"duplicate node id {node_id!r}")
-        where = f"node {node_id!r}"
-        terminal = raw.get("terminal", False)
-        if not isinstance(terminal, bool):
-            raise ConfigError(f"{where} key 'terminal' must be true or false, got {terminal!r}")
+        where = f"node {node_id!r} key"
+        terminal = check_bool(raw.get("terminal", False), f"{where} 'terminal'")
+        observation = check_str(raw.get("observation"), f"{where} 'observation'")
+        score = check_number(raw.get("score"), f"{where} 'score'", nullable=True)
         nodes[node_id] = FixtureNode(
-            id=node_id,
-            observation=_text(raw, "observation", where),
-            terminal=terminal,
-            score=_score(raw, where),
+            node_id, observation, terminal, None if score is None else float(score)
         )
     if root_id not in nodes:
         raise ConfigError(f"root node {root_id!r} is not defined")
@@ -101,10 +70,11 @@ def parse_fixture(data: Any) -> Fixture:
         raise ConfigError(f"root node {root_id!r} must not be terminal")
 
     edges: dict[str, dict[str, str]] = {node_id: {} for node_id in nodes}
-    for raw in _entries(data.get("edges", []), "edges"):
-        src = _text(raw, "from", "edge entry")
-        dst = _text(raw, "to", "edge entry")
-        action = canonicalize(_text(raw, "action", "edge entry"))
+    for raw in check_list(data.get("edges", []), "fixture key 'edges'", dict):
+        src, dst, action = (
+            check_str(raw.get(key), f"edge entry key {key!r}") for key in ("from", "to", "action")
+        )
+        action = canonicalize(action)
         if src not in nodes:
             raise ConfigError(f"edge {src!r} -> {dst!r} starts at an unknown node")
         if dst not in nodes:

@@ -24,7 +24,9 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .core import ConfigError, is_finite_number
+from .core import (
+    ConfigError, check_bool, check_int, check_list, check_number, check_object, check_str
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,31 +114,34 @@ class Ledger:
     def from_dict(cls, data: object) -> "Ledger":
         """Read :meth:`to_dict`'s layout back from its ``per_task`` entries,
         coercing nothing: every count must be an int, not a bool, of at least
-        0, and a value of the wrong type raises ``ValueError`` naming its task
-        and key.  Top-level ``tokens`` and ``states_expanded``, where given,
-        must be the per-task sums, as JSON text (so ``true`` is not ``1``)."""
-        data = _object(data, "ledger")
-        per_task = _object(data.get("per_task", {}), "ledger 'per_task'")
+        0, and a value of the wrong type raises :class:`ConfigError` naming
+        its task and key.  Top-level ``tokens`` and ``states_expanded``, where
+        given, must be the per-task sums, as JSON text (so ``true`` is not
+        ``1``)."""
+        data = check_object(data, "ledger")
+        per_task = check_object(data.get("per_task", {}), "ledger 'per_task'")
         ledger = cls()
         for task_id, entry in per_task.items():
             where = f"ledger task {task_id!r}"
-            entry = _object(entry, where)
-            for key, counts in _object(entry.get("tokens", {}), f"{where}: 'tokens'").items():
+            entry = check_object(entry, where)
+            for key, counts in check_object(entry.get("tokens", {}), f"{where}: 'tokens'").items():
                 role, bar, model = key.partition("|")
                 if not bar:
-                    raise ValueError(f"{where}: token key {key!r} is not '<role>|<model>'")
+                    raise ConfigError(f"{where}: token key {key!r} is not '<role>|<model>'")
                 at = f"{where}: {key!r}"
-                counts = _object(counts, at)
-                prompt, completion = (_count(counts, n, at) for n in ("prompt", "completion"))
+                counts = check_object(counts, at)
+                prompt, completion = (
+                    check_int(counts.get(n), f"{at}: {n!r}", 0) for n in ("prompt", "completion")
+                )
                 ledger.add_tokens(role, model, prompt, completion, task_id)
-            states = _count(entry, "states_expanded", where, default=0)
+            states = check_int(entry.get("states_expanded", 0), f"{where}: 'states_expanded'", 0)
             if states:
                 ledger.add_states(states, task_id)
         sums = ledger.to_dict()
         for name in ("tokens", "states_expanded"):
             given, summed = (json.dumps(d.get(name), sort_keys=True) for d in (data, sums))
             if name in data and given != summed:
-                raise ValueError(f"ledger {name!r} is {given}, not the per-task sum {summed}")
+                raise ConfigError(f"ledger {name!r} is {given}, not the per-task sum {summed}")
         return ledger
 
 
@@ -147,41 +152,11 @@ def _tokens_dict(tokens: Mapping[tuple[str, str], TokenCount]) -> dict:
     }
 
 
-def _object(value: object, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object, got {value!r}")
-    return value
-
-
-def _count(data: dict, name: str, where: str, default: int | None = None) -> int:
-    value = data.get(name, default)
-    if type(value) is not int or value < 0:  # exact, so a bool is no int
-        raise ValueError(f"{where}: {name!r} must be an int of at least 0, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Pricing:
     prompt_per_1k: Decimal
     completion_per_1k: Decimal
     open_source: bool = False
-
-
-def _rate(entry: dict, name: str, where: str) -> Decimal:
-    """A per-1000-token rate: a finite number of at least 0, given as a JSON
-    number (not a bool) or a numeric string."""
-    value = entry.get(name)
-    rate = None
-    if isinstance(value, str):
-        try:
-            rate = Decimal(value)
-        except InvalidOperation:
-            pass
-    elif is_finite_number(value):
-        rate = Decimal(str(value))
-    if rate is None or not rate.is_finite() or rate < 0:
-        raise ValueError(f"{where}: {name!r} must be a finite number of at least 0, got {value!r}")
-    return rate
 
 
 DEFAULT_PRICING: dict[str, Pricing] = {
@@ -200,21 +175,28 @@ class PricingTable:
         self.rates = dict(DEFAULT_PRICING if rates is None else rates)
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "PricingTable":
+    def from_dict(cls, data: object) -> "PricingTable":
         """Rates keyed by model, coercing nothing: a malformed entry raises
-        ``ValueError`` naming its model and field."""
+        :class:`ConfigError` naming its model and field.  A per-1000-token
+        rate is a finite number of at least 0, given as a JSON number (not a
+        bool) or a numeric string."""
         rates = {}
-        for model, entry in data.items():
+        for model, entry in check_object(data, "pricing").items():
             where = f"model {model!r}"
-            entry = _object(entry, f"{where}: its entry")
-            open_source = entry.get("open_source", False)
-            if not isinstance(open_source, bool):
-                raise ValueError(f"{where}: 'open_source' must be a bool, got {open_source!r}")
-            rates[model] = Pricing(
-                prompt_per_1k=_rate(entry, "prompt_per_1k", where),
-                completion_per_1k=_rate(entry, "completion_per_1k", where),
-                open_source=open_source,
-            )
+            entry = check_object(entry, f"{where}: its entry")
+            open_source = check_bool(entry.get("open_source", False), f"{where}: 'open_source'")
+            per_1k = []
+            for name in ("prompt_per_1k", "completion_per_1k"):
+                value = entry.get(name)
+                try:
+                    rate = Decimal(value) if isinstance(value, str) else None
+                except InvalidOperation:
+                    rate = None
+                if rate is None or not rate.is_finite() or rate < 0:
+                    # Anything but a good numeric string must be a number; a string fails.
+                    rate = Decimal(str(check_number(value, f"{where}: {name!r}", 0)))
+                per_1k.append(rate)
+            rates[model] = Pricing(*per_1k, open_source=open_source)
         return cls(rates)
 
     def get(self, model: str) -> Pricing:
@@ -371,46 +353,34 @@ class MethodResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "MethodResult":
+    def from_dict(cls, data: object) -> "MethodResult":
         """Read :meth:`to_dict`'s layout back, coercing nothing: a value of
-        the wrong type raises ``ValueError`` naming its field and outcome."""
-        method = data["method"]
-        if not isinstance(method, str):
-            raise ValueError(f"'method' must be a string, got {method!r}")
-        outcomes = data["outcomes"]
-        if not isinstance(outcomes, list):
-            raise ValueError(f"'outcomes' must be a list, got {outcomes!r}")
+        the wrong type raises :class:`ConfigError` naming its field and
+        outcome.  A missing field reads as null."""
+        data = check_object(data, "results")
+        method = check_str(data.get("method"), "'method'")
+        outcomes = check_list(data.get("outcomes"), "'outcomes'")
         outcomes = [_outcome_from_dict(i, o) for i, o in enumerate(outcomes)]
         first_index: dict[str, int] = {}
         for index, outcome in enumerate(outcomes):
             earlier = first_index.setdefault(outcome.task_id, index)
             if earlier != index:
-                raise ValueError(
+                raise ConfigError(
                     f"outcome {index}: 'task_id' {outcome.task_id!r} repeats outcome {earlier}"
                 )
         return cls(method, outcomes, Ledger.from_dict(data.get("ledger", {})))
 
 
 def _outcome_from_dict(index: int, data: object) -> TaskOutcome:
-    """One outcome entry; a missing field reads as null."""
-    if not isinstance(data, dict):
-        raise ValueError(f"outcome {index} must be an object, got {data!r}")
-    task_id, score, success, attempts = (
-        data.get(name) for name in ("task_id", "score", "success", "attempts")
+    """One outcome entry."""
+    where = f"outcome {index}"
+    data = check_object(data, where)
+    return TaskOutcome(
+        check_str(data.get("task_id"), f"{where}: 'task_id'"),
+        check_number(data.get("score"), f"{where}: 'score'", nullable=True),
+        check_bool(data.get("success"), f"{where}: 'success'"),
+        tuple(check_list(data.get("attempts"), f"{where}: 'attempts'", bool, nonempty=True)),
     )
-    if not isinstance(task_id, str):
-        problem = f"'task_id' must be a string, got {task_id!r}"
-    elif score is not None and not is_finite_number(score):
-        problem = f"'score' must be a finite number or null, got {score!r}"
-    elif not isinstance(success, bool):
-        problem = f"'success' must be a bool, got {success!r}"
-    elif not (
-        isinstance(attempts, list) and attempts and all(isinstance(a, bool) for a in attempts)
-    ):
-        problem = f"'attempts' must be a non-empty list of bools, got {attempts!r}"
-    else:
-        return TaskOutcome(task_id, score, success, tuple(attempts))
-    raise ValueError(f"outcome {index}: {problem}")
 
 
 _SUMMARY_COLUMNS = [

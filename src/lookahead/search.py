@@ -440,8 +440,7 @@ def _normalized(estimate: ValueEstimate, value_model: ValueModel, config: Search
     return estimate.value / value_model.scale.upper
 
 
-def _select_child(tree: SearchTree, node: TreeNode, exploration: float) -> TreeNode:
-    children = tree.evaluated_children(node.uid)
+def _select_child(node: TreeNode, children: list[TreeNode], exploration: float) -> TreeNode:
     for child in children:
         if child.visits == 0:
             return child
@@ -489,7 +488,7 @@ def mcts_search(
             children = tree.evaluated_children(node.uid)
             if not children:
                 break
-            node = _select_child(tree, node, config.exploration)
+            node = _select_child(node, children, config.exploration)
             path.append(node.uid)
         if node.terminal or node.expanded or node.depth >= config.max_depth:
             # Terminal, dead end revisited by selection, or depth limit:

@@ -35,6 +35,9 @@ from .core import (
     Trajectory,
     TrainingExample,
     ValueEstimate,
+    check_int,
+    check_object,
+    check_str,
     render_context,
     state_key,
     write_json,
@@ -285,27 +288,28 @@ def import_jsonl(path: str | Path) -> Dataset:
     A line that is not UTF-8, not JSON or not a record raises
     :class:`ConfigError` naming the file and line.  A record's ``depth`` and
     ``iteration`` must be ints that are not bools and its other fields
-    strings; nothing is coerced.  A ``state_key`` may appear on one line
-    only; a repeat raises :class:`ConfigError` naming both lines.
+    strings (a missing field reads as null); nothing is coerced.  A
+    ``state_key`` may appear on one line only; a repeat raises
+    :class:`ConfigError` naming both lines.
     """
     path = Path(path)
     dataset = Dataset()
     first_lines: dict[str, int] = {}
     with path.open("rb") as handle:
         for line_number, data in enumerate(handle, start=1):
+            bad = f"{path}:{line_number}: bad dataset record"
             try:
                 line = data.decode("utf-8").strip()
                 if not line:
                     continue
-                raw = json.loads(line)
-                fields = {name: raw[name] for name in TrainingExample.RECORD_FIELDS}
+                record = check_object(json.loads(line), f"{bad}: the line")
+                fields = {name: record.get(name) for name in TrainingExample.RECORD_FIELDS}
                 for name, value in fields.items():
-                    kind = int if name in ("depth", "iteration") else str
-                    if type(value) is not kind:  # exact, so a bool is no int
-                        raise ValueError(f"{name!r} must be {kind.__name__}, got {value!r}")
+                    check = check_int if name in ("depth", "iteration") else check_str
+                    check(value, f"{bad}: {name!r}")
                 example = TrainingExample(**fields)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{line_number}: bad dataset record: {exc}") from None
+            except ValueError as exc:  # not UTF-8 or JSON, or a depth or iteration out of range
+                raise ConfigError(f"{bad}: {exc}") from None
             earlier = first_lines.setdefault(example.state_key, line_number)
             if earlier != line_number:
                 raise ConfigError(

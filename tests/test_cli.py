@@ -320,6 +320,36 @@ class TestConfigHandling:
         assert err == f"config error: {dataset}:2: 'state_key' {key!r} repeats line 1\n"
         assert not out.exists()
 
+    def test_dataset_cut_below_its_metadata_count_exits_2(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+        dataset.write_text(lines[0], encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == (
+            f"config error: dataset metadata {dataset}.meta.json: "
+            f"'count' is {len(lines)}, but {dataset} has 1 records\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta", ["[1]", '{"count": -1}', '{"count": true}'])
+    def test_dataset_metadata_not_an_object_or_with_a_bad_count_exits_2(
+        self, tmp_path, capsys, meta
+    ):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        Path(f"{dataset}.meta.json").write_text(meta, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error: dataset metadata") and err.count("\n") == 1
+        assert f"{dataset}.meta.json" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -669,11 +699,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "entries,message",
         [
-            ([5], "entry 0 must be an object"),
-            (["x"], "entry 0 must be an object"),
-            ([{"id": "a", "instruction": "1 2 3 4"}, [1]], "entry 1 must be an object"),
-            ([{"instruction": "1 2 3 4"}], "entry 0: missing 'id'"),
-            ([{"id": "a"}], "entry 0: missing 'instruction'"),
+            ([5], "entry 0 must be a JSON object"),
+            (["x"], "entry 0 must be a JSON object"),
+            ([{"id": "a", "instruction": "1 2 3 4"}, [1]], "entry 1 must be a JSON object"),
+            ([{"instruction": "1 2 3 4"}], "entry 0: 'id' must be a string, got None"),
+            ([{"id": "a"}], "entry 0: 'instruction' must be a string, got None"),
         ],
     )
     def test_malformed_task_entry_exits_2_saying_what_is_wrong(
@@ -1809,12 +1839,40 @@ def test_repeated_task_id_exits_2(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("reader", ["results", "pricing", "environment fixture"])
+def test_a_document_that_is_a_long_list_is_named_not_shown(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"task_id": f"t{i}", "score": 1.0} for i in range(300)]))
+    out = str(tmp_path / "out")
+    argv = {
+        "results": ["report", str(bad), "--out", out],
+        "pricing": ["report", fake_results(tmp_path / "a.json", "m", {"t1": 1.0}),
+                    "--pricing", str(bad), "--out", out],
+        "environment fixture": ["search", f"--environment=scripted:{bad}",
+                                "--tasks", webshop_tasks(tmp_path / "tasks.json"), "--out", out],
+    }[reader]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (2, f"config error: {reader} file {bad} must be a JSON object\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_tasks_section_that_is_a_large_object_is_named_not_shown(tmp_path, capsys):
+    tasks = tmp_path / "tasks.json"
+    entries = {f"t{i}": {"id": f"t{i}", "instruction": "1 2 3 4"} for i in range(300)}
+    tasks.write_text(json.dumps({"tasks": entries}), encoding="utf-8")
+    argv = ["search", "--tasks", str(tasks), "--out", str(tmp_path / "out")]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (
+        2, f"config error: tasks file {tasks}: 'tasks' must be a non-empty list, got an object\n"
+    )
+
+
 def test_benchmark_child_refuses_a_repeated_task_id(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import child
 
     good, bad = results_with_a_repeated_id(tmp_path)
-    with pytest.raises(ValueError, match="outcome 50: 'task_id' 't00' repeats outcome 0"):
+    with pytest.raises(ConfigError, match="outcome 50: 'task_id' 't00' repeats outcome 0"):
         child._build(cli, ["eval", good, str(bad)])
 
 
@@ -1822,10 +1880,10 @@ def test_benchmark_child_refuses_a_repeated_task_id(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "ledger,problem",
     [
-        ({"per_task": {"t1": 5}}, "ledger task 't1' must be an object, got 5"),
+        ({"per_task": {"t1": 5}}, "ledger task 't1' must be a JSON object"),
         (
             {"per_task": {"t1": {"tokens": []}}},
-            "ledger task 't1': 'tokens' must be an object, got []",
+            "ledger task 't1': 'tokens' must be a JSON object",
         ),
         (
             {"per_task": {"t1": {"tokens": {"gpt-4o": {"prompt": 1, "completion": 1}}}}},
@@ -1833,7 +1891,7 @@ def test_benchmark_child_refuses_a_repeated_task_id(tmp_path, monkeypatch):
         ),
         (
             {"per_task": {"t1": {"tokens": {"value|gpt-4o": 3}}}},
-            "ledger task 't1': 'value|gpt-4o' must be an object, got 3",
+            "ledger task 't1': 'value|gpt-4o' must be a JSON object",
         ),
         (
             {"per_task": {"t1": {"tokens": {"value|gpt-4o": {"prompt": 1.5, "completion": 1}}}}},
@@ -2004,7 +2062,7 @@ class TestPricingFile:
     @pytest.mark.parametrize(
         "entry,problem",
         [
-            ("5", "its entry must be an object, got 5"),
+            ("5", "its entry must be a JSON object"),
             (
                 '{"prompt_per_1k": "NaN", "completion_per_1k": 0.01}',
                 "'prompt_per_1k' must be a finite number of at least 0, got 'NaN'",
@@ -2170,6 +2228,29 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert_exponential_backoff(backoff_delays)
 
+    def test_transport_failure_after_a_finished_task_keeps_its_ledger(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=2)
+        first, second = json.loads(Path(tasks).read_text(encoding="utf-8"))["tasks"]
+
+        def reply(prompt, draw):
+            if second["instruction"] in prompt:
+                raise TransportError("value endpoint gone")
+            return "Weighing the numbers.\nlikely"
+
+        transport = PromptKeyedTransport(reply)
+        monkeypatch.setattr(cli, "_transport", lambda config: transport)
+        out = tmp_path / "out"
+        argv = ["search", "--value", "remote:gpt-3.5-turbo", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (3, "transport error: value endpoint gone\n")
+        ledger = json.loads((out / "ledger.json").read_text(encoding="utf-8"))
+        finished = ledger["per_task"][first["id"]]
+        assert finished["states_expanded"] > 0
+        assert finished["tokens"]["value|gpt-3.5-turbo"]["prompt"] > 0
+        assert not (out / "results.json").exists()
+
     @pytest.mark.parametrize(
         "error, code, kind",
         [
@@ -2195,6 +2276,29 @@ class TestExitCodes:
         assert exit_code == code
         assert err.splitlines() == [f"{kind} error: {error}"]
         assert (out / "stl" / "dataset_iter01.jsonl").exists()
+        ledger = json.loads((out / "ledger.json").read_text(encoding="utf-8"))
+        assert ledger["states_expanded"] > 0
+
+    def test_a_failed_ledger_write_keeps_the_runs_own_error(self, tmp_path, capsys, monkeypatch):
+        class FailingTrainer(stl.Trainer):
+            def fine_tune(self, base_model, dataset):
+                raise ConfigError("optimizer settings rejected")
+
+        def write_json(path, data):
+            if Path(path).name == "ledger.json":
+                raise OSError(28, "No space left on device")
+            real_write_json(path, data)
+
+        real_write_json = cli.write_json
+        monkeypatch.setattr(cli, "TabularTrainer", FailingTrainer)
+        monkeypatch.setattr(cli, "write_json", write_json)
+        tasks = webshop_tasks(tmp_path / "tasks.json", n=1)
+        out = tmp_path / "out"
+        argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
+        argv += ["--stl-engine", "greedy", "--tasks", tasks, "--out", str(out)]
+        exit_code, _, err = run_cli(argv, capsys)
+        assert (exit_code, err) == (2, "config error: optimizer settings rejected\n")
+        assert not (out / "ledger.json").exists()
 
     def test_unwritable_out_path_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lookahead.core import (
     Action,
     Aggregation,
+    ConfigError,
     State,
     Task,
     Trajectory,
@@ -19,6 +20,13 @@ from lookahead.core import (
     ValueEstimate,
     aggregate,
     canonicalize,
+    check_bool,
+    check_int,
+    check_list,
+    check_number,
+    check_object,
+    check_str,
+    read_json,
     render_context,
     state_key,
     write_json,
@@ -311,3 +319,76 @@ class TestWriteJson:
         write_json(path, {"b": [1, {"é": None}], "a": "ü"})
         expected = '{\n  "a": "ü",\n  "b": [\n    1,\n    {\n      "é": null\n    }\n  ]\n}\n'
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+class TestCheckers:
+    @pytest.mark.parametrize(
+        "check, value",
+        [
+            (check_object, {"a": 1}),
+            (check_str, ""),
+            (check_bool, False),
+            (check_int, -3),
+            (check_number, 2.5),
+            (check_number, 7),
+            (check_list, [1, "a"]),
+        ],
+    )
+    def test_a_good_value_comes_back_as_it_was(self, check, value):
+        assert check(value, "x") is value
+
+    @pytest.mark.parametrize(
+        "check, value, message",
+        [
+            (check_object, [1], "x must be a JSON object"),
+            (check_str, None, "x must be a string, got None"),
+            (lambda v, w: check_str(v, w, nullable=True), 5, "x must be a string or null, got 5"),
+            (check_bool, 0, "x must be a bool, got 0"),
+            (check_int, True, "x must be an int, got True"),
+            (check_int, 2.0, "x must be an int, got 2.0"),
+            (lambda v, w: check_int(v, w, 1), 0, "x must be an int of at least 1, got 0"),
+            (check_number, "1", "x must be a finite number, got '1'"),
+            (check_number, False, "x must be a finite number, got False"),
+            (check_number, float("nan"), "x must be a finite number, got nan"),
+            (check_number, 10**400, f"x must be a finite number, got {10**400!r}"),
+            (
+                lambda v, w: check_number(v, w, nullable=True), "a",
+                "x must be a finite number or null, got 'a'",
+            ),
+            (
+                lambda v, w: check_number(v, w, 0), -0.5,
+                "x must be a finite number of at least 0, got -0.5",
+            ),
+            (check_list, {}, "x must be a list, got {}"),
+            (check_str, [1], "x must be a string, got a list"),
+            (check_list, {"a": 1}, "x must be a list, got an object"),
+            (
+                lambda v, w: check_list(v, w, bool, nonempty=True), [],
+                "x must be a non-empty list of bools, got []",
+            ),
+        ],
+    )
+    def test_a_bad_value_is_refused_naming_where_the_rule_and_the_value(
+        self, check, value, message
+    ):
+        with pytest.raises(ConfigError) as refused:
+            check(value, "x")
+        assert str(refused.value) == message
+
+    def test_a_bad_list_item_is_shown_with_its_index_not_the_list(self):
+        with pytest.raises(ConfigError) as refused:
+            check_list([{}] * 50 + ["a"], "x", dict)
+        assert str(refused.value) == "x must be a list of objects, got 'a' at index 50"
+        with pytest.raises(ConfigError) as refused:
+            check_list(["a", {"long": "x" * 500}], "x", str)
+        assert str(refused.value) == "x must be a list of strings, got an object at index 1"
+
+    def test_a_whole_document_or_section_is_named_not_shown(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps([{"long": "x" * 50}] * 100), encoding="utf-8")
+        with pytest.raises(ConfigError) as refused:
+            read_json(path, "input")
+        assert str(refused.value) == f"input file {path} must be a JSON object"
+        with pytest.raises(ConfigError) as refused:
+            check_object(["x" * 50] * 100, "section")
+        assert str(refused.value) == "section must be a JSON object"

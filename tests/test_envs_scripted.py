@@ -110,7 +110,7 @@ WRONGLY_TYPED = [
     pytest.param(_set(("nodes", 1), "a"), "'nodes' must be a list of objects", id="node-string"),
     pytest.param(_set(("edges",), {}), "'edges' must be a list of objects", id="edges-object"),
     pytest.param(_set(("edges", 0), ["r"]), "'edges' must be a list of objects", id="edge-list"),
-    pytest.param(_set(("nodes", 1, "id"), 7), "'id' must be a string, got int", id="id-int"),
+    pytest.param(_set(("nodes", 1, "id"), 7), "'id' must be a string, got 7", id="id-int"),
     pytest.param(
         _set(("nodes", 1, "observation"), None), "node 'a' key 'observation' must be a string",
         id="observation-null",
@@ -128,10 +128,10 @@ WRONGLY_TYPED = [
     ),
     pytest.param(_set(("nodes", 2, "score"), 10**400), "'score' must be a finite", id="score-huge"),
     pytest.param(
-        _set(("nodes", 1, "terminal"), "no"), "node 'a' key 'terminal' must be true or false",
+        _set(("nodes", 1, "terminal"), "no"), "node 'a' key 'terminal' must be a bool",
         id="terminal-string",
     ),
-    pytest.param(_set(("nodes", 1, "terminal"), 0), "'terminal' must be true", id="terminal-int"),
+    pytest.param(_set(("nodes", 1, "terminal"), 0), "'terminal' must be a bool", id="terminal-int"),
 ]
 
 

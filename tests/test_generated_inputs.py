@@ -73,7 +73,8 @@ READERS = {
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory) -> dict[str, object]:
     """Each input file's valid content; the dataset is a list of records,
-    written one per line, from a one-iteration game24 ``stl`` run."""
+    written one per line, from a one-iteration game24 ``stl`` run.  It keeps
+    the first 3 records, so its metadata's ``count`` is set to 3 to match."""
     work = tmp_path_factory.mktemp("stl")
     tasks = work / "tasks.json"
     tasks.write_text(json.dumps(GAME24_TASKS), encoding="utf-8")
@@ -82,7 +83,8 @@ def valid_files(tmp_path_factory) -> dict[str, object]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     model = work / "model" / "stl" / "final_model.jsonl"
-    lines = model.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in model.read_text(encoding="utf-8").splitlines()[:3]]
+    meta = json.loads(Path(f"{model}.meta.json").read_text(encoding="utf-8"))
     return {
         "config.json": SEARCH_CONFIG,
         "tasks.json": GAME24_TASKS,
@@ -91,8 +93,8 @@ def valid_files(tmp_path_factory) -> dict[str, object]:
         "values.json": _fixture("webshop_demo_values.json"),
         "pricing.json": PRICING,
         "results.json": _results(),
-        "ds.jsonl": [json.loads(line) for line in lines[:3]],
-        "ds.jsonl.meta.json": json.loads(Path(f"{model}.meta.json").read_text(encoding="utf-8")),
+        "ds.jsonl": records,
+        "ds.jsonl.meta.json": {**meta, "count": len(records)},
     }
 
 
@@ -211,3 +213,14 @@ def test_swaps_that_must_exit_2(valid_files, reader, path, raw):
     assert code == 2, err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not wrote
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_the_valid_files_exit_0(valid_files, reader):
+    """A swap that changes nothing runs to exit 0, so the drawn swaps above
+    start from input every reader accepts."""
+    target, argv = READERS[reader]
+    document = valid_files[target]
+    path = (0,) if target == "ds.jsonl" else ()
+    raw = json.dumps(document[0] if path else document)
+    assert run_swapped(valid_files, target, path, raw, argv) == (0, "", True)
