@@ -34,9 +34,7 @@ from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import ScriptedEnvironment
 from .agents.policies import ExhaustivePolicy, Policy, RemotePolicy
-from .agents.scales import (
-    GAME24, LIKERT10, NUMERIC10, SCALES, MalformedRationale, ValueScale, get_scale
-)
+from .agents.scales import GAME24, LIKERT10, NUMERIC10, MalformedRationale, get_scale
 from .agents.transport import DEFAULT_API_KEY_ENV, HttpTransport, TransportError
 from .agents.values import (
     ConstantValueModel,
@@ -65,6 +63,10 @@ from .stl import (
 
 
 _AGGREGATIONS = tuple(a.value for a in Aggregation)
+# An attempt succeeds when its ground-truth score reaches 1 (the paper's
+# success rate); search reports pass@k at this k or the attempts, if fewer.
+_SOLVED_SCORE = 1.0
+_PASS_K = 3
 
 
 @dataclass
@@ -74,7 +76,8 @@ class ExperimentConfig:
     Spec strings: ``environment`` is ``game24`` or ``scripted:<fixture>``;
     ``policy`` is ``exhaustive`` or ``remote:<model>``; ``value`` is one of
     ``oracle``, ``constant:<v>``, ``scripted:<fixture>``, ``remote:<model>``,
-    or ``stl-dataset:<path>`` (mutually exclusive by construction).
+    or ``stl-dataset:<path>`` (mutually exclusive by construction); the
+    value model's scale comes from its source (see :func:`build_value_model`).
 
     Construction checks the numbers and choices; the spec strings and the
     files they name are checked by the builders that read them.
@@ -89,10 +92,7 @@ class ExperimentConfig:
     method: str | None = None
     attempts: int = 1
     parallel: int = 1
-    success_threshold: float = 1.0
-    k: int = 3
     pricing: str | None = None
-    value_scale: str | None = None
     value_samples: int = 1
     value_aggregation: str = Aggregation.MEDIAN.value
     base_url: str = "https://api.openai.com/v1"
@@ -103,13 +103,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
-        for name in ("attempts", "parallel", "k", "value_samples"):
+        for name in ("attempts", "parallel", "value_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.value_scale is not None and self.value_scale not in SCALES:
-            raise ValueError(
-                f"value_scale must be one of {sorted(SCALES)}, got {self.value_scale!r}"
-            )
         if self.value_aggregation not in _AGGREGATIONS:
             raise ValueError(
                 f"value_aggregation must be one of {_AGGREGATIONS}, got {self.value_aggregation!r}"
@@ -124,8 +120,7 @@ class ExperimentConfig:
 
 # Declared field type -> the type its flag converts to, and the check its
 # value passes.  A number must be finite: JSON's NaN/Infinity and the flags'
-# "nan"/"inf" parse as floats, but no comparison with NaN holds, so a NaN
-# threshold fails every task.
+# "nan"/"inf" parse as floats, but no comparison with NaN holds.
 _SCALAR_TYPES: dict[str, tuple[type, Callable[[Any, str], object]]] = {
     "int": (int, check_int),
     "float": (float, check_number),
@@ -266,23 +261,16 @@ def build_policy(
         raise ConfigError(f"policy {config.policy!r}: {exc}") from None
 
 
-def _value_scale(config: ExperimentConfig) -> ValueScale:
-    if config.value_scale is not None:
-        return get_scale(config.value_scale)
-    if config.value.startswith("remote:"):
-        return GAME24 if config.environment == "game24" else LIKERT10
-    return NUMERIC10
-
-
 def build_value_model(
     config: ExperimentConfig, env: Environment, ledger: Ledger
 ) -> ValueModel:
+    """The value model ``config.value`` names, on the scale of its source:
+    ``oracle`` on ``game24``, ``scripted:`` on its fixture's ``scale``,
+    ``stl-dataset:`` on its ``.meta.json``'s ``scale``, ``remote:`` on
+    ``game24`` in the game24 environment (the shipped value prompt's
+    verdicts) and ``likert10`` elsewhere, and ``constant:`` on ``numeric10``.
+    """
     value = config.value
-    if config.value_scale is not None and (value == "oracle" or value.startswith("scripted:")):
-        raise ConfigError(
-            f"value {value!r} has its own scale; value_scale applies to "
-            "remote:, constant: and stl-dataset: values only"
-        )
     if value == "oracle":
         if config.environment != "game24":
             raise ConfigError("the oracle value model requires the game24 environment")
@@ -294,10 +282,7 @@ def build_value_model(
             constant = math.nan
         if not math.isfinite(constant):
             raise ConfigError(f"constant value spec is not a finite number: {value!r}")
-        try:
-            return ConstantValueModel(constant, scale=_value_scale(config))
-        except ValueError as exc:
-            raise ConfigError(f"value {value!r}: {exc}") from None
+        return ConstantValueModel(constant, scale=NUMERIC10)
     if value.startswith("scripted:"):
         path = Path(value[len("scripted:") :])
         data = read_json(path, "value fixture")
@@ -321,12 +306,12 @@ def build_value_model(
         if path.is_dir():
             raise ConfigError(f"value dataset path {path} is a directory")
         dataset = import_jsonl(path)
-        scale = _value_scale(config)
+        scale = NUMERIC10
         meta_path = Path(str(path) + ".meta.json")
         if meta_path.exists():
             meta = read_json(meta_path, "dataset metadata")
             where = f"dataset metadata {meta_path}"
-            if config.value_scale is None and "scale" in meta:
+            if "scale" in meta:
                 try:
                     scale = get_scale(check_str(meta["scale"], f"{where}: 'scale'"))
                 except ValueError as exc:
@@ -353,7 +338,7 @@ def build_value_model(
             _transport(config),
             model,
             env,
-            scale=_value_scale(config),
+            scale=GAME24 if config.environment == "game24" else LIKERT10,
             n_samples=config.value_samples,
             aggregation=Aggregation(config.value_aggregation),
             ledger=ledger,
@@ -413,7 +398,7 @@ def set_up_run(
         raise ConfigError(
             f"gamma {config.stl.gamma} discounts lookahead targets, which the "
             f"{value_model.scale.name!r} label scale cannot express; "
-            "use gamma 1 or a numeric value_scale"
+            "use gamma 1 or a value model on a numeric scale"
         )
     tasks = load_tasks(config.tasks, env)
     pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
@@ -476,7 +461,7 @@ def cmd_search(config: ExperimentConfig) -> int:
     for index, task in enumerate(tasks):
         attempt_scores = scores[index * config.attempts : (index + 1) * config.attempts]
         successes = tuple(
-            s is not None and s >= config.success_threshold for s in attempt_scores
+            s is not None and s >= _SOLVED_SCORE for s in attempt_scores
         )
         known = [s for s in attempt_scores if s is not None]
         outcomes.append(
@@ -490,8 +475,7 @@ def cmd_search(config: ExperimentConfig) -> int:
 
     result = MethodResult(method=config.method_name(), outcomes=outcomes, ledger=ledger)
     write_json(out_dir / "results.json", result.to_dict())
-    k = min(config.k, config.attempts)
-    emit_report([result], out_dir / "report", pricing, k=k)
+    emit_report([result], out_dir / "report", pricing, k=min(_PASS_K, config.attempts))
 
     solved = sum(o.success for o in outcomes)
     print(f"method: {result.method}")
@@ -694,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="aggregate results files into CSVs")
     p_report.add_argument("results", nargs="+", help="results.json files")
     p_report.add_argument("--pricing", help="pricing JSON file")
-    p_report.add_argument("--k", type=int, default=3)
+    p_report.add_argument("--k", type=int, default=_PASS_K)
     p_report.add_argument("--out", required=True, help="report output directory")
     p_report.set_defaults(command="report")
     return parser

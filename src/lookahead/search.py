@@ -53,17 +53,23 @@ if TYPE_CHECKING:
     from .evaluation import Ledger
 
 
+_EXPLORATION = math.sqrt(2.0)
+"""UCT's exploration constant."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Engine parameters; defaults match the desk-scale experiment setup."""
+    """Engine parameters; defaults match the desk-scale experiment setup.
+
+    MCTS explores with :data:`_EXPLORATION` and backs up each value divided
+    by the upper bound of the value model's scale.
+    """
 
     branching: int = 5
     max_depth: int = 5
     beam_width: int = 5
     mcts_iterations: int = 5
-    exploration: float = math.sqrt(2.0)
     excluded_actions: tuple[str, ...] = ()
-    normalize_backup: bool = True
 
     def __post_init__(self) -> None:
         if self.branching < 1:
@@ -434,20 +440,14 @@ def beam_search(
     return tree
 
 
-def _normalized(estimate: ValueEstimate, value_model: ValueModel, config: SearchConfig) -> float:
-    if not config.normalize_backup:
-        return estimate.value
-    return estimate.value / value_model.scale.upper
-
-
-def _select_child(node: TreeNode, children: list[TreeNode], exploration: float) -> TreeNode:
+def _select_child(node: TreeNode, children: list[TreeNode]) -> TreeNode:
     for child in children:
         if child.visits == 0:
             return child
     log_parent = math.log(node.visits)
 
     def uct(child: TreeNode) -> tuple[float, int]:
-        score = child.total_reward / child.visits + exploration * math.sqrt(
+        score = child.total_reward / child.visits + _EXPLORATION * math.sqrt(
             log_parent / child.visits
         )
         return (score, -child.uid)
@@ -473,6 +473,7 @@ def mcts_search(
     root_state = env.initial_state(task)
     tree = SearchTree(task, "mcts", root_state)
     expander = _Expander(env, policy, value_model, config, tree, ledger)
+    upper = value_model.scale.upper
 
     def backup(path: list[int], value: float) -> None:
         for uid in path:
@@ -488,19 +489,14 @@ def mcts_search(
             children = tree.evaluated_children(node.uid)
             if not children:
                 break
-            node = _select_child(node, children, config.exploration)
+            node = _select_child(node, children)
             path.append(node.uid)
         if node.terminal or node.expanded or node.depth >= config.max_depth:
             # Terminal, dead end revisited by selection, or depth limit:
             # nothing below to try, so back up the node's own value.
             if node.terminal:
                 tree.stats.terminal_reached = True
-            value = (
-                _normalized(node.estimate, value_model, config)
-                if node.estimate is not None
-                else 0.0
-            )
-            backup(path, value)
+            backup(path, node.estimate.value / upper if node.estimate is not None else 0.0)
             continue
         [evaluated] = expander.expand([node])
         if not evaluated:
@@ -508,7 +504,7 @@ def mcts_search(
             continue
         for child in evaluated:
             assert child.estimate is not None
-            backup(path + [child.uid], _normalized(child.estimate, value_model, config))
+            backup(path + [child.uid], child.estimate.value / upper)
 
     # Best trajectory: follow the most-visited (then best-valued) child.
     node = tree.root

@@ -53,10 +53,6 @@ if TYPE_CHECKING:
     from .evaluation import Ledger
 
 
-MASK_MODES = ("none", "completion-only")
-"""Loss-mask modes an exported dataset's metadata can name."""
-
-
 @dataclass(frozen=True)
 class StlConfig:
     """Self-training schedule.
@@ -66,7 +62,9 @@ class StlConfig:
     examples across iterations (latest duplicate wins); ``per_depth`` splits
     each dataset by state depth and trains one model per depth.
     ``min_example_depth`` drops examples generated above it (set to 1 to skip
-    root-state examples, as in per-depth routing setups).
+    root-state examples, as in per-depth routing setups).  Completions are
+    rendered on the base value model's scale, and every dataset is exported
+    for training on whole records (its metadata's ``"mask"`` is ``"none"``).
     """
 
     iterations: int = 1
@@ -76,7 +74,6 @@ class StlConfig:
     accumulate: bool = False
     per_depth: bool = False
     min_example_depth: int = 0
-    mask: str = "none"
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -87,8 +84,6 @@ class StlConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
-        if self.mask not in MASK_MODES:
-            raise ValueError(f"mask must be one of {MASK_MODES}, got {self.mask!r}")
         if self.min_example_depth < 0:
             raise ValueError("min_example_depth cannot be negative")
 
@@ -257,26 +252,24 @@ def dedup_latest(
     return Dataset(examples=merged), counts
 
 
-def export_jsonl(dataset: Dataset, path: str | Path, scale_name: str, mask: str = "none") -> Path:
+def export_jsonl(dataset: Dataset, path: str | Path, scale_name: str) -> Path:
     """Write one record per line, ordered by (task id, depth, state key).
 
     Each line is the example's :attr:`~lookahead.core.TrainingExample.jsonl`,
     so an example exported again (an accumulated dataset) is not re-encoded.
 
-    A sidecar ``<path>.meta.json`` records the example count, the loss-mask
-    flag for the external trainer, and the value scale the completions were
-    rendered with, so reloaders parse them correctly.  Exporting an empty
-    dataset is refused.
+    A sidecar ``<path>.meta.json`` records the example count, the loss mask
+    for an external trainer (always ``"none"``: the whole record is trained
+    on) and the value scale the completions were rendered with, so reloaders
+    parse them correctly.  Exporting an empty dataset is refused.
     """
     if len(dataset) == 0:
         raise ValueError("refusing to export an empty dataset")
-    if mask not in MASK_MODES:
-        raise ValueError(f"unknown mask mode {mask!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [example.jsonl for example in dataset.sorted_examples()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_json(str(path) + ".meta.json", {"count": len(dataset), "mask": mask, "scale": scale_name})
+    write_json(f"{path}.meta.json", {"count": len(dataset), "mask": "none", "scale": scale_name})
     return path
 
 
@@ -500,10 +493,7 @@ def stl_run(
         for depth, partition in partitions.items():
             suffix = "" if depth is None else f"_depth{depth}"
             file_path = export_jsonl(
-                partition,
-                out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl",
-                mask=stl_config.mask,
-                scale_name=scale.name,
+                partition, out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl", scale.name
             )
             dataset_paths.append(file_path.name)
             models[depth] = trainer.fine_tune(base_model, partition)
@@ -532,7 +522,7 @@ def stl_run(
     if len(dataset) > 0:
         model_path = out_path / "final_model.jsonl"
         if stl_config.per_depth:
-            export_jsonl(dataset, model_path, mask=stl_config.mask, scale_name=scale.name)
+            export_jsonl(dataset, model_path, scale.name)
         else:
             # The last iteration exported this very dataset; copy that file pair.
             for suffix in ("", ".meta.json"):

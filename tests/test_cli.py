@@ -212,12 +212,10 @@ class TestConfigHandling:
         [
             ["--value", "oracle"],
             ["--value", "remote:m"],
-            ["--value", "constant:1", "--value-scale", "game24"],
             ["--value", "stl-dataset:{dataset}"],
             ["--value", "scripted:{fixture}"],
         ],
-        ids=["oracle", "remote-default-scale", "named-label-scale", "dataset-meta-scale",
-             "fixture-scale"],
+        ids=["oracle", "remote-default-scale", "dataset-meta-scale", "fixture-scale"],
     )
     def test_discounted_targets_on_label_scale_exit_2(self, tmp_path, capsys, value_flags):
         tasks = game24_tasks(tmp_path / "tasks.json")
@@ -245,6 +243,7 @@ class TestConfigHandling:
         )
         assert code == 2
         assert err.startswith("config error:") and "gamma" in err
+        assert err.endswith("use gamma 1 or a value model on a numeric scale\n")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
@@ -376,38 +375,45 @@ class TestConfigHandling:
         assert f"{dataset}:1:" in err and repr(field) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["fixture", "dataset-meta"])
     @pytest.mark.parametrize("name", ["likert10-odd", "attribute4"])
-    def test_value_scale_offers_only_the_shipped_scales(self, tmp_path, capsys, name):
+    def test_a_scale_name_offers_only_the_shipped_scales(self, tmp_path, capsys, name, source):
         tasks = game24_tasks(tmp_path / "tasks.json")
-        argv = ["search", "--value-scale", name, "--tasks", tasks, "--out", str(tmp_path / "o")]
+        if source == "fixture":
+            path = tmp_path / "values.json"
+            path.write_text(json.dumps({"values": {}, "scale": name}), encoding="utf-8")
+            value, where = f"scripted:{path}", f"value fixture {path}"
+        else:
+            dataset = game24_dataset(tmp_path, tasks, capsys)
+            path = Path(f"{dataset}.meta.json")
+            meta = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps({**meta, "scale": name}), encoding="utf-8")
+            value, where = f"stl-dataset:{dataset}", f"dataset metadata {path}"
+        out = tmp_path / "o"
+        argv = ["search", "--value", value, "--tasks", tasks, "--out", str(out)]
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert err == (
-            "config error: value_scale must be one of ['game24', 'likert10', 'numeric10'], "
-            f"got {name!r}\n"
-        )
+        assert err == f"config error: {where}: unknown value scale {name!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
-        "environment, value, scale, make_tasks",
+        "flags",
         [
-            ("game24", "oracle", "likert10", game24_tasks),
-            (WEBSHOP_ENV, WEBSHOP_VALUES, "game24", webshop_tasks),
+            ["--value-scale", "game24"],
+            ["--success-threshold", "1"],
+            ["--k", "3"],
+            ["--exploration", "1"],
+            ["--no-normalize-backup"],
+            ["--mask", "none"],
         ],
-        ids=["oracle", "scripted"],
+        ids=lambda flags: flags[0],
     )
-    def test_value_scale_on_a_value_with_its_own_scale_exits_2(
-        self, tmp_path, capsys, environment, value, scale, make_tasks
-    ):
-        tasks = make_tasks(tmp_path / "tasks.json")
-        out = tmp_path / "out"
-        argv = ["search", "--environment", environment, "--value", value]
-        argv += ["--value-scale", scale, "--tasks", tasks, "--out", str(out)]
-        code, _, err = run_cli(argv, capsys)
+    def test_a_flag_of_a_removed_setting_is_unrecognized(self, tmp_path, capsys, flags):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        out = tmp_path / "o"
+        code, _, err = run_cli(["stl", *flags, "--tasks", tasks, "--out", str(out)], capsys)
         assert code == 2
-        assert err == (
-            f"config error: value {value!r} has its own scale; value_scale applies to "
-            "remote:, constant: and stl-dataset: values only\n"
-        )
+        assert err == f"config error: unrecognized arguments: {' '.join(flags)}\n"
         assert not out.exists()
 
     def test_bad_value_spec_exits_2(self, tmp_path, capsys):
@@ -469,8 +475,8 @@ class TestConfigHandling:
             ("stl", "m.jsonl.meta.json", {"scale": "bogus"}, "--value=stl-dataset:{dir}/m.jsonl"),
             ("search", "config.json", {"attempts": "2"}, "--config={path}"),
             ("search", "config.json", {"parallel": "2"}, "--config={path}"),
-            ("search", "config.json", {"k": "3"}, "--config={path}"),
-            ("search", "config.json", {"success_threshold": "x"}, "--config={path}"),
+            ("search", "config.json", {"search": {"max_depth": "3"}}, "--config={path}"),
+            ("stl", "config.json", {"stl": {"gamma": "x"}}, "--config={path}"),
             ("search", "config.json", {"value_samples": "3"}, "--config={path}"),
             ("search", "tasks.json", {"tasks": [{"id": "x", "instruction": 5}]}, "--tasks={path}"),
         ],
@@ -489,8 +495,8 @@ class TestConfigHandling:
             "dataset-meta-unknown-scale",
             "attempts-not-a-number",
             "parallel-not-a-number",
-            "k-not-a-number",
-            "success-threshold-not-a-number",
+            "max-depth-not-a-number",
+            "gamma-not-a-number",
             "value-samples-not-a-number",
             "task-instruction-not-a-string",
         ],
@@ -514,7 +520,7 @@ class TestConfigHandling:
         [
             ({"attempts": "2"}, "'attempts'"),
             ({"parallel": 2.0}, "'parallel'"),
-            ({"success_threshold": "x"}, "'success_threshold'"),
+            ({"stl": {"gamma": "x"}}, "'stl.gamma'"),
             ({"value_samples": True}, "'value_samples'"),
             ({"environment": 5}, "'environment'"),
             ({"search": {"branching": "5"}}, "'search.branching'"),
@@ -536,9 +542,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "content,named",
         [
-            ('{"success_threshold": NaN}', "'success_threshold'"),
-            ('{"success_threshold": -Infinity}', "'success_threshold'"),
-            ('{"search": {"exploration": Infinity}}', "'search.exploration'"),
+            ('{"stl": {"gamma": Infinity}}', "'stl.gamma'"),
+            ('{"stl": {"gamma": -Infinity}}', "'stl.gamma'"),
+            ('{"search": {"max_depth": Infinity}}', "'search.max_depth'"),
             ('{"stl": {"gamma": NaN}}', "'stl.gamma'"),
         ],
     )
@@ -598,10 +604,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command,flag,value,named",
         [
-            ("search", "--success-threshold", "nan", "'success_threshold'"),
-            ("search", "--success-threshold", "inf", "'success_threshold'"),
-            ("search", "--exploration", "inf", "'search.exploration'"),
-            ("search", "--exploration", "-inf", "'search.exploration'"),
+            ("search", "--gamma", "nan", "'stl.gamma'"),
+            ("search", "--gamma", "inf", "'stl.gamma'"),
+            ("stl", "--gamma", "inf", "'stl.gamma'"),
+            ("stl", "--gamma", "-inf", "'stl.gamma'"),
             ("stl", "--gamma", "nan", "'stl.gamma'"),
         ],
     )
@@ -622,8 +628,8 @@ class TestConfigHandling:
         [
             ({"attempts": 0}, "attempts must be at least 1"),
             ({"parallel": 0}, "parallel must be at least 1"),
-            ({"k": 0}, "k must be at least 1"),
-            ({"value_scale": "stars"}, "value_scale must be one of"),
+            ({"value_samples": 0}, "value_samples must be at least 1"),
+            ({"value_aggregation": "mode"}, "value_aggregation must be one of"),
             ({"search": 5}, "'search' must be a JSON object"),
             ({"stl": [1]}, "'stl' must be a JSON object"),
             ({"search": {"excluded_actions": [1]}}, "'excluded_actions' must be a list"),
@@ -817,7 +823,10 @@ V1_MANIFEST = """\
 """
 
 
-GOLDEN_MANIFEST = """\
+# The manifest a later release wrote for the same config: its settings that
+# became constants (`k`, `success_threshold`, `value_scale`,
+# `search.exploration`, `search.normalize_backup`, `stl.mask`) no longer load.
+V2_MANIFEST = """\
 {
   "config": {
     "api_key_env": "LOOKAHEAD_API_KEY",
@@ -865,6 +874,48 @@ GOLDEN_MANIFEST = """\
 """
 
 
+GOLDEN_MANIFEST = """\
+{
+  "config": {
+    "api_key_env": "LOOKAHEAD_API_KEY",
+    "attempts": 2,
+    "base_url": "https://api.openai.com/v1",
+    "engine": "beam",
+    "environment": "game24",
+    "method": "golden",
+    "out": null,
+    "parallel": 1,
+    "policy": "exhaustive",
+    "pricing": null,
+    "search": {
+      "beam_width": 3,
+      "branching": 5,
+      "excluded_actions": [
+        "Click[Back]",
+        "Search[sofa]"
+      ],
+      "max_depth": 5,
+      "mcts_iterations": 5
+    },
+    "stl": {
+      "accumulate": false,
+      "engine": "greedy",
+      "gamma": 0.5,
+      "iterations": 1,
+      "min_example_depth": 1,
+      "per_depth": true,
+      "tasks_per_iteration": 1
+    },
+    "tasks": null,
+    "value": "constant:5",
+    "value_aggregation": "mean",
+    "value_samples": 1
+  },
+  "version": "0.1.0"
+}
+"""
+
+
 class TestManifest:
     def test_manifest_bytes_are_pinned_for_a_non_default_config(self, tmp_path):
         config = config_from_dict(
@@ -877,13 +928,11 @@ class TestManifest:
                 "search": {
                     "beam_width": 3,
                     "excluded_actions": ["Click[Back]", "Search[sofa]"],
-                    "exploration": 0.5,
                 },
                 "stl": {
                     "per_depth": True,
                     "engine": "greedy",
                     "gamma": 0.5,
-                    "mask": "completion-only",
                     "min_example_depth": 1,
                 },
             }
@@ -906,6 +955,15 @@ class TestManifest:
         assert err == (
             "config error: unknown search key(s): value_aggregation, value_samples\n"
         )
+
+    def test_replaying_a_v2_manifest_exits_2_naming_the_removed_keys(
+        self, tmp_path, capsys
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(V2_MANIFEST, encoding="utf-8")
+        code, _, err = run_cli(["search", "--config", str(manifest)], capsys)
+        assert code == 2
+        assert err == "config error: unknown config key(s): k, success_threshold, value_scale\n"
 
     def test_replaying_a_v1_manifest_exits_2_naming_seed(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -939,10 +997,7 @@ CONFIG_FLAGS = [
     (("--method",), "method"),
     (("--attempts",), "attempts"),
     (("--parallel",), "parallel"),
-    (("--success-threshold",), "success_threshold"),
-    (("--k",), "k"),
     (("--pricing",), "pricing"),
-    (("--value-scale",), "value_scale"),
     (("--value-samples",), "value_samples"),
     (("--value-aggregation",), "value_aggregation"),
     (("--base-url",), "base_url"),
@@ -951,8 +1006,6 @@ CONFIG_FLAGS = [
     (("--max-depth",), "search.max_depth"),
     (("--beam-width",), "search.beam_width"),
     (("--mcts-iterations",), "search.mcts_iterations"),
-    (("--exploration",), "search.exploration"),
-    (("--normalize-backup", "--no-normalize-backup"), "search.normalize_backup"),
     (("--iterations",), "stl.iterations"),
     (("--tasks-per-iteration",), "stl.tasks_per_iteration"),
     (("--gamma",), "stl.gamma"),
@@ -960,7 +1013,6 @@ CONFIG_FLAGS = [
     (("--accumulate", "--no-accumulate"), "stl.accumulate"),
     (("--per-depth", "--no-per-depth"), "stl.per_depth"),
     (("--min-example-depth",), "stl.min_example_depth"),
-    (("--mask",), "stl.mask"),
 ]
 
 
@@ -1358,24 +1410,20 @@ class TestLabelScaleDoubles:
         assert report["kept"] > 0
 
     @pytest.mark.parametrize(
-        "fixture, flags, named",
+        "fixture, named",
         [
-            ({"values": {"a": 7}, "scale": "game24"}, [], "value 7.0"),
-            ({"values": {}, "default": 5, "scale": "game24"}, [], "value 5.0"),
-            (None, ["--value", "constant:5", "--value-scale", "game24"], "value 5.0"),
+            ({"values": {"a": 7}, "scale": "game24"}, "value 7.0"),
+            ({"values": {}, "default": 5, "scale": "game24"}, "value 5.0"),
         ],
-        ids=["fixture-value", "fixture-default", "constant"],
+        ids=["fixture-value", "fixture-default"],
     )
-    def test_a_value_the_label_scale_cannot_state_exits_2(
-        self, tmp_path, capsys, fixture, flags, named
-    ):
+    def test_a_value_the_label_scale_cannot_state_exits_2(self, tmp_path, capsys, fixture, named):
         tasks = game24_tasks(tmp_path / "tasks.json", n=1)
-        if fixture is not None:
-            path = tmp_path / "values.json"
-            path.write_text(json.dumps(fixture), encoding="utf-8")
-            flags = ["--value", f"scripted:{path}"]
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps(fixture), encoding="utf-8")
         out = tmp_path / "out"
-        code, _, err = run_cli(["search", *flags, "--tasks", tasks, "--out", str(out)], capsys)
+        argv = ["search", "--value", f"scripted:{path}", "--tasks", tasks, "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"{named} is not one of the 'game24' label values" in err

@@ -284,10 +284,8 @@ class TestBeamSearch:
 
 
 class TestMctsSearch:
-    def config(self, iterations, **kwargs):
-        return SearchConfig(
-            branching=5, max_depth=3, mcts_iterations=iterations, **kwargs
-        )
+    def config(self, iterations):
+        return SearchConfig(branching=5, max_depth=3, mcts_iterations=iterations)
 
     def test_root_reward_equals_backup_total(self):
         env, policy, model = two_branch_setup()
@@ -300,13 +298,6 @@ class TestMctsSearch:
         assert tree.stats.states_expanded == 3
         assert tree.root.visits == 3  # one backup per evaluated child
         assert tree.stats.backup_total == pytest.approx((6.0 + 4.0 + 2.0) / 10.0)
-
-    def test_normalize_backup_flag(self):
-        env, policy, model = two_branch_setup()
-        tree = mcts_search(
-            TASK, env, policy, model, self.config(1, normalize_backup=False)
-        )
-        assert tree.stats.backup_total == pytest.approx(12.0)
 
     def test_exploration_eventually_reaches_terminal(self):
         env, policy, model = two_branch_setup()

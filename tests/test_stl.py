@@ -29,7 +29,9 @@ from lookahead.core import (
     ValueEstimate,
     state_key,
 )
-from lookahead.envs.game24 import Game24Env
+from lookahead.cli import main
+from lookahead.envs.base import ActionRejected
+from lookahead.envs.game24 import Game24Env, Verdict, solve_verdict
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.search import (
     ENGINES,
@@ -315,18 +317,11 @@ class TestExportImport:
         with pytest.raises(ValueError, match="empty dataset"):
             export_jsonl(Dataset(), tmp_path / "data.jsonl", "numeric10")
 
-    def test_rejects_unknown_mask(self, tmp_path):
-        dataset, _ = dedup_latest(Dataset(), [example("k1", 1)], 1)
-        with pytest.raises(ValueError, match="mask"):
-            export_jsonl(dataset, tmp_path / "data.jsonl", "numeric10", mask="everything")
-
     def test_sidecar_metadata(self, tmp_path):
         dataset, _ = dedup_latest(Dataset(), [example("k1", 1)], 1)
-        path = export_jsonl(
-            dataset, tmp_path / "data.jsonl", mask="completion-only", scale_name="likert10"
-        )
+        export_jsonl(dataset, tmp_path / "data.jsonl", "likert10")
         meta = json.loads((tmp_path / "data.jsonl.meta.json").read_text())
-        assert meta == {"count": 1, "mask": "completion-only", "scale": "likert10"}
+        assert meta == {"count": 1, "mask": "none", "scale": "likert10"}
 
     def test_lines_are_sorted_and_json(self, tmp_path):
         dataset, _ = dedup_latest(
@@ -897,3 +892,65 @@ class TestEachExampleOnce:
         assert again.read_bytes() == written.read_bytes()
         base = OracleValueModel()
         assert TabularTrainer().fine_tune(base, reloaded).table == final_model.table
+
+
+class TestValueIterationOnGame24:
+    """STL is value iteration: from a base model that values only the
+    terminals (10 for 24, else 1), three accumulated iterations of full-width
+    beam over the same puzzles train every state on its exact discounted
+    backup, which agrees with the oracle's verdict."""
+
+    PUZZLES = 5
+
+    def reachable_states(self, puzzles) -> dict[str, State]:
+        """Every non-terminal state of ``puzzles``, by state key."""
+        env = Game24Env()
+        states: dict[str, State] = {}
+        for puzzle in puzzles:
+            task = Task(id=puzzle["id"], instruction=puzzle["instruction"])
+            frontier = [env.initial_state(task)]
+            while frontier:
+                state = frontier.pop()
+                states[state_key(Trajectory(task, state))] = state
+                if state.depth == 2:  # its successors are terminals, which yield no example
+                    continue
+                for action in env.enumerable_actions(state):
+                    try:
+                        frontier.append(env.transition(state, action))
+                    except ActionRejected:
+                        pass
+        return states
+
+    def test_every_trained_state_holds_the_exact_discounted_backup(self, tmp_path, capsys):
+        source = json.loads(Path("fixtures/game24_test_50.json").read_text(encoding="utf-8"))
+        puzzles = source["tasks"][: self.PUZZLES]
+        tasks = tmp_path / "tasks.json"
+        entries = [
+            {"id": f"{p['id']}__it{i}", "instruction": p["instruction"]}
+            for i in (1, 2, 3)
+            for p in puzzles
+        ]
+        tasks.write_text(json.dumps({"tasks": entries}), encoding="utf-8")
+        values = tmp_path / "values.json"
+        terminal_only = {"values": {"24[24]": 10.0}, "default": 1.0}
+        values.write_text(json.dumps(terminal_only), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [
+            "stl", "--value", f"scripted:{values}", "--stl-engine", "beam",
+            "--beam-width", "1000", "--branching", "36", "--max-depth", "3",
+            "--iterations", "3", "--tasks-per-iteration", str(self.PUZZLES), "--accumulate",
+            "--gamma", "0.9", "--tasks", str(tasks), "--out", str(out),
+        ]
+        assert main(argv) == 0, capsys.readouterr().err
+
+        dataset = import_jsonl(out / "stl" / "final_model.jsonl")
+        states = self.reachable_states(puzzles)
+        assert set(dataset.examples) == set(states)
+        for key, example in dataset.examples.items():
+            state = states[key]
+            solvable = solve_verdict(state) is Verdict.SURE
+            # A state k steps above the terminals backs up 10 * 0.9^k or 0.9^k.
+            backup = (10.0 if solvable else 1.0) * 0.9 ** (3 - state.depth)
+            value = parse_simulated_lookahead(example.completion, NUMERIC10)[3]
+            assert (example.iteration, value) == (3, float(f"{backup:.2f}")), state.id
+            assert (value > 5) == solvable, state.id
