@@ -30,6 +30,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..core import ConfigError, check_int, check_list, check_object, check_str
+
 
 def _lazy_module(name: str):
     """``sys.modules[name]`` if it is loaded, else a module whose body runs on
@@ -110,12 +112,37 @@ def _retry_after(header: str | None) -> float | None:
     return min(seconds, MAX_RETRY_AFTER_SECONDS) if seconds >= 0 else None
 
 
+def _chat_response(body: object, n: int) -> ChatResponse:
+    """The reply ``body`` of a request for ``n`` choices; a malformed one
+    raises :class:`ConfigError` or :class:`ValueError` naming its fault."""
+    body = check_object(body, "reply body")
+    choices = check_list(body.get("choices"), "reply 'choices'", dict)
+    if len(choices) != n:
+        raise ValueError(f"expected {n} choices, got {len(choices)}")
+    texts = tuple(
+        check_str(
+            check_object(choice.get("message"), f"reply choice {i}: 'message'").get("content"),
+            f"reply choice {i}: 'content'",
+        )
+        for i, choice in enumerate(choices)
+    )
+    usage = check_object(body.get("usage", {}), "reply 'usage'")
+    prompt, completion = (
+        check_int(usage.get(name, 0), f"reply 'usage': {name!r}", 0)
+        for name in ("prompt_tokens", "completion_tokens")
+    )
+    return ChatResponse(texts=texts, prompt_tokens=prompt, completion_tokens=completion)
+
+
 class HttpTransport(Transport):
     """OpenAI-compatible HTTP client with exponential-backoff retries.
 
     Rate limiting (429), server errors (5xx), timeouts, connection errors and
-    malformed bodies, including a body whose choice count is not the
-    request's ``n``, are retried; any other 4xx status fails at once.  The
+    malformed bodies are retried; any other 4xx status fails at once.  A body
+    is malformed unless it is a JSON object whose ``choices`` is a list of
+    the request's ``n`` objects, each with a string ``message.content``, and
+    whose ``usage``, when present, is an object whose token counts, when
+    present, are ints of at least 0 (an absent count reads as 0).  The
     wait before retry ``k`` is ``_BACKOFF_SECONDS * 2 ** (k - 1)`` scaled by
     ``0.5 + random()``, so it is uniform over half to one and a half times
     that step and calls that fail together do not retry together.  If the
@@ -145,7 +172,7 @@ class HttpTransport(Transport):
         self.api_key_env = api_key_env
         self._post = post if post is not None else requests.post
         # Reading requests' exception here runs the module on this thread.
-        self._retryable = (requests.RequestException, KeyError, IndexError, ValueError)
+        self._retryable = (requests.RequestException, ValueError, ConfigError)
         self._sleep = sleep
         self._random = random
 
@@ -187,16 +214,7 @@ class HttpTransport(Transport):
                         f"chat completion rejected with HTTP status {status}"
                     )
                 response.raise_for_status()
-                body = response.json()
-                texts = tuple(choice["message"]["content"] for choice in body["choices"])
-                if len(texts) != request.n:
-                    raise ValueError(f"expected {request.n} choices, got {len(texts)}")
-                usage = body.get("usage", {})
-                return ChatResponse(
-                    texts=texts,
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage.get("completion_tokens", 0)),
-                )
+                return _chat_response(response.json(), request.n)
             except self._retryable as exc:
                 last_error = exc
         raise TransportError(

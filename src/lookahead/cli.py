@@ -2,10 +2,11 @@
 
 One structured JSON config file drives everything; every flag overrides its
 config field (flags win).  The ``search`` and ``stl`` flags are built from the
-config dataclasses' scalar fields, one each, and their values pass the same
-checks as a file's.  Each run writes ``manifest.json`` — the package
-version and the fully-resolved config — and re-running from a manifest with
-scripted agents reproduces every artifact byte-for-byte.
+scalar fields each command reads, one each, and their values pass the same
+checks as a file's (a file may set keys its command ignores).  Each run
+writes ``manifest.json`` — the package version and the fully-resolved
+config — and re-running from a manifest with scripted agents reproduces
+every artifact byte-for-byte.
 
 Exit codes: 0 success, 2 configuration error (a rejected command line
 included), 3 transport-fatal error, 4 I/O error; each error is one stderr
@@ -20,7 +21,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn, Sequence
@@ -58,6 +59,7 @@ from .stl import (
     TabularValueModel,
     check_schedule,
     import_jsonl,
+    import_metadata,
     stl_run,
 )
 
@@ -266,7 +268,9 @@ def build_value_model(
 ) -> ValueModel:
     """The value model ``config.value`` names, on the scale of its source:
     ``oracle`` on ``game24``, ``scripted:`` on its fixture's ``scale``,
-    ``stl-dataset:`` on its ``.meta.json``'s ``scale``, ``remote:`` on
+    ``stl-dataset:`` on its ``.meta.json``'s ``scale`` (over the base model
+    its ``base_value`` names, built from ``config`` and on that scale too,
+    else a constant at the scale's lowest value), ``remote:`` on
     ``game24`` in the game24 environment (the shipped value prompt's
     verdicts) and ``likert10`` elsewhere, and ``constant:`` on ``numeric10``.
     """
@@ -306,23 +310,16 @@ def build_value_model(
         if path.is_dir():
             raise ConfigError(f"value dataset path {path} is a directory")
         dataset = import_jsonl(path)
-        scale = NUMERIC10
-        meta_path = Path(str(path) + ".meta.json")
-        if meta_path.exists():
-            meta = read_json(meta_path, "dataset metadata")
-            where = f"dataset metadata {meta_path}"
-            if "scale" in meta:
-                try:
-                    scale = get_scale(check_str(meta["scale"], f"{where}: 'scale'"))
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}") from None
-            # A count that disagrees with the records read means a cut or edited file.
-            count = check_int(meta.get("count", len(dataset)), f"{where}: 'count'", 0)
-            if count != len(dataset):
+        scale, base_value = import_metadata(path, len(dataset))
+        if base_value is None:
+            base = ConstantValueModel(scale.bounds[0], scale=scale)
+        else:
+            base = build_value_model(replace(config, value=base_value), env, ledger)
+            if base.scale.name != scale.name:
                 raise ConfigError(
-                    f"{where}: 'count' is {count}, but {path} has {len(dataset)} records"
+                    f"dataset metadata {path}.meta.json: 'base_value' {base_value!r} is on "
+                    f"the {base.scale.name!r} scale, not {scale.name!r}"
                 )
-        base = ConstantValueModel(scale.bounds[0], scale=scale)
         try:
             return TabularValueModel(base, dataset)
         except MalformedRationale as exc:
@@ -385,8 +382,8 @@ def set_up_run(
     Each builder and loader checks the spec string or file it reads.  Under
     ``stl``, a discount (``gamma < 1``) is checked against the built value
     model's scale, since a label scale cannot hold a discounted target;
-    ``search`` builds no targets, so it ignores ``gamma``, but its report
-    prices every ``remote:`` model, so each must be in the pricing table.
+    ``search`` builds no targets, so it ignores the ``stl`` section, but its
+    report prices every ``remote:`` model, so each must be in the pricing table.
     """
     if config.tasks is None:
         raise ConfigError(f"{command} requires a tasks file (--tasks)")
@@ -403,9 +400,12 @@ def set_up_run(
     tasks = load_tasks(config.tasks, env)
     pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
     if command == "search":
-        for spec in (config.policy, config.value):
-            if spec.startswith("remote:"):
-                pricing.get(spec[len("remote:") :])
+        agents = [policy, value_model]
+        if isinstance(value_model, TabularValueModel):  # a reloaded dataset's base model
+            agents.append(value_model.base_model)
+        for agent in agents:
+            if isinstance(agent, (RemotePolicy, RemoteValueModel)):
+                pricing.get(agent.model)
     else:
         check_schedule(config.stl, len(tasks))
     out_dir = resolve_out_dir(config)
@@ -504,6 +504,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
             out_dir=out_dir / "stl",
             ledger=ledger,
             parallel=config.parallel,
+            base_value=config.value,
         )
 
     last = reports[-1]
@@ -618,13 +619,19 @@ _FLAG_HELP = {
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per scalar config field.
+# The settings each command never reads, by key or whole section: they get no
+# flag there, though a config file or manifest may still set them.
+_UNREAD = {"search": ("stl",), "stl": ("engine", "method", "attempts")}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """``--config`` plus one flag per scalar config field ``command`` reads.
 
     A field's flag is ``--<name-with-dashes>`` with dest ``name``,
     ``search.name`` or ``stl.name``, typed by the field's declared type; a
     name already taken gets its section's prefix (``stl.engine`` is
-    ``--stl-engine``).  The values are checked when the config loads.
+    ``--stl-engine``, also where ``--engine`` is unread).  The values are
+    checked when the config loads.
     """
     parser.add_argument("--config", help=_FLAG_HELP["config"])
     taken = {"config"}
@@ -637,6 +644,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             taken.add(name)
             flag = "--" + name.replace("_", "-")
             dest = f"{section}.{f.name}" if section else f.name
+            if (section or dest) in _UNREAD[command]:
+                continue
             if flag_type is bool:
                 parser.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction)
             else:
@@ -658,13 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_search = sub.add_parser("search", help="run value-guided search over tasks")
-    _add_config_flags(p_search)
-    p_search.set_defaults(command="search")
-
-    p_stl = sub.add_parser("stl", help="run the self-training loop")
-    _add_config_flags(p_stl)
-    p_stl.set_defaults(command="stl")
+    for command, about in (
+        ("search", "run value-guided search over tasks"), ("stl", "run the self-training loop")
+    ):
+        _add_config_flags(sub.add_parser(command, help=about), command)
 
     p_eval = sub.add_parser("eval", help="paired bootstrap between two results files")
     p_eval.add_argument("results_a", help="results.json for system A")

@@ -372,15 +372,22 @@ class MethodResult:
 
 
 def _outcome_from_dict(index: int, data: object) -> TaskOutcome:
-    """One outcome entry."""
+    """One outcome entry; its ``success`` must be whether any attempt succeeded,
+    as ``eval`` reads the one and ``report``'s pass@k the other."""
     where = f"outcome {index}"
     data = check_object(data, where)
-    return TaskOutcome(
+    outcome = TaskOutcome(
         check_str(data.get("task_id"), f"{where}: 'task_id'"),
         check_number(data.get("score"), f"{where}: 'score'", nullable=True),
         check_bool(data.get("success"), f"{where}: 'success'"),
         tuple(check_list(data.get("attempts"), f"{where}: 'attempts'", bool, nonempty=True)),
     )
+    if outcome.success != any(outcome.attempts):
+        some = "no" if outcome.success else "an"
+        raise ConfigError(
+            f"{where}: 'success' is {json.dumps(outcome.success)}, but {some} attempt succeeded"
+        )
+    return outcome
 
 
 _SUMMARY_COLUMNS = [

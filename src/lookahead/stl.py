@@ -38,12 +38,15 @@ from .core import (
     check_int,
     check_object,
     check_str,
+    read_json,
     render_context,
     state_key,
     write_json,
 )
 from .agents.rationales import format_lookahead_block, parse_simulated_lookahead
-from .agents.scales import MalformedRationale, ValueScale, parse_value, strip_score_sentence
+from .agents.scales import (
+    NUMERIC10, MalformedRationale, ValueScale, get_scale, parse_value, strip_score_sentence,
+)
 from .agents.values import RoutedValueModel, ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
@@ -63,8 +66,7 @@ class StlConfig:
     each dataset by state depth and trains one model per depth.
     ``min_example_depth`` drops examples generated above it (set to 1 to skip
     root-state examples, as in per-depth routing setups).  Completions are
-    rendered on the base value model's scale, and every dataset is exported
-    for training on whole records (its metadata's ``"mask"`` is ``"none"``).
+    rendered on the base value model's scale.
     """
 
     iterations: int = 1
@@ -252,16 +254,19 @@ def dedup_latest(
     return Dataset(examples=merged), counts
 
 
-def export_jsonl(dataset: Dataset, path: str | Path, scale_name: str) -> Path:
+def export_jsonl(
+    dataset: Dataset, path: str | Path, scale_name: str, base_value: str | None = None
+) -> Path:
     """Write one record per line, ordered by (task id, depth, state key).
 
     Each line is the example's :attr:`~lookahead.core.TrainingExample.jsonl`,
     so an example exported again (an accumulated dataset) is not re-encoded.
 
-    A sidecar ``<path>.meta.json`` records the example count, the loss mask
-    for an external trainer (always ``"none"``: the whole record is trained
-    on) and the value scale the completions were rendered with, so reloaders
-    parse them correctly.  Exporting an empty dataset is refused.
+    A sidecar ``<path>.meta.json`` records the example count, the value scale
+    the completions were rendered with, so reloaders parse them correctly,
+    and, when given, ``base_value``: the spec of the base model the dataset
+    was trained over, which a reload answers unseen states with.  Exporting
+    an empty dataset is refused.
     """
     if len(dataset) == 0:
         raise ValueError("refusing to export an empty dataset")
@@ -269,8 +274,38 @@ def export_jsonl(dataset: Dataset, path: str | Path, scale_name: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [example.jsonl for example in dataset.sorted_examples()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_json(f"{path}.meta.json", {"count": len(dataset), "mask": "none", "scale": scale_name})
+    meta = {"count": len(dataset), "scale": scale_name}
+    if base_value is not None:
+        meta["base_value"] = base_value
+    write_json(f"{path}.meta.json", meta)
     return path
+
+
+def import_metadata(path: str | Path, records: int) -> tuple[ValueScale, str | None]:
+    """The scale and base value spec that ``<path>.meta.json`` records for
+    the dataset at ``path``, which holds ``records`` records.
+
+    Without the file, or without its keys, the scale is ``numeric10`` and
+    the spec ``None``.  A ``count`` that is not ``records`` (a dataset cut
+    short or edited), a scale that is not shipped, or a base spec that is
+    itself ``stl-dataset:`` raises :class:`ConfigError` naming the file.
+    """
+    meta_path = Path(f"{path}.meta.json")
+    if not meta_path.exists():
+        return NUMERIC10, None
+    meta = read_json(meta_path, "dataset metadata")
+    where = f"dataset metadata {meta_path}"
+    try:
+        scale = get_scale(check_str(meta.get("scale", NUMERIC10.name), f"{where}: 'scale'"))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    count = check_int(meta.get("count", records), f"{where}: 'count'", 0)
+    if count != records:
+        raise ConfigError(f"{where}: 'count' is {count}, but {path} has {records} records")
+    base_value = check_str(meta.get("base_value"), f"{where}: 'base_value'", nullable=True)
+    if base_value is not None and base_value.startswith("stl-dataset:"):
+        raise ConfigError(f"{where}: 'base_value' {base_value!r} is itself a dataset")
+    return scale, base_value
 
 
 def import_jsonl(path: str | Path) -> Dataset:
@@ -443,6 +478,7 @@ def stl_run(
     out_dir: str | Path,
     ledger: "Ledger | None" = None,
     parallel: int = 1,
+    base_value: str | None = None,
 ) -> tuple[ValueModel, list[IterationReport]]:
     """Run the full self-training loop (see module docstring), write its
     trees, datasets, ``stl_report.json`` and ``final_model.jsonl`` under
@@ -454,6 +490,8 @@ def stl_run(
     model frozen.  Each dataset partition (one per depth with ``per_depth``,
     else the whole non-empty dataset) is exported before it is trained on,
     so a trainer's own exception ends the loop with that file on disk.
+    Each ``.meta.json`` records ``base_value``, the spec ``base_model`` was
+    built from, when given (see :func:`export_jsonl`).
     """
     check_schedule(stl_config, len(tasks))
     out_path = Path(out_dir)
@@ -493,7 +531,8 @@ def stl_run(
         for depth, partition in partitions.items():
             suffix = "" if depth is None else f"_depth{depth}"
             file_path = export_jsonl(
-                partition, out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl", scale.name
+                partition, out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl", scale.name,
+                base_value,
             )
             dataset_paths.append(file_path.name)
             models[depth] = trainer.fine_tune(base_model, partition)
@@ -522,7 +561,7 @@ def stl_run(
     if len(dataset) > 0:
         model_path = out_path / "final_model.jsonl"
         if stl_config.per_depth:
-            export_jsonl(dataset, model_path, scale.name)
+            export_jsonl(dataset, model_path, scale.name, base_value)
         else:
             # The last iteration exported this very dataset; copy that file pair.
             for suffix in ("", ".meta.json"):

@@ -18,6 +18,7 @@ from transport_doubles import PromptKeyedTransport
 
 from lookahead import cli, stl
 from lookahead.agents.transport import HttpTransport, TransportError
+from lookahead.agents.values import ConstantValueModel, OracleValueModel
 from lookahead.cli import (
     ExperimentConfig,
     build_parser,
@@ -30,6 +31,7 @@ from lookahead.cli import (
 from lookahead.core import ConfigError, Task
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
+from lookahead.evaluation import Ledger
 from lookahead.search import ENGINES, SearchConfig
 from lookahead.stl import StlConfig
 
@@ -272,12 +274,25 @@ class TestConfigHandling:
         assert code == 0, err
 
     def test_search_ignores_gamma(self, tmp_path, capsys):
-        # search builds no targets, so a discount under the oracle's label
-        # scale is no configuration error there.
+        # search builds no targets, so a config file's discount under the
+        # oracle's label scale is no configuration error there.
         tasks = game24_tasks(tmp_path / "tasks.json")
-        argv = ["search", "--gamma", "0.5", "--tasks", tasks, "--out", str(tmp_path / "out")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"stl": {"gamma": 0.5}}), encoding="utf-8")
+        argv = ["search", "--config", str(config), "--tasks", tasks, "--out", str(tmp_path / "out")]
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "argv", [["search", "--gamma", "0.5"], ["stl", "--engine", "beam"]], ids=" ".join
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, argv):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli([*argv, "--tasks", tasks, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"config error: unrecognized arguments: {' '.join(argv[1:])}\n"
+        assert not out.exists()
 
     def test_dataset_completion_that_does_not_parse_exits_2(self, tmp_path, capsys):
         tasks = game24_tasks(tmp_path / "tasks.json")
@@ -347,6 +362,53 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("config error: dataset metadata") and err.count("\n") == 1
         assert f"{dataset}.meta.json" in err
+        assert not out.exists()
+
+    def test_a_dataset_reloads_over_the_base_model_its_metadata_names(self, tmp_path, capsys):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)  # an stl run over the oracle
+        path = Path(f"{dataset}.meta.json")
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        assert meta == {"base_value": "oracle", "count": meta["count"], "scale": "game24"}
+        config = ExperimentConfig(value=f"stl-dataset:{dataset}")
+        model = cli.build_value_model(config, Game24Env(), Ledger())
+        assert isinstance(model.base_model, OracleValueModel)
+        # A dataset written before its metadata named the base keeps the constant.
+        del meta["base_value"]
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        model = cli.build_value_model(config, Game24Env(), Ledger())
+        assert isinstance(model.base_model, ConstantValueModel)
+        assert model.base_model.scale.name == "game24"
+
+    @pytest.mark.parametrize(
+        "base_value,problem",
+        [
+            (
+                "stl-dataset:other.jsonl",
+                "dataset metadata {meta}: 'base_value' 'stl-dataset:other.jsonl' is itself a dataset",
+            ),
+            (
+                "constant:3",
+                "dataset metadata {meta}: 'base_value' 'constant:3' is on the 'numeric10' scale, "
+                "not 'game24'",
+            ),
+            ("remote:unpriced-model", "no pricing known for model 'unpriced-model'"),
+        ],
+        ids=["a-dataset", "another-scale", "unpriced"],
+    )
+    def test_a_dataset_base_that_cannot_serve_exits_2(
+        self, tmp_path, capsys, base_value, problem
+    ):
+        tasks = game24_tasks(tmp_path / "tasks.json")
+        dataset = game24_dataset(tmp_path, tasks, capsys)
+        path = Path(f"{dataset}.meta.json")
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**meta, "base_value": base_value}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["search", "--value", f"stl-dataset:{dataset}", "--tasks", tasks, "--out", str(out),
+                "--base-url", "http://127.0.0.1:9/v1"]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (2, f"config error: {problem.format(meta=path)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -604,8 +666,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command,flag,value,named",
         [
-            ("search", "--gamma", "nan", "'stl.gamma'"),
-            ("search", "--gamma", "inf", "'stl.gamma'"),
             ("stl", "--gamma", "inf", "'stl.gamma'"),
             ("stl", "--gamma", "-inf", "'stl.gamma'"),
             ("stl", "--gamma", "nan", "'stl.gamma'"),
@@ -985,35 +1045,56 @@ class TestEngineChoices:
             StlConfig(engine="dfs")
 
 
-# Every flag of ``search`` and ``stl`` with its dest, in help order.
-CONFIG_FLAGS = [
-    (("--config",), "config"),
-    (("--environment",), "environment"),
-    (("--engine",), "engine"),
-    (("--policy",), "policy"),
-    (("--value",), "value"),
-    (("--tasks",), "tasks"),
-    (("--out",), "out"),
-    (("--method",), "method"),
-    (("--attempts",), "attempts"),
-    (("--parallel",), "parallel"),
-    (("--pricing",), "pricing"),
-    (("--value-samples",), "value_samples"),
-    (("--value-aggregation",), "value_aggregation"),
-    (("--base-url",), "base_url"),
-    (("--api-key-env",), "api_key_env"),
-    (("--branching",), "search.branching"),
-    (("--max-depth",), "search.max_depth"),
-    (("--beam-width",), "search.beam_width"),
-    (("--mcts-iterations",), "search.mcts_iterations"),
-    (("--iterations",), "stl.iterations"),
-    (("--tasks-per-iteration",), "stl.tasks_per_iteration"),
-    (("--gamma",), "stl.gamma"),
-    (("--stl-engine",), "stl.engine"),
-    (("--accumulate", "--no-accumulate"), "stl.accumulate"),
-    (("--per-depth", "--no-per-depth"), "stl.per_depth"),
-    (("--min-example-depth",), "stl.min_example_depth"),
-]
+# Every flag of ``search`` and of ``stl`` with its dest, in help order: each
+# command offers a flag only for a setting it reads.
+CONFIG_FLAGS = {
+    "search": [
+        (("--config",), "config"),
+        (("--environment",), "environment"),
+        (("--engine",), "engine"),
+        (("--policy",), "policy"),
+        (("--value",), "value"),
+        (("--tasks",), "tasks"),
+        (("--out",), "out"),
+        (("--method",), "method"),
+        (("--attempts",), "attempts"),
+        (("--parallel",), "parallel"),
+        (("--pricing",), "pricing"),
+        (("--value-samples",), "value_samples"),
+        (("--value-aggregation",), "value_aggregation"),
+        (("--base-url",), "base_url"),
+        (("--api-key-env",), "api_key_env"),
+        (("--branching",), "search.branching"),
+        (("--max-depth",), "search.max_depth"),
+        (("--beam-width",), "search.beam_width"),
+        (("--mcts-iterations",), "search.mcts_iterations"),
+    ],
+    "stl": [
+        (("--config",), "config"),
+        (("--environment",), "environment"),
+        (("--policy",), "policy"),
+        (("--value",), "value"),
+        (("--tasks",), "tasks"),
+        (("--out",), "out"),
+        (("--parallel",), "parallel"),
+        (("--pricing",), "pricing"),
+        (("--value-samples",), "value_samples"),
+        (("--value-aggregation",), "value_aggregation"),
+        (("--base-url",), "base_url"),
+        (("--api-key-env",), "api_key_env"),
+        (("--branching",), "search.branching"),
+        (("--max-depth",), "search.max_depth"),
+        (("--beam-width",), "search.beam_width"),
+        (("--mcts-iterations",), "search.mcts_iterations"),
+        (("--iterations",), "stl.iterations"),
+        (("--tasks-per-iteration",), "stl.tasks_per_iteration"),
+        (("--gamma",), "stl.gamma"),
+        (("--stl-engine",), "stl.engine"),
+        (("--accumulate", "--no-accumulate"), "stl.accumulate"),
+        (("--per-depth", "--no-per-depth"), "stl.per_depth"),
+        (("--min-example-depth",), "stl.min_example_depth"),
+    ],
+}
 
 
 def benchmark_inputs(name: str, tmp_path: Path, monkeypatch):
@@ -1031,7 +1112,7 @@ class TestFlagTable:
     def test_search_and_stl_offer_exactly_the_pinned_flags(self, command):
         parser = build_parser()._subparsers._group_actions[0].choices[command]
         flags = [(tuple(a.option_strings), a.dest) for a in parser._actions[1:]]
-        assert flags == CONFIG_FLAGS
+        assert flags == CONFIG_FLAGS[command]
 
     @pytest.mark.parametrize(
         "name", ["search-beam-oracle", "stl-mcts-oracle", "search-beam-remote"]
@@ -1437,27 +1518,27 @@ STL_WEBSHOP_PER_DEPTH_ARGS = [
 ]
 STL_WEBSHOP_PER_DEPTH_DIGESTS = {
     "dataset_iter01_depth0.jsonl": "c31916dccc7021ab",
-    "dataset_iter01_depth0.jsonl.meta.json": "4d06bd2a7fb773f5",
+    "dataset_iter01_depth0.jsonl.meta.json": "1ff7ffa7af695ccf",
     "dataset_iter01_depth1.jsonl": "eda9b57b7ed96f10",
-    "dataset_iter01_depth1.jsonl.meta.json": "0b454473d12564c4",
+    "dataset_iter01_depth1.jsonl.meta.json": "476e6d6e7770b71b",
     "dataset_iter01_depth2.jsonl": "fddd206c344057bb",
-    "dataset_iter01_depth2.jsonl.meta.json": "a7601f121742a91d",
+    "dataset_iter01_depth2.jsonl.meta.json": "2bf496f22ebef598",
     "dataset_iter01_depth3.jsonl": "b079caf8083d47e2",
-    "dataset_iter01_depth3.jsonl.meta.json": "b40c24e29c489dec",
+    "dataset_iter01_depth3.jsonl.meta.json": "f1f38beb5cd3e289",
     "dataset_iter01_depth4.jsonl": "bf53106e4e9cc8f1",
-    "dataset_iter01_depth4.jsonl.meta.json": "61cbef507392eb47",
+    "dataset_iter01_depth4.jsonl.meta.json": "735be92c02b11041",
     "dataset_iter02_depth0.jsonl": "9e5db9a5e4ce25b9",
-    "dataset_iter02_depth0.jsonl.meta.json": "4d06bd2a7fb773f5",
+    "dataset_iter02_depth0.jsonl.meta.json": "1ff7ffa7af695ccf",
     "dataset_iter02_depth1.jsonl": "4a4c102c47158b15",
-    "dataset_iter02_depth1.jsonl.meta.json": "0b454473d12564c4",
+    "dataset_iter02_depth1.jsonl.meta.json": "476e6d6e7770b71b",
     "dataset_iter02_depth2.jsonl": "254ddfbd806777ba",
-    "dataset_iter02_depth2.jsonl.meta.json": "a7601f121742a91d",
+    "dataset_iter02_depth2.jsonl.meta.json": "2bf496f22ebef598",
     "dataset_iter02_depth3.jsonl": "ea57edcaddbc5490",
-    "dataset_iter02_depth3.jsonl.meta.json": "b40c24e29c489dec",
+    "dataset_iter02_depth3.jsonl.meta.json": "f1f38beb5cd3e289",
     "dataset_iter02_depth4.jsonl": "98b797d448df42ec",
-    "dataset_iter02_depth4.jsonl.meta.json": "61cbef507392eb47",
+    "dataset_iter02_depth4.jsonl.meta.json": "735be92c02b11041",
     "final_model.jsonl": "98652c38d030bda0",
-    "final_model.jsonl.meta.json": "de849f5157984562",
+    "final_model.jsonl.meta.json": "69f8a6ef954a5834",
     "stl_report.json": "b4d3c57ccc3c4909",
     "trees/iter01__w001.json": "e447131e30a5594a",
     "trees/iter01__w002.json": "f9b125137da267ea",
@@ -1473,15 +1554,15 @@ STL_GAME24_PER_DEPTH_ARGS = [
 ]
 STL_GAME24_PER_DEPTH_DIGESTS = {
     "dataset_iter01_depth1.jsonl": "d4589ecef02dcb3c",
-    "dataset_iter01_depth1.jsonl.meta.json": "dc6e0dae6804ea2f",
+    "dataset_iter01_depth1.jsonl.meta.json": "bd280f8ca32619c3",
     "dataset_iter01_depth2.jsonl": "012b490e97f1a537",
-    "dataset_iter01_depth2.jsonl.meta.json": "dc6e0dae6804ea2f",
+    "dataset_iter01_depth2.jsonl.meta.json": "bd280f8ca32619c3",
     "dataset_iter02_depth1.jsonl": "09a74c92a2274b78",
-    "dataset_iter02_depth1.jsonl.meta.json": "4ff9b2fcc7d4fa59",
+    "dataset_iter02_depth1.jsonl.meta.json": "118b7e32f6d6ff50",
     "dataset_iter02_depth2.jsonl": "7f4fe1edce457409",
-    "dataset_iter02_depth2.jsonl.meta.json": "dc6e0dae6804ea2f",
+    "dataset_iter02_depth2.jsonl.meta.json": "bd280f8ca32619c3",
     "final_model.jsonl": "a018465e54a6cb36",
-    "final_model.jsonl.meta.json": "a55e62b0ff21d8a2",
+    "final_model.jsonl.meta.json": "7e98fc836e148f85",
     "stl_report.json": "576a325605c409b0",
     "trees/iter01__g24r001.json": "3be4c0cc57ec0de5",
     "trees/iter01__g24r002.json": "e900c953f0373efa",
@@ -1866,10 +1947,39 @@ def results_with_a_repeated_id(tmp_path: Path) -> tuple[str, Path]:
     as a failure at the end."""
     good = fake_results(tmp_path / "good.json", "m", {f"t{i:02d}": 1.0 for i in range(50)})
     payload = json.loads(Path(good).read_text(encoding="utf-8"))
-    payload["outcomes"].append({**payload["outcomes"][0], "score": 0.0, "success": False})
+    failure = {"score": 0.0, "success": False, "attempts": [False]}
+    payload["outcomes"].append({**payload["outcomes"][0], **failure})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload), encoding="utf-8")
     return good, bad
+
+
+@pytest.mark.parametrize("command", ["report", "eval"])
+@pytest.mark.parametrize(
+    "success,attempts,fault",
+    [
+        (False, [False, True], "'success' is false, but an attempt succeeded"),
+        (True, [False], "'success' is true, but no attempt succeeded"),
+    ],
+)
+def test_a_success_that_is_not_any_attempt_exits_2(
+    tmp_path, capsys, command, success, attempts, fault
+):
+    # eval reads 'success' and report's pass@k reads 'attempts', so the two
+    # must agree for one file to give one answer.
+    good = fake_results(tmp_path / "good.json", "m", {"t0": 1.0, "t1": 0.0})
+    payload = json.loads(Path(good).read_text(encoding="utf-8"))
+    payload["outcomes"][1].update(success=success, attempts=attempts)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    if command == "report":
+        argv = ["report", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", good, str(bad), "--b-samples", "10"]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"config error: results file {bad} is malformed: outcome 1: {fault}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["report", "eval"])
@@ -2248,6 +2358,30 @@ class TestExitCodes:
         assert code == 3
         assert "transport error" in err
         assert_exponential_backoff(backoff_delays)
+
+    def test_a_malformed_provider_reply_exits_3(self, tmp_path, capsys, monkeypatch):
+        class Reply:
+            status_code = 200
+            headers: dict = {}
+
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"content": None}}]}
+
+        def transport(config):
+            return HttpTransport(config.base_url, post=lambda *a, **k: Reply(), sleep=lambda s: None)
+
+        monkeypatch.setattr(cli, "_transport", transport)
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", "--value", "remote:gpt-3.5-turbo", "--engine", "beam",
+                "--tasks", tasks, "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (3, (
+            "transport error: chat completion failed after 3 attempts: "
+            "reply choice 0: 'content' must be a string, got None\n"
+        ))
 
     def test_remote_value_transport_failure_exits_3(self, tmp_path, capsys, backoff_delays):
         # Every child of the root expansion fails at once on its own thread;

@@ -363,6 +363,41 @@ class TestHttpTransport:
         )
         assert transport.send(make_request()).text == "eventually"
 
+    @pytest.mark.parametrize(
+        "body,fault",
+        [
+            (
+                {**ok_payload(), "usage": {"prompt_tokens": None, "completion_tokens": 7}},
+                "reply 'usage': 'prompt_tokens' must be an int of at least 0, got None",
+            ),
+            ([ok_payload()], "reply body must be a JSON object"),
+            ({**ok_payload(), "usage": None}, "reply 'usage' must be a JSON object"),
+            ({"choices": None}, "reply 'choices' must be a list of objects, got None"),
+            (
+                {"choices": [{"message": {"content": None}}]},
+                "reply choice 0: 'content' must be a string, got None",
+            ),
+            (
+                {**ok_payload(), "usage": {"prompt_tokens": -5, "completion_tokens": 7}},
+                "reply 'usage': 'prompt_tokens' must be an int of at least 0, got -5",
+            ),
+        ],
+        ids=["null-count", "list-body", "null-usage", "null-choices", "null-content",
+             "negative-count"],
+    )
+    def test_a_malformed_body_is_retried_then_raises(self, body, fault):
+        attempts = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            attempts.append(url)
+            return FakeResponse(body)
+
+        transport = HttpTransport("http://example.test", post=fake_post, sleep=lambda s: None)
+        with pytest.raises(TransportError) as failure:
+            transport.send(make_request())
+        assert str(failure.value) == f"chat completion failed after 3 attempts: {fault}"
+        assert len(attempts) == 3
+
     def test_missing_usage_defaults_to_zero(self):
         def fake_post(url, json=None, headers=None, timeout=None):
             return FakeResponse({"choices": [{"message": {"content": "bare"}}]})
