@@ -3,7 +3,7 @@
 Every value model declares a :class:`ValueScale`.  Numeric ten-point scales
 carry a discrete admissible set for raw samples plus continuous bounds for
 aggregated values; the arithmetic-puzzle scale maps the verdict words
-sure / likely / impossible onto 20 / 1 / 0.001.
+sure / likely / impossible, in ASCII letters of either case, onto 20 / 1 / 0.001.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ SCORE_SENTENCE_RE = re.compile(
     re.IGNORECASE,
 )
 
-LABEL_RE = re.compile(r"\b(sure|likely|impossible)\b", re.IGNORECASE)
+LABEL_RE = re.compile(r"\b(?ai:(sure|likely|impossible))\b")
 
 
 def _last_label(text: str, scale: ValueScale) -> float:

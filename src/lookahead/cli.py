@@ -28,8 +28,8 @@ from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from . import __version__
 from .core import (
-    Aggregation, ConfigError, Task, check_bool, check_int, check_list, check_number,
-    check_object, check_str, read_json, write_json,
+    Aggregation, ConfigError, Task, check_bool, check_choice, check_int, check_list,
+    check_number, check_object, check_str, read_json, write_json,
 )
 from .envs.base import Environment
 from .envs.game24 import Game24Env
@@ -103,15 +103,10 @@ class ExperimentConfig:
     stl: StlConfig = field(default_factory=StlConfig)
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
+        check_choice(self.engine, "'engine'", ENGINES)
         for name in ("attempts", "parallel", "value_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.value_aggregation not in _AGGREGATIONS:
-            raise ValueError(
-                f"value_aggregation must be one of {_AGGREGATIONS}, got {self.value_aggregation!r}"
-            )
+            check_int(getattr(self, name), f"'{name}'", 1)
+        check_choice(self.value_aggregation, "'value_aggregation'", _AGGREGATIONS)
 
     def method_name(self) -> str:
         return self.method or f"{self.engine}+{self.value}"
@@ -151,10 +146,7 @@ def _sub_config(data: Any, cls: type, where: str, source: str) -> Any:
     if "excluded_actions" in kwargs:
         excluded = check_list(kwargs["excluded_actions"], f"{source}: 'excluded_actions'", str)
         kwargs["excluded_actions"] = tuple(excluded)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return cls(**kwargs)
 
 
 def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
@@ -169,10 +161,7 @@ def config_from_dict(data: Mapping, source: str = "config") -> ExperimentConfig:
     kwargs: dict[str, Any] = dict(data)
     search = _sub_config(kwargs.pop("search", {}), SearchConfig, "search", source)
     stl = _sub_config(kwargs.pop("stl", {}), StlConfig, "stl", source)
-    try:
-        return ExperimentConfig(search=search, stl=stl, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(search=search, stl=stl, **kwargs)
 
 
 def load_config(path: str | Path | None, overrides: Mapping[str, Any]) -> ExperimentConfig:
@@ -596,8 +585,7 @@ def cmd_report(
     result_paths: Sequence[str], pricing_path: str | None, k: int, out: str
 ) -> int:
     """Aggregate one or more results files into the CSV report pair."""
-    if k < 1:
-        raise ConfigError("k must be at least 1")
+    check_int(k, "--k", 1)
     results = [_load_result(p) for p in result_paths]
     pricing = load_pricing(pricing_path)
     usable_k = min([k] + [len(o.attempts) for r in results for o in r.outcomes])
@@ -716,10 +704,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return cmd_search(config)
             return cmd_stl(config)
         if args.command == "eval":
-            if args.b_samples < 1:
-                raise ConfigError("--b-samples must be at least 1")
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+            check_int(args.b_samples, "--b-samples", 1)
+            check_int(args.seed, "--seed", 0)
             return cmd_eval(
                 args.results_a,
                 args.results_b,

@@ -9,7 +9,7 @@ reader shares: the one error (:class:`ConfigError`), the one JSON reader
 (:func:`read_json`, which requires an object) and the checkers that refuse a
 value through the same few rules and wordings (:func:`check_object`,
 :func:`check_str`, :func:`check_bool`, :func:`check_int`,
-:func:`check_number` and :func:`check_list`).  The lookahead
+:func:`check_number`, :func:`check_choice` and :func:`check_list`).  The lookahead
 record a training example is distilled from lives with its only users, in
 :mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, Iterable, NoReturn
 
 
 class ConfigError(Exception):
@@ -329,6 +329,13 @@ def check_number(
     if not finite or (minimum is not None and value < minimum):
         rule = "a finite number" + ("" if minimum is None else f" of at least {minimum}")
         _refuse(where, rule + (" or null" if nullable else ""), value)
+    return value
+
+
+def check_choice(value: Any, where: str, choices: Iterable[Any]) -> Any:
+    """``value`` if it equals one of ``choices``; an unhashable one is refused too."""
+    if value not in tuple(choices):
+        _refuse(where, f"one of {tuple(choices)}", value)
     return value
 
 

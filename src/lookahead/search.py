@@ -43,7 +43,7 @@ from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from .core import State, Task, Trajectory, ValueEstimate
+from .core import State, Task, Trajectory, ValueEstimate, check_int
 from .envs.base import ActionRejected, Environment
 from .agents.policies import Policy
 from .agents.scales import MalformedRationale
@@ -72,14 +72,8 @@ class SearchConfig:
     excluded_actions: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.branching < 1:
-            raise ValueError("branching must be at least 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be at least 1")
-        if self.mcts_iterations < 1:
-            raise ValueError("mcts_iterations must be at least 1")
+        for name in ("branching", "max_depth", "beam_width", "mcts_iterations"):
+            check_int(getattr(self, name), f"'search.{name}'", 1)
 
 
 @dataclass
@@ -441,9 +435,6 @@ def beam_search(
 
 
 def _select_child(node: TreeNode, children: list[TreeNode]) -> TreeNode:
-    for child in children:
-        if child.visits == 0:
-            return child
     log_parent = math.log(node.visits)
 
     def uct(child: TreeNode) -> tuple[float, int]:
@@ -465,9 +456,9 @@ def mcts_search(
 ) -> SearchTree:
     """UCT search using normalized value estimates as proxy rewards.
 
-    Each iteration walks from the root by the UCT rule (unvisited children
-    first, in proposal order), expands the reached leaf, evaluates the new
-    children, and backs each child's normalized value up the selection path.
+    Each iteration walks from the root by the UCT rule, expands the reached
+    leaf, evaluates the new children, and backs each child's normalized value
+    up the selection path.
     Budget exhaustion is the normal termination.
     """
     root_state = env.initial_state(task)

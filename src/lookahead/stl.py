@@ -35,7 +35,9 @@ from .core import (
     Trajectory,
     TrainingExample,
     ValueEstimate,
+    check_choice,
     check_int,
+    check_number,
     check_object,
     check_str,
     read_json,
@@ -78,16 +80,12 @@ class StlConfig:
     min_example_depth: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.tasks_per_iteration < 1:
-            raise ValueError("tasks_per_iteration must be at least 1")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
-        if self.min_example_depth < 0:
-            raise ValueError("min_example_depth cannot be negative")
+        check_int(self.iterations, "'stl.iterations'", 1)
+        check_int(self.tasks_per_iteration, "'stl.tasks_per_iteration'", 1)
+        if not 0.0 < check_number(self.gamma, "'stl.gamma'") <= 1.0:
+            raise ConfigError(f"'stl.gamma' must be a number in (0, 1], got {self.gamma!r}")
+        check_choice(self.engine, "'stl.engine'", ENGINES)
+        check_int(self.min_example_depth, "'stl.min_example_depth'", 0)
 
 
 @dataclass(frozen=True)

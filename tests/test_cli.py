@@ -623,14 +623,15 @@ class TestConfigHandling:
         assert named in err and str(config) in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("spec", ["constant:nan", "constant:inf", "constant:1e999"])
+    @pytest.mark.parametrize(
+        "spec", ["constant:nan", "constant:inf", "constant:1e999", "constant:abc"]
+    )
     def test_non_finite_constant_value_spec_exits_2_naming_it(self, tmp_path, capsys, spec):
         tasks = game24_tasks(tmp_path / "tasks.json", n=1)
         argv = ["search", "--value", spec, "--tasks", tasks, "--out", str(tmp_path / "o")]
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert repr(spec) in err
+        assert err == f"config error: constant value spec is not a finite number: {spec!r}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -686,10 +687,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "data,message",
         [
-            ({"attempts": 0}, "attempts must be at least 1"),
-            ({"parallel": 0}, "parallel must be at least 1"),
-            ({"value_samples": 0}, "value_samples must be at least 1"),
-            ({"value_aggregation": "mode"}, "value_aggregation must be one of"),
+            ({"attempts": 0}, "'attempts' must be an int of at least 1, got 0"),
+            ({"parallel": 0}, "'parallel' must be an int of at least 1, got 0"),
+            ({"value_samples": 0}, "'value_samples' must be an int of at least 1, got 0"),
+            (
+                {"value_aggregation": "mode"},
+                "'value_aggregation' must be one of ('mean', 'median'), got 'mode'",
+            ),
             ({"search": 5}, "'search' must be a JSON object"),
             ({"stl": [1]}, "'stl' must be a JSON object"),
             ({"search": {"excluded_actions": [1]}}, "'excluded_actions' must be a list"),
@@ -697,7 +701,7 @@ class TestConfigHandling:
         ],
     )
     def test_config_from_dict_checks_numbers_choices_and_shapes(self, data, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(data)
 
     def test_flag_into_a_section_that_is_not_an_object_exits_2(self, tmp_path, capsys):
@@ -715,7 +719,79 @@ class TestConfigHandling:
         argv = ["search", "--value-samples", "0", "--tasks", tasks, "--out", str(tmp_path / "o")]
         code, _, err = run_cli(argv, capsys)
         assert code == 2
-        assert err == "config error: value_samples must be at least 1\n"
+        assert err == "config error: 'value_samples' must be an int of at least 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--iterations", "0", "'stl.iterations' must be an int of at least 1, got 0"),
+            (
+                "--tasks-per-iteration",
+                "0",
+                "'stl.tasks_per_iteration' must be an int of at least 1, got 0",
+            ),
+            ("--gamma", "0", "'stl.gamma' must be a number in (0, 1], got 0.0"),
+            ("--gamma", "1.5", "'stl.gamma' must be a number in (0, 1], got 1.5"),
+            (
+                "--stl-engine",
+                "dfs",
+                "'stl.engine' must be one of ('greedy', 'beam', 'mcts'), got 'dfs'",
+            ),
+            (
+                "--min-example-depth",
+                "-1",
+                "'stl.min_example_depth' must be an int of at least 0, got -1",
+            ),
+        ],
+    )
+    def test_each_stl_rule_exits_2_with_one_line(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["stl", flag, value, "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"config error: {message}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (
+                ["--environment", "foo"],
+                "environment must be 'game24' or 'scripted:<fixture>', got 'foo'",
+            ),
+            (["--policy", "bar"], "policy must be 'exhaustive' or 'remote:<model>', got 'bar'"),
+            (
+                ["--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES, "--policy", "remote:m"],
+                "policy 'remote:m': no prompt template for environment 'scripted', "
+                "role 'policy' (expected asset scripted__policy.txt)",
+            ),
+        ],
+    )
+    def test_a_bad_spec_exits_2_with_one_line(self, tmp_path, capsys, flags, message):
+        tasks = game24_tasks(tmp_path / "tasks.json", n=1)
+        argv = ["search", *flags, "--tasks", tasks, "--out", str(tmp_path / "o")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"iterations": 2.5}, "'stl.iterations' must be an int of at least 1, got 2.5"),
+            ({"gamma": True}, "'stl.gamma' must be a finite number, got True"),
+            (
+                {"engine": ["beam"]},
+                "'stl.engine' must be one of ('greedy', 'beam', 'mcts'), got a list",
+            ),
+        ],
+    )
+    def test_stl_config_built_in_code_keeps_the_same_rules(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            StlConfig(**kwargs)
+        assert str(info.value) == message
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         tasks = webshop_tasks(tmp_path / "tasks.json")
@@ -1039,9 +1115,9 @@ class TestEngineChoices:
         for name in ENGINES:
             assert config_from_dict({"engine": name, "stl": {"engine": name}}).engine == name
             assert StlConfig(engine=name).engine == name
-        with pytest.raises(ConfigError, match="engine must be one of"):
+        with pytest.raises(ConfigError, match="^'engine' must be one of"):
             config_from_dict({"engine": "dfs"})
-        with pytest.raises(ValueError, match="engine must be one of"):
+        with pytest.raises(ConfigError, match="^'stl.engine' must be one of"):
             StlConfig(engine="dfs")
 
 
@@ -1828,7 +1904,16 @@ class TestEvalCommand:
         b = fake_results(tmp_path / "b.json", "m-b", scores)
         code, stdout, err = run_cli(["eval", a, b, "--b-samples", "100", "--seed", "-1"], capsys)
         assert code == 2
-        assert err == "config error: --seed must be non-negative, got -1\n"
+        assert err == "config error: --seed must be an int of at least 0, got -1\n"
+        assert stdout == ""
+
+    def test_b_samples_below_one_exits_2_with_one_line(self, tmp_path, capsys):
+        scores = {"t1": 1.0, "t2": 0.0}
+        a = fake_results(tmp_path / "a.json", "m-a", scores)
+        b = fake_results(tmp_path / "b.json", "m-b", scores)
+        code, stdout, err = run_cli(["eval", a, b, "--b-samples", "0"], capsys)
+        assert code == 2
+        assert err == "config error: --b-samples must be an int of at least 1, got 0\n"
         assert stdout == ""
 
     def test_results_without_outcomes_exit_2(self, tmp_path, capsys):
@@ -2185,6 +2270,15 @@ class TestReportCommand:
         header = lines[0].split(",")
         row = lines[1].split(",")
         assert row[header.index("k")] == "1"
+
+    def test_k_below_one_exits_2_writing_nothing(self, tmp_path, capsys):
+        a = fake_results(tmp_path / "a.json", "m", {"t1": 1.0})
+        out = tmp_path / "report"
+        code, stdout, err = run_cli(["report", a, "--k", "0", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "config error: --k must be an int of at least 1, got 0\n"
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestPricingFile:

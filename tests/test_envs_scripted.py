@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lookahead.core import Action, ConfigError, Task, Trajectory
+from lookahead.core import Action, ConfigError, State, Task, Trajectory
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.scripted import (
     ScriptedEnvironment,
@@ -70,6 +70,13 @@ class TestParseFixture:
         data["edges"].append({"from": "a", "action": "jump", "to": "nowhere"})
         with pytest.raises(ConfigError, match="'nowhere'"):
             parse_fixture(data)
+
+    def test_edge_from_unknown_node_named(self):
+        data = minimal_fixture()
+        data["edges"].append({"from": "nowhere", "action": "jump", "to": "a"})
+        with pytest.raises(ConfigError) as info:
+            parse_fixture(data)
+        assert str(info.value) == "edge 'nowhere' -> 'a' starts at an unknown node"
 
     def test_duplicate_action_on_node_named(self):
         data = minimal_fixture()
@@ -182,6 +189,13 @@ class TestScriptedEnvironment:
         root = env.initial_state(TASK)
         with pytest.raises(ActionRejected, match="no edge"):
             env.transition(root, Action.make("teleport"))
+
+    def test_transition_from_a_state_outside_the_fixture_rejected(self):
+        env = ScriptedEnvironment.from_dict(minimal_fixture())
+        stray = State(id="elsewhere", depth=0, observation="lost")
+        with pytest.raises(ActionRejected) as info:
+            env.transition(stray, Action.make("go a"))
+        assert str(info.value) == "state 'elsewhere' is not part of the fixture"
 
     def test_terminal_transition_rejected(self):
         env = ScriptedEnvironment.from_dict(minimal_fixture())

@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 from lookahead.agents.policies import RemotePolicy
+from lookahead.agents.prompts import render_template
 from lookahead.agents.scales import GAME24
 from lookahead.agents.transport import HttpTransport, ScriptedTransport
 from lookahead.agents.values import RemoteValueModel
-from lookahead.core import Task
+from lookahead.core import ConfigError, Task
 from lookahead.envs.game24 import Game24Env
 from lookahead.evaluation import Ledger
 from lookahead.search import SearchConfig, greedy_search
@@ -119,3 +122,9 @@ class TestGoldenPrompts:
             )
             for prompt, n in GOLDEN_REQUESTS
         ]
+
+
+def test_a_placeholder_left_unsupplied_is_a_config_error():
+    with pytest.raises(ConfigError) as info:
+        render_template("{task} then {step}", task="walk")
+    assert str(info.value) == "prompt template placeholder 'step' was not supplied"

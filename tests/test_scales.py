@@ -102,6 +102,14 @@ class TestParseBoundedValue:
     def test_labels_unchanged(self):
         assert parse_bounded_value("sure", GAME24) == 20.0
 
+    @pytest.mark.parametrize("word", ["ſURE", "lıkely", "İmpossible"])
+    def test_a_lookalike_letter_makes_no_verdict(self, word):
+        # re's Unicode IGNORECASE equates ſ with s and ı, İ with i, but none
+        # of them lower-cases to its ASCII letter: the lookup raised KeyError.
+        with pytest.raises(MalformedRationale) as info:
+            parse_bounded_value(f"Close.\n{word}", GAME24)
+        assert str(info.value) == "scaffolding-missing: no verdict label found"
+
 
 class TestFormatAndStrip:
     @given(st.integers(min_value=100, max_value=1000))
@@ -134,6 +142,10 @@ class TestFormatAndStrip:
         assert strip_score_sentence("Numbers combine cleanly.\nsure\n", GAME24) == (
             "Numbers combine cleanly."
         )
+
+    def test_strip_label_line_above_trailing_blank_lines(self):
+        text = "Numbers combine cleanly.\nsure\n\n  \n"
+        assert strip_score_sentence(text, GAME24) == "Numbers combine cleanly."
 
     def test_strip_then_format_reparses(self):
         original = "The search looks stalled. Thus, the correctness score is 2.00 / 10.00."

@@ -21,7 +21,7 @@ from lookahead.agents.values import (
     ScriptedValueModel,
     ValueModel,
 )
-from lookahead.core import Action, State, Task, Trajectory
+from lookahead.core import Action, ConfigError, State, Task, Trajectory
 from lookahead.envs.game24 import Game24Env
 from lookahead.envs.scripted import ScriptedEnvironment
 from lookahead.evaluation import Ledger
@@ -124,11 +124,14 @@ class TestSearchConfig:
             {"max_depth": 0},
             {"beam_width": 0},
             {"mcts_iterations": 0},
+            {"branching": True},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ConfigError) as info:
             SearchConfig(**kwargs)
+        assert str(info.value) == f"'search.{name}' must be an int of at least 1, got {value}"
 
 
 class TestGreedySearch:
@@ -339,6 +342,32 @@ class TestEngineContract:
         env, _, _ = two_branch_setup()
         tree = SearchTree(TASK, "greedy", env.initial_state(TASK))
         assert tree.final_trajectory().final_state is tree.root.state
+
+
+class TestEmptyExpansion:
+    """A root with no actions: each engine records the empty proposal and stops."""
+
+    def search(self, engine):
+        env = ScriptedEnvironment.from_dict(
+            {"root": "a", "nodes": [{"id": "a", "observation": "o"}], "edges": []}
+        )
+        config = SearchConfig(mcts_iterations=2)
+        return ENGINES[engine](TASK, env, ExhaustivePolicy(env), ScriptedValueModel({}), config)
+
+    def test_greedy_breaks_without_an_evaluated_child(self):
+        tree = self.search("greedy")
+        assert (tree.stats.failures, tree.stats.best_path) == (["empty-proposal@0"], [0])
+
+    def test_beam_records_the_empty_frontier(self):
+        tree = self.search("beam")
+        assert tree.stats.failures == ["empty-proposal@0", "empty-frontier@0"]
+
+    def test_mcts_backs_up_zero_then_stops_at_the_childless_root(self):
+        tree = self.search("mcts")
+        stats = tree.stats
+        assert (stats.failures, tree.root.visits, stats.backup_total) == (
+            ["empty-proposal@0"], 2, 0.0
+        )
 
 
 class TestStateExpansionAccounting:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lookahead import stl
+from lookahead import cli, stl
 from lookahead.agents.policies import ExhaustivePolicy
 from lookahead.agents.rationales import format_lookahead_block, parse_simulated_lookahead
 from lookahead.agents.scales import LIKERT10, NUMERIC10
@@ -29,10 +29,11 @@ from lookahead.core import (
     ValueEstimate,
     state_key,
 )
-from lookahead.cli import main
+from lookahead.cli import build_value_model, config_from_dict, main
 from lookahead.envs.base import ActionRejected
 from lookahead.envs.game24 import Game24Env, Verdict, solve_verdict
 from lookahead.envs.scripted import ScriptedEnvironment
+from lookahead.evaluation import Ledger
 from lookahead.search import (
     ENGINES,
     SearchConfig,
@@ -345,6 +346,25 @@ class TestExportImport:
         with pytest.raises(ConfigError) as failure:
             import_jsonl(path)
         assert str(failure.value) == f"{path}:3: 'state_key' 'k1' repeats line 1"
+
+    def test_import_skips_a_blank_line(self, tmp_path):
+        dataset, _ = dedup_latest(Dataset(), [example("k1", 1), example("k2", 1)], 1)
+        path = export_jsonl(dataset, tmp_path / "data.jsonl", "numeric10")
+        first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(first + "\n  \n" + second, encoding="utf-8")
+        assert import_jsonl(path) == dataset
+
+    def test_without_metadata_a_dataset_reloads_on_numeric10_over_a_constant(self, tmp_path):
+        (kept,), _ = filter_examples([make_record(value=8.0)], NUMERIC10, 1)
+        dataset, _ = dedup_latest(Dataset(), [kept], 1)
+        path = export_jsonl(dataset, tmp_path / "data.jsonl", "likert10", "scripted:values.json")
+        Path(f"{path}.meta.json").unlink()
+        config = config_from_dict({"value": f"stl-dataset:{path}"})
+        model = build_value_model(config, Game24Env(), Ledger())
+        elsewhere = Trajectory.from_state(Task(id="t2", instruction="walk two"), root_state())
+        assert (model.scale, model.evaluate(elsewhere).rationale) == (
+            NUMERIC10, "Constant evaluation. Thus, the correctness score is 0.00 / 10.00."
+        )
 
     def test_import_rejects_bad_record(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -897,6 +917,15 @@ class TestEachExampleOnce:
         assert TabularTrainer().fine_tune(base, reloaded).table == final_model.table
 
 
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote under ``out`` but its manifest, by relative path."""
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
 class TestValueIterationOnGame24:
     """STL is value iteration: from a base model that values only the
     terminals (10 for 24, else 1), three accumulated iterations of full-width
@@ -904,7 +933,8 @@ class TestValueIterationOnGame24:
     backup, which agrees with the oracle's verdict.  Reloaded through the
     command line, the trained model then solves more of those puzzles at beam
     width 1 than the base does at width 3, expanding fewer states: the
-    paper's claim, end to end."""
+    paper's claim, end to end.  The reloaded model writes the same bytes as
+    the model ``stl`` trained in process."""
 
     PUZZLES = 5
 
@@ -927,7 +957,9 @@ class TestValueIterationOnGame24:
                         pass
         return states
 
-    def test_every_trained_state_holds_the_exact_discounted_backup(self, tmp_path, capsys):
+    def test_every_trained_state_holds_the_exact_discounted_backup(
+        self, tmp_path, capsys, monkeypatch
+    ):
         source = json.loads(Path("fixtures/game24_test_50.json").read_text(encoding="utf-8"))
         puzzles = source["tasks"][: self.PUZZLES]
         tasks = tmp_path / "tasks.json"
@@ -947,7 +979,16 @@ class TestValueIterationOnGame24:
             "--iterations", "3", "--tasks-per-iteration", str(self.PUZZLES), "--accumulate",
             "--gamma", "0.9", "--tasks", str(tasks), "--out", str(out),
         ]
+        final_models = []
+
+        def keep_final_model(*args, **kwargs):
+            final_model, reports = stl_run(*args, **kwargs)
+            final_models.append(final_model)
+            return final_model, reports
+
+        monkeypatch.setattr(cli, "stl_run", keep_final_model)
         assert main(argv) == 0, capsys.readouterr().err
+        [in_process] = final_models
 
         dataset = import_jsonl(out / "stl" / "final_model.jsonl")
         states = self.reachable_states(puzzles)
@@ -964,8 +1005,10 @@ class TestValueIterationOnGame24:
         plain = tmp_path / "puzzles.json"
         plain.write_text(json.dumps({"tasks": puzzles}), encoding="utf-8")
         runs = {}
+        printed = {}
+        reload = f"stl-dataset:{out / 'stl' / 'final_model.jsonl'}"
         for name, value, width in (
-            ("trained", f"stl-dataset:{out / 'stl' / 'final_model.jsonl'}", "1"),
+            ("trained", reload, "1"),
             ("base", f"scripted:{values}", "3"),
         ):
             search_out = tmp_path / name
@@ -975,6 +1018,7 @@ class TestValueIterationOnGame24:
                 "--out", str(search_out),
             ]
             assert main(argv) == 0, capsys.readouterr().err
+            printed[name] = capsys.readouterr().out
             results = json.loads((search_out / "results.json").read_text(encoding="utf-8"))
             ledger = json.loads((search_out / "ledger.json").read_text(encoding="utf-8"))
             solved = sum(outcome["success"] for outcome in results["outcomes"])
@@ -982,3 +1026,19 @@ class TestValueIterationOnGame24:
         (trained_solved, trained_states), (base_solved, base_states) = runs.values()
         assert trained_solved > base_solved and trained_states < base_states
         assert runs == {"trained": (5, 226), "base": (2, 450)}
+
+        # The reload is the in-process model: the same search answered by
+        # stl's own final model writes the same bytes and the same table counts.
+        monkeypatch.setattr(cli, "build_value_model", lambda config, env, ledger: in_process)
+        argv = [
+            "search", "--value", reload, "--engine", "beam", "--beam-width", "1",
+            "--branching", "36", "--max-depth", "3", "--tasks", str(plain),
+            "--out", str(tmp_path / "in-process"),
+        ]
+        assert main(argv) == 0, capsys.readouterr().err
+        table_counts = [
+            line for line in printed["trained"].splitlines() if line.startswith("table hits:")
+        ]
+        assert table_counts == ["table hits: 198  fallbacks: 28"]
+        assert table_counts[0] in capsys.readouterr().out.splitlines()
+        assert artifact_bytes(tmp_path / "in-process") == artifact_bytes(tmp_path / "trained")
