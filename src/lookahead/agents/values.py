@@ -1,4 +1,4 @@
-"""Value models: oracle, scripted doubles, remote and depth-routed.
+"""Value models: the oracle, scripted doubles and the remote model.
 
 A value model maps the trajectory ending at the state under judgment to a
 :class:`~lookahead.core.ValueEstimate` under a declared scale.  Every model's
@@ -227,29 +227,3 @@ class RemoteValueModel(ValueModel):
             futures = [pool.submit(self._evaluate_one, trajectory) for trajectory in trajectories]
         return [future.result() for future in futures]
 
-
-class RoutedValueModel(ValueModel):
-    """Delegates each evaluation to the model trained for the state's depth.
-
-    Depths without a model of their own go to ``fallback``.
-    """
-
-    def __init__(self, models: Mapping[int, ValueModel], fallback: ValueModel) -> None:
-        self.models = dict(models)
-        self.fallback = fallback
-        self.scale = fallback.scale
-
-    def _route(self, depth: int) -> ValueModel:
-        return self.models.get(depth, self.fallback)
-
-    def evaluate(self, trajectory: Trajectory) -> ValueEstimate:
-        return self._route(trajectory.depth).evaluate(trajectory)
-
-    def evaluate_many(
-        self, trajectories: Sequence[Trajectory]
-    ) -> list[ValueEstimate | MalformedRationale]:
-        """Route once when every trajectory shares a depth, as a beam level does."""
-        depths = {trajectory.depth for trajectory in trajectories}
-        if len(depths) != 1:
-            return super().evaluate_many(trajectories)
-        return self._route(depths.pop()).evaluate_many(trajectories)

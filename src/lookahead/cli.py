@@ -20,7 +20,6 @@ import csv
 import math
 import sys
 import time
-from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -29,13 +28,13 @@ from typing import Any, Callable, Mapping, NoReturn, Sequence
 from . import __version__
 from .core import (
     Aggregation, ConfigError, Task, check_bool, check_choice, check_int, check_list,
-    check_number, check_object, check_str, read_json, write_json,
+    check_number, check_object, check_str, json_written_after, read_json, write_json,
 )
 from .envs.base import Environment
 from .envs.game24 import Game24Env
 from .envs.scripted import ScriptedEnvironment
 from .agents.policies import ExhaustivePolicy, Policy, RemotePolicy
-from .agents.scales import GAME24, LIKERT10, NUMERIC10, MalformedRationale, get_scale
+from .agents.scales import GAME24, NUMERIC10, MalformedRationale, get_scale
 from .agents.transport import DEFAULT_API_KEY_ENV, HttpTransport, TransportError
 from .agents.values import (
     ConstantValueModel,
@@ -260,8 +259,8 @@ def build_value_model(
     ``stl-dataset:`` on its ``.meta.json``'s ``scale`` (over the base model
     its ``base_value`` names, built from ``config`` and on that scale too,
     else a constant at the scale's lowest value), ``remote:`` on
-    ``game24`` in the game24 environment (the shipped value prompt's
-    verdicts) and ``likert10`` elsewhere, and ``constant:`` on ``numeric10``.
+    ``game24`` (the verdicts of the one shipped value prompt, game24's), and
+    ``constant:`` on ``numeric10``.
     """
     value = config.value
     if value == "oracle":
@@ -324,7 +323,7 @@ def build_value_model(
             _transport(config),
             model,
             env,
-            scale=GAME24 if config.environment == "game24" else LIKERT10,
+            scale=GAME24,
             n_samples=config.value_samples,
             aggregation=Aggregation(config.value_aggregation),
             ledger=ledger,
@@ -364,7 +363,7 @@ def write_manifest(config: ExperimentConfig, out_dir: Path) -> Path:
 
 def set_up_run(
     config: ExperimentConfig, command: str
-) -> tuple[Environment, list[Task], PricingTable, Ledger, Policy, ValueModel, Path]:
+) -> tuple[Environment, list[Task], PricingTable | None, Ledger, Policy, ValueModel, Path]:
     """Build the agents of ``command`` (``search`` or ``stl``) and read its
     inputs; only then create the output directory and write the manifest.
 
@@ -372,7 +371,8 @@ def set_up_run(
     ``stl``, a discount (``gamma < 1``) is checked against the built value
     model's scale, since a label scale cannot hold a discounted target;
     ``search`` builds no targets, so it ignores the ``stl`` section, but its
-    report prices every ``remote:`` model, so each must be in the pricing table.
+    report prices every ``remote:`` model, so each must be in the pricing
+    table.  ``stl`` prices nothing, so it reads no pricing file (``None``).
     """
     if config.tasks is None:
         raise ConfigError(f"{command} requires a tasks file (--tasks)")
@@ -387,8 +387,9 @@ def set_up_run(
             "use gamma 1 or a value model on a numeric scale"
         )
     tasks = load_tasks(config.tasks, env)
-    pricing = build_pricing(config)  # stl prices nothing, but a bad file still exits 2
+    pricing = None
     if command == "search":
+        pricing = build_pricing(config)
         agents = [policy, value_model]
         if isinstance(value_model, TabularValueModel):  # a reloaded dataset's base model
             agents.append(value_model.base_model)
@@ -404,19 +405,6 @@ def set_up_run(
         raise ConfigError(f"out directory {out_dir} cannot be made: {exc}") from None
     write_manifest(config, out_dir)
     return env, tasks, pricing, ledger, policy, value_model, out_dir
-
-
-@contextmanager
-def _ledger_written(out_dir: Path, ledger: Ledger):
-    """Write ``ledger.json`` after the block, also when it fails; a write
-    that fails then does not replace the block's own error."""
-    try:
-        yield
-    except BaseException:
-        with suppress(OSError):
-            write_json(out_dir / "ledger.json", ledger.to_dict())
-        raise
-    write_json(out_dir / "ledger.json", ledger.to_dict())
 
 
 def _tally(env: Environment, tree: SearchTree) -> tuple[int, float | None]:
@@ -438,7 +426,7 @@ def cmd_search(config: ExperimentConfig) -> int:
         for task in tasks
         for attempt in range(1, config.attempts + 1)
     ]
-    with _ledger_written(out_dir, ledger):
+    with json_written_after(out_dir / "ledger.json", ledger.to_dict):
         tallies = run_rollouts(
             jobs, config.engine, env, policy, value_model, config.search, partial(_tally, env),
             ledger, config.parallel,
@@ -481,7 +469,7 @@ def cmd_stl(config: ExperimentConfig) -> int:
     reloadable tabular model artifact and ``ledger.json``, which is written
     even when the loop fails, with what the run spent until then."""
     env, tasks, _pricing, ledger, policy, base_model, out_dir = set_up_run(config, "stl")
-    with _ledger_written(out_dir, ledger):
+    with json_written_after(out_dir / "ledger.json", ledger.to_dict):
         _final_model, reports = stl_run(
             tasks=tasks,
             env=env,
@@ -609,7 +597,7 @@ _FLAG_HELP = {
 
 # The settings each command never reads, by key or whole section: they get no
 # flag there, though a config file or manifest may still set them.
-_UNREAD = {"search": ("stl",), "stl": ("engine", "method", "attempts")}
+_UNREAD = {"search": ("stl",), "stl": ("engine", "method", "attempts", "pricing")}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:

@@ -4,13 +4,14 @@ Defines the vocabulary used across environments, agents, search engines and
 the training-data pipeline: tasks, actions, states, trajectories, value
 estimates and training examples, plus the two canonical derived forms
 (rendered trajectory context and the state key used for deduplication),
-the one JSON layout every artifact file is written in, and what every input
-reader shares: the one error (:class:`ConfigError`), the one JSON reader
-(:func:`read_json`, which requires an object) and the checkers that refuse a
-value through the same few rules and wordings (:func:`check_object`,
-:func:`check_str`, :func:`check_bool`, :func:`check_int`,
-:func:`check_number`, :func:`check_choice` and :func:`check_list`).  The lookahead
-record a training example is distilled from lives with its only users, in
+the one JSON layout every artifact file is written in, also by a failed run
+(:func:`json_written_after`), and what every input reader shares: the one
+error (:class:`ConfigError`), the one JSON reader (:func:`read_json`, which
+requires an object) and the checkers that refuse a value through the same
+few rules and wordings (:func:`check_object`, :func:`check_str`,
+:func:`check_bool`, :func:`check_int`, :func:`check_number`,
+:func:`check_choice` and :func:`check_list`).  The lookahead record a
+training example is distilled from lives with its only users, in
 :mod:`lookahead.stl`.
 A state links to its parent, so a path is stored once: a trajectory is a task
 plus the state it ends at, and the path is that state's parent chain.  Each
@@ -25,11 +26,12 @@ import hashlib
 import json
 import math
 import statistics
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 
 class ConfigError(Exception):
@@ -253,6 +255,20 @@ def write_json(path: str | Path, data: object) -> None:
         json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
+
+
+@contextmanager
+def json_written_after(path: str | Path, data: Callable[[], object]) -> Iterator[None]:
+    """Write ``data()`` to ``path`` with :func:`write_json` after the block,
+    also when the block fails; a write that fails then does not replace the
+    block's own error."""
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):
+            write_json(path, data())
+        raise
+    write_json(path, data())
 
 
 def read_json(path: str | Path, what: str) -> dict:

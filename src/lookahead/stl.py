@@ -40,6 +40,7 @@ from .core import (
     check_number,
     check_object,
     check_str,
+    json_written_after,
     read_json,
     render_context,
     state_key,
@@ -49,7 +50,7 @@ from .agents.rationales import format_lookahead_block, parse_simulated_lookahead
 from .agents.scales import (
     NUMERIC10, MalformedRationale, ValueScale, get_scale, parse_value, strip_score_sentence,
 )
-from .agents.values import RoutedValueModel, ValueModel
+from .agents.values import ValueModel
 from .envs.base import Environment
 from .agents.policies import Policy
 from .search import ENGINES, SearchConfig, SearchTree, run_rollouts, safe_name
@@ -64,10 +65,11 @@ class StlConfig:
 
     ``iterations * tasks_per_iteration`` must not exceed the rollout task
     count; iteration ``k`` consumes the k-th slice.  ``accumulate`` carries
-    examples across iterations (latest duplicate wins); ``per_depth`` splits
-    each dataset by state depth and trains one model per depth.
-    ``min_example_depth`` drops examples generated above it (set to 1 to skip
-    root-state examples, as in per-depth routing setups).  Completions are
+    examples across iterations (latest duplicate wins); ``per_depth`` exports
+    each dataset as one file per state depth, while each iteration still
+    trains one model on the whole dataset.  ``min_example_depth`` drops
+    examples generated above it (set to 1 to skip root-state examples, which
+    no model answers: no engine ever judges a root).  Completions are
     rendered on the base value model's scale.
     """
 
@@ -348,8 +350,10 @@ def import_jsonl(path: str | Path) -> Dataset:
 class Trainer(ABC):
     """Turns (base model, dataset) into a trained value model.
 
-    Implementations must always start from the base model, never from the
-    previous iteration's output.
+    :func:`stl_run` calls :meth:`fine_tune` once per iteration with a
+    non-empty dataset, on that whole dataset, after every file of the
+    iteration is written.  Implementations must always start from the base
+    model, never from the previous iteration's output.
     """
 
     @abstractmethod
@@ -483,13 +487,16 @@ def stl_run(
     ``out_dir``, and return the last iteration's model and every
     iteration's report.
 
-    Every iteration trains from ``base_model``, never from the previous
-    iteration's model, and rolls out ``parallel`` tasks at a time with its
-    model frozen.  Each dataset partition (one per depth with ``per_depth``,
-    else the whole non-empty dataset) is exported before it is trained on,
-    so a trainer's own exception ends the loop with that file on disk.
-    Each ``.meta.json`` records ``base_value``, the spec ``base_model`` was
-    built from, when given (see :func:`export_jsonl`).
+    Every iteration rolls out ``parallel`` tasks at a time with its model
+    frozen, exports its dataset (one file per depth with ``per_depth``, else
+    one file; none when it is empty), and then calls ``trainer.fine_tune``
+    once, from ``base_model`` and never from the previous iteration's model,
+    on that whole dataset; an empty dataset leaves ``base_model`` in place.
+    So a trainer's own exception ends the loop with that iteration's files
+    on disk, and ``stl_report.json`` is written with the finished
+    iterations' reports even when an iteration fails.  Each ``.meta.json``
+    records ``base_value``, the spec ``base_model`` was built from, when
+    given (see :func:`export_jsonl`).
     """
     check_schedule(stl_config, len(tasks))
     out_path = Path(out_dir)
@@ -504,58 +511,53 @@ def stl_run(
         collect_candidates, gamma=stl_config.gamma, min_depth=stl_config.min_example_depth
     )
 
-    for iteration in range(1, stl_config.iterations + 1):
-        start = (iteration - 1) * stl_config.tasks_per_iteration
-        task_slice = tasks[start : start + stl_config.tasks_per_iteration]
-        prefix = f"iter{iteration:02d}__"
-        jobs = [(task, trees_dir / f"{prefix}{safe_name(task.id)}.json") for task in task_slice]
-        collected = run_rollouts(
-            jobs, stl_config.engine, env, policy, current_model, search_config, collect, ledger,
-            parallel,
-        )
-        records = [record for found, _ in collected for record in found]
-        intra_tree_duplicates = sum(duplicates for _, duplicates in collected)
-
-        new_examples, rejections = filter_examples(records, scale, iteration)
-        base_dataset = dataset if stl_config.accumulate else Dataset()
-        dataset, merge_counts = dedup_latest(base_dataset, new_examples, iteration)
-
-        if stl_config.per_depth:
-            partitions = dataset.by_depth()
-        else:
-            partitions = {None: dataset} if len(dataset) > 0 else {}
-        dataset_paths: list[str] = []
-        models: dict[int | None, ValueModel] = {}
-        for depth, partition in partitions.items():
-            suffix = "" if depth is None else f"_depth{depth}"
-            file_path = export_jsonl(
-                partition, out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl", scale.name,
-                base_value,
+    with json_written_after(out_path / "stl_report.json", lambda: [r.to_dict() for r in reports]):
+        for iteration in range(1, stl_config.iterations + 1):
+            start = (iteration - 1) * stl_config.tasks_per_iteration
+            task_slice = tasks[start : start + stl_config.tasks_per_iteration]
+            prefix = f"iter{iteration:02d}__"
+            jobs = [(task, trees_dir / f"{prefix}{safe_name(task.id)}.json") for task in task_slice]
+            collected = run_rollouts(
+                jobs, stl_config.engine, env, policy, current_model, search_config, collect,
+                ledger, parallel,
             )
-            dataset_paths.append(file_path.name)
-            models[depth] = trainer.fine_tune(base_model, partition)
-        if stl_config.per_depth:
-            current_model = RoutedValueModel(models, fallback=base_model)
-        else:
-            current_model = models.get(None, base_model)
+            records = [record for found, _ in collected for record in found]
+            intra_tree_duplicates = sum(duplicates for _, duplicates in collected)
 
-        reports.append(
-            IterationReport(
-                iteration=iteration,
-                task_ids=[t.id for t in task_slice],
-                candidates=len(records),
-                kept=len(new_examples),
-                # A plain dict: asdict would rebuild a Counter from its (key, count) pairs.
-                rejected=dict(rejections),
-                intra_tree_duplicates=intra_tree_duplicates,
-                merge=merge_counts,
-                dataset_size=len(dataset),
-                per_depth_sizes={d: len(p) for d, p in partitions.items() if d is not None},
-                dataset_paths=dataset_paths,
+            new_examples, rejections = filter_examples(records, scale, iteration)
+            base_dataset = dataset if stl_config.accumulate else Dataset()
+            dataset, merge_counts = dedup_latest(base_dataset, new_examples, iteration)
+
+            if stl_config.per_depth:
+                partitions = dataset.by_depth()
+            else:
+                partitions = {None: dataset} if len(dataset) > 0 else {}
+            dataset_paths: list[str] = []
+            for depth, partition in partitions.items():
+                suffix = "" if depth is None else f"_depth{depth}"
+                file_path = export_jsonl(
+                    partition, out_path / f"dataset_iter{iteration:02d}{suffix}.jsonl",
+                    scale.name, base_value,
+                )
+                dataset_paths.append(file_path.name)
+            current_model = trainer.fine_tune(base_model, dataset) if dataset else base_model
+
+            reports.append(
+                IterationReport(
+                    iteration=iteration,
+                    task_ids=[t.id for t in task_slice],
+                    candidates=len(records),
+                    kept=len(new_examples),
+                    # A plain dict: asdict would rebuild a Counter from its (key, count) pairs.
+                    rejected=dict(rejections),
+                    intra_tree_duplicates=intra_tree_duplicates,
+                    merge=merge_counts,
+                    dataset_size=len(dataset),
+                    per_depth_sizes={d: len(p) for d, p in partitions.items() if d is not None},
+                    dataset_paths=dataset_paths,
+                )
             )
-        )
 
-    write_json(out_path / "stl_report.json", [r.to_dict() for r in reports])
     if len(dataset) > 0:
         model_path = out_path / "final_model.jsonl"
         if stl_config.per_depth:

@@ -284,7 +284,9 @@ class TestConfigHandling:
         assert code == 0, err
 
     @pytest.mark.parametrize(
-        "argv", [["search", "--gamma", "0.5"], ["stl", "--engine", "beam"]], ids=" ".join
+        "argv",
+        [["search", "--gamma", "0.5"], ["stl", "--engine", "beam"], ["stl", "--pricing", "p.json"]],
+        ids=" ".join,
     )
     def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, argv):
         tasks = game24_tasks(tmp_path / "tasks.json")
@@ -1153,7 +1155,6 @@ CONFIG_FLAGS = {
         (("--tasks",), "tasks"),
         (("--out",), "out"),
         (("--parallel",), "parallel"),
-        (("--pricing",), "pricing"),
         (("--value-samples",), "value_samples"),
         (("--value-aggregation",), "value_aggregation"),
         (("--base-url",), "base_url"),
@@ -2282,7 +2283,7 @@ class TestReportCommand:
 
 
 class TestPricingFile:
-    @pytest.mark.parametrize("command", ["report", "search", "stl"])
+    @pytest.mark.parametrize("command", ["report", "search"])
     @pytest.mark.parametrize(
         "content",
         [[], {"gpt-4o": {"prompt_per_1k": "abc", "completion_per_1k": 0.01}}],
@@ -2567,7 +2568,7 @@ class TestExitCodes:
 
         real_write_json = cli.write_json
         monkeypatch.setattr(cli, "TabularTrainer", FailingTrainer)
-        monkeypatch.setattr(cli, "write_json", write_json)
+        monkeypatch.setattr("lookahead.core.write_json", write_json)
         tasks = webshop_tasks(tmp_path / "tasks.json", n=1)
         out = tmp_path / "out"
         argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES]
@@ -2575,6 +2576,41 @@ class TestExitCodes:
         exit_code, _, err = run_cli(argv, capsys)
         assert (exit_code, err) == (2, "config error: optimizer settings rejected\n")
         assert not (out / "ledger.json").exists()
+
+    @pytest.mark.parametrize(
+        "error, code, kind",
+        [
+            (ConfigError("optimizer settings rejected"), 2, "config"),
+            (TransportError("training endpoint gone"), 3, "transport"),
+        ],
+        ids=["ConfigError", "TransportError"],
+    )
+    def test_a_failed_iteration_keeps_the_finished_iterations_report(
+        self, tmp_path, capsys, monkeypatch, error, code, kind
+    ):
+        class FailsOnItsSecondCall(stl.TabularTrainer):
+            def __init__(self):
+                self.calls = 0
+
+            def fine_tune(self, base_model, dataset):
+                self.calls += 1
+                if self.calls == 2:
+                    raise error
+                return super().fine_tune(base_model, dataset)
+
+        tasks = webshop_tasks(tmp_path / "tasks.json", n=2)
+        argv = ["stl", "--environment", WEBSHOP_ENV, "--value", WEBSHOP_VALUES, "--tasks", tasks]
+        argv += ["--stl-engine", "greedy", "--iterations", "2", "--accumulate"]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert run_cli([*argv, "--out", str(whole)], capsys)[0] == 0
+        monkeypatch.setattr(cli, "TabularTrainer", FailsOnItsSecondCall)
+        exit_code, _, err = run_cli([*argv, "--out", str(cut)], capsys)
+        assert (exit_code, err) == (code, f"{kind} error: {error}\n")
+        report = json.loads((cut / "stl" / "stl_report.json").read_text(encoding="utf-8"))
+        finished = json.loads((whole / "stl" / "stl_report.json").read_text(encoding="utf-8"))
+        assert [entry["iteration"] for entry in finished] == [1, 2]
+        assert report == finished[:1]
+        assert (cut / "stl" / "dataset_iter02.jsonl").exists()
 
     def test_unwritable_out_path_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -26,6 +26,7 @@ from lookahead.core import (
     check_number,
     check_object,
     check_str,
+    json_written_after,
     read_json,
     render_context,
     state_key,
@@ -319,6 +320,32 @@ class TestWriteJson:
         write_json(path, {"b": [1, {"é": None}], "a": "ü"})
         expected = '{\n  "a": "ü",\n  "b": [\n    1,\n    {\n      "é": null\n    }\n  ]\n}\n'
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+class TestJsonWrittenAfter:
+    def test_writes_the_data_as_it_stands_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "report.json"
+        entries = []
+        with json_written_after(path, lambda: list(entries)):
+            entries.append(1)
+            assert not path.exists()
+        assert json.loads(path.read_text(encoding="utf-8")) == [1]
+
+    def test_a_failing_block_still_writes_and_raises_its_own_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        entries = []
+        with pytest.raises(ConfigError, match="second"):
+            with json_written_after(path, lambda: list(entries)):
+                entries.append("first")
+                raise ConfigError("second")
+        assert json.loads(path.read_text(encoding="utf-8")) == ["first"]
+
+    def test_a_failed_write_does_not_replace_the_blocks_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.mkdir()  # writing the file then fails with an OSError
+        with pytest.raises(ConfigError, match="the block's own"):
+            with json_written_after(path, lambda: []):
+                raise ConfigError("the block's own")
 
 
 class TestCheckers:

@@ -16,7 +16,6 @@ from lookahead.agents.scales import LIKERT10, NUMERIC10
 from lookahead.agents.values import (
     ConstantValueModel,
     OracleValueModel,
-    RoutedValueModel,
     ScriptedValueModel,
 )
 from lookahead.core import (
@@ -670,21 +669,25 @@ class TestStlRun:
 
     def test_per_depth_routes_and_falls_back(self, tmp_path):
         env, policy, base = stl_setup()
+        trainer = SpyTrainer()
         model, _ = stl_run(
             stl_tasks(1),
             env,
             policy,
             base,
-            SpyTrainer(),
+            trainer,
             self.config(per_depth=True, min_example_depth=1),
             self.search_config(),
             out_dir=tmp_path,
         )
-        assert isinstance(model, RoutedValueModel)
-        assert set(model.models) == {1}
+        # One model over the whole final dataset, though it was exported per depth.
+        [dataset] = trainer.datasets
+        assert set(dataset.examples) == set(import_jsonl(tmp_path / "final_model.jsonl").examples)
+        assert isinstance(model, TabularValueModel)
+        assert model.table == TabularTrainer().fine_tune(base, dataset).table
         task = stl_tasks(1)[0]
         root_trajectory = Trajectory.from_state(task, env.initial_state(task))
-        # Depth 0 has no trained model, so the base model answers with its
+        # No root example was kept, so the base model answers with its
         # default for the root id.
         assert model.evaluate(root_trajectory).value == 5.0
 
@@ -734,14 +737,33 @@ class TestStlRun:
             self.config(iterations=2, accumulate=True, per_depth=per_depth),
             self.search_config(), out_dir=out,
         )
-        # The last iteration trains once on each partition it exports.
-        last = trainer.datasets[-len(reports[-1].dataset_paths):]
-        final = Dataset({k: e for partition in last for k, e in partition.examples.items()})
-        assert len(final) == reports[-1].dataset_size
+        # Each iteration trains once, on its whole dataset.
+        assert trainer.dataset_sizes == [r.dataset_size for r in reports]
+        final = trainer.datasets[-1]
         expected = export_jsonl(final, tmp_path / "expected.jsonl", base.scale.name)
         for suffix in ("", ".meta.json"):
             written = (out / f"final_model.jsonl{suffix}").read_bytes()
             assert written == Path(f"{expected}{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("per_depth", [False, True])
+    def test_each_iteration_trains_once_after_writing_its_files(self, tmp_path, per_depth):
+        written_at_call = []
+
+        class RecordingTrainer(SpyTrainer):
+            def fine_tune(self, base_model, dataset):
+                written_at_call.append(sorted(p.name for p in tmp_path.glob("dataset_*.jsonl")))
+                return super().fine_tune(base_model, dataset)
+
+        env, policy, base = stl_setup()
+        _, reports = stl_run(
+            stl_tasks(2), env, policy, base, RecordingTrainer(),
+            self.config(iterations=2, accumulate=True, per_depth=per_depth),
+            self.search_config(), out_dir=tmp_path,
+        )
+        assert len(reports[-1].dataset_paths) == (2 if per_depth else 1)
+        assert written_at_call == [
+            sorted(name for report in reports[:k] for name in report.dataset_paths) for k in (1, 2)
+        ]
 
     def test_no_final_model_without_examples(self, tmp_path):
         env, policy, base = stl_setup()
@@ -917,6 +939,22 @@ class TestEachExampleOnce:
         assert TabularTrainer().fine_tune(base, reloaded).table == final_model.table
 
 
+def stl_keeping_final_model(argv: list[str], capsys, monkeypatch):
+    """Run ``stl`` through the command line and return the final model
+    ``stl_run`` handed back in process."""
+    final_models = []
+
+    def keep_final_model(*args, **kwargs):
+        final_model, reports = stl_run(*args, **kwargs)
+        final_models.append(final_model)
+        return final_model, reports
+
+    monkeypatch.setattr(cli, "stl_run", keep_final_model)
+    assert main(argv) == 0, capsys.readouterr().err
+    [final_model] = final_models
+    return final_model
+
+
 def artifact_bytes(out: Path) -> dict[str, bytes]:
     """Every file a run wrote under ``out`` but its manifest, by relative path."""
     return {
@@ -957,9 +995,9 @@ class TestValueIterationOnGame24:
                         pass
         return states
 
-    def test_every_trained_state_holds_the_exact_discounted_backup(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def schedule(self, tmp_path) -> tuple[list[dict], Path, list[str]]:
+        """The puzzles, the terminal-only value fixture and the ``stl``
+        command line (without ``--out``) of the three-iteration schedule."""
         source = json.loads(Path("fixtures/game24_test_50.json").read_text(encoding="utf-8"))
         puzzles = source["tasks"][: self.PUZZLES]
         tasks = tmp_path / "tasks.json"
@@ -972,23 +1010,20 @@ class TestValueIterationOnGame24:
         values = tmp_path / "values.json"
         terminal_only = {"values": {"24[24]": 10.0}, "default": 1.0}
         values.write_text(json.dumps(terminal_only), encoding="utf-8")
-        out = tmp_path / "out"
         argv = [
             "stl", "--value", f"scripted:{values}", "--stl-engine", "beam",
             "--beam-width", "1000", "--branching", "36", "--max-depth", "3",
             "--iterations", "3", "--tasks-per-iteration", str(self.PUZZLES), "--accumulate",
-            "--gamma", "0.9", "--tasks", str(tasks), "--out", str(out),
+            "--gamma", "0.9", "--tasks", str(tasks),
         ]
-        final_models = []
+        return puzzles, values, argv
 
-        def keep_final_model(*args, **kwargs):
-            final_model, reports = stl_run(*args, **kwargs)
-            final_models.append(final_model)
-            return final_model, reports
-
-        monkeypatch.setattr(cli, "stl_run", keep_final_model)
-        assert main(argv) == 0, capsys.readouterr().err
-        [in_process] = final_models
+    def test_every_trained_state_holds_the_exact_discounted_backup(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        puzzles, values, argv = self.schedule(tmp_path)
+        out = tmp_path / "out"
+        in_process = stl_keeping_final_model([*argv, "--out", str(out)], capsys, monkeypatch)
 
         dataset = import_jsonl(out / "stl" / "final_model.jsonl")
         states = self.reachable_states(puzzles)
@@ -1042,3 +1077,37 @@ class TestValueIterationOnGame24:
         assert table_counts == ["table hits: 198  fallbacks: 28"]
         assert table_counts[0] in capsys.readouterr().out.splitlines()
         assert artifact_bytes(tmp_path / "in-process") == artifact_bytes(tmp_path / "trained")
+
+    @pytest.mark.parametrize("schedule", ["mixed-puzzle-sizes", "five-puzzles"])
+    def test_a_per_depth_run_reloads_as_the_model_it_trained(
+        self, tmp_path, capsys, monkeypatch, schedule
+    ):
+        if schedule == "five-puzzles":
+            puzzles, _, argv = self.schedule(tmp_path)
+        else:
+            # The second puzzle's root, 3 3 4, is a depth-1 state of the
+            # first's, so its example moves to depth 0 in iteration 2.
+            puzzles = [{"id": "p1", "instruction": "1 2 3 4"}]
+            tasks = tmp_path / "tasks.json"
+            entries = [*puzzles, {"id": "p2", "instruction": "3 3 4"}]
+            tasks.write_text(json.dumps({"tasks": entries}), encoding="utf-8")
+            argv = [
+                "stl", "--value", "oracle", "--stl-engine", "beam", "--beam-width", "100",
+                "--branching", "36", "--max-depth", "3", "--iterations", "2",
+                "--tasks-per-iteration", "1", "--accumulate", "--tasks", str(tasks),
+            ]
+        out = tmp_path / "out"
+        argv += ["--per-depth", "--out", str(out)]
+        in_process = stl_keeping_final_model(argv, capsys, monkeypatch)
+
+        plain = tmp_path / "puzzles.json"
+        plain.write_text(json.dumps({"tasks": puzzles}), encoding="utf-8")
+        argv = [
+            "search", "--value", f"stl-dataset:{out / 'stl' / 'final_model.jsonl'}",
+            "--engine", "beam", "--beam-width", "1", "--branching", "36", "--max-depth", "3",
+            "--tasks", str(plain),
+        ]
+        assert main([*argv, "--out", str(tmp_path / "reloaded")]) == 0, capsys.readouterr().err
+        monkeypatch.setattr(cli, "build_value_model", lambda config, env, ledger: in_process)
+        assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0, capsys.readouterr().err
+        assert artifact_bytes(tmp_path / "in-process") == artifact_bytes(tmp_path / "reloaded")

@@ -17,7 +17,6 @@ from lookahead.agents.values import (
     ConstantValueModel,
     OracleValueModel,
     RemoteValueModel,
-    RoutedValueModel,
     ScriptedValueModel,
 )
 from lookahead.core import (
@@ -233,21 +232,6 @@ class TestRemoteValueModel:
         assert "1 2 3" in prompt
 
 
-class TestDepthRouting:
-    def test_routes_by_final_state_depth(self):
-        model = RoutedValueModel(
-            models={1: ConstantValueModel(1.0), 2: ConstantValueModel(2.0)},
-            fallback=ConstantValueModel(9.0),
-        )
-        for depth, expected in [(0, 9.0), (1, 1.0), (2, 2.0), (3, 9.0)]:
-            trajectory = synthetic_trajectory(depth=depth)
-            assert model.evaluate(trajectory).value == expected
-
-    def test_scale_follows_fallback(self):
-        model = RoutedValueModel(models={}, fallback=ConstantValueModel(1.0, scale=LIKERT10))
-        assert model.scale is LIKERT10
-
-
 def game24_trajectories(*instructions: str) -> list[Trajectory]:
     return [game24_trajectory(text)[1] for text in instructions]
 
@@ -378,23 +362,6 @@ class TestEvaluateMany:
         assert transport.sends == 4
         assert transport.in_flight == 0
 
-    def test_routed_model_routes_once_per_batch(self):
-        at_depth_one = RecordingModel(1.0)
-        fallback = RecordingModel(9.0)
-        model = RoutedValueModel(models={1: at_depth_one}, fallback=fallback)
-        trajectories = [synthetic_trajectory(i, depth=1) for i in "abc"]
-        results = model.evaluate_many(trajectories)
-        assert [r.value for r in results] == [1.0, 1.0, 1.0]
-        assert at_depth_one.batches == [trajectories]
-        assert fallback.batches == []
-
-    def test_routed_model_mixed_depths_route_each_request(self):
-        model = RoutedValueModel(
-            models={1: ConstantValueModel(1.0)}, fallback=ConstantValueModel(9.0)
-        )
-        trajectories = [synthetic_trajectory("a", depth=d) for d in (1, 2, 1)]
-        assert [r.value for r in model.evaluate_many(trajectories)] == [1.0, 9.0, 1.0]
-
     def test_tabular_model_sends_misses_in_one_batch(self):
         trajectories = [synthetic_trajectory(i) for i in "abc"]
         base = RecordingModel(2.0)
@@ -444,7 +411,6 @@ class TrajectorySpy(ConstantValueModel):
 
 
 WRAPPERS = {
-    "routed": lambda spy: RoutedValueModel(models={0: spy}, fallback=ConstantValueModel(9.0)),
     "tabular-miss": lambda spy: TabularValueModel(spy, Dataset()),
 }
 
